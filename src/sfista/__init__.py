@@ -19,18 +19,17 @@ from .certificates import (CertificateBundle, LowerModel, ResidualPair,
                            lower_model_gap, lower_model_violation,
                            residual_pair, sample_points, stationarity_residual)
 from .classic import (ClassicState, MomentumSchedule, alpha_next, classic_init,
-                      classic_run, classic_step, equivalence_check, t_next)
+                      classic_step, equivalence_check, t_next)
 from .engine import (CoefficientSchedule, IterateState, RunResult,
-                     SolverConfig, StepOutcome, TraceRecord,
-                     coefficient_schedule, init, run, step, step_coefficients)
+                     SolverConfig, TraceRecord, coefficient_schedule, init,
+                     run, step, step_coefficients)
 from .errors import (CertificateUndefinedError, ConfigError,
                      GrowthOverflowError, InvalidStartError, NumericFailure)
 from .harness import (BoundsRow, CheckResult, RunCapture, VerificationReport,
                       bounds_suite, capture_run, invariant_report, write_trace)
-from .problems import (CompositeProblem, InstanceSpec, LinearizationRequest,
-                       ProxOracle, ReferenceOptimum, SmoothOracle,
-                       box_indicator, eval_phi, l1_norm, least_squares,
-                       linearize_f, load_instance, logistic_loss,
+from .problems import (CompositeProblem, InstanceSpec, ProxOracle,
+                       ReferenceOptimum, SmoothOracle, box_indicator, eval_phi,
+                       l1_norm, least_squares, load_instance, logistic_loss,
                        make_instance, power_iteration, prox_box,
                        prox_scaled_quadratic, prox_soft_threshold, quadratic,
                        reference_solve, save_instance, scaled_quadratic,
@@ -42,18 +41,17 @@ __all__ = [
     "BoundReport", "BoundsRow", "CertificateBundle", "CertificateUndefinedError",
     "CheckResult", "ClassicState", "CoefficientSchedule", "CompositeProblem",
     "ConfigError", "Criterion", "GrowthOverflowError", "InstanceSpec",
-    "InvalidStartError", "IterateState", "LinearizationRequest", "LowerModel",
-    "MomentumSchedule",
+    "InvalidStartError", "IterateState", "LowerModel", "MomentumSchedule",
     "NumericFailure", "ProxOracle", "ReferenceOptimum", "ResidualPair",
     "RunCapture", "RunResult", "SmoothOracle", "SolverConfig",
-    "StationarityResidual", "StepOutcome", "TraceRecord", "VerificationReport",
+    "StationarityResidual", "TraceRecord", "VerificationReport",
     "abar_relative", "alpha_next", "bound_absolute",
     "bound_alternate_relative", "bound_function_gap", "bound_relative",
     "bound_stationarity", "bounds_suite", "box_indicator", "capture_run",
-    "check_eps_subgradient", "classic_init", "classic_run", "classic_step",
+    "check_eps_subgradient", "classic_init", "classic_step",
     "coefficient_schedule", "coefficient_sum_lower", "equivalence_check",
     "eval_phi", "growth_factor", "init", "invariant_report", "iters_for_a",
-    "l1_norm", "least_squares", "linearize_f", "load_instance",
+    "l1_norm", "least_squares", "load_instance",
     "log_plus_one", "logistic_loss", "lower_model_gap",
     "lower_model_violation", "make_instance", "power_iteration",
     "predicted_iterations", "prox_box", "prox_scaled_quadratic",

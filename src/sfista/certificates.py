@@ -137,7 +137,7 @@ def stationarity_residual(state: "IterateState",
     u = (
         problem.f.grad(state.y)
         - problem.f.grad(state.x_tilde_prev)
-        + state.lf * (state.x_tilde_prev - state.y)
+        + state.config.lf * (state.x_tilde_prev - state.y)
     )
     return StationarityResidual(u=u, norm=float(np.linalg.norm(u)))
 
@@ -151,7 +151,7 @@ def residual_pair(state: "IterateState") -> ResidualPair:
     if state.k < 1:
         raise CertificateUndefinedError("residual pair needs at least one step")
     diff_xy = state.y - state.x
-    v = state.mu * diff_xy + (state.x0 - state.x) / state.A
+    v = state.config.mu * diff_xy + (state.x0 - state.x) / state.A
     dist0 = state.x0 - state.y
     eta = (float(dist0 @ dist0) - state.tau * float(diff_xy @ diff_xy)) / (2.0 * state.A)
     return ResidualPair(v=v, eta=eta)
@@ -191,6 +191,7 @@ def check_eps_subgradient(pair: ResidualPair, state: "IterateState",
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     phi_y = eval_phi(problem, state.y)
+    mu = state.config.mu
     worst = -math.inf
     for x in samples:
         phi_x = eval_phi(problem, x)
@@ -198,7 +199,7 @@ def check_eps_subgradient(pair: ResidualPair, state: "IterateState",
             continue
         diff = x - state.y
         lhs = phi_y + float(pair.v @ diff) - pair.eta
-        rhs = phi_x - 0.5 * state.mu * float(diff @ diff)
+        rhs = phi_x - 0.5 * mu * float(diff @ diff)
         worst = max(worst, lhs - rhs)
     return worst
 
@@ -230,10 +231,11 @@ def lower_model_violation(model: LowerModel, pair: ResidualPair,
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     phi_y = eval_phi(problem, state.y)
+    mu = state.config.mu
     worst = -math.inf
     for x in samples:
         diff = x - state.y
         lhs = phi_y + float(pair.v @ diff) - pair.eta
-        rhs = model(x) - 0.5 * state.mu * float(diff @ diff)
+        rhs = model(x) - 0.5 * mu * float(diff @ diff)
         worst = max(worst, lhs - rhs)
     return worst

@@ -98,18 +98,9 @@ def classic_step(state: ClassicState, problem: CompositeProblem,
                         x_tilde=x_tilde, schedule=advanced)
 
 
-def classic_run(problem: CompositeProblem, x0: Array, lf: float, iters: int,
-                form: str = "t") -> list[ClassicState]:
-    """States 0..iters of the classical method (kept for comparison work)."""
-    states = [classic_init(x0, form)]
-    for _ in range(iters):
-        states.append(classic_step(states[-1], problem, lf))
-    return states
-
-
 def equivalence_check(problem: CompositeProblem, x0: Array, lf: float,
-                      k_max: int, tol: float = 1e-9,
-                      mu_f: float = 0.0, mu_h: float = 0.0) -> float:
+                      k_max: int, *, mu_f: float = 0.0,
+                      mu_h: float = 0.0) -> float:
     """Maximum relative deviation between the three equivalent formulations.
 
     Runs the two-sequence solver with zero moduli alongside the t-form and
@@ -117,12 +108,9 @@ def equivalence_check(problem: CompositeProblem, x0: Array, lf: float,
     the proximal iterates of both forms, the schedule consistency
     t_k = a_k / lam = A_{k+1} / a_k, and alpha_k * t_k = 1.  The reformulation
     holds only without strong convexity, so nonzero moduli are rejected.
-    `tol` is echoed back to callers comparing the result; it does not alter
-    the computation.
     """
     if mu_f != 0.0 or mu_h != 0.0:
         raise ConfigError("the classical reformulation requires mu_f = mu_h = 0")
-    del tol
     config = _engine.SolverConfig(lf=lf, mu_f=0.0, mu_h=0.0)
     state = _engine.init(problem, config, x0)
     t_state = classic_init(x0, "t")
@@ -130,15 +118,15 @@ def equivalence_check(problem: CompositeProblem, x0: Array, lf: float,
     worst = 0.0
     for _ in range(k_max):
         t_k = t_state.schedule.value
-        state, outcome = _engine.step(state, problem)
+        state = _engine.step(state, problem)
         t_state = classic_step(t_state, problem, lf)
         a_state = classic_step(a_state, problem, lf)
         scale = max(1.0, float(np.linalg.norm(state.y)))
         dev_t = float(np.linalg.norm(state.y - t_state.y)) / scale
         dev_a = float(np.linalg.norm(state.y - a_state.y)) / scale
         # the schedule value before the step equals both coefficient ratios
-        dev_sched = max(abs(outcome.a / state.lam - t_k),
-                        abs(outcome.A_next / outcome.a - t_k)) / max(1.0, t_k)
+        dev_sched = max(abs(state.a_prev / config.lam - t_k),
+                        abs(state.A / state.a_prev - t_k)) / max(1.0, t_k)
         alpha_t = a_state.schedule.value * t_state.schedule.value
         dev_recip = abs(alpha_t - 1.0)
         worst = max(worst, dev_t, dev_a, dev_sched, dev_recip)

@@ -215,10 +215,9 @@ def cmd_predict(args) -> int:
     else:
         problem = build_problem(args, with_reference=needs_d0)
         lf_bar = problem.f.curvature
-        lf = args.lf if args.lf is not None \
-            else _engine.DEFAULT_CURVATURE_MARGIN * lf_bar
-        mu_f = args.mu_f if args.mu_f is not None else problem.f.mu
-        mu_h = args.mu_h if args.mu_h is not None else problem.h.mu
+        config = _engine.SolverConfig.for_problem(
+            problem, lf=args.lf, mu_f=args.mu_f, mu_h=args.mu_h)
+        lf, mu_f, mu_h = config.lf, config.mu_f, config.mu_h
         d0 = None
         if needs_d0:
             x0 = default_start(problem)
@@ -261,13 +260,11 @@ def cmd_verify_invariants(args) -> int:
 
 def cmd_verify_equivalence(args) -> int:
     problem = build_problem(args, with_reference=False)
-    lf = args.lf if args.lf is not None \
-        else _engine.DEFAULT_CURVATURE_MARGIN * problem.f.curvature
+    lf = _engine.SolverConfig.for_problem(problem, lf=args.lf).lf
     mu_f = args.mu_f if args.mu_f is not None else 0.0
     mu_h = args.mu_h if args.mu_h is not None else 0.0
     deviation = _classic.equivalence_check(problem, default_start(problem), lf,
-                                           args.iters, tol=args.tol,
-                                           mu_f=mu_f, mu_h=mu_h)
+                                           args.iters, mu_f=mu_f, mu_h=mu_h)
     _emit(instance_meta(problem))
     ok = deviation <= args.tol
     _emit([("lf", format_real(lf)), ("iters", str(args.iters)),

@@ -75,14 +75,12 @@ class IterateState:
 
     x_tilde_prev is the extrapolated point the latest proximal step was taken
     from (None before the first step); a_prev is the coefficient that advanced
-    the state to k.  gamma_model aggregates the per-step minorants of phi.
+    the state to k.  gamma_model aggregates the per-step minorants of phi;
+    config is the SolverConfig the run was started with.
     """
 
     k: int
-    lf: float
-    mu_f: float
-    lam: float
-    mu: float
+    config: SolverConfig
     a_prev: Optional[float]
     A: float
     tau: float
@@ -91,18 +89,6 @@ class IterateState:
     x_tilde_prev: Optional[Array]
     x0: Array
     gamma_model: _cert.LowerModel
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Quantities produced by a single step."""
-
-    a: float
-    A_next: float
-    tau_next: float
-    x_tilde: Array
-    y_next: Array
-    x_next: Array
 
 
 @dataclass(frozen=True)
@@ -134,6 +120,8 @@ class RunResult:
 
 def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateState:
     """Validated initial state (k = 0, zero coefficient sum, unit tau)."""
+    if not math.isfinite(config.lf):
+        raise ConfigError(f"lf = {config.lf:g} must be finite")
     if config.lf <= problem.f.curvature:
         raise ConfigError(
             f"lf = {config.lf:g} must strictly exceed the curvature bound "
@@ -156,14 +144,13 @@ def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateS
     x0 = np.asarray(x0, dtype=float).copy()
     if x0.shape != (problem.dimension,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.dimension},)")
+    if not np.all(np.isfinite(x0)):
+        raise InvalidStartError("x0 has a non-finite entry")
     if math.isinf(problem.h.value(x0)):
         raise InvalidStartError("x0 lies outside the effective domain of h")
     return IterateState(
         k=0,
-        lf=config.lf,
-        mu_f=config.mu_f,
-        lam=config.lam,
-        mu=config.mu,
+        config=config,
         a_prev=None,
         A=0.0,
         tau=1.0,
@@ -194,21 +181,28 @@ def _next_coefficients(lam: float, tau: float, A: float, mu: float):
 
 def step_coefficients(state: IterateState):
     """Coefficients (a, A_next, tau_next) the next step will use."""
-    return _next_coefficients(state.lam, state.tau, state.A, state.mu)
+    config = state.config
+    return _next_coefficients(config.lam, state.tau, state.A, config.mu)
 
 
-def step(state: IterateState, problem: CompositeProblem):
-    """One accelerated step; returns the new state and the step quantities."""
-    a, A_next, tau_next = step_coefficients(state)
+def step(state: IterateState, problem: CompositeProblem) -> IterateState:
+    """One accelerated step; returns the new state.
+
+    The step's coefficient and extrapolated point are the new state's a_prev
+    and x_tilde_prev.
+    """
+    config = state.config
+    lf, lam, mu = config.lf, config.lam, config.mu
+    a, A_next, tau_next = _next_coefficients(lam, state.tau, state.A, mu)
     if state.A == 0.0:
         x_tilde = state.x.copy()
     else:
         x_tilde = (state.A * state.y + a * state.x) / A_next
     g = problem.f.grad(x_tilde)
-    y_next = problem.h.prox(x_tilde - g / state.lf, 1.0 / state.lf)
+    y_next = problem.h.prox(x_tilde - g / lf, 1.0 / lf)
     x_next = (
-        (a / state.lam) * (y_next - x_tilde)
-        + state.mu * a * y_next
+        (a / lam) * (y_next - x_tilde)
+        + mu * a * y_next
         + state.tau * state.x
     ) / tau_next
     model = _cert.lower_model_update(
@@ -219,16 +213,13 @@ def step(state: IterateState, problem: CompositeProblem):
         grad_at_tilde=g,
         f_at_tilde=problem.f.value(x_tilde),
         h_at_y_next=problem.h.value(y_next),
-        lam=state.lam,
-        mu=state.mu,
-        mu_f=state.mu_f,
+        lam=lam,
+        mu=mu,
+        mu_f=config.mu_f,
     )
-    new_state = IterateState(
+    return IterateState(
         k=state.k + 1,
-        lf=state.lf,
-        mu_f=state.mu_f,
-        lam=state.lam,
-        mu=state.mu,
+        config=config,
         a_prev=a,
         A=A_next,
         tau=tau_next,
@@ -238,9 +229,6 @@ def step(state: IterateState, problem: CompositeProblem):
         x0=state.x0,
         gamma_model=model,
     )
-    outcome = StepOutcome(a=a, A_next=A_next, tau_next=tau_next,
-                          x_tilde=x_tilde, y_next=y_next, x_next=x_next)
-    return new_state, outcome
 
 
 def _trace_record(problem: CompositeProblem, state: IterateState,
@@ -291,7 +279,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     reason = "max_iter"
     for _ in range(config.max_iter):
         try:
-            state, _ = step(state, problem)
+            state = step(state, problem)
         except GrowthOverflowError:
             reason = "growth_overflow"
             break

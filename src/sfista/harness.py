@@ -11,7 +11,7 @@ instance family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -47,7 +47,6 @@ class RunCapture:
     problem: CompositeProblem
     config: _engine.SolverConfig
     states: list
-    outcomes: list  # outcomes[k] produced states[k]; None at k = 0
     phi_y: Array
     norm_u: Array  # nan at k = 0
     pairs: list  # None at k = 0
@@ -75,16 +74,14 @@ def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
     """Run `iters` steps (or fewer on overflow) recording everything."""
     state = _engine.init(problem, config, x0)
     states = [state]
-    outcomes: list = [None]
     overflowed = False
     for _ in range(iters):
         try:
-            state, outcome = _engine.step(state, problem)
+            state = _engine.step(state, problem)
         except GrowthOverflowError:
             overflowed = True
             break
         states.append(state)
-        outcomes.append(outcome)
     phi_y = np.array([eval_phi(problem, s.y) for s in states])
     norm_u = np.full(len(states), math.nan)
     pairs: list = [None]
@@ -92,8 +89,8 @@ def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
         norm_u[k] = _cert.stationarity_residual(states[k], problem).norm
         pairs.append(_cert.residual_pair(states[k]))
     return RunCapture(problem=problem, config=config, states=states,
-                      outcomes=outcomes, phi_y=phi_y, norm_u=norm_u,
-                      pairs=pairs, overflowed=overflowed)
+                      phi_y=phi_y, norm_u=norm_u, pairs=pairs,
+                      overflowed=overflowed)
 
 
 def checkpoints(k_max: int) -> list:
@@ -164,11 +161,10 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
     # coefficient recursion: tau_k A_{k+1} / a_k^2 = lf - mu_f
     vals = []
     for k in ks:
-        out = capture.outcomes[k]
-        prev = states[k - 1]
+        st = states[k]
         # ratio-of-ratios order: tau, A, a all reach ~1e300 under geometric
         # growth, so tau * A would overflow
-        ident = (prev.tau / out.a) * (out.A_next / out.a)
+        ident = (states[k - 1].tau / st.a_prev) * (st.A / st.a_prev)
         vals.append(abs(ident - 1.0 / lam) * lam)
     report.checks.append(_worst_result("coefficient_identity", vals,
                                        IDENTITY_TOL, ks))
@@ -205,15 +201,15 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
         #     <= d0^2 - A_k (phi(y_k) - phi*)
         vals, gated_ks, running = [], [], 0.0
         for k in ks:
-            out = capture.outcomes[k]
-            if out.A_next > MOVEMENT_A_LIMIT:
+            st = states[k]
+            if st.A > MOVEMENT_A_LIMIT:
                 break
-            move = out.y_next - out.x_tilde
-            running += out.A_next * float(move @ move)
+            move = st.y - st.x_tilde_prev
+            running += st.A * float(move @ move)
             lhs = 0.5 * (lf - lf_bar) * running
-            rhs = d0**2 - states[k].A * float(gaps[k])
+            rhs = d0**2 - st.A * float(gaps[k])
             # the A_k term amplifies the objective's evaluation noise
-            noise = states[k].A * 1e-13 * (1.0 + abs(phi_star))
+            noise = st.A * 1e-13 * (1.0 + abs(phi_star))
             vals.append(lhs - rhs - slack * (1.0 + d0**2) - noise)
             gated_ks.append(k)
         report.checks.append(_worst_result(
@@ -378,7 +374,7 @@ def _suite_instances(seed_base: int):
 def suite_criteria(problem: CompositeProblem, d0: float):
     """Scale-aware tolerances for the five criteria on one instance."""
     phi_star = problem.reference_optimum.phi_star
-    lf = _engine.DEFAULT_CURVATURE_MARGIN * problem.f.curvature
+    lf = _engine.SolverConfig.for_problem(problem).lf
     return [
         _bounds.Criterion.function_gap(1e-6 * (1.0 + abs(phi_star))),
         _bounds.Criterion.stationarity(1e-3 * (1.0 + lf * d0)),
@@ -393,15 +389,12 @@ def predictor_row(label: str, problem: CompositeProblem,
     """Observed first-satisfaction iteration against the predicted count."""
     x0 = np.zeros(problem.dimension)
     d0 = float(np.linalg.norm(x0 - problem.reference_optimum.x_star))
-    config = _engine.SolverConfig.for_problem(problem, criterion=criterion,
-                                              max_iter=0)
+    config = _engine.SolverConfig.for_problem(problem, criterion=criterion)
     report = _bounds.predicted_iterations(
         criterion, config.lf, problem.f.curvature, config.mu_f, config.mu, d0=d0
     )
-    config = _engine.SolverConfig.for_problem(
-        problem, criterion=criterion, max_iter=report.predicted_k,
-        trace_every=max(1, report.predicted_k),
-    )
+    config = replace(config, max_iter=report.predicted_k,
+                     trace_every=max(1, report.predicted_k))
     result = _engine.run(problem, config, x0)
     observed = result.state.k if result.reason == "converged" else None
     passed = observed is not None and observed <= report.predicted_k

@@ -73,14 +73,6 @@ class ProxOracle:
 
 
 @dataclass(frozen=True)
-class LinearizationRequest:
-    """Query for the linearization of f at a base point."""
-
-    z: Array  # base point
-    x: Array  # query point
-
-
-@dataclass(frozen=True)
 class ReferenceOptimum:
     phi_star: float
     x_star: Array
@@ -118,15 +110,6 @@ def eval_phi(problem: CompositeProblem, x: Array) -> float:
     if math.isinf(hx):
         return math.inf
     return float(problem.f.value(x)) + float(hx)
-
-
-def linearize_f(problem: CompositeProblem, req: LinearizationRequest) -> float:
-    """Linearization of f at the request's base point, at its query point."""
-    x = np.asarray(req.x, dtype=float)
-    z = np.asarray(req.z, dtype=float)
-    if x.shape != z.shape or x.shape != (problem.dimension,):
-        raise ValueError("query and base point must both match the problem dimension")
-    return float(problem.f.value(z)) + float(problem.f.grad(z) @ (x - z))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +164,7 @@ def box_indicator(lo, hi) -> ProxOracle:
         inside = np.all(x >= lo - 0.0) and np.all(x <= hi + 0.0)
         return 0.0 if inside else math.inf
 
-    return ProxOracle(value=value, prox=lambda x, t: np.clip(x, lo, hi), mu=0.0)
+    return ProxOracle(value=value, prox=lambda x, t: prox_box(x, lo, hi), mu=0.0)
 
 
 def zero_function() -> ProxOracle:

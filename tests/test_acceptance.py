@@ -82,10 +82,9 @@ def _identity_worst(capture):
     worst = -math.inf
     for k in range(1, capture.iterations + 1):
         prev = capture.states[k - 1]
-        out = capture.outcomes[k]
-        ident = (prev.tau / out.a) * (out.A_next / out.a)
-        worst = max(worst, abs(ident - 1.0 / lam) * lam)
         st = capture.states[k]
+        ident = (prev.tau / st.a_prev) * (st.A / st.a_prev)
+        worst = max(worst, abs(ident - 1.0 / lam) * lam)
         worst = max(worst, abs(st.tau - (1.0 + mu * st.A)) / max(1.0, st.tau))
     return worst
 

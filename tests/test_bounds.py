@@ -16,7 +16,7 @@ def _rng(seed):
 
 def _one_step(quad1d):
     state = engine.init(quad1d, engine.SolverConfig(lf=2.0), np.array([1.0]))
-    state, _ = engine.step(state, quad1d)
+    state = engine.step(state, quad1d)
     return state
 
 

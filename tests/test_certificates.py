@@ -14,7 +14,7 @@ def _rng(seed):
 
 def _one_step(quad1d):
     state = engine.init(quad1d, engine.SolverConfig(lf=2.0), np.array([1.0]))
-    state, _ = engine.step(state, quad1d)
+    state = engine.step(state, quad1d)
     return state
 
 
@@ -137,12 +137,12 @@ def test_model_matches_explicit_summation():
     state = engine.init(problem, config, np.zeros(30))
     stored = []  # (a, constant, linear) per step
     for _ in range(20):
-        state, out = engine.step(state, problem)
-        g = problem.f.grad(out.x_tilde)
+        state = engine.step(state, problem)
+        g = problem.f.grad(state.x_tilde_prev)
         constant, linear = certificates.gamma_coefficients(
-            out.x_tilde, out.y_next, g, problem.f.value(out.x_tilde),
-            problem.h.value(out.y_next), config.lam, config.mu, config.mu_f)
-        stored.append((out.a, constant, linear))
+            state.x_tilde_prev, state.y, g, problem.f.value(state.x_tilde_prev),
+            problem.h.value(state.y), config.lam, config.mu, config.mu_f)
+        stored.append((state.a_prev, constant, linear))
         total = sum(a for a, _, _ in stored)
         rng = _rng(state.k)
         for _ in range(5):
@@ -219,7 +219,7 @@ def test_sample_points_respect_domain():
                                      with_reference=False)
     config = engine.SolverConfig.for_problem(problem)
     state = engine.init(problem, config, np.zeros(5))
-    state, _ = engine.step(state, problem)
+    state = engine.step(state, problem)
     samples = certificates.sample_points(state, problem, 64, _rng(11))
     assert samples.shape == (64, 5)
     assert all(np.isfinite(problem.h.value(s)) for s in samples)

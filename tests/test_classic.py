@@ -118,7 +118,9 @@ def test_step_rejects_loose_curvature(quad1d):
 
 
 def test_run_returns_all_states(quad1d):
-    states = classic.classic_run(quad1d, np.array([1.0]), 2.0, 5)
+    states = [classic.classic_init(np.array([1.0]))]
+    for _ in range(5):
+        states.append(classic.classic_step(states[-1], quad1d, 2.0))
     assert len(states) == 6
     assert [s.k for s in states] == list(range(6))
 
@@ -126,8 +128,11 @@ def test_run_returns_all_states(quad1d):
 def test_t_and_alpha_forms_agree(lasso_norm):
     lf = 1.25 * lasso_norm.f.curvature
     x0 = np.zeros(lasso_norm.dimension)
-    t_states = classic.classic_run(lasso_norm, x0, lf, 100, form="t")
-    a_states = classic.classic_run(lasso_norm, x0, lf, 100, form="alpha")
+    t_states = [classic.classic_init(x0, "t")]
+    a_states = [classic.classic_init(x0, "alpha")]
+    for _ in range(100):
+        t_states.append(classic.classic_step(t_states[-1], lasso_norm, lf))
+        a_states.append(classic.classic_step(a_states[-1], lasso_norm, lf))
     for ts, alphas in zip(t_states[1:], a_states[1:]):
         scale = max(1.0, float(np.linalg.norm(ts.x_tilde)))
         assert float(np.linalg.norm(ts.x_tilde - alphas.x_tilde)) <= 1e-10 * scale
@@ -161,7 +166,7 @@ def test_t_recovered_from_coefficients(lasso_norm):
     state = engine.init(lasso_norm, config, np.zeros(lasso_norm.dimension))
     t = 1.0
     for _ in range(100):
-        state, out = engine.step(state, lasso_norm)
-        assert abs(out.a / config.lam - t) <= 1e-10 * t
-        assert abs(out.A_next / out.a - t) <= 1e-10 * t
+        state = engine.step(state, lasso_norm)
+        assert abs(state.a_prev / config.lam - t) <= 1e-10 * t
+        assert abs(state.A / state.a_prev - t) <= 1e-10 * t
         t = classic.t_next(t)

@@ -49,10 +49,11 @@ def test_solve_max_iter_zero(capsys):
 
 
 def test_solve_rejects_loose_lf(capsys):
-    code = cli.main(["solve", "--problem", "lasso", *SMALL, "--lf", "0.5"])
-    _, err = _lines(capsys)
-    assert code == 2
-    assert err and err[0].startswith("error: ")
+    for lf in ("0.5", "nan", "inf"):
+        code = cli.main(["solve", "--problem", "lasso", *SMALL, "--lf", lf])
+        _, err = _lines(capsys)
+        assert code == 2
+        assert err and err[0].startswith("error: ")
 
 
 def test_solve_growth_overflow_exit(capsys):

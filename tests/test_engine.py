@@ -49,8 +49,8 @@ def test_init_state(quad1d):
     assert state.k == 0
     assert state.A == 0.0
     assert state.tau == 1.0
-    assert state.lam == 0.5
-    assert state.mu == 0.0
+    assert state.config.lam == 0.5
+    assert state.config.mu == 0.0
     np.testing.assert_array_equal(state.x, [1.0])
     np.testing.assert_array_equal(state.y, [1.0])
     assert state.a_prev is None and state.x_tilde_prev is None
@@ -60,6 +60,9 @@ def test_init_validation(quad1d):
     x0 = np.array([1.0])
     with pytest.raises(ConfigError):
         engine.init(quad1d, _quad_config(lf=1.0), x0)  # not strictly above 1
+    for lf in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            engine.init(quad1d, _quad_config(lf=lf), x0)
     with pytest.raises(ConfigError):
         engine.init(quad1d, _quad_config(mu_f=1.5), x0)  # above the modulus of f
     with pytest.raises(ConfigError):
@@ -80,6 +83,12 @@ def test_init_rejects_start_outside_domain():
     with pytest.raises(InvalidStartError):
         engine.init(problem, engine.SolverConfig.for_problem(problem),
                     np.full(4, 3.0))
+    # h is finite everywhere here, so only the finiteness check catches these
+    net = problems.make_instance("elastic_net", 1, 20, 30, with_reference=False)
+    config = engine.SolverConfig.for_problem(net)
+    for bad in (np.full(30, math.nan), np.r_[math.inf, np.zeros(29)]):
+        with pytest.raises(InvalidStartError):
+            engine.init(net, config, bad)
 
 
 def test_init_function_gap_needs_reference():
@@ -152,12 +161,10 @@ def test_schedule_overflow_halts():
 
 def test_hand_step_one_dimensional(quad1d):
     state = engine.init(quad1d, _quad_config(), np.array([1.0]))
-    state, outcome = engine.step(state, quad1d)
-    assert outcome.x_tilde[0] == 1.0
-    assert outcome.y_next[0] == 0.5
-    assert outcome.x_next[0] == 0.5
-    assert outcome.a == 0.5
-    assert outcome.A_next == 0.5
+    state = engine.step(state, quad1d)
+    assert state.y[0] == 0.5
+    assert state.x[0] == 0.5
+    assert state.A == 0.5
     assert state.k == 1
     assert state.a_prev == 0.5
     np.testing.assert_array_equal(state.x_tilde_prev, [1.0])
@@ -173,17 +180,16 @@ def test_affine_objective_reduces_to_gradient_shift():
                                         dimension=3)
     state = engine.init(problem, engine.SolverConfig(lf=1.0), np.zeros(3))
     for _ in range(5):
-        state, outcome = engine.step(state, problem)
-        np.testing.assert_array_equal(outcome.y_next, outcome.x_tilde - c)
+        state = engine.step(state, problem)
+        np.testing.assert_array_equal(state.y, state.x_tilde_prev - c)
 
 
 def test_alternate_y_expression_mu_zero(lasso42_capture):
     # y_{k+1} = (A_k y_k + a_k x_{k+1}) / A_{k+1} when mu = 0
     states = lasso42_capture.states
-    outcomes = lasso42_capture.outcomes
     for k in range(100):
         nxt = states[k + 1]
-        blended = (states[k].A * states[k].y + outcomes[k + 1].a * nxt.x) / nxt.A
+        blended = (states[k].A * states[k].y + nxt.a_prev * nxt.x) / nxt.A
         scale = max(1.0, float(np.linalg.norm(nxt.y)))
         assert float(np.linalg.norm(nxt.y - blended)) <= 1e-10 * scale
 
@@ -194,8 +200,8 @@ def test_step_keeps_iterates_in_domain():
     config = engine.SolverConfig.for_problem(problem)
     state = engine.init(problem, config, np.zeros(6))
     for _ in range(50):
-        state, outcome = engine.step(state, problem)
-        assert not math.isinf(problem.h.value(outcome.y_next))
+        state = engine.step(state, problem)
+        assert not math.isinf(problem.h.value(state.y))
 
 
 # ---------------------------------------------------------------------------

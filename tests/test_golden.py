@@ -1,7 +1,7 @@
 """Golden digests of iterates and trace text.
 
 A refactor that leaves the arithmetic alone leaves these SHA-256 digests
-alone: they cover the final x and y of the two session captures and the trace
+alone: they cover the final x and y of the two conftest captures and the trace
 text of a stationarity run, with the elapsed_ns column dropped.  A change
 that moves any iterate by one bit fails here.
 """

@@ -16,7 +16,6 @@ def test_capture_structure(elastic_capture):
     cap = elastic_capture
     assert cap.iterations == 800
     assert len(cap.states) == 801
-    assert len(cap.outcomes) == 801 and cap.outcomes[0] is None
     assert len(cap.pairs) == 801 and cap.pairs[0] is None
     assert math.isnan(cap.norm_u[0])
     assert cap.phi_y.shape == (801,)

@@ -7,9 +7,8 @@ import pytest
 
 from sfista import problems
 from sfista.errors import NumericFailure
-from sfista.problems import (CompositeProblem, LinearizationRequest, eval_phi,
-                             linearize_f, make_instance, power_iteration,
-                             prox_box, prox_scaled_quadratic,
+from sfista.problems import (CompositeProblem, eval_phi, make_instance,
+                             power_iteration, prox_box, prox_scaled_quadratic,
                              prox_soft_threshold, quadratic, reference_solve)
 
 
@@ -107,23 +106,6 @@ def test_eval_phi_rejects_wrong_shape(quad1d):
         eval_phi(quad1d, np.zeros(3))
 
 
-def test_linearize_f_quadratic(quad1d):
-    # f(z) + <f'(z), x - z> at z=1, x=0 for f = x^2/2
-    req = LinearizationRequest(z=np.ones(1), x=np.zeros(1))
-    assert linearize_f(quad1d, req) == -0.5
-    same = LinearizationRequest(z=np.ones(1), x=np.ones(1))
-    assert linearize_f(quad1d, same) == 0.5
-
-
-def test_linearize_f_identity_quadratic():
-    f = quadratic(np.eye(50), np.zeros(50), curvature=1.0)
-    problem = CompositeProblem(f=f, h=problems.zero_function(), dimension=50)
-    req = LinearizationRequest(z=np.ones(50), x=np.zeros(50))
-    assert linearize_f(problem, req) == -25.0
-    with pytest.raises(ValueError):
-        linearize_f(problem, LinearizationRequest(z=np.ones(50), x=np.zeros(3)))
-
-
 @pytest.mark.parametrize("kind,kwargs", [
     ("lasso", dict(reg=0.1)),
     ("elastic_net", dict(ridge=1.0)),
@@ -141,7 +123,7 @@ def test_smoothness_envelope(kind, kwargs):
     for _ in range(1000):
         x = rng.standard_normal(n)
         z = rng.standard_normal(n)
-        lin = linearize_f(problem, LinearizationRequest(z=z, x=x))
+        lin = float(problem.f.value(z)) + float(problem.f.grad(z) @ (x - z))
         fx = problem.f.value(x)
         d2 = float((x - z) @ (x - z))
         worst_lower = max(worst_lower, lin + 0.5 * mu_bar * d2 - fx)
