@@ -17,7 +17,8 @@ from .bounds import (BoundReport, Criterion, abar_relative,
 from .certificates import (CertificateBundle, LowerModel, ResidualPair,
                            StationarityResidual, check_eps_subgradient,
                            lower_model_gap, lower_model_violation,
-                           residual_pair, sample_points, stationarity_residual)
+                           lower_models, residual_pair, sample_points,
+                           stationarity_residual)
 from .classic import (ClassicState, MomentumSchedule, alpha_next, classic_init,
                       classic_step, equivalence_check, t_next)
 from .engine import (CoefficientSchedule, IterateState, RunResult,
@@ -53,7 +54,8 @@ __all__ = [
     "eval_phi", "growth_factor", "init", "invariant_report", "iters_for_a",
     "l1_norm", "least_squares", "load_instance",
     "log_plus_one", "logistic_loss", "lower_model_gap",
-    "lower_model_violation", "make_instance", "power_iteration",
+    "lower_model_violation", "lower_models", "make_instance",
+    "power_iteration",
     "predicted_iterations", "prox_box", "prox_scaled_quadratic",
     "prox_soft_threshold", "quadratic", "reference_solve", "residual_pair",
     "run", "sample_points", "save_instance", "scaled_quadratic",

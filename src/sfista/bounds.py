@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import CertificateUndefinedError, ConfigError
+from .errors import CertificateUndefinedError, ConfigError, NumericFailure
 from .problems import CompositeProblem, eval_phi
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -137,10 +137,20 @@ def growth_factor(lf: float, mu_f: float, mu: float) -> float:
 
 
 def _validate_constants(lf: float, mu_f: float, mu: float) -> None:
+    for name, value in (("lf", lf), ("mu_f", mu_f), ("mu", mu)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} = {value:g} must be finite")
     if mu_f < 0 or mu < 0:
         raise ConfigError("strong-convexity moduli must be nonnegative")
     if lf <= mu_f:
         raise ConfigError("lf must strictly exceed mu_f")
+
+
+def _validate_d0(d0: float) -> None:
+    if not math.isfinite(d0):
+        raise ConfigError(f"d0 = {d0:g} must be finite")
+    if d0 < 0:
+        raise ConfigError("d0 must be nonnegative")
 
 
 def _ceil_clamped(value: float) -> int:
@@ -183,8 +193,7 @@ def bound_function_gap(d0: float, eps_bar: float, lf: float, mu_f: float,
                        mu: float) -> BoundReport:
     """Iterations until phi(y_k) - phi* <= eps_bar is guaranteed."""
     _validate_constants(lf, mu_f, mu)
-    if d0 < 0:
-        raise ConfigError("d0 must be nonnegative")
+    _validate_d0(d0)
     criterion = Criterion.function_gap(eps_bar)
     a_target = d0**2 / (2.0 * eps_bar)
     return _report(criterion, a_target, lf, mu_f, mu, {"abar": a_target})
@@ -194,10 +203,11 @@ def bound_stationarity(d0: float, rho: float, lf: float, lf_bar: float,
                        mu_f: float, mu: float) -> BoundReport:
     """Iterations until min_i ||u_i|| <= rho is guaranteed."""
     _validate_constants(lf, mu_f, mu)
+    if not math.isfinite(lf_bar):
+        raise ConfigError(f"lf_bar = {lf_bar:g} must be finite")
     if lf <= lf_bar:
         raise ConfigError("lf must strictly exceed the curvature bound lf_bar")
-    if d0 < 0:
-        raise ConfigError("d0 must be nonnegative")
+    _validate_d0(d0)
     criterion = Criterion.stationarity(rho)
     zeta = 8.0 * lf**2 * (lf - mu_f) / (lf - lf_bar)
     c = growth_factor(lf, mu_f, mu)
@@ -247,7 +257,10 @@ def bound_alternate_relative(mu: float, sigma: float, lf: float,
     sigma_tilde = sigma / shrink
     cal_a = (2.0 * mu + 3.0) * shrink / sigma
     # the alternate threshold dominates the plain relative one
-    assert abar_relative(mu, sigma_tilde) <= cal_a * (1.0 + 1e-12)
+    abar = abar_relative(mu, sigma_tilde)
+    if not abar <= cal_a * (1.0 + 1e-12):
+        raise NumericFailure(f"alternate relative threshold {cal_a:g} fell "
+                             f"below the relative threshold {abar:g}")
     return _report(criterion, cal_a, lf, mu_f, mu,
                    {"cal_a": cal_a, "sigma_tilde": sigma_tilde})
 
@@ -261,8 +274,7 @@ def bound_absolute(d0: float, eps: float, eta_tol: float, lf: float,
     _validate_constants(lf, mu_f, mu)
     if mu == 0:
         raise ConfigError("the absolute-criterion bound requires mu > 0")
-    if d0 < 0:
-        raise ConfigError("d0 must be nonnegative")
+    _validate_d0(d0)
     criterion = Criterion.absolute(eps, eta_tol)
     big_b = 1.0 + 8.0 * (lf - mu_f) / mu
     big_m = big_b**2 * (lf - mu_f)

@@ -6,15 +6,16 @@ Three objects are computable from a solver state without extra assumptions:
   at the latest proximal point,
 * a residual pair `(v, eta)` with `v` an eta-approximate subgradient of the
   shifted objective phi - (mu/2) ||. - y||^2 at y, and
-* an aggregated quadratic lower model of phi, maintained incrementally as one
-  scalar, one vector, and a fixed Hessian multiple of the identity.
+* an aggregated quadratic lower model of phi, one scalar, one vector and a
+  fixed Hessian multiple of the identity, folded over a recorded run by
+  `lower_models` (the solver itself never builds it).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -125,18 +126,44 @@ def lower_model_update(model: LowerModel, a: float, x_tilde: Array, y_next: Arra
     )
 
 
+def lower_models(states: Sequence["IterateState"],
+                 problem: CompositeProblem) -> Iterator[tuple]:
+    """Aggregated lower models (k, Gamma_k) of a recorded run, k = 1, 2, ...
+
+    states[0] is the initial state and each later state follows from the one
+    before it.  Each step's minorant needs f at its extrapolated point and h
+    at its proximal output, evaluated here; the gradient is the step's own.
+    """
+    config = states[0].config
+    model = zero_model(problem.dimension, config.mu)
+    for state in states[1:]:
+        model = lower_model_update(
+            model,
+            a=state.a_prev,
+            x_tilde=state.x_tilde_prev,
+            y_next=state.y,
+            grad_at_tilde=state.grad_tilde_prev,
+            f_at_tilde=problem.f.value(state.x_tilde_prev),
+            h_at_y_next=problem.h.value(state.y),
+            lam=config.lam,
+            mu=config.mu,
+            mu_f=config.mu_f,
+        )
+        yield state.k, model
+
+
 def stationarity_residual(state: "IterateState",
                           problem: CompositeProblem) -> StationarityResidual:
     """Composite subgradient at the current proximal point y.
 
     Defined for k >= 1 only, because it references the extrapolated point the
-    last proximal step was taken from.
+    last proximal step was taken from and the gradient the step took there.
     """
-    if state.k < 1 or state.x_tilde_prev is None:
+    if state.k < 1 or state.x_tilde_prev is None or state.grad_tilde_prev is None:
         raise CertificateUndefinedError("stationarity residual needs at least one step")
     u = (
         problem.f.grad(state.y)
-        - problem.f.grad(state.x_tilde_prev)
+        - state.grad_tilde_prev
         + state.config.lf * (state.x_tilde_prev - state.y)
     )
     return StationarityResidual(u=u, norm=float(np.linalg.norm(u)))

@@ -161,10 +161,12 @@ def _emit(pairs) -> None:
 def cmd_solve(args) -> int:
     problem = build_problem(args)
     criterion = build_criterion(args)
+    # without a trace file only the final row is read
+    trace_every = (args.trace_every if args.trace is not None
+                   else max(1, args.max_iter))
     config = _engine.SolverConfig.for_problem(
         problem, lf=args.lf, mu_f=args.mu_f, mu_h=args.mu_h,
-        max_iter=args.max_iter, criterion=criterion,
-        trace_every=args.trace_every,
+        max_iter=args.max_iter, criterion=criterion, trace_every=trace_every,
     )
     result = _engine.run(problem, config, default_start(problem))
     if args.trace is not None:

@@ -1,11 +1,11 @@
 """Accelerated proximal solver for phi = f + h exploiting strong convexity.
 
 Each step extrapolates between two running sequences with weights produced by
-a scalar coefficient recursion, takes one proximal-gradient step from the
-extrapolated point, and folds the step's lower minorant into an aggregated
-quadratic model.  With no strong convexity the scheme reduces to the familiar
-O(1/k^2) accelerated method; any positive total modulus mu turns the
-coefficient growth geometric and the rate linear.
+a scalar coefficient recursion and takes one proximal-gradient step from the
+extrapolated point: one gradient and one prox per step.  With no strong
+convexity the scheme reduces to the familiar O(1/k^2) accelerated method; any
+positive total modulus mu turns the coefficient growth geometric and the rate
+linear.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class IterateState:
     """Full state after k steps.
 
     x_tilde_prev is the extrapolated point the latest proximal step was taken
-    from (None before the first step); a_prev is the coefficient that advanced
-    the state to k.  gamma_model aggregates the per-step minorants of phi;
+    from and grad_tilde_prev the gradient of f there (both None before the
+    first step); a_prev is the coefficient that advanced the state to k.
     config is the SolverConfig the run was started with.
     """
 
@@ -87,8 +87,8 @@ class IterateState:
     x: Array
     y: Array
     x_tilde_prev: Optional[Array]
+    grad_tilde_prev: Optional[Array]
     x0: Array
-    gamma_model: _cert.LowerModel
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,8 @@ def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateS
         x=x0,
         y=x0.copy(),
         x_tilde_prev=None,
+        grad_tilde_prev=None,
         x0=x0.copy(),
-        gamma_model=_cert.zero_model(problem.dimension, config.mu),
     )
 
 
@@ -188,8 +188,8 @@ def step_coefficients(state: IterateState):
 def step(state: IterateState, problem: CompositeProblem) -> IterateState:
     """One accelerated step; returns the new state.
 
-    The step's coefficient and extrapolated point are the new state's a_prev
-    and x_tilde_prev.
+    The step's coefficient, extrapolated point and gradient there are the new
+    state's a_prev, x_tilde_prev and grad_tilde_prev.
     """
     config = state.config
     lf, lam, mu = config.lf, config.lam, config.mu
@@ -205,18 +205,6 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
         + mu * a * y_next
         + state.tau * state.x
     ) / tau_next
-    model = _cert.lower_model_update(
-        state.gamma_model,
-        a=a,
-        x_tilde=x_tilde,
-        y_next=y_next,
-        grad_at_tilde=g,
-        f_at_tilde=problem.f.value(x_tilde),
-        h_at_y_next=problem.h.value(y_next),
-        lam=lam,
-        mu=mu,
-        mu_f=config.mu_f,
-    )
     return IterateState(
         k=state.k + 1,
         config=config,
@@ -226,8 +214,8 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
         x=x_next,
         y=y_next,
         x_tilde_prev=x_tilde,
+        grad_tilde_prev=g,
         x0=state.x0,
-        gamma_model=model,
     )
 
 
@@ -260,8 +248,8 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     """Iterate until the stopping criterion fires or a cap is reached.
 
     Certificates are computed only when the active criterion or the trace
-    needs them.  Every trace_every-th iteration (and the final one) appends a
-    TraceRecord.
+    needs them.  Every trace_every-th iteration appends a TraceRecord, and so
+    does the final one, which always carries both certificates.
     """
     started_ns = time.perf_counter_ns()
     state = init(problem, config, x0)
@@ -277,6 +265,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
             return RunResult(state=state, reason="converged", trace=trace)
 
     reason = "max_iter"
+    certs = None
     for _ in range(config.max_iter):
         try:
             state = step(state, problem)
@@ -294,14 +283,12 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
             record(state, certs)
         if criterion is not None and _bounds.check(criterion, state, certs, problem):
             reason = "converged"
-            if not tracing:
-                record(state, certs)
-            return RunResult(state=state, reason=reason, trace=trace)
-    if not trace or trace[-1].k != state.k:
-        certs = None
-        if state.k >= 1:
-            certs = _cert.bundle(state, problem)
-        record(state, certs)
+            break
+    if trace[-1].k != state.k:
+        # certs belong to the final state; compute only the missing piece
+        stat = certs.stationarity or _cert.stationarity_residual(state, problem)
+        pair = certs.pair or _cert.residual_pair(state)
+        record(state, _cert.CertificateBundle(stationarity=stat, pair=pair))
     return RunResult(state=state, reason=reason, trace=trace)
 
 

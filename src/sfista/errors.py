@@ -10,7 +10,8 @@ class InvalidStartError(ConfigError):
 
 
 class NumericFailure(RuntimeError):
-    """An iterative numerical routine failed to converge within its cap."""
+    """A numerical routine failed: no convergence within its cap, or rounding
+    broke an inequality that holds in exact arithmetic."""
 
 
 class GrowthOverflowError(OverflowError):

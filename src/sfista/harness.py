@@ -1,11 +1,11 @@
 """Verification harness: recorded runs, invariant sweeps, and trace files.
 
-`capture_run` drives the solver step by step keeping every state, which the
-invariant sweep and the test suite interrogate.  `invariant_report` evaluates
-the identities and a priori bounds the method guarantees on a recorded run
-and reports the worst violation of each.  `bounds_suite` measures observed
-criterion-firing iterations against the closed-form predictors on a seeded
-instance family.
+`capture_run` drives the solver step by step keeping every state, plus the
+aggregated lower model at the sampled checkpoints, which the invariant sweep
+and the test suite interrogate.  `invariant_report` evaluates the identities
+and a priori bounds the method guarantees on a recorded run and reports the
+worst violation of each.  `bounds_suite` measures observed criterion-firing
+iterations against the closed-form predictors on a seeded instance family.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ class RunCapture:
     phi_y: Array
     norm_u: Array  # nan at k = 0
     pairs: list  # None at k = 0
+    models: dict  # lower model Gamma_k at each k of checkpoints(iterations)
     overflowed: bool = False
 
     @property
@@ -71,7 +72,11 @@ class RunCapture:
 
 def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
                 x0: Array, iters: int) -> RunCapture:
-    """Run `iters` steps (or fewer on overflow) recording everything."""
+    """Run `iters` steps (or fewer on overflow) recording everything.
+
+    The lower models are kept only at `checkpoints`, the iterates the sampled
+    checks of `invariant_report` visit.
+    """
     state = _engine.init(problem, config, x0)
     states = [state]
     overflowed = False
@@ -88,8 +93,11 @@ def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
     for k in range(1, len(states)):
         norm_u[k] = _cert.stationarity_residual(states[k], problem).norm
         pairs.append(_cert.residual_pair(states[k]))
+    keep = set(checkpoints(len(states) - 1))
+    models = {k: model for k, model in _cert.lower_models(states, problem)
+              if k in keep}
     return RunCapture(problem=problem, config=config, states=states,
-                      phi_y=phi_y, norm_u=norm_u, pairs=pairs,
+                      phi_y=phi_y, norm_u=norm_u, pairs=pairs, models=models,
                       overflowed=overflowed)
 
 
@@ -320,10 +328,10 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
         pair = capture.pairs[k]
         tol = MODEL_TOL_SCALE * (1.0 + abs(capture.phi_y[k]))
         samples = _cert.sample_points(st, problem, sample_count, rng)
-        minor_vals.append(_cert.lower_model_gap(st.gamma_model, problem, samples)
-                          - tol)
+        model = capture.models[k]
+        minor_vals.append(_cert.lower_model_gap(model, problem, samples) - tol)
         subgrad_vals.append(_cert.lower_model_violation(
-            st.gamma_model, pair, st, problem, samples) - tol)
+            model, pair, st, problem, samples) - tol)
         eps_vals.append(_cert.check_eps_subgradient(pair, st, problem, samples)
                         - tol)
         sample_ks.append(k)

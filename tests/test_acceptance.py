@@ -138,7 +138,7 @@ def test_acceptance_06_eps_subgradient(capsys, lasso42, lasso42_capture):
         worst_eps = max(worst_eps, certificates.check_eps_subgradient(
             pair, st, lasso42, samples) - tol)
         worst_minor = max(worst_minor, certificates.lower_model_gap(
-            st.gamma_model, lasso42, samples) - tol)
+            lasso42_capture.models[k], lasso42, samples) - tol)
     ok = worst_eps <= 0.0 and worst_minor <= 0.0
     _report(capsys, 6, "eps_subgradient_inclusion", ok)
     assert worst_eps <= 0.0, f"inequality violated by {worst_eps:.3e} over tol"

@@ -7,7 +7,7 @@ import pytest
 
 from sfista import bounds, certificates, engine
 from sfista.bounds import Criterion
-from sfista.errors import CertificateUndefinedError, ConfigError
+from sfista.errors import CertificateUndefinedError, ConfigError, NumericFailure
 
 
 def _rng(seed):
@@ -219,6 +219,13 @@ def test_alternate_threshold_dominates_relative():
         cal_a = (2.0 * mu + 3.0) * shrink / sigma
         abar = bounds.abar_relative(mu, sigma / shrink)
         assert abar <= cal_a * (1.0 + 1e-12)
+
+
+def test_alternate_threshold_failure_raises(monkeypatch):
+    # an explicit check, not an assert, so it survives python -O
+    monkeypatch.setattr(bounds, "abar_relative", lambda mu, sigma_tilde: math.inf)
+    with pytest.raises(NumericFailure):
+        bounds.bound_alternate_relative(1.0, 1.0, 2.0, 1.0)
 
 
 def test_absolute_predictor():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfista import certificates, engine, problems
+from sfista import certificates, engine, harness, problems
 from sfista.errors import CertificateUndefinedError
 from sfista.problems import eval_phi
 
@@ -43,6 +43,7 @@ def test_hand_stationarity_residual(quad1d):
 def test_fixed_point_gives_zero_residual(quad1d):
     state = _one_step(quad1d)
     state.x_tilde_prev = state.y.copy()
+    state.grad_tilde_prev = quad1d.f.grad(state.y)
     stat = certificates.stationarity_residual(state, quad1d)
     assert stat.norm == 0.0
 
@@ -121,8 +122,9 @@ def test_pair_identity_on_iterates(lasso42_capture):
 
 def test_first_model_is_single_minorant(quad1d):
     # after one step: Gamma_1(x) = x - 1/2, tight at the extrapolation point
-    state = _one_step(quad1d)
-    model = state.gamma_model
+    capture = harness.capture_run(quad1d, engine.SolverConfig(lf=2.0),
+                                  np.array([1.0]), 1)
+    model = capture.models[1]
     assert model.constant == -0.5
     np.testing.assert_array_equal(model.linear, [1.0])
     assert model.curvature == 0.0
@@ -135,27 +137,31 @@ def test_model_matches_explicit_summation():
     problem = problems.make_instance("lasso", 13, 20, 30, with_reference=False)
     config = engine.SolverConfig.for_problem(problem)
     state = engine.init(problem, config, np.zeros(30))
+    states = [state]
     stored = []  # (a, constant, linear) per step
     for _ in range(20):
         state = engine.step(state, problem)
+        states.append(state)
         g = problem.f.grad(state.x_tilde_prev)
         constant, linear = certificates.gamma_coefficients(
             state.x_tilde_prev, state.y, g, problem.f.value(state.x_tilde_prev),
             problem.h.value(state.y), config.lam, config.mu, config.mu_f)
         stored.append((state.a_prev, constant, linear))
-        total = sum(a for a, _, _ in stored)
-        rng = _rng(state.k)
+    for k, model in certificates.lower_models(states, problem):
+        total = sum(a for a, _, _ in stored[:k])
+        rng = _rng(k)
         for _ in range(5):
             q = rng.standard_normal(30)
-            direct = sum(a * (c + float(l @ q)) for a, c, l in stored) / total
-            got = state.gamma_model(q)
+            direct = sum(a * (c + float(l @ q)) for a, c, l in stored[:k]) / total
+            got = model(q)
             assert abs(got - direct) <= 1e-10 * (1.0 + abs(direct))
 
 
 def test_model_curvature_never_drifts(elastic_capture):
     final = elastic_capture.states[-1]
-    assert final.gamma_model.curvature == elastic_capture.config.mu
-    assert final.gamma_model.weight == final.A
+    model = elastic_capture.models[final.k]
+    assert model.curvature == elastic_capture.config.mu
+    assert model.weight == final.A
 
 
 def test_model_minorizes_objective(lasso42, lasso42_capture):
@@ -164,7 +170,7 @@ def test_model_minorizes_objective(lasso42, lasso42_capture):
         state = lasso42_capture.states[k]
         tol = 1e-8 * (1.0 + abs(lasso42_capture.phi_y[k]))
         samples = certificates.sample_points(state, lasso42, 100, rng)
-        assert certificates.lower_model_gap(state.gamma_model, lasso42,
+        assert certificates.lower_model_gap(lasso42_capture.models[k], lasso42,
                                             samples) <= tol
 
 
@@ -178,7 +184,7 @@ def test_model_dominates_recursion_bound(lasso42, lasso42_capture):
         for x in certificates.sample_points(state, lasso42, 50, rng):
             quad = (state.tau * float((state.x - x) @ (state.x - x))
                     - float((state.x0 - x) @ (state.x0 - x))) / (2.0 * state.A)
-            assert state.gamma_model(x) >= phi_y + quad - tol
+            assert lasso42_capture.models[k](x) >= phi_y + quad - tol
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +217,7 @@ def test_model_subgradient_inequality(lasso42, lasso42_capture):
     tol = 1e-8 * (1.0 + abs(lasso42_capture.phi_y[100]))
     samples = certificates.sample_points(state, lasso42, 200, rng)
     assert certificates.lower_model_violation(
-        state.gamma_model, pair, state, lasso42, samples) <= tol
+        lasso42_capture.models[100], pair, state, lasso42, samples) <= tol
 
 
 def test_sample_points_respect_domain():

@@ -39,6 +39,20 @@ def test_solve_end_to_end(tmp_path, capsys):
     assert final_norm_u <= 1e-6
 
 
+def test_solve_summary_same_without_trace(tmp_path, capsys):
+    # untraced runs record only the final row, which carries everything printed
+    argv = ["solve", "--problem", "elastic_net", "--seed", "7", "--m", "30",
+            "--n", "50", "--reg", "0.05", "--ridge", "1", "--criterion",
+            "relative", "--sigma-tilde", "1e-3"]
+    assert cli.main(argv + ["--trace", str(tmp_path / "t.csv")]) == 0
+    traced, _ = _lines(capsys)
+    assert cli.main(argv) == 0
+    untraced, _ = _lines(capsys)
+    assert traced[-1].startswith("trace = ")
+    assert traced[:-1] == untraced
+    assert "norm_u = none" not in untraced
+
+
 def test_solve_max_iter_zero(capsys):
     code = cli.main(["solve", "--problem", "lasso", *SMALL, "--max-iter", "0"])
     out, _ = _lines(capsys)
@@ -147,6 +161,25 @@ def test_predict_absolute_needs_strong_convexity(capsys):
     _, err = _lines(capsys)
     assert code == 2
     assert "error: " in err[0]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--criterion", "function_gap", "--eps-bar", "1e-3", "--d0", "nan",
+      "--lf", "2"], "d0"),
+    (["--criterion", "function_gap", "--eps-bar", "1e-3", "--d0", "1",
+      "--lf", "nan"], "lf"),
+    (["--criterion", "stationarity", "--rho", "1", "--d0", "1", "--lf", "2",
+      "--lf-bar", "inf"], "lf_bar"),
+    (["--criterion", "relative", "--sigma-tilde", "1", "--d0", "1", "--lf",
+      "2", "--mu-h", "nan"], "mu"),
+])
+def test_predict_rejects_non_finite_constants(capsys, argv, name):
+    code = cli.main(["predict", *argv])
+    out, err = _lines(capsys)
+    assert code == 2
+    assert not out
+    assert err[0].startswith(f"error: {name} = ")
+    assert "must be finite" in err[0]
 
 
 def test_predict_explicit_needs_lf(capsys):

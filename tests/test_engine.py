@@ -1,5 +1,6 @@
 """Coefficient recursion, single steps, and the run loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -255,6 +256,21 @@ def test_run_trace_spacing(quad1d):
     config = _quad_config(max_iter=21, trace_every=7)
     result = engine.run(quad1d, config, np.array([1.0]))
     assert [r.k for r in result.trace] == [0, 7, 14, 21]
+
+
+def test_final_row_independent_of_trace_spacing(elastic_mu1):
+    # a converged run off a trace step still records both certificates
+    x0 = np.zeros(elastic_mu1.dimension)
+    finals = []
+    for every in (1, 1000):
+        config = engine.SolverConfig.for_problem(
+            elastic_mu1, criterion=bounds.Criterion.stationarity(1e-6),
+            trace_every=every)
+        result = engine.run(elastic_mu1, config, x0)
+        assert result.reason == "converged"
+        finals.append(dataclasses.replace(result.trace[-1], elapsed_ns=0))
+    assert finals[1].k == 205 and finals[1].norm_v is not None
+    assert finals[0] == finals[1]
 
 
 def test_trace_records_are_monotone(lasso_small):
