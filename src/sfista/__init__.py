@@ -14,7 +14,7 @@ from .bounds import (BoundReport, Criterion, abar_relative,
                      bound_function_gap, bound_relative, bound_stationarity,
                      coefficient_sum_lower, growth_factor, iters_for_a,
                      log_plus_one, predicted_iterations)
-from .certificates import (CertificateBundle, LowerModel, ResidualPair,
+from .certificates import (Certificates, LowerModel, ResidualPair,
                            StationarityResidual, check_eps_subgradient,
                            lower_model_gap, lower_model_violation,
                            lower_models, residual_pair, sample_points,
@@ -39,7 +39,7 @@ from .problems import (CompositeProblem, InstanceSpec, ProxOracle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "BoundsRow", "CertificateBundle", "CertificateUndefinedError",
+    "BoundReport", "BoundsRow", "CertificateUndefinedError", "Certificates",
     "CheckResult", "ClassicState", "CoefficientSchedule", "CompositeProblem",
     "ConfigError", "Criterion", "GrowthOverflowError", "InstanceSpec",
     "InvalidStartError", "IterateState", "LowerModel", "MomentumSchedule",

@@ -19,12 +19,11 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import CertificateUndefinedError, ConfigError, NumericFailure
-from .problems import CompositeProblem, eval_phi
+from .errors import ConfigError, NumericFailure
+from .problems import CompositeProblem
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .certificates import CertificateBundle
-    from .engine import IterateState
+    from .certificates import Certificates
 
 VARIANTS = ("function_gap", "stationarity", "relative", "alternate_relative",
             "absolute")
@@ -85,23 +84,18 @@ class Criterion:
         return cls("absolute", eps, eta_tol)
 
 
-def check(criterion: Criterion, state: "IterateState",
-          certificates: "CertificateBundle", problem: CompositeProblem) -> bool:
-    """Whether the criterion holds at the current iterate."""
+def check(criterion: Criterion, certs: "Certificates") -> bool:
+    """Whether the criterion holds at the state of the certificate record."""
+    state, problem = certs.state, certs.problem
     v = criterion.variant
     if v == "function_gap":
         if problem.reference_optimum is None:
             raise ConfigError("function_gap check needs a reference optimum")
-        gap = eval_phi(problem, state.y) - problem.reference_optimum.phi_star
+        gap = certs.phi_y - problem.reference_optimum.phi_star
         return gap <= criterion.tol
     if v == "stationarity":
-        stat = certificates.stationarity
-        if stat is None:
-            raise CertificateUndefinedError("criterion needs the stationarity residual")
-        return stat.norm <= criterion.tol
-    pair = certificates.pair
-    if pair is None:
-        raise CertificateUndefinedError("criterion needs the residual pair")
+        return certs.stationarity.norm <= criterion.tol
+    pair = certs.pair
     lhs = pair.norm**2 + 2.0 * pair.eta
     if v == "relative":
         dist = float(np.linalg.norm(state.y - state.x0))
@@ -161,6 +155,8 @@ def _ceil_clamped(value: float) -> int:
 
 def _branches(a_target: float, lf: float, mu_f: float, mu: float):
     """(polynomial, logarithmic) iteration branches guaranteeing A_k >= a_target."""
+    if not a_target > 0:
+        return 0.0, math.inf
     scaled = (lf - mu_f) * a_target
     poly = 2.0 * math.sqrt(scaled)
     logb = math.inf
@@ -172,21 +168,15 @@ def _branches(a_target: float, lf: float, mu_f: float, mu: float):
 def iters_for_a(a_target: float, lf: float, mu_f: float, mu: float) -> int:
     """Iterations guaranteeing the coefficient sum reaches a_target."""
     _validate_constants(lf, mu_f, mu)
-    if a_target <= 0:
-        return 1
-    poly, logb = _branches(a_target, lf, mu_f, mu)
-    return _ceil_clamped(min(poly, logb))
+    return _report(None, *_branches(a_target, lf, mu_f, mu), {}).predicted_k
 
 
-def _report(criterion, a_target, lf, mu_f, mu, constants) -> BoundReport:
-    poly, logb = _branches(max(a_target, 0.0), lf, mu_f, mu) \
-        if a_target > 0 else (0.0, math.inf)
-    branch = "polynomial" if poly <= logb else "logarithmic"
-    predicted = _ceil_clamped(min(poly, logb)) if a_target > 0 else 1
-    constants = dict(constants)
-    constants["log_base"] = math.e
-    return BoundReport(criterion=criterion, predicted_k=predicted,
-                       branch=branch, constants=constants)
+def _report(criterion, poly, logb, constants) -> BoundReport:
+    """Report on the smaller of the polynomial and logarithmic branches."""
+    return BoundReport(criterion=criterion,
+                       predicted_k=_ceil_clamped(min(poly, logb)),
+                       branch="polynomial" if poly <= logb else "logarithmic",
+                       constants={**constants, "log_base": math.e})
 
 
 def bound_function_gap(d0: float, eps_bar: float, lf: float, mu_f: float,
@@ -196,7 +186,8 @@ def bound_function_gap(d0: float, eps_bar: float, lf: float, mu_f: float,
     _validate_d0(d0)
     criterion = Criterion.function_gap(eps_bar)
     a_target = d0**2 / (2.0 * eps_bar)
-    return _report(criterion, a_target, lf, mu_f, mu, {"abar": a_target})
+    return _report(criterion, *_branches(a_target, lf, mu_f, mu),
+                   {"abar": a_target})
 
 
 def bound_stationarity(d0: float, rho: float, lf: float, lf_bar: float,
@@ -217,10 +208,7 @@ def bound_stationarity(d0: float, rho: float, lf: float, lf_bar: float,
     if mu > 0:
         logb = (1.0 + 2.0 * math.sqrt((lf - mu_f) / mu)) \
             * math.log(1.0 + ratio * (c**2 - 1.0))
-    branch = "polynomial" if poly <= logb else "logarithmic"
-    predicted = _ceil_clamped(min(poly, logb))
-    return BoundReport(criterion=criterion, predicted_k=predicted, branch=branch,
-                       constants={"zeta": zeta, "c": c, "log_base": math.e})
+    return _report(criterion, poly, logb, {"zeta": zeta, "c": c})
 
 
 def abar_relative(mu: float, sigma_tilde: float) -> float:
@@ -243,7 +231,8 @@ def bound_relative(sigma_tilde: float, lf: float, mu_f: float,
     _validate_constants(lf, mu_f, mu)
     criterion = Criterion.relative(sigma_tilde)
     a_target = abar_relative(mu, sigma_tilde)
-    return _report(criterion, a_target, lf, mu_f, mu, {"abar": a_target})
+    return _report(criterion, *_branches(a_target, lf, mu_f, mu),
+                   {"abar": a_target})
 
 
 def bound_alternate_relative(mu: float, sigma: float, lf: float,
@@ -261,7 +250,7 @@ def bound_alternate_relative(mu: float, sigma: float, lf: float,
     if not abar <= cal_a * (1.0 + 1e-12):
         raise NumericFailure(f"alternate relative threshold {cal_a:g} fell "
                              f"below the relative threshold {abar:g}")
-    return _report(criterion, cal_a, lf, mu_f, mu,
+    return _report(criterion, *_branches(cal_a, lf, mu_f, mu),
                    {"cal_a": cal_a, "sigma_tilde": sigma_tilde})
 
 
@@ -278,10 +267,8 @@ def bound_absolute(d0: float, eps: float, eta_tol: float, lf: float,
     criterion = Criterion.absolute(eps, eta_tol)
     big_b = 1.0 + 8.0 * (lf - mu_f) / mu
     big_m = big_b**2 * (lf - mu_f)
-    constants = {"big_m": big_m, "log_base": math.e}
     if d0 == 0:
-        return BoundReport(criterion=criterion, predicted_k=1,
-                           branch="polynomial", constants=constants)
+        return _report(criterion, 0.0, math.inf, {"big_m": big_m})
     poly = 8.0 * (
         1.0 / math.sqrt(eps)
         + math.sqrt(mu * d0) / eps
@@ -289,10 +276,7 @@ def bound_absolute(d0: float, eps: float, eta_tol: float, lf: float,
     ) * math.sqrt(big_m * d0)
     inner = 16.0 * (1.0 / eps + mu * d0 / eps**2 + d0 / eta_tol) * big_m * d0
     logb = (0.5 + math.sqrt((lf - mu_f) / mu)) * log_plus_one(inner) + 1.0
-    branch = "polynomial" if poly <= logb else "logarithmic"
-    predicted = _ceil_clamped(min(poly, logb))
-    return BoundReport(criterion=criterion, predicted_k=predicted, branch=branch,
-                       constants=constants)
+    return _report(criterion, poly, logb, {"big_m": big_m})
 
 
 def predicted_iterations(criterion: Criterion, lf: float, lf_bar: float,

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -67,12 +68,6 @@ class LowerModel:
         if self.curvature:
             out += 0.5 * self.curvature * float(x @ x)
         return out
-
-
-@dataclass(frozen=True)
-class CertificateBundle:
-    stationarity: Optional[StationarityResidual] = None
-    pair: Optional[ResidualPair] = None
 
 
 def zero_model(dim: int, curvature: float) -> LowerModel:
@@ -184,12 +179,28 @@ def residual_pair(state: "IterateState") -> ResidualPair:
     return ResidualPair(v=v, eta=eta)
 
 
-def bundle(state: "IterateState", problem: CompositeProblem,
-           stationarity: bool = True, residual: bool = True) -> CertificateBundle:
-    """Certificates for the current iterate; each piece is optional."""
-    stat = stationarity_residual(state, problem) if stationarity else None
-    pair = residual_pair(state) if residual else None
-    return CertificateBundle(stationarity=stat, pair=pair)
+@dataclass(eq=False)
+class Certificates:
+    """phi(y), the stationarity residual and the residual pair of one state.
+
+    Each piece is computed the first time it is read and kept; the residuals
+    raise CertificateUndefinedError before the first step.
+    """
+
+    state: "IterateState"
+    problem: CompositeProblem
+
+    @cached_property
+    def phi_y(self) -> float:
+        return eval_phi(self.problem, self.state.y)
+
+    @cached_property
+    def stationarity(self) -> StationarityResidual:
+        return stationarity_residual(self.state, self.problem)
+
+    @cached_property
+    def pair(self) -> ResidualPair:
+        return residual_pair(self.state)
 
 
 def sample_points(state: "IterateState", problem: CompositeProblem, count: int,

@@ -67,11 +67,10 @@ class MomentumSchedule:
 
 @dataclass
 class ClassicState:
-    """State after k classical steps: y_k, y_{k-1}, and the extrapolated point."""
+    """State after k classical steps: y_k and the extrapolated point."""
 
     k: int
     y: Array
-    y_prev: Array
     x_tilde: Array
     schedule: MomentumSchedule
 
@@ -80,7 +79,7 @@ def classic_init(x0: Array, form: str = "t") -> ClassicState:
     if form not in ("t", "alpha"):
         raise ConfigError(f"unknown momentum form {form!r}")
     x0 = np.asarray(x0, dtype=float).copy()
-    return ClassicState(k=0, y=x0.copy(), y_prev=x0.copy(), x_tilde=x0.copy(),
+    return ClassicState(k=0, y=x0.copy(), x_tilde=x0.copy(),
                         schedule=MomentumSchedule(form, 1.0))
 
 
@@ -94,8 +93,8 @@ def classic_step(state: ClassicState, problem: CompositeProblem,
     advanced = state.schedule.advance()
     beta = state.schedule.beta(advanced)
     x_tilde = y_new + beta * (y_new - state.y)
-    return ClassicState(k=state.k + 1, y=y_new, y_prev=state.y,
-                        x_tilde=x_tilde, schedule=advanced)
+    return ClassicState(k=state.k + 1, y=y_new, x_tilde=x_tilde,
+                        schedule=advanced)
 
 
 def equivalence_check(problem: CompositeProblem, x0: Array, lf: float,

@@ -15,6 +15,7 @@ configuration or flags, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -205,6 +206,11 @@ def cmd_predict(args) -> int:
     explicit = args.d0 is not None or args.lf_bar is not None
     needs_d0 = criterion.variant in ("function_gap", "stationarity", "absolute")
     if explicit:
+        for name, value in (("d0", args.d0), ("lf_bar", args.lf_bar)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} = {value:g} must be finite")
+        if args.d0 is not None and args.d0 < 0:
+            raise ConfigError("d0 must be nonnegative")
         if args.lf is None:
             raise ConfigError("explicit prediction needs a numeric --lf")
         if criterion.variant == "stationarity" and args.lf_bar is None:

@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import certificates as _cert
 from .errors import ConfigError, GrowthOverflowError, InvalidStartError
-from .problems import CompositeProblem, eval_phi
+from .problems import CompositeProblem
 
 Array = np.ndarray
 
@@ -219,76 +219,59 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
     )
 
 
-def _trace_record(problem: CompositeProblem, state: IterateState,
-                  certs: Optional[_cert.CertificateBundle],
-                  started_ns: int) -> TraceRecord:
+def _trace_record(certs: _cert.Certificates, started_ns: int) -> TraceRecord:
+    state, problem = certs.state, certs.problem
     # the recorded a is the coefficient the NEXT step would use, so a single
     # row checks tau * (A + a) / a^2 = 1 / lam on its own
     try:
         a, _, _ = step_coefficients(state)
     except GrowthOverflowError:
         a = math.inf
-    phi_y = eval_phi(problem, state.y)
     gap = None
     if problem.reference_optimum is not None:
-        gap = phi_y - problem.reference_optimum.phi_star
+        gap = certs.phi_y - problem.reference_optimum.phi_star
     norm_u = norm_v = eta = None
-    if certs is not None:
-        if certs.stationarity is not None:
-            norm_u = certs.stationarity.norm
-        if certs.pair is not None:
-            norm_v = certs.pair.norm
-            eta = certs.pair.eta
-    return TraceRecord(k=state.k, a=a, A=state.A, tau=state.tau, phi_y=phi_y,
-                       gap=gap, norm_u=norm_u, norm_v=norm_v, eta_residual=eta,
+    if state.k >= 1:
+        norm_u = certs.stationarity.norm
+        norm_v, eta = certs.pair.norm, certs.pair.eta
+    return TraceRecord(k=state.k, a=a, A=state.A, tau=state.tau,
+                       phi_y=certs.phi_y, gap=gap, norm_u=norm_u, norm_v=norm_v,
+                       eta_residual=eta,
                        elapsed_ns=time.perf_counter_ns() - started_ns)
 
 
 def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult:
     """Iterate until the stopping criterion fires or a cap is reached.
 
-    Certificates are computed only when the active criterion or the trace
-    needs them.  Every trace_every-th iteration appends a TraceRecord, and so
-    does the final one, which always carries both certificates.
+    Each state gets one Certificates record, whose pieces are computed only
+    when the criterion or the trace reads them.  Every trace_every-th
+    iteration appends a TraceRecord, and so does the final one; rows after
+    the first carry both certificates.
     """
     started_ns = time.perf_counter_ns()
     state = init(problem, config, x0)
     criterion = config.criterion
-    trace: list[TraceRecord] = []
-
-    def record(st, certs):
-        trace.append(_trace_record(problem, st, certs, started_ns))
-
-    record(state, None)
+    certs = _cert.Certificates(state, problem)
+    trace = [_trace_record(certs, started_ns)]
     if criterion is not None and criterion.variant == "function_gap":
-        if _bounds.check(criterion, state, _cert.CertificateBundle(), problem):
+        if _bounds.check(criterion, certs):
             return RunResult(state=state, reason="converged", trace=trace)
 
     reason = "max_iter"
-    certs = None
     for _ in range(config.max_iter):
         try:
             state = step(state, problem)
         except GrowthOverflowError:
             reason = "growth_overflow"
             break
-        tracing = state.k % config.trace_every == 0
-        need_u = tracing or (criterion is not None
-                             and criterion.variant == "stationarity")
-        need_pair = tracing or (criterion is not None and criterion.variant in
-                                ("relative", "alternate_relative", "absolute"))
-        certs = _cert.bundle(state, problem, stationarity=need_u,
-                             residual=need_pair)
-        if tracing:
-            record(state, certs)
-        if criterion is not None and _bounds.check(criterion, state, certs, problem):
+        certs = _cert.Certificates(state, problem)
+        if state.k % config.trace_every == 0:
+            trace.append(_trace_record(certs, started_ns))
+        if criterion is not None and _bounds.check(criterion, certs):
             reason = "converged"
             break
     if trace[-1].k != state.k:
-        # certs belong to the final state; compute only the missing piece
-        stat = certs.stationarity or _cert.stationarity_residual(state, problem)
-        pair = certs.pair or _cert.residual_pair(state)
-        record(state, _cert.CertificateBundle(stationarity=stat, pair=pair))
+        trace.append(_trace_record(certs, started_ns))
     return RunResult(state=state, reason=reason, trace=trace)
 
 

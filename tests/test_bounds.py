@@ -48,44 +48,45 @@ def test_criterion_validate_needs_reference(quad1d):
 def test_check_function_gap(quad1d):
     # phi(y_1) = 0.125, phi* = 0
     state = _one_step(quad1d)
-    certs = certificates.bundle(state, quad1d)
-    assert bounds.check(Criterion.function_gap(0.2), state, certs, quad1d)
-    assert not bounds.check(Criterion.function_gap(0.1), state, certs, quad1d)
+    certs = certificates.Certificates(state, quad1d)
+    assert bounds.check(Criterion.function_gap(0.2), certs)
+    assert not bounds.check(Criterion.function_gap(0.1), certs)
     bare = type(quad1d)(f=quad1d.f, h=quad1d.h, dimension=1,
                         reference_optimum=None)
     with pytest.raises(ConfigError):
-        bounds.check(Criterion.function_gap(0.2), state, certs, bare)
+        bounds.check(Criterion.function_gap(0.2),
+                     certificates.Certificates(state, bare))
 
 
 def test_check_stationarity(quad1d):
     # ||u_1|| = 0.5
     state = _one_step(quad1d)
-    certs = certificates.bundle(state, quad1d)
-    assert bounds.check(Criterion.stationarity(0.6), state, certs, quad1d)
-    assert not bounds.check(Criterion.stationarity(0.4), state, certs, quad1d)
+    certs = certificates.Certificates(state, quad1d)
+    assert bounds.check(Criterion.stationarity(0.6), certs)
+    assert not bounds.check(Criterion.stationarity(0.4), certs)
 
 
 def test_check_residual_criteria(quad1d):
     # v_1 = 1, eta_1 = 1/4: lhs = 1.5; ||y - x0||^2 = ||v + y - x0||^2 = 1/4
     state = _one_step(quad1d)
-    certs = certificates.bundle(state, quad1d)
-    assert bounds.check(Criterion.relative(7.0), state, certs, quad1d)
-    assert not bounds.check(Criterion.relative(5.0), state, certs, quad1d)
-    assert bounds.check(Criterion.alternate_relative(7.0), state, certs, quad1d)
-    assert not bounds.check(Criterion.alternate_relative(5.0), state, certs,
-                            quad1d)
-    assert bounds.check(Criterion.absolute(1.5, 0.3), state, certs, quad1d)
-    assert not bounds.check(Criterion.absolute(0.5, 0.3), state, certs, quad1d)
-    assert not bounds.check(Criterion.absolute(1.5, 0.2), state, certs, quad1d)
+    certs = certificates.Certificates(state, quad1d)
+    assert bounds.check(Criterion.relative(7.0), certs)
+    assert not bounds.check(Criterion.relative(5.0), certs)
+    assert bounds.check(Criterion.alternate_relative(7.0), certs)
+    assert not bounds.check(Criterion.alternate_relative(5.0), certs)
+    assert bounds.check(Criterion.absolute(1.5, 0.3), certs)
+    assert not bounds.check(Criterion.absolute(0.5, 0.3), certs)
+    assert not bounds.check(Criterion.absolute(1.5, 0.2), certs)
 
 
 def test_check_requires_certificates(quad1d):
-    state = _one_step(quad1d)
-    empty = certificates.CertificateBundle()
+    # before the first step neither residual exists
+    state = engine.init(quad1d, engine.SolverConfig(lf=2.0), np.array([1.0]))
+    certs = certificates.Certificates(state, quad1d)
     with pytest.raises(CertificateUndefinedError):
-        bounds.check(Criterion.stationarity(1.0), state, empty, quad1d)
+        bounds.check(Criterion.stationarity(1.0), certs)
     with pytest.raises(CertificateUndefinedError):
-        bounds.check(Criterion.relative(1.0), state, empty, quad1d)
+        bounds.check(Criterion.relative(1.0), certs)
 
 
 # ---------------------------------------------------------------------------

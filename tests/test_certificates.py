@@ -230,12 +230,3 @@ def test_sample_points_respect_domain():
     assert samples.shape == (64, 5)
     assert all(np.isfinite(problem.h.value(s)) for s in samples)
 
-
-def test_bundle_optional_pieces(quad1d):
-    state = _one_step(quad1d)
-    both = certificates.bundle(state, quad1d)
-    assert both.stationarity is not None and both.pair is not None
-    only_u = certificates.bundle(state, quad1d, residual=False)
-    assert only_u.stationarity is not None and only_u.pair is None
-    only_pair = certificates.bundle(state, quad1d, stationarity=False)
-    assert only_pair.stationarity is None and only_pair.pair is not None

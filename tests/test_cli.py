@@ -172,6 +172,11 @@ def test_predict_absolute_needs_strong_convexity(capsys):
       "--lf-bar", "inf"], "lf_bar"),
     (["--criterion", "relative", "--sigma-tilde", "1", "--d0", "1", "--lf",
       "2", "--mu-h", "nan"], "mu"),
+    # constants the criterion ignores are still checked
+    (["--criterion", "function_gap", "--eps-bar", "1e-3", "--d0", "1",
+      "--lf", "2", "--lf-bar", "inf"], "lf_bar"),
+    (["--criterion", "relative", "--sigma-tilde", "1", "--lf", "2", "--d0",
+      "nan"], "d0"),
 ])
 def test_predict_rejects_non_finite_constants(capsys, argv, name):
     code = cli.main(["predict", *argv])

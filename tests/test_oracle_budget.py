@@ -1,4 +1,4 @@
-"""Exact oracle-call budgets of a step and of a run.
+"""Exact oracle-call budgets of a step, a certificate record and a run.
 
 Counting wrappers sit on a problem's four oracles (f.value, f.grad, h.value,
 h.prox).  The counts are deterministic, so a change that brings a second
@@ -10,8 +10,9 @@ import collections
 import dataclasses
 
 import numpy as np
+import pytest
 
-from sfista import bounds, engine
+from sfista import bounds, certificates, engine
 
 
 def _counted(problem):
@@ -31,11 +32,10 @@ def _counted(problem):
     return dataclasses.replace(problem, f=f, h=h), counts
 
 
-def _stationarity_run(problem, trace_every):
+def _run(problem, criterion, trace_every):
     counted, counts = _counted(problem)
     config = engine.SolverConfig.for_problem(
-        problem, criterion=bounds.Criterion.stationarity(1e-6),
-        trace_every=trace_every)
+        problem, criterion=criterion, trace_every=trace_every)
     result = engine.run(counted, config, np.zeros(problem.dimension))
     assert result.reason == "converged"
     return result.state.k, counts
@@ -51,10 +51,27 @@ def test_step_budget(elastic_mu1):
         assert counts == {"f.grad": 1, "h.prox": 1}
 
 
+def test_certificates_computed_once_on_demand(elastic_mu1):
+    # each piece is computed when first read and kept; the pair needs no
+    # oracle at all
+    problem, counts = _counted(elastic_mu1)
+    state = engine.init(problem, engine.SolverConfig.for_problem(problem),
+                        np.zeros(problem.dimension))
+    certs = certificates.Certificates(engine.step(state, problem), problem)
+    counts.clear()
+    assert certs.pair is certs.pair
+    assert counts == {}
+    assert certs.stationarity is certs.stationarity
+    assert counts == {"f.grad": 1}
+    assert certs.phi_y == certs.phi_y
+    assert counts == {"f.grad": 1, "f.value": 1, "h.value": 1}
+
+
 def test_untraced_run_budget(elastic_mu1):
     # one gradient in the step, one for the residual at y; phi only in the
     # first and the final trace row
-    k, counts = _stationarity_run(elastic_mu1, trace_every=10000)
+    k, counts = _run(elastic_mu1, bounds.Criterion.stationarity(1e-6),
+                     trace_every=10000)
     assert k == 205
     assert counts["f.grad"] == 2 * k
     assert counts["h.prox"] == k
@@ -63,7 +80,17 @@ def test_untraced_run_budget(elastic_mu1):
 
 def test_traced_run_budget(elastic_mu1):
     # a trace row per step adds phi(y), and nothing else that calls f
-    k, counts = _stationarity_run(elastic_mu1, trace_every=1)
+    k, counts = _run(elastic_mu1, bounds.Criterion.stationarity(1e-6),
+                     trace_every=1)
     assert k == 205
     assert counts["f.grad"] == 2 * k
+    assert counts["f.value"] == k + 1
+
+
+@pytest.mark.parametrize("trace_every", [1, 10000])
+def test_function_gap_run_budget(elastic_mu1, trace_every):
+    # phi(y) once per state: the check and the trace row share it
+    k, counts = _run(elastic_mu1, bounds.Criterion.function_gap(1e-8),
+                     trace_every)
+    assert k == 136
     assert counts["f.value"] == k + 1
