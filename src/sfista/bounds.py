@@ -28,6 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover
 VARIANTS = ("function_gap", "stationarity", "relative", "alternate_relative",
             "absolute")
 
+# Relative margin by which the oracle-free lower bound on ||u|| must exceed
+# rho before a stationarity test skips forming u; it covers the rounding of
+# both the bound and the computed norm.
+_SCREEN_SLACK = 1e-9
+
 # Slop subtracted before ceil so closed forms that land exactly on an integer
 # are not bumped up by the last bit of rounding.
 _CEIL_SLOP = 1e-9
@@ -51,9 +56,13 @@ class Criterion:
             raise ConfigError(f"unknown criterion variant {self.variant!r}")
         if not self.tol > 0:
             raise ConfigError("criterion tolerance must be positive")
+        if math.isinf(self.tol):
+            raise ConfigError(f"criterion tolerance = {self.tol:g} must be finite")
         if self.variant == "absolute":
             if self.eta_tol is None or not self.eta_tol > 0:
                 raise ConfigError("absolute criterion needs a positive eta_tol")
+            if math.isinf(self.eta_tol):
+                raise ConfigError(f"eta_tol = {self.eta_tol:g} must be finite")
         elif self.eta_tol is not None:
             raise ConfigError(f"eta_tol does not apply to {self.variant!r}")
 
@@ -84,27 +93,44 @@ class Criterion:
         return cls("absolute", eps, eta_tol)
 
 
+def _tested(value: float, name: str) -> float:
+    """value itself; NumericFailure when it is NaN, which no test can pass."""
+    if math.isnan(value):
+        raise NumericFailure(f"{name} is NaN")
+    return value
+
+
 def check(criterion: Criterion, certs: "Certificates") -> bool:
-    """Whether the criterion holds at the state of the certificate record."""
+    """Whether the criterion holds at the state of the certificate record.
+
+    A stationarity test forms u only when the record does not hold it yet
+    and the oracle-free bound `certs.stationarity_lower` cannot rule the
+    state out; a NaN bound falls through to u.  Raises NumericFailure when
+    the quantity tested is NaN.
+    """
     state, problem = certs.state, certs.problem
     v = criterion.variant
     if v == "function_gap":
         if problem.reference_optimum is None:
             raise ConfigError("function_gap check needs a reference optimum")
         gap = certs.phi_y - problem.reference_optimum.phi_star
-        return gap <= criterion.tol
+        return _tested(gap, "phi(y) gap") <= criterion.tol
     if v == "stationarity":
-        return certs.stationarity.norm <= criterion.tol
+        if ("stationarity" not in vars(certs)
+                and certs.stationarity_lower > criterion.tol * (1.0 + _SCREEN_SLACK)):
+            return False
+        return _tested(certs.stationarity.norm, "||u||") <= criterion.tol
     pair = certs.pair
-    lhs = pair.norm**2 + 2.0 * pair.eta
+    if v == "absolute":
+        norm, eta = _tested(pair.norm, "||v||"), _tested(pair.eta, "eta")
+        return norm <= criterion.tol and eta <= criterion.eta_tol
+    lhs = _tested(pair.norm**2 + 2.0 * pair.eta, "||v||^2 + 2 eta")
     if v == "relative":
         dist = float(np.linalg.norm(state.y - state.x0))
         return lhs <= criterion.tol * dist**2
-    if v == "alternate_relative":
-        shifted = float(np.linalg.norm(pair.v + state.y - state.x0))
-        return lhs <= criterion.tol * shifted**2
-    # absolute
-    return pair.norm <= criterion.tol and pair.eta <= criterion.eta_tol
+    # alternate_relative
+    shifted = float(np.linalg.norm(pair.v + state.y - state.x0))
+    return lhs <= criterion.tol * shifted**2
 
 
 @dataclass(frozen=True)

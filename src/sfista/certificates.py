@@ -185,6 +185,8 @@ class Certificates:
 
     Each piece is computed the first time it is read and kept; the residuals
     raise CertificateUndefinedError before the first step.
+    `stationarity_lower` bounds ||u|| from below without an oracle call, so a
+    stationarity test can rule a state out before paying for u's gradient.
     """
 
     state: "IterateState"
@@ -197,6 +199,19 @@ class Certificates:
     @cached_property
     def stationarity(self) -> StationarityResidual:
         return stationarity_residual(self.state, self.problem)
+
+    @cached_property
+    def stationarity_lower(self) -> float:
+        """(lf - lf_bar) ||y - x_tilde_prev||, a lower bound on ||u||.
+
+        u = grad f(y) - grad f(x_tilde) + lf (x_tilde - y) and grad f is
+        lf_bar-Lipschitz, so ||u|| >= (lf - lf_bar) ||y - x_tilde||.
+        """
+        state = self.state
+        if state.x_tilde_prev is None:
+            raise CertificateUndefinedError("stationarity bound needs at least one step")
+        dist = float(np.linalg.norm(state.y - state.x_tilde_prev))
+        return (state.config.lf - self.problem.f.curvature) * dist
 
     @cached_property
     def pair(self) -> ResidualPair:

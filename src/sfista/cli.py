@@ -9,7 +9,8 @@ Subcommands:
 Summaries, reports, and instance files are `key = value` lines; traces are
 comma-delimited with reals as 17-significant-digit decimals.  Exit codes:
 0 converged / all checks pass, 1 iteration budget exhausted, 2 invalid
-configuration or flags, 3 verification failure.
+configuration or flags, 3 verification failure, 4 NaN in the quantity the
+stopping criterion tests.
 """
 
 from __future__ import annotations
@@ -120,6 +121,10 @@ def build_criterion(args) -> Optional[_bounds.Criterion]:
         flag = sorted(missing)[0].replace("_", "-")
         raise ConfigError(f"criterion {args.criterion} needs --{flag}")
     values = [getattr(args, name) for name in _TOL_FLAGS[args.criterion]]
+    for name, value in zip(_TOL_FLAGS[args.criterion], values):
+        if not math.isfinite(value):
+            flag = name.replace("_", "-")
+            raise ConfigError(f"--{flag} = {value:g} must be finite")
     factory = getattr(_bounds.Criterion, args.criterion)
     return factory(*values)
 
@@ -196,6 +201,8 @@ def cmd_solve(args) -> int:
     ])
     if args.trace is not None:
         print(f"trace = {args.trace}")
+    if result.reason == "numeric_failure":
+        return 4
     return 0 if result.reason == "converged" else 1
 
 

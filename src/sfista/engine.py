@@ -19,7 +19,8 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import certificates as _cert
-from .errors import ConfigError, GrowthOverflowError, InvalidStartError
+from .errors import (ConfigError, GrowthOverflowError, InvalidStartError,
+                     NumericFailure)
 from .problems import CompositeProblem
 
 Array = np.ndarray
@@ -110,7 +111,7 @@ class TraceRecord:
 @dataclass
 class RunResult:
     state: IterateState
-    reason: str  # "converged" | "max_iter" | "growth_overflow"
+    reason: str  # "converged" | "max_iter" | "growth_overflow" | "numeric_failure"
     trace: list = field(default_factory=list)
 
     @property
@@ -240,13 +241,31 @@ def _trace_record(certs: _cert.Certificates, started_ns: int) -> TraceRecord:
                        elapsed_ns=time.perf_counter_ns() - started_ns)
 
 
+def _stop_reason(criterion: Optional["_bounds.Criterion"],
+                 certs: _cert.Certificates) -> Optional[str]:
+    """Stop reason the criterion gives this record, or None.
+
+    "converged" when it holds and "numeric_failure" when the quantity it
+    tests is NaN; None when it does not hold or there is no criterion.
+    """
+    if criterion is None:
+        return None
+    try:
+        return "converged" if _bounds.check(criterion, certs) else None
+    except NumericFailure:
+        return "numeric_failure"
+
+
 def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult:
     """Iterate until the stopping criterion fires or a cap is reached.
 
     Each state gets one Certificates record, whose pieces are computed only
-    when the criterion or the trace reads them.  Every trace_every-th
-    iteration appends a TraceRecord, and so does the final one; rows after
-    the first carry both certificates.
+    when the criterion or the trace reads them; an untraced stationarity run
+    forms u only at states its oracle-free lower bound cannot rule out.
+    Every trace_every-th iteration appends a TraceRecord, and so does the
+    final one; rows after the first carry both certificates.  A NaN in the
+    quantity the criterion tests stops the run with "numeric_failure"; a run
+    without a criterion tests nothing and so does not detect one.
     """
     started_ns = time.perf_counter_ns()
     state = init(problem, config, x0)
@@ -254,8 +273,9 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     certs = _cert.Certificates(state, problem)
     trace = [_trace_record(certs, started_ns)]
     if criterion is not None and criterion.variant == "function_gap":
-        if _bounds.check(criterion, certs):
-            return RunResult(state=state, reason="converged", trace=trace)
+        reason = _stop_reason(criterion, certs)
+        if reason is not None:
+            return RunResult(state=state, reason=reason, trace=trace)
 
     reason = "max_iter"
     for _ in range(config.max_iter):
@@ -267,8 +287,9 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
         certs = _cert.Certificates(state, problem)
         if state.k % config.trace_every == 0:
             trace.append(_trace_record(certs, started_ns))
-        if criterion is not None and _bounds.check(criterion, certs):
-            reason = "converged"
+        stop = _stop_reason(criterion, certs)
+        if stop is not None:
+            reason = stop
             break
     if trace[-1].k != state.k:
         trace.append(_trace_record(certs, started_ns))

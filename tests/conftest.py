@@ -4,6 +4,9 @@ The expensive pieces (reference solves, long captures) are session scoped so
 the acceptance checks and the unit tests interrogate the same runs.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,16 @@ def lasso_norm():
     # unit-curvature design, so lf = 1.25 * (1 + 1e-9)
     return problems.make_instance("lasso", 11, 40, 60, normalize=True,
                                   with_reference=False)
+
+
+@pytest.fixture(scope="session")
+def nan_gradient_net():
+    """A 20x30 elastic net whose f.grad returns NaN everywhere."""
+    problem = problems.make_instance("elastic_net", 1, 20, 30,
+                                     with_reference=False)
+    f = dataclasses.replace(problem.f,
+                            grad=lambda x: np.full_like(x, math.nan))
+    return dataclasses.replace(problem, f=f)
 
 
 @pytest.fixture(scope="session")

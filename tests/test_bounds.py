@@ -1,5 +1,6 @@
 """Stopping rules and the closed-form iteration predictors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,10 @@ def test_criterion_validation():
         Criterion("absolute", 1.0, eta_tol=-1.0)
     with pytest.raises(ConfigError):
         Criterion("relative", 1.0, eta_tol=1.0)  # stray eta_tol
+    with pytest.raises(ConfigError, match="must be finite"):
+        Criterion("relative", math.inf)
+    with pytest.raises(ConfigError, match="must be finite"):
+        Criterion("absolute", 1.0, eta_tol=math.inf)
 
 
 def test_criterion_validate_needs_reference(quad1d):
@@ -64,6 +69,29 @@ def test_check_stationarity(quad1d):
     certs = certificates.Certificates(state, quad1d)
     assert bounds.check(Criterion.stationarity(0.6), certs)
     assert not bounds.check(Criterion.stationarity(0.4), certs)
+
+
+def test_check_stationarity_screen(quad1d):
+    # the step bound (lf - lf_bar) ||y_1 - x_tilde_0|| = (2 - 1) * 0.5 is
+    # tight here, and rules rho = 0.4 out without forming u
+    certs = certificates.Certificates(_one_step(quad1d), quad1d)
+    assert certs.stationarity_lower == 0.5
+    assert not bounds.check(Criterion.stationarity(0.4), certs)
+    assert "stationarity" not in vars(certs)
+    # a record that already holds u is tested on u, with no bound
+    held = certificates.Certificates(_one_step(quad1d), quad1d)
+    assert held.stationarity.norm == 0.5
+    assert not bounds.check(Criterion.stationarity(0.4), held)
+    assert "stationarity_lower" not in vars(held)
+
+
+def test_check_nan_raises(quad1d):
+    state = dataclasses.replace(_one_step(quad1d), y=np.array([math.nan]))
+    for criterion in (Criterion.function_gap(1.0), Criterion.stationarity(1.0),
+                      Criterion.relative(1.0), Criterion.alternate_relative(1.0),
+                      Criterion.absolute(1.0, 1.0)):
+        with pytest.raises(NumericFailure, match="NaN"):
+            bounds.check(criterion, certificates.Certificates(state, quad1d))
 
 
 def test_check_residual_criteria(quad1d):

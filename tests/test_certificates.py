@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfista import certificates, engine, harness, problems
+from sfista import bounds, certificates, engine, harness, problems
 from sfista.errors import CertificateUndefinedError
 from sfista.problems import eval_phi
 
@@ -69,6 +69,32 @@ def test_residual_envelope(lasso42_capture):
         state = lasso42_capture.states[k]
         gap = float(np.linalg.norm(state.y - state.x_tilde_prev))
         assert lasso42_capture.norm_u[k] <= 2.0 * lf * gap * (1 + 1e-9) + 1e-12 * lf
+
+
+@pytest.mark.parametrize("kind", problems.INSTANCE_KINDS)
+@pytest.mark.parametrize("margin", [1.25, 1.0 + 1e-6])
+def test_stationarity_screen_is_sound(kind, margin):
+    # (lf - lf_bar) ||y - x_tilde|| never exceeds ||u||, so a state the
+    # screen rules out really has ||u|| > rho; lf just above lf_bar makes the
+    # bound weak, 1.25 lf_bar makes it rule out most states
+    problem = problems.make_instance(kind, 5, 20, 30, with_reference=False)
+    rho = 1e-6
+    config = engine.SolverConfig.for_problem(
+        problem, lf=margin * problem.f.curvature)
+    capture = harness.capture_run(problem, config, np.zeros(problem.dimension),
+                                  1000)
+    screened = 0
+    for k in range(1, capture.iterations + 1):
+        certs = certificates.Certificates(capture.states[k], problem)
+        norm = capture.norm_u[k]
+        assert certs.stationarity_lower <= norm * (1 + 1e-12)
+        if not bounds.check(bounds.Criterion.stationarity(rho), certs):
+            if "stationarity" not in vars(certs):
+                screened += 1
+                assert norm > rho
+    if margin == 1.25:
+        assert screened > 0
+    assert capture.norm_u[1:].min() <= rho  # the run crosses rho
 
 
 # ---------------------------------------------------------------------------

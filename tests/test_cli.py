@@ -80,6 +80,17 @@ def test_solve_growth_overflow_exit(capsys):
     assert "stop_reason = growth_overflow" in out
 
 
+def test_solve_nan_gradient_exits_four(monkeypatch, capsys, nan_gradient_net):
+    monkeypatch.setattr(cli, "build_problem", lambda args: nan_gradient_net)
+    code = cli.main(["solve", "--problem", "elastic_net", "--seed", "1",
+                     "--m", "20", "--n", "30", "--max-iter", "500",
+                     "--criterion", "stationarity", "--rho", "1e-6"])
+    out, _ = _lines(capsys)
+    assert code == 4
+    assert "stop_reason = numeric_failure" in out
+    assert "iterations = 1" in out
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         cli.main(["solve", "--no-such-flag", "1"])
@@ -97,6 +108,10 @@ def test_no_subcommand_exits_two(capsys):
     (["--criterion", "stationarity", "--rho", "1e-6", "--sigma", "0.5"],
      "--sigma does not apply"),
     (["--rho", "1e-6"], "--rho needs --criterion"),
+    (["--criterion", "stationarity", "--rho", "inf"],
+     "--rho = inf must be finite"),
+    (["--criterion", "stationarity", "--rho", "nan"],
+     "--rho = nan must be finite"),
 ])
 def test_solve_criterion_flag_validation(capsys, argv, fragment):
     code = cli.main(["solve", "--problem", "lasso", *SMALL, *argv])
@@ -177,6 +192,13 @@ def test_predict_absolute_needs_strong_convexity(capsys):
       "--lf", "2", "--lf-bar", "inf"], "lf_bar"),
     (["--criterion", "relative", "--sigma-tilde", "1", "--lf", "2", "--d0",
       "nan"], "d0"),
+    # infinite tolerances are named by their flag
+    (["--criterion", "relative", "--sigma-tilde", "inf", "--lf", "2",
+      "--lf-bar", "1"], "--sigma-tilde"),
+    (["--criterion", "alternate_relative", "--sigma", "inf", "--lf", "2",
+      "--lf-bar", "1"], "--sigma"),
+    (["--criterion", "absolute", "--eps", "inf", "--eta-tol", "1", "--d0",
+      "1", "--lf", "2", "--mu-h", "1"], "--eps"),
 ])
 def test_predict_rejects_non_finite_constants(capsys, argv, name):
     code = cli.main(["predict", *argv])

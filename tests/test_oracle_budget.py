@@ -60,6 +60,7 @@ def test_certificates_computed_once_on_demand(elastic_mu1):
     certs = certificates.Certificates(engine.step(state, problem), problem)
     counts.clear()
     assert certs.pair is certs.pair
+    assert certs.stationarity_lower == certs.stationarity_lower
     assert counts == {}
     assert certs.stationarity is certs.stationarity
     assert counts == {"f.grad": 1}
@@ -68,18 +69,20 @@ def test_certificates_computed_once_on_demand(elastic_mu1):
 
 
 def test_untraced_run_budget(elastic_mu1):
-    # one gradient in the step, one for the residual at y; phi only in the
-    # first and the final trace row
+    # one gradient in the step; the residual's gradient at y only on the 23
+    # steps whose lower bound (lf - lf_bar) ||y - x_tilde|| does not exceed
+    # rho (the last one among them, so the final row reuses it); phi only in
+    # the first and the final trace row
     k, counts = _run(elastic_mu1, bounds.Criterion.stationarity(1e-6),
                      trace_every=10000)
     assert k == 205
-    assert counts["f.grad"] == 2 * k
+    assert counts["f.grad"] == k + 23
     assert counts["h.prox"] == k
     assert counts["f.value"] == 2
 
 
 def test_traced_run_budget(elastic_mu1):
-    # a trace row per step adds phi(y), and nothing else that calls f
+    # a trace row per step forms u and adds phi(y), and nothing else calls f
     k, counts = _run(elastic_mu1, bounds.Criterion.stationarity(1e-6),
                      trace_every=1)
     assert k == 205
