@@ -246,10 +246,11 @@ def _stop_reason(criterion: Optional["_bounds.Criterion"],
     """Stop reason the criterion gives this record, or None.
 
     "converged" when it holds and "numeric_failure" when the quantity it
-    tests is NaN; None when it does not hold or there is no criterion.
+    tests is NaN; None when it does not hold.  Without a criterion the
+    record stops the run only when y has a non-finite entry.
     """
     if criterion is None:
-        return None
+        return None if np.isfinite(certs.state.y).all() else "numeric_failure"
     try:
         return "converged" if _bounds.check(criterion, certs) else None
     except NumericFailure:
@@ -265,7 +266,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     Every trace_every-th iteration appends a TraceRecord, and so does the
     final one; rows after the first carry both certificates.  A NaN in the
     quantity the criterion tests stops the run with "numeric_failure"; a run
-    without a criterion tests nothing and so does not detect one.
+    without a criterion stops so at the first y with a non-finite entry.
     """
     started_ns = time.perf_counter_ns()
     state = init(problem, config, x0)

@@ -91,6 +91,17 @@ def test_solve_nan_gradient_exits_four(monkeypatch, capsys, nan_gradient_net):
     assert "iterations = 1" in out
 
 
+def test_solve_nan_gradient_without_criterion_exits_four(monkeypatch, capsys,
+                                                         nan_gradient_net):
+    monkeypatch.setattr(cli, "build_problem", lambda args: nan_gradient_net)
+    code = cli.main(["solve", "--problem", "elastic_net", "--seed", "1",
+                     "--m", "20", "--n", "30", "--max-iter", "500"])
+    out, _ = _lines(capsys)
+    assert code == 4
+    assert "stop_reason = numeric_failure" in out
+    assert "iterations = 1" in out
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         cli.main(["solve", "--no-such-flag", "1"])

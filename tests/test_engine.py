@@ -259,6 +259,15 @@ def test_run_stops_on_nan_gradient(nan_gradient_net):
     assert [r.k for r in result.trace] == [0, 1]
 
 
+def test_run_without_criterion_stops_on_nan_iterate(nan_gradient_net):
+    problem = nan_gradient_net
+    config = engine.SolverConfig.for_problem(problem, max_iter=500)
+    result = engine.run(problem, config, np.zeros(problem.dimension))
+    assert result.reason == "numeric_failure"
+    assert result.state.k == 1
+    assert [r.k for r in result.trace] == [0, 1]
+
+
 def test_run_trace_spacing(quad1d):
     config = _quad_config(max_iter=23, trace_every=7)
     result = engine.run(quad1d, config, np.array([1.0]))

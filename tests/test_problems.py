@@ -1,5 +1,6 @@
 """Oracles, prox catalog, instance generation, and the reference solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -239,6 +240,55 @@ def test_reference_iteration_cap():
     problem = make_instance("lasso", 9, 10, 20, with_reference=False)
     with pytest.raises(NumericFailure):
         reference_solve(problem, max_iter=0)
+
+
+# name -> (make_instance arguments, phi_star recorded from the unaccelerated
+# proximal-gradient reference loop, to 17 digits)
+RECORDED_OPTIMA = {
+    "lasso42": (("lasso", 42, 100, 200), {"reg": 0.1}, 1.717851613192071),
+    "elastic_mu1": (("elastic_net", 7, 30, 50), {"reg": 0.05, "ridge": 1.0},
+                    2.78786755725753),
+    "box_qp": (("box_qp", 3, 30, 40), {"ridge": 0.01}, -10.622983101371272),
+    "logistic_l2": (("logistic_l2", 4, 60, 40), {"ridge": 0.01},
+                    0.12909218384407145),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(RECORDED_OPTIMA))
+def recorded_case(request):
+    args, params, phi_star = RECORDED_OPTIMA[request.param]
+    return make_instance(*args, **params), phi_star
+
+
+def test_reference_is_a_fixed_point(recorded_case):
+    problem, _ = recorded_case
+    x_star = problem.reference_optimum.x_star
+    t = 1.0 / problem.f.curvature
+    mapped = problem.h.prox(x_star - t * problem.f.grad(x_star), t)
+    residual = float(np.linalg.norm(mapped - x_star))
+    assert residual <= problems.REFERENCE_TOL * (1 + 1e-6)
+
+
+def test_reference_matches_recorded_optimum(recorded_case):
+    problem, phi_star = recorded_case
+    got = problem.reference_optimum.phi_star
+    assert abs(got - phi_star) <= 1e-13 * abs(phi_star)
+
+
+def test_reference_solve_is_accelerated():
+    # unaccelerated proximal gradient needs 107132 gradients here
+    problem = make_instance("lasso", 42, 100, 200, reg=0.1,
+                            with_reference=False)
+    calls = []
+    grad = problem.f.grad
+
+    def counting_grad(x):
+        calls.append(None)
+        return grad(x)
+
+    f = dataclasses.replace(problem.f, grad=counting_grad)
+    reference_solve(dataclasses.replace(problem, f=f))
+    assert len(calls) < 3000
 
 
 # ---------------------------------------------------------------------------
