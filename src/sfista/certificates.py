@@ -29,6 +29,15 @@ if TYPE_CHECKING:  # pragma: no cover
 Array = np.ndarray
 
 
+def _norm(v: Array) -> float:
+    """Euclidean norm of a 1-D float64 array, bit for bit np.linalg.norm's.
+
+    np.linalg.norm also takes the square root of v.dot(v); this skips its
+    argument handling.
+    """
+    return math.sqrt(float(v.dot(v)))
+
+
 @dataclass(frozen=True)
 class StationarityResidual:
     """u in grad f(y) + subdiff h(y) together with its norm."""
@@ -46,7 +55,7 @@ class ResidualPair:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.v))
+        return _norm(self.v)
 
 
 @dataclass(frozen=True)
@@ -156,12 +165,12 @@ def stationarity_residual(state: "IterateState",
     """
     if state.k < 1 or state.x_tilde_prev is None or state.grad_tilde_prev is None:
         raise CertificateUndefinedError("stationarity residual needs at least one step")
-    u = (
-        problem.f.grad(state.y)
-        - state.grad_tilde_prev
-        + state.config.lf * (state.x_tilde_prev - state.y)
-    )
-    return StationarityResidual(u=u, norm=float(np.linalg.norm(u)))
+    # u = (grad f(y) - grad_tilde_prev) + lf (x_tilde_prev - y), in that order
+    u = problem.f.grad(state.y) - state.grad_tilde_prev
+    step = state.x_tilde_prev - state.y
+    step *= state.config.lf
+    u += step
+    return StationarityResidual(u=u, norm=_norm(u))
 
 
 def residual_pair(state: "IterateState") -> ResidualPair:
@@ -173,9 +182,14 @@ def residual_pair(state: "IterateState") -> ResidualPair:
     if state.k < 1:
         raise CertificateUndefinedError("residual pair needs at least one step")
     diff_xy = state.y - state.x
-    v = state.config.mu * diff_xy + (state.x0 - state.x) / state.A
+    # v = mu (y - x) + (x0 - x) / A, in that order
+    v = state.config.mu * diff_xy
+    pull = state.x0 - state.x
+    pull /= state.A
+    v += pull
     dist0 = state.x0 - state.y
-    eta = (float(dist0 @ dist0) - state.tau * float(diff_xy @ diff_xy)) / (2.0 * state.A)
+    eta = ((float(dist0.dot(dist0)) - state.tau * float(diff_xy.dot(diff_xy)))
+           / (2.0 * state.A))
     return ResidualPair(v=v, eta=eta)
 
 
@@ -210,7 +224,7 @@ class Certificates:
         state = self.state
         if state.x_tilde_prev is None:
             raise CertificateUndefinedError("stationarity bound needs at least one step")
-        dist = float(np.linalg.norm(state.y - state.x_tilde_prev))
+        dist = _norm(state.y - state.x_tilde_prev)
         return (state.config.lf - self.problem.f.curvature) * dist
 
     @cached_property

@@ -70,7 +70,7 @@ class SolverConfig:
         return cls(lf=float(lf), mu_f=float(mu_f), mu_h=float(mu_h), **kwargs)
 
 
-@dataclass
+@dataclass(slots=True)
 class IterateState:
     """Full state after k steps.
 
@@ -92,7 +92,7 @@ class IterateState:
     x0: Array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One trace row; certificate fields are None where not computed."""
 
@@ -190,7 +190,11 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
     """One accelerated step; returns the new state.
 
     The step's coefficient, extrapolated point and gradient there are the new
-    state's a_prev, x_tilde_prev and grad_tilde_prev.
+    state's a_prev, x_tilde_prev and grad_tilde_prev.  The vector updates
+    run in place on fresh arrays but keep the floating-point operations of
+    x_tilde = (A y + a x) / A_next and
+    x_next = ((a / lam)(y_next - x_tilde) + mu a y_next + tau x) / tau_next,
+    operands and order included, so the iterates are the same bit for bit.
     """
     config = state.config
     lf, lam, mu = config.lf, config.lam, config.mu
@@ -198,14 +202,16 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
     if state.A == 0.0:
         x_tilde = state.x.copy()
     else:
-        x_tilde = (state.A * state.y + a * state.x) / A_next
+        x_tilde = state.A * state.y
+        x_tilde += a * state.x
+        x_tilde /= A_next
     g = problem.f.grad(x_tilde)
     y_next = problem.h.prox(x_tilde - g / lf, 1.0 / lf)
-    x_next = (
-        (a / lam) * (y_next - x_tilde)
-        + mu * a * y_next
-        + state.tau * state.x
-    ) / tau_next
+    x_next = y_next - x_tilde
+    x_next *= a / lam
+    x_next += mu * a * y_next
+    x_next += state.tau * state.x
+    x_next /= tau_next
     return IterateState(
         k=state.k + 1,
         config=config,
@@ -257,6 +263,17 @@ def _stop_reason(criterion: Optional["_bounds.Criterion"],
         return "numeric_failure"
 
 
+def _nan_objective(criterion: Optional["_bounds.Criterion"],
+                   trace: list[TraceRecord], state: IterateState) -> bool:
+    """Whether a run without a criterion holds a NaN phi(y) for this state.
+
+    Only a row already built for the state is read, so the test costs no
+    oracle call.
+    """
+    row = trace[-1]
+    return criterion is None and row.k == state.k and math.isnan(row.phi_y)
+
+
 def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult:
     """Iterate until the stopping criterion fires or a cap is reached.
 
@@ -266,7 +283,8 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     Every trace_every-th iteration appends a TraceRecord, and so does the
     final one; rows after the first carry both certificates.  A NaN in the
     quantity the criterion tests stops the run with "numeric_failure"; a run
-    without a criterion stops so at the first y with a non-finite entry.
+    without a criterion stops so at the first y with a non-finite entry, or
+    at the first row, the final one included, whose phi_y is NaN.
     """
     started_ns = time.perf_counter_ns()
     state = init(problem, config, x0)
@@ -289,11 +307,15 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
         if state.k % config.trace_every == 0:
             trace.append(_trace_record(certs, started_ns))
         stop = _stop_reason(criterion, certs)
+        if stop is None and _nan_objective(criterion, trace, state):
+            stop = "numeric_failure"
         if stop is not None:
             reason = stop
             break
     if trace[-1].k != state.k:
         trace.append(_trace_record(certs, started_ns))
+        if reason == "max_iter" and _nan_objective(criterion, trace, state):
+            reason = "numeric_failure"
     return RunResult(state=state, reason=reason, trace=trace)
 
 

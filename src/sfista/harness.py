@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -430,24 +429,36 @@ TRACE_COLUMNS = ("k", "a", "A", "tau", "phi_y", "gap", "norm_u", "norm_v",
                  "eta_residual", "elapsed_ns")
 
 
-def format_trace(records, meta: Optional[dict] = None) -> str:
-    """Comma-delimited trace with `# key = value` provenance lines on top."""
-    lines = []
+def _trace_lines(records, meta: Optional[dict]):
+    """The trace text one line at a time, each ending in a newline."""
     for key, value in (meta or {}).items():
-        lines.append(f"# {key} = {value}")
-    lines.append(",".join(TRACE_COLUMNS))
+        yield f"# {key} = {value}\n"
+    yield ",".join(TRACE_COLUMNS) + "\n"
 
     def real(v):
         return "" if v is None else format_real(v)
 
     for r in records:
-        lines.append(",".join([
+        yield ",".join([
             str(r.k), real(r.a), real(r.A), real(r.tau), real(r.phi_y),
             real(r.gap), real(r.norm_u), real(r.norm_v), real(r.eta_residual),
             str(r.elapsed_ns),
-        ]))
-    return "\n".join(lines) + "\n"
+        ]) + "\n"
+
+
+def format_trace(records, meta: Optional[dict] = None) -> str:
+    """Comma-delimited trace with `# key = value` provenance lines on top.
+
+    The same lines, byte for byte, that `write_trace` writes.
+    """
+    return "".join(_trace_lines(records, meta))
 
 
 def write_trace(path, records, meta: Optional[dict] = None) -> None:
-    Path(path).write_text(format_trace(records, meta))
+    """Write `format_trace(records, meta)` to path, one row at a time.
+
+    The file's bytes equal that text's, but neither the whole text nor a
+    list of its lines is ever built.
+    """
+    with open(path, "w") as out:
+        out.writelines(_trace_lines(records, meta))

@@ -61,6 +61,15 @@ def nan_gradient_net():
 
 
 @pytest.fixture(scope="session")
+def nan_value_net():
+    """The same 20x30 elastic net with an f.value that returns NaN."""
+    problem = problems.make_instance("elastic_net", 1, 20, 30,
+                                     with_reference=False)
+    f = dataclasses.replace(problem.f, value=lambda x: math.nan)
+    return dataclasses.replace(problem, f=f)
+
+
+@pytest.fixture(scope="session")
 def quad1d():
     """f(x) = x^2 / 2, h = 0, minimizer 0; curvature bound exactly 1."""
     f = problems.quadratic(np.array([[1.0]]), np.zeros(1), mu=1.0, curvature=1.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sfista import bounds, certificates, engine, harness, problems
 from sfista.errors import CertificateUndefinedError
@@ -95,6 +97,63 @@ def test_stationarity_screen_is_sound(kind, margin):
     if margin == 1.25:
         assert screened > 0
     assert capture.norm_u[1:].min() <= rho  # the run crosses rho
+
+
+def test_residuals_match_expressions_bit_for_bit(elastic_mu1, elastic_capture):
+    # the in-place forms keep the operations of the one-line expressions,
+    # and the norms are np.linalg.norm's
+    config = elastic_capture.config
+    for state in elastic_capture.states[1:400:37]:
+        u = (elastic_mu1.f.grad(state.y) - state.grad_tilde_prev
+             + config.lf * (state.x_tilde_prev - state.y))
+        stat = certificates.stationarity_residual(state, elastic_mu1)
+        assert stat.u.tobytes() == u.tobytes()
+        assert stat.norm == float(np.linalg.norm(u))
+        v = config.mu * (state.y - state.x) + (state.x0 - state.x) / state.A
+        pair = certificates.residual_pair(state)
+        assert pair.v.tobytes() == v.tobytes()
+        assert pair.norm == float(np.linalg.norm(v))
+        dist0, diff = state.x0 - state.y, state.y - state.x
+        assert pair.eta == ((float(dist0 @ dist0) - state.tau * float(diff @ diff))
+                            / (2.0 * state.A))
+        lower = certificates.Certificates(state, elastic_mu1).stationarity_lower
+        assert lower == ((config.lf - elastic_mu1.f.curvature)
+                         * float(np.linalg.norm(state.y - state.x_tilde_prev)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8),
+       n=st.integers(1, 8), reg=st.floats(0.0, 2.0),
+       ridge=st.sampled_from([0.0, 0.1, 1.0]),
+       margin=st.floats(1e-6, 10.0), steps=st.integers(1, 40))
+def test_stationarity_sandwich(seed, m, n, reg, ridge, margin, steps):
+    # u = grad f(y) - grad f(x_tilde) + lf (x_tilde - y) and grad f is
+    # lf_bar-Lipschitz, so with d = ||y - x_tilde||
+    # (lf - lf_bar) d <= ||u|| <= (lf + lf_bar) d, up to the rounding of
+    # the two gradients
+    rng = _rng(seed)
+    A = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    # dense eigenvalues, so lf_bar certainly bounds the curvature
+    lf_bar = ((np.linalg.eigvalsh(A.T @ A).max() + ridge)
+              * problems.CURVATURE_INFLATION)
+    problem = problems.CompositeProblem(
+        f=problems.least_squares(A, b, ridge=ridge, curvature=lf_bar),
+        h=problems.l1_norm(reg), dimension=n)
+    lf = lf_bar * (1.0 + margin)
+    state = engine.init(problem, engine.SolverConfig(lf=lf, mu_f=ridge),
+                        rng.standard_normal(n))
+    for _ in range(steps):
+        state = engine.step(state, problem)
+        certs = certificates.Certificates(state, problem)
+        d = float(np.linalg.norm(state.y - state.x_tilde_prev))
+        norm = certs.stationarity.norm
+        noise = 1e-12 * (lf + 1.0) * (1.0 + float(np.linalg.norm(state.y))
+                                      + float(np.linalg.norm(b)))
+        assert certs.stationarity_lower == (lf - lf_bar) * d
+        assert (lf - lf_bar) * d <= norm * (1 + 1e-9) + noise
+        assert norm <= (lf + lf_bar) * d * (1 + 1e-9) + noise
 
 
 # ---------------------------------------------------------------------------

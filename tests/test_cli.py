@@ -102,6 +102,28 @@ def test_solve_nan_gradient_without_criterion_exits_four(monkeypatch, capsys,
     assert "iterations = 1" in out
 
 
+def test_solve_nan_objective_without_criterion_exits_four(
+        monkeypatch, capsys, tmp_path, nan_value_net):
+    monkeypatch.setattr(cli, "build_problem", lambda args: nan_value_net)
+    trace_path = tmp_path / "nan.csv"
+    code = cli.main(["solve", "--problem", "elastic_net", "--seed", "1",
+                     "--m", "20", "--n", "30", "--max-iter", "500",
+                     "--trace", str(trace_path)])
+    out, _ = _lines(capsys)
+    assert code == 4
+    assert "stop_reason = numeric_failure" in out
+    assert "iterations = 1" in out
+    assert "phi = nan" in out
+    assert trace_path.read_text().splitlines()[-1].startswith("1,")
+    # untraced, the final row at the iteration cap holds phi(y)
+    code = cli.main(["solve", "--problem", "elastic_net", "--seed", "1",
+                     "--m", "20", "--n", "30", "--max-iter", "500"])
+    out, _ = _lines(capsys)
+    assert code == 4
+    assert "stop_reason = numeric_failure" in out
+    assert "iterations = 500" in out
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         cli.main(["solve", "--no-such-flag", "1"])

@@ -268,6 +268,43 @@ def test_run_without_criterion_stops_on_nan_iterate(nan_gradient_net):
     assert [r.k for r in result.trace] == [0, 1]
 
 
+def test_run_without_criterion_stops_on_nan_traced_objective(nan_value_net):
+    # every traced row holds phi(y), so a NaN there stops the run at no extra
+    # oracle call; y itself stays finite
+    problem = nan_value_net
+    config = engine.SolverConfig.for_problem(problem, max_iter=500)
+    result = engine.run(problem, config, np.zeros(problem.dimension))
+    assert result.reason == "numeric_failure"
+    assert result.state.k == 1
+    assert np.isfinite(result.state.y).all()
+    assert [r.k for r in result.trace] == [0, 1]
+    assert math.isnan(result.trace[-1].phi_y)
+
+
+@pytest.mark.parametrize("trace_every", [50, 1000])
+def test_run_without_criterion_tests_final_objective(nan_value_net,
+                                                     trace_every):
+    # the final row is tested too, so the stop reason does not depend on
+    # whether trace_every divides max_iter
+    problem = nan_value_net
+    config = engine.SolverConfig.for_problem(problem, max_iter=50,
+                                             trace_every=trace_every)
+    result = engine.run(problem, config, np.zeros(problem.dimension))
+    assert result.reason == "numeric_failure"
+    assert result.state.k == 50
+    assert [r.k for r in result.trace] == [0, 50]
+    assert math.isnan(result.trace[-1].phi_y)
+
+
+def test_states_and_records_have_no_instance_dict(quad1d):
+    result = engine.run(quad1d, _quad_config(max_iter=3), np.array([1.0]))
+    for obj in (result.state, result.trace[-1]):
+        assert not hasattr(obj, "__dict__")
+    # replace still works on both
+    assert dataclasses.replace(result.state, k=7).k == 7
+    assert dataclasses.replace(result.trace[-1], k=7).k == 7
+
+
 def test_run_trace_spacing(quad1d):
     config = _quad_config(max_iter=23, trace_every=7)
     result = engine.run(quad1d, config, np.array([1.0]))

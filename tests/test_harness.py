@@ -1,11 +1,12 @@
 """Recorded runs, invariant sweeps, predictor rows, and trace formatting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sfista import engine, harness, problems
+from sfista import bounds, engine, harness, problems
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +153,61 @@ def test_format_trace_without_meta():
     assert text.endswith("\n")
 
 
-def test_write_trace_round_trip(tmp_path):
-    path = tmp_path / "run.trace"
-    harness.write_trace(path, _sample_records(), meta={"seed": 1})
-    assert path.read_text() == harness.format_trace(_sample_records(),
-                                                    meta={"seed": 1})
+def test_write_trace_round_trip(tmp_path, quad1d, lasso_small, lasso_norm,
+                                nan_gradient_net):
+    # the streamed file equals format_trace's text byte for byte on runs
+    # whose rows hold every kind of field the writer formats
+    zeros = lambda problem: np.zeros(problem.dimension)
+    stationarity = bounds.Criterion.stationarity(1e-6)
+    # certificates empty at k = 0, then complete rows
+    traced = engine.run(lasso_small, engine.SolverConfig.for_problem(
+        lasso_small, criterion=stationarity), zeros(lasso_small))
+    assert traced.trace[0].norm_u is None and traced.reason == "converged"
+    # no reference optimum: gap empty on every row
+    no_reference = engine.run(lasso_norm, engine.SolverConfig.for_problem(
+        lasso_norm, max_iter=40, trace_every=3), zeros(lasso_norm))
+    assert all(r.gap is None for r in no_reference.trace)
+    # the last row's next coefficient overflows: a = inf
+    overflow = engine.run(quad1d, engine.SolverConfig(
+        lf=1.0 + 1e-7, mu_f=1.0, max_iter=1000), np.array([1.0]))
+    assert overflow.reason == "growth_overflow"
+    # NaN gradients: NaN certificate fields
+    nan = engine.run(nan_gradient_net, engine.SolverConfig.for_problem(
+        nan_gradient_net, max_iter=500, criterion=stationarity),
+        zeros(nan_gradient_net))
+    assert nan.reason == "numeric_failure"
+    # a hand-made row with negative zeros, an infinity and a NaN
+    odd = engine.TraceRecord(k=3, a=math.inf, A=-0.0, tau=1.0, phi_y=math.nan,
+                             gap=-0.0, norm_u=0.0, norm_v=1e-300,
+                             eta_residual=-1.5e308, elapsed_ns=0)
+    meta = {"kind": "test", "lf": problems.format_real(0.1)}
+    for i, records in enumerate((_sample_records(), traced.trace,
+                                 no_reference.trace, overflow.trace, nan.trace,
+                                 [odd])):
+        path = tmp_path / f"run{i}.csv"
+        harness.write_trace(path, records, meta)
+        assert path.read_bytes() == harness.format_trace(records, meta).encode()
+    last = lambda records: harness.format_trace(records).splitlines()[-1]
+    assert last(no_reference.trace).split(",")[5] == ""
+    assert last(overflow.trace).split(",")[1] == "inf"
+    assert last(nan.trace).split(",")[6] == "nan"
+    assert last([odd]) == "3,inf,-0,1,nan,-0,0,1e-300,-1.5e+308,0"
+
+
+def test_write_trace_streams_rows(tmp_path):
+    # the README lasso's 7255 rows take about 1 MB of text; writing them row
+    # by row keeps the writer's own peak to a few buffers
+    records = [engine.TraceRecord(k=k, a=0.1 * k, A=1.0 / 3.0 + k, tau=1.0,
+                                  phi_y=2.0 / 3.0, gap=1e-7 / 3.0,
+                                  norm_u=math.pi, norm_v=math.e,
+                                  eta_residual=1.0 / 7.0, elapsed_ns=10**9 + k)
+               for k in range(7255)]
+    path = tmp_path / "long.csv"
+    tracemalloc.start()
+    try:
+        harness.write_trace(path, records, meta={"seed": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2**20
+    assert peak < 256 * 2**10

@@ -52,20 +52,26 @@ def test_step_budget(elastic_mu1):
 
 
 def test_certificates_computed_once_on_demand(elastic_mu1):
-    # each piece is computed when first read and kept; the pair needs no
+    # each piece is computed when first read and kept in the record's
+    # __dict__, which the stationarity screen tests; the pair needs no
     # oracle at all
     problem, counts = _counted(elastic_mu1)
     state = engine.init(problem, engine.SolverConfig.for_problem(problem),
                         np.zeros(problem.dimension))
     certs = certificates.Certificates(engine.step(state, problem), problem)
     counts.clear()
+    pieces = ("pair", "stationarity_lower", "stationarity", "phi_y")
+    assert not set(pieces) & set(vars(certs))
     assert certs.pair is certs.pair
     assert certs.stationarity_lower == certs.stationarity_lower
     assert counts == {}
+    assert set(pieces) & set(vars(certs)) == {"pair", "stationarity_lower"}
     assert certs.stationarity is certs.stationarity
     assert counts == {"f.grad": 1}
+    assert "stationarity" in vars(certs) and "phi_y" not in vars(certs)
     assert certs.phi_y == certs.phi_y
     assert counts == {"f.grad": 1, "f.value": 1, "h.value": 1}
+    assert set(pieces) <= set(vars(certs))
 
 
 def test_untraced_run_budget(elastic_mu1):
