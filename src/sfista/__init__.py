@@ -23,7 +23,7 @@ from .classic import (ClassicState, MomentumSchedule, alpha_next, classic_init,
                       classic_step, equivalence_check, t_next)
 from .engine import (CoefficientSchedule, IterateState, RunResult,
                      SolverConfig, TraceRecord, coefficient_schedule, init,
-                     run, step, step_coefficients)
+                     iterate, run, step, step_coefficients)
 from .errors import (CertificateUndefinedError, ConfigError,
                      GrowthOverflowError, InvalidStartError, NumericFailure)
 from .harness import (BoundsRow, CheckResult, RunCapture, VerificationReport,
@@ -51,7 +51,8 @@ __all__ = [
     "bound_stationarity", "bounds_suite", "box_indicator", "capture_run",
     "check_eps_subgradient", "classic_init", "classic_step",
     "coefficient_schedule", "coefficient_sum_lower", "equivalence_check",
-    "eval_phi", "growth_factor", "init", "invariant_report", "iters_for_a",
+    "eval_phi", "growth_factor", "init", "invariant_report", "iterate",
+    "iters_for_a",
     "l1_norm", "least_squares", "load_instance",
     "log_plus_one", "logistic_loss", "lower_model_gap",
     "lower_model_violation", "lower_models", "make_instance",

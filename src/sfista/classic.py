@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -102,22 +103,22 @@ def equivalence_check(problem: CompositeProblem, x0: Array, lf: float,
                       mu_h: float = 0.0) -> float:
     """Maximum relative deviation between the three equivalent formulations.
 
-    Runs the two-sequence solver with zero moduli alongside the t-form and
-    alpha-form classical methods and returns the largest relative gap over
-    the proximal iterates of both forms, the schedule consistency
-    t_k = a_k / lam = A_{k+1} / a_k, and alpha_k * t_k = 1.  The reformulation
-    holds only without strong convexity, so nonzero moduli are rejected.
+    Steps the t-form and alpha-form classical methods alongside the first
+    k_max steps of `engine.iterate` with zero moduli and returns the largest
+    relative gap over the proximal iterates of both forms, the schedule
+    consistency t_k = a_k / lam = A_{k+1} / a_k, and alpha_k * t_k = 1.  The
+    reformulation holds only without strong convexity, so nonzero moduli are
+    rejected.
     """
     if mu_f != 0.0 or mu_h != 0.0:
         raise ConfigError("the classical reformulation requires mu_f = mu_h = 0")
     config = _engine.SolverConfig(lf=lf, mu_f=0.0, mu_h=0.0)
-    state = _engine.init(problem, config, x0)
+    states = _engine.iterate(problem, config, x0)
     t_state = classic_init(x0, "t")
     a_state = classic_init(x0, "alpha")
     worst = 0.0
-    for _ in range(k_max):
+    for state in islice(states, 1, max(k_max, 0) + 1):
         t_k = t_state.schedule.value
-        state = _engine.step(state, problem)
         t_state = classic_step(t_state, problem, lf)
         a_state = classic_step(a_state, problem, lf)
         scale = max(1.0, float(np.linalg.norm(state.y)))

@@ -27,7 +27,7 @@ from . import classic as _classic
 from . import engine as _engine
 from . import harness as _harness
 from .errors import ConfigError, NumericFailure
-from .problems import (INSTANCE_KINDS, RNG_NAME, _format_param, format_real,
+from .problems import (INSTANCE_KINDS, format_real, instance_recipe,
                        make_instance, save_instance)
 
 _TOL_FLAGS = {
@@ -135,14 +135,9 @@ def default_start(problem) -> np.ndarray:
 
 
 def instance_meta(problem) -> list:
-    spec = problem.spec
-    if spec is None:
+    if problem.spec is None:
         return [("dimension", str(problem.dimension))]
-    out = [("kind", spec.kind), ("seed", str(spec.seed)),
-           ("m", str(spec.m)), ("n", str(spec.n)), ("rng", RNG_NAME)]
-    for key in sorted(spec.params):
-        out.append((key, _format_param(spec.params[key])))
-    return out
+    return instance_recipe(problem, constants=False)
 
 
 def criterion_meta(criterion: Optional[_bounds.Criterion]) -> list:
@@ -301,11 +296,8 @@ def cmd_verify_bounds(args) -> int:
 def cmd_make_instance(args) -> int:
     problem = build_problem(args, with_reference=False)
     save_instance(args.out, problem)
-    _emit(instance_meta(problem))
-    _emit([("lf_bar", format_real(problem.f.curvature)),
-           ("mu_f_bar", format_real(problem.f.mu)),
-           ("mu_h_bar", format_real(problem.h.mu)),
-           ("out", str(args.out))])
+    _emit(instance_recipe(problem))
+    _emit([("out", str(args.out))])
     return 0
 
 

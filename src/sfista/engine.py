@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -247,75 +248,80 @@ def _trace_record(certs: _cert.Certificates, started_ns: int) -> TraceRecord:
                        elapsed_ns=time.perf_counter_ns() - started_ns)
 
 
+def iterate(problem: CompositeProblem, config: SolverConfig,
+            x0: Array) -> Iterator[IterateState]:
+    """Yield init's state, then each step's, until the growth halts.
+
+    init runs when the first state is taken, and the end is quiet where step
+    would raise GrowthOverflowError.  Each later state costs one step call.
+    """
+    state = init(problem, config, x0)
+    yield state
+    while True:
+        try:
+            state = step(state, problem)
+        except GrowthOverflowError:
+            return
+        yield state
+
+
 def _stop_reason(criterion: Optional["_bounds.Criterion"],
-                 certs: _cert.Certificates) -> Optional[str]:
+                 certs: _cert.Certificates,
+                 row: Optional[TraceRecord]) -> Optional[str]:
     """Stop reason the criterion gives this record, or None.
 
     "converged" when it holds and "numeric_failure" when the quantity it
     tests is NaN; None when it does not hold.  Without a criterion the
-    record stops the run only when y has a non-finite entry.
+    record stops the run only when y has a non-finite entry or the row built
+    for it, if any, holds a NaN phi_y; the row costs no further oracle call.
     """
     if criterion is None:
-        return None if np.isfinite(certs.state.y).all() else "numeric_failure"
+        nan_row = row is not None and math.isnan(row.phi_y)
+        if nan_row or not np.isfinite(certs.state.y).all():
+            return "numeric_failure"
+        return None
     try:
         return "converged" if _bounds.check(criterion, certs) else None
     except NumericFailure:
         return "numeric_failure"
 
 
-def _nan_objective(criterion: Optional["_bounds.Criterion"],
-                   trace: list[TraceRecord], state: IterateState) -> bool:
-    """Whether a run without a criterion holds a NaN phi(y) for this state.
-
-    Only a row already built for the state is read, so the test costs no
-    oracle call.
-    """
-    row = trace[-1]
-    return criterion is None and row.k == state.k and math.isnan(row.phi_y)
-
-
 def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult:
-    """Iterate until the stopping criterion fires or a cap is reached.
+    """Take states from `iterate` until the criterion fires or a cap is reached.
 
     Each state gets one Certificates record, whose pieces are computed only
     when the criterion or the trace reads them; an untraced stationarity run
     forms u only at states its oracle-free lower bound cannot rule out.
-    Every trace_every-th iteration appends a TraceRecord, and so does the
-    final one; rows after the first carry both certificates.  A NaN in the
-    quantity the criterion tests stops the run with "numeric_failure"; a run
-    without a criterion stops so at the first y with a non-finite entry, or
-    at the first row, the final one included, whose phi_y is NaN.
+    Every trace_every-th state appends a TraceRecord, and so does the final
+    one; rows after the first carry both certificates.  The criterion is
+    tested from k = 1 on, and at k = 0 too for function_gap.  A NaN in the
+    quantity it tests stops the run with "numeric_failure"; a run without a
+    criterion stops so at the first y with a non-finite entry, or at the
+    first row, the final one included, whose phi_y is NaN.
     """
     started_ns = time.perf_counter_ns()
-    state = init(problem, config, x0)
     criterion = config.criterion
-    certs = _cert.Certificates(state, problem)
-    trace = [_trace_record(certs, started_ns)]
-    if criterion is not None and criterion.variant == "function_gap":
-        reason = _stop_reason(criterion, certs)
-        if reason is not None:
-            return RunResult(state=state, reason=reason, trace=trace)
-
-    reason = "max_iter"
-    for _ in range(config.max_iter):
-        try:
-            state = step(state, problem)
-        except GrowthOverflowError:
-            reason = "growth_overflow"
-            break
+    test_first = criterion is not None and criterion.variant == "function_gap"
+    trace = []
+    reason = None
+    states = iterate(problem, config, x0)
+    # max(., 0) so that init runs, and rejects, a negative max_iter
+    for state in islice(states, max(config.max_iter, 0) + 1):
         certs = _cert.Certificates(state, problem)
+        row = None
         if state.k % config.trace_every == 0:
-            trace.append(_trace_record(certs, started_ns))
-        stop = _stop_reason(criterion, certs)
-        if stop is None and _nan_objective(criterion, trace, state):
-            stop = "numeric_failure"
-        if stop is not None:
-            reason = stop
-            break
+            row = _trace_record(certs, started_ns)
+            trace.append(row)
+        if state.k > 0 or test_first:
+            reason = _stop_reason(criterion, certs, row)
+            if reason is not None:
+                break
+    if reason is None:
+        reason = "max_iter" if state.k == config.max_iter else "growth_overflow"
     if trace[-1].k != state.k:
         trace.append(_trace_record(certs, started_ns))
-        if reason == "max_iter" and _nan_objective(criterion, trace, state):
-            reason = "numeric_failure"
+        if criterion is None:
+            reason = _stop_reason(None, certs, trace[-1]) or reason
     return RunResult(state=state, reason=reason, trace=trace)
 
 

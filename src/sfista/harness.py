@@ -1,8 +1,8 @@
 """Verification harness: recorded runs, invariant sweeps, and trace files.
 
-`capture_run` drives the solver step by step keeping every state, plus the
-aggregated lower model at the sampled checkpoints, which the invariant sweep
-and the test suite interrogate.  `invariant_report` evaluates the identities
+`capture_run` keeps every state `engine.iterate` yields, plus the aggregated
+lower model at the sampled checkpoints, which the invariant sweep and the
+test suite interrogate.  `invariant_report` evaluates the identities
 and a priori bounds the method guarantees on a recorded run and reports the
 worst violation of each.  `bounds_suite` measures observed criterion-firing
 iterations against the closed-form predictors on a seeded instance family.
@@ -11,7 +11,9 @@ iterations against the closed-form predictors on a seeded instance family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import islice
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -19,7 +21,6 @@ import numpy as np
 from . import bounds as _bounds
 from . import certificates as _cert
 from . import engine as _engine
-from .errors import GrowthOverflowError
 from .problems import (CompositeProblem, eval_phi, format_real, make_instance)
 
 Array = np.ndarray
@@ -71,21 +72,15 @@ class RunCapture:
 
 def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
                 x0: Array, iters: int) -> RunCapture:
-    """Run `iters` steps (or fewer on overflow) recording everything.
+    """The first `iters + 1` states of `engine.iterate`, recording everything.
 
-    The lower models are kept only at `checkpoints`, the iterates the sampled
-    checks of `invariant_report` visit.
+    Fewer states when the coefficient growth halts the run first, which
+    `overflowed` marks.  The lower models are kept only at `checkpoints`, the
+    iterates the sampled checks of `invariant_report` visit.
     """
-    state = _engine.init(problem, config, x0)
-    states = [state]
-    overflowed = False
-    for _ in range(iters):
-        try:
-            state = _engine.step(state, problem)
-        except GrowthOverflowError:
-            overflowed = True
-            break
-        states.append(state)
+    states = list(islice(_engine.iterate(problem, config, x0),
+                         max(iters, 0) + 1))
+    overflowed = len(states) <= iters
     phi_y = np.array([eval_phi(problem, s.y) for s in states])
     norm_u = np.full(len(states), math.nan)
     pairs: list = [None]
@@ -425,8 +420,12 @@ def bounds_suite(seed_base: int = 0) -> list:
 # Trace files
 # ---------------------------------------------------------------------------
 
-TRACE_COLUMNS = ("k", "a", "A", "tau", "phi_y", "gap", "norm_u", "norm_v",
-                 "eta_residual", "elapsed_ns")
+# one column per TraceRecord field, in field order; integer fields print
+# with str, reals with format_real, and None as an empty field
+TRACE_COLUMNS = tuple(f.name for f in fields(_engine.TraceRecord))
+_TRACE_FORMATS = tuple(str if f.type in (int, "int") else format_real
+                       for f in fields(_engine.TraceRecord))
+_trace_values = attrgetter(*TRACE_COLUMNS)
 
 
 def _trace_lines(records, meta: Optional[dict]):
@@ -434,15 +433,10 @@ def _trace_lines(records, meta: Optional[dict]):
     for key, value in (meta or {}).items():
         yield f"# {key} = {value}\n"
     yield ",".join(TRACE_COLUMNS) + "\n"
-
-    def real(v):
-        return "" if v is None else format_real(v)
-
     for r in records:
         yield ",".join([
-            str(r.k), real(r.a), real(r.A), real(r.tau), real(r.phi_y),
-            real(r.gap), real(r.norm_u), real(r.norm_v), real(r.eta_residual),
-            str(r.elapsed_ns),
+            "" if value is None else fmt(value)
+            for fmt, value in zip(_TRACE_FORMATS, _trace_values(r))
         ]) + "\n"
 
 

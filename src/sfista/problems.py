@@ -502,24 +502,29 @@ def format_real(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def save_instance(path, problem: CompositeProblem) -> None:
-    """Write the generation recipe and computed constants as key = value lines."""
-    if problem.spec is None:
-        raise ValueError("problem carries no generation recipe to save")
+def instance_recipe(problem: CompositeProblem, constants: bool = True) -> list:
+    """(key, text) pairs of the instance file: recipe, then constants.
+
+    Without `constants` only the generation recipe, as `solve` prints it.
+    """
     spec = problem.spec
-    lines = [
-        f"kind = {spec.kind}",
-        f"seed = {spec.seed}",
-        f"m = {spec.m}",
-        f"n = {spec.n}",
-        f"rng = {RNG_NAME}",
-    ]
-    for key in sorted(spec.params):
-        lines.append(f"{key} = {_format_param(spec.params[key])}")
-    lines.append(f"lf_bar = {format_real(problem.f.curvature)}")
-    lines.append(f"mu_f_bar = {format_real(problem.f.mu)}")
-    lines.append(f"mu_h_bar = {format_real(problem.h.mu)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    if spec is None:
+        raise ValueError("problem carries no generation recipe to save")
+    pairs = [("kind", spec.kind), ("seed", str(spec.seed)), ("m", str(spec.m)),
+             ("n", str(spec.n)), ("rng", RNG_NAME)]
+    pairs += [(key, _format_param(spec.params[key]))
+              for key in sorted(spec.params)]
+    if constants:
+        pairs += [("lf_bar", format_real(problem.f.curvature)),
+                  ("mu_f_bar", format_real(problem.f.mu)),
+                  ("mu_h_bar", format_real(problem.h.mu))]
+    return pairs
+
+
+def save_instance(path, problem: CompositeProblem) -> None:
+    """Write `instance_recipe(problem)` as key = value lines."""
+    Path(path).write_text("".join(f"{key} = {value}\n"
+                                  for key, value in instance_recipe(problem)))
 
 
 def _format_param(v) -> str:

@@ -328,6 +328,22 @@ def test_make_instance_round_trip(tmp_path, capsys):
     assert loaded.dimension == 18
 
 
+def test_make_instance_prints_the_file_it_writes(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    code = cli.main([
+        "make-instance", "--problem", "elastic_net", "--seed", "9",
+        "--m", "12", "--n", "18", "--out", str(path),
+    ])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert path.read_text() == (
+        "kind = elastic_net\nseed = 9\nm = 12\nn = 18\nrng = pcg64\n"
+        "density = 0.10000000000000001\nnoise = 0.10000000000000001\n"
+        "reg = 0.10000000000000001\nridge = 1\n"
+        "lf_bar = 58.686174518903826\nmu_f_bar = 1\nmu_h_bar = 0\n")
+    assert out == path.read_text() + f"out = {path}\n"
+
+
 # ---------------------------------------------------------------------------
 # reproducibility
 # ---------------------------------------------------------------------------

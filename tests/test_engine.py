@@ -1,13 +1,14 @@
 """Coefficient recursion, single steps, and the run loop."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from sfista import bounds, certificates, engine, problems
-from sfista.errors import ConfigError, InvalidStartError
+from sfista.errors import ConfigError, GrowthOverflowError, InvalidStartError
 
 
 def _quad_config(lf=2.0, **kwargs):
@@ -237,6 +238,33 @@ def test_run_function_gap_can_stop_at_start(quad1d):
     assert result.state.k == 0
 
 
+def test_iterate_yields_init_then_each_step(elastic_mu1):
+    config = engine.SolverConfig.for_problem(elastic_mu1)
+    x0 = np.zeros(elastic_mu1.dimension)
+    states = list(itertools.islice(engine.iterate(elastic_mu1, config, x0), 6))
+    state = engine.init(elastic_mu1, config, x0)
+    for k, got in enumerate(states):
+        assert got.k == k
+        np.testing.assert_array_equal(got.x, state.x)
+        np.testing.assert_array_equal(got.y, state.y)
+        state = engine.step(state, elastic_mu1)
+
+
+def test_iterate_ends_at_growth_overflow(quad1d):
+    config = engine.SolverConfig(lf=1.0 + 1e-7, mu_f=1.0)
+    states = list(engine.iterate(quad1d, config, np.array([1.0])))
+    assert 0 < states[-1].k < 100
+    assert [s.k for s in states] == list(range(len(states)))
+    with pytest.raises(GrowthOverflowError):
+        engine.step(states[-1], quad1d)
+
+
+def test_run_rejects_negative_max_iter(quad1d):
+    for max_iter in (-1, -5):
+        with pytest.raises(ConfigError):
+            engine.run(quad1d, _quad_config(max_iter=max_iter), np.array([1.0]))
+
+
 def test_run_growth_overflow():
     f = problems.quadratic(np.array([[1.0]]), np.zeros(1), mu=1.0,
                            curvature=1.0)
@@ -293,6 +321,19 @@ def test_run_without_criterion_tests_final_objective(nan_value_net,
     assert result.reason == "numeric_failure"
     assert result.state.k == 50
     assert [r.k for r in result.trace] == [0, 50]
+    assert math.isnan(result.trace[-1].phi_y)
+
+
+def test_run_without_criterion_tests_final_objective_at_overflow(quad1d):
+    # the same rule when the coefficient growth, not max_iter, ends the run
+    f = dataclasses.replace(quad1d.f, value=lambda x: math.nan)
+    problem = dataclasses.replace(quad1d, f=f)
+    config = engine.SolverConfig(lf=1.0 + 1e-7, mu_f=1.0, max_iter=1000,
+                                 trace_every=1000)
+    result = engine.run(problem, config, np.array([1.0]))
+    assert result.reason == "numeric_failure"
+    assert 0 < result.state.k < 100
+    assert [r.k for r in result.trace] == [0, result.state.k]
     assert math.isnan(result.trace[-1].phi_y)
 
 

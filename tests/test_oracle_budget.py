@@ -3,7 +3,8 @@
 Counting wrappers sit on a problem's four oracles (f.value, f.grad, h.value,
 h.prox).  The counts are deterministic, so a change that brings a second
 gradient, a function value or a lower-model update back into the solver's
-hot path fails here.
+hot path fails here.  A counter on `engine.step` itself checks that each
+driver of the recursion steps exactly as often as the states it reports.
 """
 
 import collections
@@ -12,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sfista import bounds, certificates, engine
+from sfista import bounds, certificates, classic, engine, harness
 
 
 def _counted(problem):
@@ -103,3 +104,62 @@ def test_function_gap_run_budget(elastic_mu1, trace_every):
                      trace_every)
     assert k == 136
     assert counts["f.value"] == k + 1
+
+
+# ---------------------------------------------------------------------------
+# step calls per driver
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """k of each state engine.step was called on, patched where it is looked up.
+
+    A driver that bound step at import, or pulled one state more than it
+    reports, would miss or overshoot the count.
+    """
+    calls = []
+    real_step = engine.step
+
+    def counted(state, problem):
+        calls.append(state.k)
+        return real_step(state, problem)
+
+    monkeypatch.setattr(engine, "step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("criterion, max_iter, reason", [
+    (None, 40, "max_iter"),
+    (bounds.Criterion.stationarity(1e-6), 10000, "converged"),
+])
+def test_run_steps_once_per_iteration(elastic_mu1, step_calls, criterion,
+                                      max_iter, reason):
+    config = engine.SolverConfig.for_problem(elastic_mu1, criterion=criterion,
+                                             max_iter=max_iter)
+    result = engine.run(elastic_mu1, config, np.zeros(elastic_mu1.dimension))
+    assert result.reason == reason
+    assert step_calls == list(range(result.state.k))
+
+
+def test_run_steps_once_per_iteration_to_overflow(quad1d, step_calls):
+    # the step from the last state raises before any oracle call, so the
+    # run's k steps succeed and one more is attempted
+    config = engine.SolverConfig(lf=1.0 + 1e-7, mu_f=1.0, max_iter=1000)
+    result = engine.run(quad1d, config, np.array([1.0]))
+    assert result.reason == "growth_overflow"
+    assert step_calls == list(range(result.state.k + 1))
+
+
+def test_capture_run_steps_iters_times(elastic_mu1, step_calls):
+    config = engine.SolverConfig.for_problem(elastic_mu1)
+    capture = harness.capture_run(elastic_mu1, config,
+                                  np.zeros(elastic_mu1.dimension), 30)
+    assert capture.iterations == 30
+    assert step_calls == list(range(30))
+
+
+def test_equivalence_check_steps_k_max_times(lasso_norm, step_calls):
+    lf = 1.25 * lasso_norm.f.curvature
+    classic.equivalence_check(lasso_norm, np.zeros(lasso_norm.dimension), lf,
+                              25)
+    assert step_calls == list(range(25))
