@@ -17,10 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from .errors import ConfigError, NumericFailure
-from .problems import CompositeProblem
+from .problems import CompositeProblem, vector_norm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .certificates import Certificates
@@ -126,10 +124,10 @@ def check(criterion: Criterion, certs: "Certificates") -> bool:
         return norm <= criterion.tol and eta <= criterion.eta_tol
     lhs = _tested(pair.norm**2 + 2.0 * pair.eta, "||v||^2 + 2 eta")
     if v == "relative":
-        dist = float(np.linalg.norm(state.y - state.x0))
+        dist = vector_norm(state.y - state.x0)
         return lhs <= criterion.tol * dist**2
     # alternate_relative
-    shifted = float(np.linalg.norm(pair.v + state.y - state.x0))
+    shifted = vector_norm(pair.v + state.y - state.x0)
     return lhs <= criterion.tol * shifted**2
 
 

@@ -21,21 +21,12 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from .errors import CertificateUndefinedError
-from .problems import CompositeProblem, eval_phi
+from .problems import CompositeProblem, eval_phi, vector_norm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import IterateState
 
 Array = np.ndarray
-
-
-def _norm(v: Array) -> float:
-    """Euclidean norm of a 1-D float64 array, bit for bit np.linalg.norm's.
-
-    np.linalg.norm also takes the square root of v.dot(v); this skips its
-    argument handling.
-    """
-    return math.sqrt(float(v.dot(v)))
 
 
 @dataclass(frozen=True)
@@ -55,7 +46,7 @@ class ResidualPair:
 
     @property
     def norm(self) -> float:
-        return _norm(self.v)
+        return vector_norm(self.v)
 
 
 @dataclass(frozen=True)
@@ -170,7 +161,7 @@ def stationarity_residual(state: "IterateState",
     step = state.x_tilde_prev - state.y
     step *= state.config.lf
     u += step
-    return StationarityResidual(u=u, norm=_norm(u))
+    return StationarityResidual(u=u, norm=vector_norm(u))
 
 
 def residual_pair(state: "IterateState") -> ResidualPair:
@@ -224,7 +215,7 @@ class Certificates:
         state = self.state
         if state.x_tilde_prev is None:
             raise CertificateUndefinedError("stationarity bound needs at least one step")
-        dist = _norm(state.y - state.x_tilde_prev)
+        dist = vector_norm(state.y - state.x_tilde_prev)
         return (state.config.lf - self.problem.f.curvature) * dist
 
     @cached_property

@@ -108,16 +108,18 @@ def equivalence_check(problem: CompositeProblem, x0: Array, lf: float,
     relative gap over the proximal iterates of both forms, the schedule
     consistency t_k = a_k / lam = A_{k+1} / a_k, and alpha_k * t_k = 1.  The
     reformulation holds only without strong convexity, so nonzero moduli are
-    rejected.
+    rejected, and so is a negative k_max.
     """
     if mu_f != 0.0 or mu_h != 0.0:
         raise ConfigError("the classical reformulation requires mu_f = mu_h = 0")
+    if k_max < 0:
+        raise ConfigError(f"step count {k_max} must be nonnegative")
     config = _engine.SolverConfig(lf=lf, mu_f=0.0, mu_h=0.0)
     states = _engine.iterate(problem, config, x0)
     t_state = classic_init(x0, "t")
     a_state = classic_init(x0, "alpha")
     worst = 0.0
-    for state in islice(states, 1, max(k_max, 0) + 1):
+    for state in islice(states, 1, k_max + 1):
         t_k = t_state.schedule.value
         t_state = classic_step(t_state, problem, lf)
         a_state = classic_step(a_state, problem, lf)

@@ -265,9 +265,9 @@ def iterate(problem: CompositeProblem, config: SolverConfig,
         yield state
 
 
-def _stop_reason(criterion: Optional["_bounds.Criterion"],
-                 certs: _cert.Certificates,
-                 row: Optional[TraceRecord]) -> Optional[str]:
+def stop_reason(criterion: Optional["_bounds.Criterion"],
+                certs: _cert.Certificates,
+                row: Optional[TraceRecord]) -> Optional[str]:
     """Stop reason the criterion gives this record, or None.
 
     "converged" when it holds and "numeric_failure" when the quantity it
@@ -313,7 +313,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
             row = _trace_record(certs, started_ns)
             trace.append(row)
         if state.k > 0 or test_first:
-            reason = _stop_reason(criterion, certs, row)
+            reason = stop_reason(criterion, certs, row)
             if reason is not None:
                 break
     if reason is None:
@@ -321,7 +321,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     if trace[-1].k != state.k:
         trace.append(_trace_record(certs, started_ns))
         if criterion is None:
-            reason = _stop_reason(None, certs, trace[-1]) or reason
+            reason = stop_reason(None, certs, trace[-1]) or reason
     return RunResult(state=state, reason=reason, trace=trace)
 
 

@@ -5,13 +5,15 @@ lower model at the sampled checkpoints, which the invariant sweep and the
 test suite interrogate.  `invariant_report` evaluates the identities
 and a priori bounds the method guarantees on a recorded run and reports the
 worst violation of each.  `bounds_suite` measures observed criterion-firing
-iterations against the closed-form predictors on a seeded instance family.
+iterations against the closed-form predictors on a seeded instance family,
+with one pass of `engine.iterate` per instance tested against every
+criterion at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from operator import attrgetter
 from typing import Optional
@@ -21,7 +23,9 @@ import numpy as np
 from . import bounds as _bounds
 from . import certificates as _cert
 from . import engine as _engine
-from .problems import (CompositeProblem, eval_phi, format_real, make_instance)
+from .errors import ConfigError
+from .problems import (CompositeProblem, eval_phi, format_real, make_instance,
+                       vector_norm)
 
 Array = np.ndarray
 
@@ -76,10 +80,12 @@ def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
 
     Fewer states when the coefficient growth halts the run first, which
     `overflowed` marks.  The lower models are kept only at `checkpoints`, the
-    iterates the sampled checks of `invariant_report` visit.
+    iterates the sampled checks of `invariant_report` visit.  A negative
+    `iters` raises ConfigError.
     """
-    states = list(islice(_engine.iterate(problem, config, x0),
-                         max(iters, 0) + 1))
+    if iters < 0:
+        raise ConfigError(f"step count {iters} must be nonnegative")
+    states = list(islice(_engine.iterate(problem, config, x0), iters + 1))
     overflowed = len(states) <= iters
     phi_y = np.array([eval_phi(problem, s.y) for s in states])
     norm_u = np.full(len(states), math.nan)
@@ -386,33 +392,69 @@ def suite_criteria(problem: CompositeProblem, d0: float):
     ]
 
 
+def _suite_d0(problem: CompositeProblem) -> float:
+    """||x0 - x_star|| for the suite's start x0 = 0."""
+    return vector_norm(problem.reference_optimum.x_star)
+
+
+def suite_rows(label: str, problem: CompositeProblem, criteria) -> list:
+    """One BoundsRow per criterion, all tested on one pass of `engine.iterate`.
+
+    Each criterion is tested from k = 1 on, and from k = 0 for function_gap,
+    through `engine.stop_reason`, until it holds, its quantity is NaN or k
+    reaches its predicted count: the observed k is the one `engine.run` with
+    that criterion and max_iter = predicted_k would stop at as "converged",
+    and None otherwise.  The criteria share one Certificates record per
+    state, and the pass ends once none is still tested.
+    """
+    x0 = np.zeros(problem.dimension)
+    d0 = _suite_d0(problem)
+    config = _engine.SolverConfig.for_problem(problem)
+    predicted = []
+    for criterion in criteria:
+        predicted.append(_bounds.predicted_iterations(
+            criterion, config.lf, problem.f.curvature, config.mu_f, config.mu,
+            d0=d0).predicted_k)
+        criterion.validate(problem)
+    observed = [None] * len(criteria)
+    pending = list(range(len(criteria)))
+    for state in islice(_engine.iterate(problem, config, x0), max(predicted) + 1):
+        certs = _cert.Certificates(state, problem)
+        for i in pending[:]:
+            reason = None
+            if state.k > 0 or criteria[i].variant == "function_gap":
+                reason = _engine.stop_reason(criteria[i], certs, None)
+            if reason == "converged":
+                observed[i] = state.k
+            if reason is not None or state.k == predicted[i]:
+                pending.remove(i)
+        if not pending:
+            break
+    return [BoundsRow(label=label, variant=criterion.variant, predicted_k=k_pred,
+                      observed_k=k_obs,
+                      passed=k_obs is not None and k_obs <= k_pred)
+            for criterion, k_pred, k_obs in zip(criteria, predicted, observed)]
+
+
 def predictor_row(label: str, problem: CompositeProblem,
                   criterion: "_bounds.Criterion") -> BoundsRow:
-    """Observed first-satisfaction iteration against the predicted count."""
-    x0 = np.zeros(problem.dimension)
-    d0 = float(np.linalg.norm(x0 - problem.reference_optimum.x_star))
-    config = _engine.SolverConfig.for_problem(problem, criterion=criterion)
-    report = _bounds.predicted_iterations(
-        criterion, config.lf, problem.f.curvature, config.mu_f, config.mu, d0=d0
-    )
-    config = replace(config, max_iter=report.predicted_k,
-                     trace_every=max(1, report.predicted_k))
-    result = _engine.run(problem, config, x0)
-    observed = result.state.k if result.reason == "converged" else None
-    passed = observed is not None and observed <= report.predicted_k
-    return BoundsRow(label=label, variant=criterion.variant,
-                     predicted_k=report.predicted_k, observed_k=observed,
-                     passed=passed)
+    """Observed first-satisfaction iteration against the predicted count.
+
+    `suite_rows` with the one criterion.
+    """
+    return suite_rows(label, problem, [criterion])[0]
 
 
 def bounds_suite(seed_base: int = 0) -> list:
-    """Five criteria against their predictors on ten seeded instances."""
+    """Five criteria against their predictors on ten seeded instances.
+
+    One `suite_rows` pass per instance tests all five criteria on the same
+    iterates; the rows are those of five separate runs, one per criterion.
+    """
     rows = []
     for label, problem in _suite_instances(seed_base):
-        x0 = np.zeros(problem.dimension)
-        d0 = float(np.linalg.norm(x0 - problem.reference_optimum.x_star))
-        for criterion in suite_criteria(problem, d0):
-            rows.append(predictor_row(label, problem, criterion))
+        rows += suite_rows(label, problem,
+                           suite_criteria(problem, _suite_d0(problem)))
     return rows
 
 

@@ -159,6 +159,11 @@ def test_equivalence_rejects_strong_convexity(quad1d):
         classic.equivalence_check(quad1d, np.array([1.0]), 2.0, 5, mu_f=1.0)
 
 
+def test_equivalence_rejects_negative_step_count(quad1d):
+    with pytest.raises(ConfigError):
+        classic.equivalence_check(quad1d, np.array([1.0]), 2.0, -1)
+
+
 def test_t_recovered_from_coefficients(lasso_norm):
     # within a zero-modulus run, t_k = a_k / lam = A_{k+1} / a_k
     lf = 1.25 * lasso_norm.f.curvature

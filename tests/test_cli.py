@@ -284,6 +284,19 @@ def test_verify_invariants_box_qp(capsys):
     assert out[-1] == "overall = pass"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "equivalence", "--iters", "-5"],
+    ["verify", "invariants", "--m", "10", "--n", "12", "--iters", "-5"],
+])
+def test_verify_negative_iters_exits_two(capsys, argv):
+    # a negative step count checks nothing, so it must not report a pass
+    code = cli.main(argv)
+    out, err = _lines(capsys)
+    assert code == 2
+    assert "overall = pass" not in out
+    assert err == ["error: step count -5 must be nonnegative"]
+
+
 def test_verify_bounds_reports_rows(monkeypatch, capsys):
     rows = [
         harness.BoundsRow(label="fake[seed=0]", variant="relative",

@@ -1,5 +1,6 @@
 """Recorded runs, invariant sweeps, predictor rows, and trace formatting."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -118,6 +119,98 @@ def test_predictor_row_single_instance():
     assert row.observed_k is not None
     assert row.observed_k <= row.predicted_k
     assert "pass" in row.line()
+
+
+def _rows_one_run_each(label, problem):
+    """The suite's rows from one engine.run per criterion, and each reason.
+
+    The reference for the one-pass suite: each run has max_iter =
+    predicted_k, and its row is observed only when the run converged.
+    """
+    x0 = np.zeros(problem.dimension)
+    d0 = float(np.linalg.norm(x0 - problem.reference_optimum.x_star))
+    rows, reasons = [], []
+    for criterion in harness.suite_criteria(problem, d0):
+        config = engine.SolverConfig.for_problem(problem, criterion=criterion)
+        predicted = bounds.predicted_iterations(
+            criterion, config.lf, problem.f.curvature, config.mu_f, config.mu,
+            d0=d0).predicted_k
+        result = engine.run(problem, dataclasses.replace(
+            config, max_iter=predicted, trace_every=predicted), x0)
+        observed = result.state.k if result.reason == "converged" else None
+        rows.append(harness.BoundsRow(
+            label=label, variant=criterion.variant, predicted_k=predicted,
+            observed_k=observed,
+            passed=observed is not None and observed <= predicted))
+        reasons.append(result.reason)
+    return rows, reasons
+
+
+@pytest.mark.parametrize("seed_base", [0, 17])
+def test_bounds_suite_matches_one_run_per_criterion(seed_base):
+    expected = []
+    for label, problem in harness._suite_instances(seed_base):
+        expected += _rows_one_run_each(label, problem)[0]
+    assert harness.bounds_suite(seed_base) == expected
+
+
+def _suite_rows(label, problem):
+    d0 = float(np.linalg.norm(problem.reference_optimum.x_star))
+    return harness.suite_rows(label, problem,
+                              harness.suite_criteria(problem, d0))
+
+
+def test_suite_rows_nan_gradient_matches_numeric_failure(monkeypatch):
+    # the reference optimum is solved with the real gradient, then every
+    # gradient the solver asks for is NaN
+    problem = problems.make_instance("elastic_net", 1, 20, 30)
+    f = dataclasses.replace(problem.f, grad=lambda x: np.full_like(x, math.nan))
+    problem = dataclasses.replace(problem, f=f)
+    label = "nan_gradient"
+    expected, reasons = _rows_one_run_each(label, problem)
+    assert reasons == ["numeric_failure"] * 5
+    steps = []
+    real_step = engine.step
+
+    def counted(state, stepped_problem):
+        steps.append(state.k)
+        return real_step(state, stepped_problem)
+
+    monkeypatch.setattr(engine, "step", counted)
+    rows = _suite_rows(label, problem)
+    assert rows == expected
+    assert [(row.observed_k, row.passed) for row in rows] == [(None, False)] * 5
+    # every criterion meets NaN at k = 1, which ends the pass
+    assert steps == [0]
+
+
+def test_suite_rows_function_gap_tested_at_k0():
+    # a regularizer this large makes x* = 0, so the start already meets the
+    # gap tolerance; the other criteria are first tested at k = 1
+    problem = problems.make_instance("elastic_net", 1, 20, 30, reg=1e3,
+                                     ridge=1.0)
+    rows = _suite_rows("zero_optimum", problem)
+    assert rows == _rows_one_run_each("zero_optimum", problem)[0]
+    assert [row.observed_k for row in rows] == [0, 1, 1, 1, 1]
+
+
+def test_suite_rows_stops_testing_at_each_prediction(monkeypatch):
+    # with the stationarity prediction cut to 2 steps, that criterion must
+    # stop being tested at k = 2 while the pass goes on for the others
+    real = bounds.predicted_iterations
+
+    def cut(criterion, *args, **kwargs):
+        report = real(criterion, *args, **kwargs)
+        if criterion.variant == "stationarity":
+            report = dataclasses.replace(report, predicted_k=2)
+        return report
+
+    monkeypatch.setattr(bounds, "predicted_iterations", cut)
+    label, problem = next(harness._suite_instances(0))
+    rows = _suite_rows(label, problem)
+    assert rows == _rows_one_run_each(label, problem)[0]
+    assert (rows[1].variant, rows[1].observed_k) == ("stationarity", None)
+    assert max(row.observed_k or 0 for row in rows) > 2
 
 
 # ---------------------------------------------------------------------------

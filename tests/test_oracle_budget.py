@@ -163,3 +163,15 @@ def test_equivalence_check_steps_k_max_times(lasso_norm, step_calls):
     classic.equivalence_check(lasso_norm, np.zeros(lasso_norm.dimension), lf,
                               25)
     assert step_calls == list(range(25))
+
+
+def test_bounds_suite_steps_once_per_instance(step_calls):
+    # each instance's one pass ends when its last criterion stops being
+    # tested: at the largest min(observed_k, predicted_k) of its five rows
+    rows = harness.bounds_suite(0)
+    last = {}
+    for row in rows:
+        k = row.predicted_k if row.observed_k is None else row.observed_k
+        last[row.label] = max(last.get(row.label, 0), min(k, row.predicted_k))
+    assert len(last) == 10
+    assert len(step_calls) == sum(last.values()) == 513

@@ -185,6 +185,14 @@ def test_logistic_modulus_and_kind_errors():
         make_instance("lasso", 0, 5, 5, bogus=1.0)
 
 
+@pytest.mark.parametrize("size", [0, 1, 7, 200, 4096])
+def test_vector_norm_is_numpy_norm_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    for scale in (1e-300, 1e-8, 1.0, 1e150):
+        v = scale * rng.standard_normal(size)
+        assert problems.vector_norm(v) == float(np.linalg.norm(v))
+
+
 def test_power_iteration_matches_dense_spectrum():
     diag = np.diag(np.arange(1.0, 9.0))
     assert abs(power_iteration(diag, 8) - 8.0) <= 1e-8
