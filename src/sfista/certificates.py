@@ -230,12 +230,32 @@ def sample_points(state: "IterateState", problem: CompositeProblem, count: int,
     Points outside the effective domain are replaced by their prox image
     (for an indicator that is exactly the projection).
     """
-    scale = 1.0 + float(np.linalg.norm(state.y))
+    scale = 1.0 + vector_norm(state.y)
     points = state.y + scale * rng.standard_normal((count, state.y.size))
     for i in range(count):
         if math.isinf(problem.h.value(points[i])):
             points[i] = problem.h.prox(points[i], 1.0)
     return points
+
+
+def _subgradient_violation(minorant, pair: ResidualPair, state: "IterateState",
+                           problem: CompositeProblem, samples: Array) -> float:
+    """Worst violation of minorant(x) - (mu/2)||x - y||^2 >= phi(y)
+    + <v, x - y> - eta over the samples where minorant(x) is not +inf.
+    """
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    phi_y = eval_phi(problem, state.y)
+    mu = state.config.mu
+    worst = -math.inf
+    for x in samples:
+        low = minorant(x)
+        if low == math.inf:
+            continue
+        diff = x - state.y
+        lhs = phi_y + float(pair.v @ diff) - pair.eta
+        rhs = low - 0.5 * mu * float(diff @ diff)
+        worst = max(worst, lhs - rhs)
+    return worst
 
 
 def check_eps_subgradient(pair: ResidualPair, state: "IterateState",
@@ -247,19 +267,8 @@ def check_eps_subgradient(pair: ResidualPair, state: "IterateState",
     which it fails (negative when it holds everywhere).  Samples outside
     dom h contribute -inf and are skipped.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    phi_y = eval_phi(problem, state.y)
-    mu = state.config.mu
-    worst = -math.inf
-    for x in samples:
-        phi_x = eval_phi(problem, x)
-        if math.isinf(phi_x):
-            continue
-        diff = x - state.y
-        lhs = phi_y + float(pair.v @ diff) - pair.eta
-        rhs = phi_x - 0.5 * mu * float(diff @ diff)
-        worst = max(worst, lhs - rhs)
-    return worst
+    return _subgradient_violation(lambda x: eval_phi(problem, x), pair, state,
+                                  problem, samples)
 
 
 def lower_model_gap(model: LowerModel, problem: CompositeProblem,
@@ -287,13 +296,4 @@ def lower_model_violation(model: LowerModel, pair: ResidualPair,
     samples, the inequality that makes (v, eta) a certificate as soon as the
     model minorizes phi.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    phi_y = eval_phi(problem, state.y)
-    mu = state.config.mu
-    worst = -math.inf
-    for x in samples:
-        diff = x - state.y
-        lhs = phi_y + float(pair.v @ diff) - pair.eta
-        rhs = model(x) - 0.5 * mu * float(diff @ diff)
-        worst = max(worst, lhs - rhs)
-    return worst
+    return _subgradient_violation(model, pair, state, problem, samples)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import engine as _engine
 from .errors import ConfigError
-from .problems import CompositeProblem
+from .problems import CompositeProblem, vector_norm
 
 Array = np.ndarray
 
@@ -123,9 +123,9 @@ def equivalence_check(problem: CompositeProblem, x0: Array, lf: float,
         t_k = t_state.schedule.value
         t_state = classic_step(t_state, problem, lf)
         a_state = classic_step(a_state, problem, lf)
-        scale = max(1.0, float(np.linalg.norm(state.y)))
-        dev_t = float(np.linalg.norm(state.y - t_state.y)) / scale
-        dev_a = float(np.linalg.norm(state.y - a_state.y)) / scale
+        scale = max(1.0, vector_norm(state.y))
+        dev_t = vector_norm(state.y - t_state.y) / scale
+        dev_a = vector_norm(state.y - a_state.y) / scale
         # the schedule value before the step equals both coefficient ratios
         dev_sched = max(abs(state.a_prev / config.lam - t_k),
                         abs(state.A / state.a_prev - t_k)) / max(1.0, t_k)

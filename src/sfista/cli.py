@@ -28,7 +28,7 @@ from . import engine as _engine
 from . import harness as _harness
 from .errors import ConfigError, NumericFailure
 from .problems import (INSTANCE_KINDS, format_real, instance_recipe,
-                       make_instance, save_instance)
+                       make_instance, save_instance, vector_norm)
 
 _TOL_FLAGS = {
     "function_gap": ("eps_bar",),
@@ -231,7 +231,7 @@ def cmd_predict(args) -> int:
         d0 = None
         if needs_d0:
             x0 = default_start(problem)
-            d0 = float(np.linalg.norm(x0 - problem.reference_optimum.x_star))
+            d0 = vector_norm(x0 - problem.reference_optimum.x_star)
     mu = mu_f + mu_h
     report = _bounds.predicted_iterations(criterion, lf, lf_bar, mu_f, mu, d0=d0)
     _emit(criterion_meta(criterion))
@@ -251,6 +251,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_verify_invariants(args) -> int:
+    if args.samples < 0:
+        raise ConfigError(f"sample count {args.samples} must be nonnegative")
     problem = build_problem(args)
     config = _engine.SolverConfig.for_problem(problem, lf=args.lf,
                                               mu_f=args.mu_f, mu_h=args.mu_h)

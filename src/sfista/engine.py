@@ -274,7 +274,12 @@ def stop_reason(criterion: Optional["_bounds.Criterion"],
     tests is NaN; None when it does not hold.  Without a criterion the
     record stops the run only when y has a non-finite entry or the row built
     for it, if any, holds a NaN phi_y; the row costs no further oracle call.
+    The k = 0 record is tested only by function_gap: every other criterion,
+    and no criterion, gives None there.
     """
+    if certs.state.k == 0 and (criterion is None
+                               or criterion.variant != "function_gap"):
+        return None
     if criterion is None:
         nan_row = row is not None and math.isnan(row.phi_y)
         if nan_row or not np.isfinite(certs.state.y).all():
@@ -293,17 +298,15 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     when the criterion or the trace reads them; an untraced stationarity run
     forms u only at states its oracle-free lower bound cannot rule out.
     Every trace_every-th state appends a TraceRecord, and so does the final
-    one; rows after the first carry both certificates.  The criterion is
-    tested from k = 1 on, and at k = 0 too for function_gap.  A NaN in the
-    quantity it tests stops the run with "numeric_failure"; a run without a
-    criterion stops so at the first y with a non-finite entry, or at the
-    first row, the final one included, whose phi_y is NaN.
+    one; rows after the first carry both certificates.  `stop_reason`
+    tests the criterion from k = 1 on, and at k = 0 too for function_gap.  A
+    NaN in the quantity it tests stops the run with "numeric_failure"; a run
+    without a criterion stops so at the first y with a non-finite entry, or
+    at the first row, the final one included, whose phi_y is NaN.
     """
     started_ns = time.perf_counter_ns()
     criterion = config.criterion
-    test_first = criterion is not None and criterion.variant == "function_gap"
     trace = []
-    reason = None
     states = iterate(problem, config, x0)
     # max(., 0) so that init runs, and rejects, a negative max_iter
     for state in islice(states, max(config.max_iter, 0) + 1):
@@ -312,10 +315,9 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
         if state.k % config.trace_every == 0:
             row = _trace_record(certs, started_ns)
             trace.append(row)
-        if state.k > 0 or test_first:
-            reason = stop_reason(criterion, certs, row)
-            if reason is not None:
-                break
+        reason = stop_reason(criterion, certs, row)
+        if reason is not None:
+            break
     if reason is None:
         reason = "max_iter" if state.k == config.max_iter else "growth_overflow"
     if trace[-1].k != state.k:

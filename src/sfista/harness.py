@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import accumulate, islice, takewhile
 from operator import attrgetter
 from typing import Optional
 
@@ -71,7 +71,7 @@ class RunCapture:
         ref = self.problem.reference_optimum
         if ref is None:
             raise ValueError("d0 needs a problem with a reference optimum")
-        return float(np.linalg.norm(self.states[0].x0 - ref.x_star))
+        return vector_norm(self.states[0].x0 - ref.x_star)
 
 
 def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
@@ -103,10 +103,9 @@ def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
 
 def checkpoints(k_max: int) -> list:
     """Log-spaced iterate indices 1 .. k_max for sampled checks."""
-    picks = sorted({min(k_max, k) for k in
-                    (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000)
-                    if k_max >= 1})
-    return [k for k in picks if k >= 1]
+    return sorted({min(k_max, k) for k in
+                   (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000)
+                   if k_max >= 1})
 
 
 @dataclass(frozen=True)
@@ -152,197 +151,165 @@ def _worst_result(name, values, limit, ks=None, note=""):
                        limit=limit, location=location, note=note)
 
 
+def _gated(ks, past, K):
+    """The iterates of ks before the first with past(k), and their note."""
+    kept = list(takewhile(lambda k: not past(k), ks))
+    return kept, f"checked {len(kept)} of {K}"
+
+
+def _excess(value, bound):
+    """value - bound, less the slack every a priori bound check allows."""
+    return value - bound * (1.0 + INEQ_REL_SLACK) - 1e-12
+
+
+def _pair_excess(pair, bounds) -> float:
+    """The larger excess of ||v|| and of eta over their (v, eta) bounds."""
+    v_bound, eta_bound = bounds
+    return max(_excess(pair.norm, v_bound), _excess(pair.eta, eta_bound))
+
+
+def _squared_norm(v: Array) -> float:
+    return float(v @ v)
+
+
 def invariant_report(capture: RunCapture, sample_count: int = 200,
                      seed: int = 2718) -> VerificationReport:
-    """Evaluate every identity and bound the method guarantees on a run."""
-    problem = capture.problem
-    config = capture.config
-    states = capture.states
+    """Evaluate every identity and bound the method guarantees on a run.
+
+    The checks form one table: name, limit, the iterates checked with a
+    note, and the value at iterate k, of which the report keeps the worst.
+    A check behind a rounding-noise gate keeps the iterates before the first
+    one past it, and its note says `checked N of K`.  A negative
+    sample_count raises ConfigError.
+    """
+    if sample_count < 0:
+        raise ConfigError(f"sample count {sample_count} must be nonnegative")
+    problem, config, states = capture.problem, capture.config, capture.states
+    pairs, norm_u = capture.pairs, capture.norm_u
     K = capture.iterations
-    lf, mu_f, mu = config.lf, config.mu_f, config.mu
-    lam = config.lam
+    lf, mu_f, mu, lam = config.lf, config.mu_f, config.mu, config.lam
     lf_bar = problem.f.curvature
     ref = problem.reference_optimum
-    report = VerificationReport()
-    ks = list(range(1, K + 1))
+    a = [st.a_prev for st in states]
+    A = [st.A for st in states]
+    tau = [st.tau for st in states]
+    ks = range(1, K + 1)
+    every = (ks, "")
+    cert = _gated(ks, lambda k: tau[k] > CERT_TAU_LIMIT, K)
 
-    # coefficient recursion: tau_k A_{k+1} / a_k^2 = lf - mu_f
-    vals = []
-    for k in ks:
-        st = states[k]
-        # ratio-of-ratios order: tau, A, a all reach ~1e300 under geometric
-        # growth, so tau * A would overflow
-        ident = (states[k - 1].tau / st.a_prev) * (st.A / st.a_prev)
-        vals.append(abs(ident - 1.0 / lam) * lam)
-    report.checks.append(_worst_result("coefficient_identity", vals,
-                                       IDENTITY_TOL, ks))
-
-    # tau_k = 1 + mu A_k
-    vals = [abs(states[k].tau - (1.0 + mu * states[k].A))
-            / max(1.0, states[k].tau) for k in ks]
-    report.checks.append(_worst_result("tau_identity", vals, IDENTITY_TOL, ks))
-
-    # A_k >= max(k^2/4, c^(2(k-1))) / (lf - mu_f)
-    vals = []
-    for k in ks:
-        lower = _bounds.coefficient_sum_lower(k, lf, mu_f, mu)
-        vals.append((lower - states[k].A) / lower)
-    report.checks.append(_worst_result("coefficient_sum_lower", vals,
-                                       COEFF_LOWER_TOL, ks))
-
-    if ref is not None:
-        gaps = capture.gaps()
-        d0 = capture.d0()
-        phi_star = ref.phi_star
-        c = _bounds.growth_factor(lf, mu_f, mu)
-        slack = RATE_SLACK_SCALE * (1.0 + abs(phi_star))
-
-        # phi(y_k) - phi* <= (lf - mu_f) d0^2 / 2 * min(4/k^2, c^(2(1-k)))
-        vals = []
-        for k in ks:
-            envelope = min(4.0 / k**2, c ** (2.0 * (1.0 - k)))
-            bound = 0.5 * (lf - mu_f) * d0**2 * envelope
-            vals.append(float(gaps[k]) - bound - slack)
-        report.checks.append(_worst_result("function_gap_rate", vals, 0.0, ks))
-
-        # (lf - lf_bar)/2 sum A_{i+1} ||y_{i+1} - x_tilde_i||^2
-        #     <= d0^2 - A_k (phi(y_k) - phi*)
-        vals, gated_ks, running = [], [], 0.0
-        for k in ks:
-            st = states[k]
-            if st.A > MOVEMENT_A_LIMIT:
-                break
-            move = st.y - st.x_tilde_prev
-            running += st.A * float(move @ move)
-            lhs = 0.5 * (lf - lf_bar) * running
-            rhs = d0**2 - st.A * float(gaps[k])
-            # the A_k term amplifies the objective's evaluation noise
-            noise = st.A * 1e-13 * (1.0 + abs(phi_star))
-            vals.append(lhs - rhs - slack * (1.0 + d0**2) - noise)
-            gated_ks.append(k)
-        report.checks.append(_worst_result(
-            "movement_bound", vals, 0.0, gated_ks,
-            note=f"checked {len(gated_ks)} of {K}"))
-
-        # min_i ||u_i||^2 <= 8 lf^2 d0^2 / ((lf - lf_bar) sum A_i)
-        vals, gated_ks = [], []
-        running_a, best = 0.0, math.inf
-        floor = (1e-9 * lf * (1.0 + d0)) ** 2
-        for k in ks:
-            running_a += states[k].A
-            best = min(best, capture.norm_u[k] ** 2)
-            rhs = 8.0 * lf**2 * d0**2 / ((lf - lf_bar) * running_a)
-            if rhs < floor:
-                break
-            vals.append(best - rhs * (1.0 + INEQ_REL_SLACK))
-            gated_ks.append(k)
-        report.checks.append(_worst_result(
-            "min_norm_bound", vals, 0.0, gated_ks,
-            note=f"checked {len(gated_ks)} of {K}"))
-
-        # ||x_k - x0|| <= (1/sqrt(tau_k) + 1) d0
-        vals = []
-        for k in ks:
-            st = states[k]
-            bound = _bounds.distance_bound_x(st.tau, d0)
-            vals.append(float(np.linalg.norm(st.x - st.x0))
-                        - bound * (1.0 + INEQ_REL_SLACK) - 1e-12)
-        report.checks.append(_worst_result("distance_x_bound", vals, 0.0, ks))
-
-        if mu > 0:
-            vals = []
-            for k in ks:
-                st = states[k]
-                bound = _bounds.distance_bound_y(st.A, mu, d0)
-                vals.append(float(np.linalg.norm(st.y - st.x0))
-                            - bound * (1.0 + INEQ_REL_SLACK) - 1e-12)
-            report.checks.append(_worst_result("distance_y_bound", vals, 0.0, ks))
-
-            vals, gated_ks = [], []
-            for k in ks:
-                st = states[k]
-                if st.tau > CERT_TAU_LIMIT:
-                    break
-                pair = capture.pairs[k]
-                v_bound, eta_bound = _bounds.pair_absolute_bounds(st.A, mu, d0)
-                vals.append(max(pair.norm - v_bound * (1.0 + INEQ_REL_SLACK),
-                                pair.eta - eta_bound * (1.0 + INEQ_REL_SLACK))
-                            - 1e-12)
-                gated_ks.append(k)
-            report.checks.append(_worst_result(
-                "pair_absolute_bounds", vals, 0.0, gated_ks,
-                note=f"checked {len(gated_ks)} of {K}"))
-
-    # ||u_k|| <= 2 lf ||y_k - x_tilde_{k-1}||
-    vals = []
-    for k in ks:
-        st = states[k]
-        envelope = 2.0 * lf * float(np.linalg.norm(st.y - st.x_tilde_prev))
-        vals.append(capture.norm_u[k] - envelope * (1.0 + INEQ_REL_SLACK)
-                    - 1e-12 * lf)
-    report.checks.append(_worst_result("residual_envelope", vals, 0.0, ks))
-
-    # certificate identity: ||A v + y - x0||^2 / tau + 2 A eta = ||y - x0||^2
-    vals, gated_ks = [], []
-    for k in ks:
-        st = states[k]
-        if st.tau > CERT_TAU_LIMIT:
-            break
-        pair = capture.pairs[k]
-        shifted = st.A * pair.v + st.y - st.x0
-        lhs = float(shifted @ shifted) / st.tau + 2.0 * st.A * pair.eta
-        rhs = float((st.y - st.x0) @ (st.y - st.x0))
-        vals.append(abs(lhs - rhs) / max(1.0, rhs))
-        gated_ks.append(k)
-    report.checks.append(_worst_result(
-        "certificate_identity", vals, CERT_IDENTITY_TOL, gated_ks,
-        note=f"checked {len(gated_ks)} of {K}"))
-
-    # eta_k >= 0 up to rounding
-    vals = [-capture.pairs[k].eta for k in ks]
-    report.checks.append(_worst_result("eta_nonnegative", vals, -ETA_FLOOR, ks))
-
-    # ||v_k|| and eta_k against their ||y_k - x0|| envelopes
-    vals, gated_ks = [], []
-    for k in ks:
-        st = states[k]
-        if st.tau > CERT_TAU_LIMIT:
-            break
-        pair = capture.pairs[k]
-        dist = float(np.linalg.norm(st.y - st.x0))
-        v_bound, eta_bound = _bounds.pair_norm_bounds(st.A, st.tau, dist)
-        vals.append(max(pair.norm - v_bound * (1.0 + INEQ_REL_SLACK) - 1e-12,
-                        pair.eta - eta_bound * (1.0 + INEQ_REL_SLACK) - 1e-12))
-        gated_ks.append(k)
-    report.checks.append(_worst_result(
-        "pair_norm_bounds", vals, 0.0, gated_ks,
-        note=f"checked {len(gated_ks)} of {K}"))
-
-    # sampled model checks at log-spaced iterates
+    # sampled model checks at the log-spaced iterates the tau gate keeps, a
+    # prefix since tau grows with k; taken before the per-state lists below
+    # exist, so the samples set the report's peak memory on their own
+    sample_ks = [k for k in checkpoints(K) if k <= len(cert[0])]
     rng = np.random.Generator(np.random.PCG64(seed))
-    minor_vals, subgrad_vals, eps_vals, sample_ks = [], [], [], []
-    for k in checkpoints(K):
-        st = states[k]
-        if st.tau > CERT_TAU_LIMIT:
-            break
-        pair = capture.pairs[k]
+    sampled = {}
+    for k in sample_ks:
+        st, pair, model = states[k], pairs[k], capture.models[k]
         tol = MODEL_TOL_SCALE * (1.0 + abs(capture.phi_y[k]))
         samples = _cert.sample_points(st, problem, sample_count, rng)
-        model = capture.models[k]
-        minor_vals.append(_cert.lower_model_gap(model, problem, samples) - tol)
-        subgrad_vals.append(_cert.lower_model_violation(
-            model, pair, st, problem, samples) - tol)
-        eps_vals.append(_cert.check_eps_subgradient(pair, st, problem, samples)
-                        - tol)
-        sample_ks.append(k)
-    note = f"{sample_count} samples at k in {sample_ks}"
-    report.checks.append(_worst_result("lower_model_minorizes", minor_vals,
-                                       0.0, sample_ks, note=note))
-    report.checks.append(_worst_result("model_subgradient", subgrad_vals,
-                                       0.0, sample_ks, note=note))
-    report.checks.append(_worst_result("eps_subgradient", eps_vals,
-                                       0.0, sample_ks, note=note))
-    return report
+        sampled[k] = [value - tol for value in (
+            _cert.lower_model_gap(model, problem, samples),
+            _cert.lower_model_violation(model, pair, st, problem, samples),
+            _cert.check_eps_subgradient(pair, st, problem, samples))]
+    at_samples = (sample_ks, f"{sample_count} samples at k in {sample_ks}")
+
+    # ||y_k - x0||^2 and ||y_k - x_tilde_{k-1}||^2, formed once per state
+    dist_sq = [math.nan] + [_squared_norm(st.y - st.x0) for st in states[1:]]
+    move_sq = [math.nan] + [_squared_norm(st.y - st.x_tilde_prev)
+                            for st in states[1:]]
+
+    def sum_lower(k):
+        lower = _bounds.coefficient_sum_lower(k, lf, mu_f, mu)
+        return (lower - A[k]) / lower
+
+    checks = [
+        # coefficient recursion tau_{k-1} A_k / a_{k-1}^2 = lf - mu_f, as a
+        # ratio of ratios: tau, A and a all reach ~1e300 under geometric
+        # growth, so tau * A would overflow
+        ("coefficient_identity", IDENTITY_TOL, every,
+         lambda k: abs((tau[k - 1] / a[k]) * (A[k] / a[k]) - 1.0 / lam) * lam),
+        # tau_k = 1 + mu A_k
+        ("tau_identity", IDENTITY_TOL, every,
+         lambda k: abs(tau[k] - (1.0 + mu * A[k])) / max(1.0, tau[k])),
+        # A_k >= max(k^2/4, c^(2(k-1))) / (lf - mu_f)
+        ("coefficient_sum_lower", COEFF_LOWER_TOL, every, sum_lower),
+    ]
+
+    if ref is not None:
+        gaps, d0, phi_star = capture.gaps(), capture.d0(), ref.phi_star
+        c = _bounds.growth_factor(lf, mu_f, mu)
+        slack = RATE_SLACK_SCALE * (1.0 + abs(phi_star))
+        # at index k: the sum over i = 1 .. k of A_i ||y_i - x_tilde_{i-1}||^2,
+        # the least ||u_i||^2, and the min-norm bound, which divides by the
+        # sum of A_i
+        moved = list(accumulate((A[k] * move_sq[k] for k in ks), initial=0.0))
+        best_sq = list(accumulate((norm_u[k] ** 2 for k in ks), min,
+                                  initial=math.inf))
+        min_norm_rhs = [math.nan] + [8.0 * lf**2 * d0**2 / ((lf - lf_bar) * A_sum)
+                                     for A_sum in accumulate(A[1:])]
+        floor = (1e-9 * lf * (1.0 + d0)) ** 2
+
+        def movement(k):
+            lhs = 0.5 * (lf - lf_bar) * moved[k]
+            rhs = d0**2 - A[k] * float(gaps[k])
+            # the A_k term amplifies the objective's evaluation noise
+            noise = A[k] * 1e-13 * (1.0 + abs(phi_star))
+            return lhs - rhs - slack * (1.0 + d0**2) - noise
+
+        checks += [
+            # phi(y_k) - phi* <= (lf - mu_f) d0^2 / 2 * min(4/k^2, c^(2(1-k)))
+            ("function_gap_rate", 0.0, every,
+             lambda k: float(gaps[k]) - 0.5 * (lf - mu_f) * d0**2
+             * min(4.0 / k**2, c ** (2.0 * (1.0 - k))) - slack),
+            # (lf - lf_bar)/2 sum A_i ||y_i - x_tilde_{i-1}||^2
+            #     <= d0^2 - A_k (phi(y_k) - phi*)
+            ("movement_bound", 0.0,
+             _gated(ks, lambda k: A[k] > MOVEMENT_A_LIMIT, K), movement),
+            # min_i ||u_i||^2 <= 8 lf^2 d0^2 / ((lf - lf_bar) sum A_i)
+            ("min_norm_bound", 0.0,
+             _gated(ks, lambda k: min_norm_rhs[k] < floor, K),
+             lambda k: best_sq[k] - min_norm_rhs[k] * (1.0 + INEQ_REL_SLACK)),
+            # ||x_k - x0|| <= (1/sqrt(tau_k) + 1) d0
+            ("distance_x_bound", 0.0, every,
+             lambda k: _excess(vector_norm(states[k].x - states[k].x0),
+                               _bounds.distance_bound_x(tau[k], d0))),
+        ]
+        if mu > 0:
+            checks += [
+                ("distance_y_bound", 0.0, every,
+                 lambda k: _excess(math.sqrt(dist_sq[k]),
+                                   _bounds.distance_bound_y(A[k], mu, d0))),
+                ("pair_absolute_bounds", 0.0, cert,
+                 lambda k: _pair_excess(
+                     pairs[k], _bounds.pair_absolute_bounds(A[k], mu, d0))),
+            ]
+
+    def cert_identity(k):
+        st, pair = states[k], pairs[k]
+        shifted = st.A * pair.v + st.y - st.x0
+        lhs = _squared_norm(shifted) / st.tau + 2.0 * st.A * pair.eta
+        return abs(lhs - dist_sq[k]) / max(1.0, dist_sq[k])
+
+    checks += [
+        # ||u_k|| <= 2 lf ||y_k - x_tilde_{k-1}||
+        ("residual_envelope", 0.0, every,
+         lambda k: (norm_u[k] - 2.0 * lf * math.sqrt(move_sq[k])
+                    * (1.0 + INEQ_REL_SLACK) - 1e-12 * lf)),
+        # ||A v + y - x0||^2 / tau + 2 A eta = ||y - x0||^2
+        ("certificate_identity", CERT_IDENTITY_TOL, cert, cert_identity),
+        # eta_k >= 0 up to rounding
+        ("eta_nonnegative", -ETA_FLOOR, every, lambda k: -pairs[k].eta),
+        # ||v_k|| and eta_k against their ||y_k - x0|| envelopes
+        ("pair_norm_bounds", 0.0, cert,
+         lambda k: _pair_excess(pairs[k], _bounds.pair_norm_bounds(
+             A[k], tau[k], math.sqrt(dist_sq[k])))),
+        ("lower_model_minorizes", 0.0, at_samples, lambda k: sampled[k][0]),
+        ("model_subgradient", 0.0, at_samples, lambda k: sampled[k][1]),
+        ("eps_subgradient", 0.0, at_samples, lambda k: sampled[k][2]),
+    ]
+    return VerificationReport([
+        _worst_result(name, map(value, over), limit, over, note)
+        for name, limit, (over, note), value in checks])
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +367,12 @@ def _suite_d0(problem: CompositeProblem) -> float:
 def suite_rows(label: str, problem: CompositeProblem, criteria) -> list:
     """One BoundsRow per criterion, all tested on one pass of `engine.iterate`.
 
-    Each criterion is tested from k = 1 on, and from k = 0 for function_gap,
-    through `engine.stop_reason`, until it holds, its quantity is NaN or k
-    reaches its predicted count: the observed k is the one `engine.run` with
-    that criterion and max_iter = predicted_k would stop at as "converged",
-    and None otherwise.  The criteria share one Certificates record per
-    state, and the pass ends once none is still tested.
+    Each criterion is tested through `engine.stop_reason` until it holds,
+    its quantity is NaN or k reaches its predicted count: the observed k is
+    the one `engine.run` with that criterion and max_iter = predicted_k
+    would stop at as "converged", and None otherwise.  The criteria share
+    one Certificates record per state, and the pass ends once none is still
+    tested.
     """
     x0 = np.zeros(problem.dimension)
     d0 = _suite_d0(problem)
@@ -421,9 +388,7 @@ def suite_rows(label: str, problem: CompositeProblem, criteria) -> list:
     for state in islice(_engine.iterate(problem, config, x0), max(predicted) + 1):
         certs = _cert.Certificates(state, problem)
         for i in pending[:]:
-            reason = None
-            if state.k > 0 or criteria[i].variant == "function_gap":
-                reason = _engine.stop_reason(criteria[i], certs, None)
+            reason = _engine.stop_reason(criteria[i], certs, None)
             if reason == "converged":
                 observed[i] = state.k
             if reason is not None or state.k == predicted[i]:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfista import cli, harness, problems
+from sfista import cli, engine, harness, problems
 
 
 def _lines(capsys):
@@ -295,6 +295,24 @@ def test_verify_negative_iters_exits_two(capsys, argv):
     assert code == 2
     assert "overall = pass" not in out
     assert err == ["error: step count -5 must be nonnegative"]
+
+
+def test_verify_invariants_negative_samples_exits_two(monkeypatch, capsys):
+    # rejected before the capture takes a step or prints a line
+    steps = []
+    real_step = engine.step
+
+    def counted(state, problem):
+        steps.append(state.k)
+        return real_step(state, problem)
+
+    monkeypatch.setattr(engine, "step", counted)
+    code = cli.main(["verify", "invariants", "--m", "10", "--n", "12",
+                     "--samples", "-1"])
+    out, err = _lines(capsys)
+    assert code == 2
+    assert out == [] and steps == []
+    assert err == ["error: sample count -1 must be nonnegative"]
 
 
 def test_verify_bounds_reports_rows(monkeypatch, capsys):

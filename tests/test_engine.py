@@ -238,6 +238,18 @@ def test_run_function_gap_can_stop_at_start(quad1d):
     assert result.state.k == 0
 
 
+def test_stop_reason_at_start_only_for_function_gap(quad1d):
+    # at k = 0 the residuals are undefined; only the gap test reads the start
+    certs = certificates.Certificates(
+        engine.init(quad1d, _quad_config(), np.array([1.0])), quad1d)
+    loose = [bounds.Criterion.stationarity(10.0), bounds.Criterion.relative(10.0),
+             bounds.Criterion.alternate_relative(10.0),
+             bounds.Criterion.absolute(10.0, 10.0), None]
+    assert [engine.stop_reason(c, certs, None) for c in loose] == [None] * 5
+    assert engine.stop_reason(bounds.Criterion.function_gap(10.0), certs,
+                              None) == "converged"
+
+
 def test_iterate_yields_init_then_each_step(elastic_mu1):
     config = engine.SolverConfig.for_problem(elastic_mu1)
     x0 = np.zeros(elastic_mu1.dimension)

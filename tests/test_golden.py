@@ -3,9 +3,10 @@
 A refactor that leaves the arithmetic alone leaves these SHA-256 digests
 alone: they cover the final x and y of the two conftest captures, the trace
 text of a stationarity run with the elapsed_ns column dropped, and the
-report lines of an invariant sweep.  A change that moves any iterate by one
-bit fails here, and so does one that moves the deviation the classical
-equivalence check reports.
+report lines of an invariant sweep.  Those lines round `worst` to four
+digits, so every check's full-precision value is pinned too.  A change that
+moves any iterate by one bit fails here, and so does one that moves the
+deviation the classical equivalence check reports.
 """
 
 import hashlib
@@ -26,6 +27,66 @@ GOLDEN = {
 # format_real of the worst deviation equivalence_check reports on lasso_norm
 # over 100 steps at lf = 1.25 * curvature
 GOLDEN_EQUIVALENCE = "1.0177618793157411e-15"
+
+# (name, repr(worst), location, note, passed) of every check invariant_report
+# gives at sample_count=60: the plain-convexity and strongly convex captures
+# of conftest, and the quad1d run that halts at the growth limit
+_SAMPLED_2000 = "60 samples at k in [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000]"
+_SAMPLED_800 = "60 samples at k in [1, 2, 5, 10, 20, 50, 100, 200]"
+GOLDEN_REPORT_CHECKS = {
+    "lasso42": [
+        ('coefficient_identity', '6.092935052196907e-16', 1053, '', True),
+        ('tau_identity', '0.0', 1, '', True),
+        ('coefficient_sum_lower', '0.0', 1, '', True),
+        ('function_gap_rate', '-0.006338608805878182', 2000, '', True),
+        ('movement_bound', '-14.32944191687257', 146, 'checked 2000 of 2000', True),
+        ('min_norm_bound', '-0.5637207898069508', 2000, 'checked 2000 of 2000', True),
+        ('distance_x_bound', '-3.4751278176954914', 199, '', True),
+        ('residual_envelope', '-0.0001956100618755898', 1934, '', True),
+        ('certificate_identity', '2.7976043657369887e-16', 127, 'checked 2000 of 2000', True),
+        ('eta_nonnegative', '-0.0063105105397513565', 2000, '', True),
+        ('pair_norm_bounds', '-2.326030429161738e-08', 1889, 'checked 2000 of 2000', True),
+        ('lower_model_minorizes', '-24955.393916037876', 1, _SAMPLED_2000, True),
+        ('model_subgradient', '-0.002787671037536674', 2000, _SAMPLED_2000, True),
+        ('eps_subgradient', '-25117.163115511605', 1, _SAMPLED_2000, True),
+    ],
+    "elastic": [
+        ('coefficient_identity', '5.037539848219591e-16', 93, '', True),
+        ('tau_identity', '0.0', 1, '', True),
+        ('coefficient_sum_lower', '0.0', 1, '', True),
+        ('function_gap_rate', '-3.787866224990282e-09', 734, '', True),
+        ('movement_bound', '-4.148075625864203', 2, 'checked 375 of 800', True),
+        ('min_norm_bound', '-2.9682419548829606e-13', 492, 'checked 492 of 800', True),
+        ('distance_x_bound', '-2.1487588596496843e-09', 800, '', True),
+        ('distance_y_bound', '-2.1476006862971095', 508, '', True),
+        ('pair_absolute_bounds', '-7.146437746294256e-10', 315, 'checked 315 of 800', True),
+        ('residual_envelope', '-1.7026517922716694e-10', 475, '', True),
+        ('certificate_identity', '1.9257483202191808e-16', 134, 'checked 315 of 800', True),
+        ('eta_nonnegative', '-1.5496025611346374e-26', 800, '', True),
+        ('pair_norm_bounds', '-1.0000002627789955e-12', 315, 'checked 315 of 800', True),
+        ('lower_model_minorizes', '-947.2933170390395', 1, _SAMPLED_800, True),
+        ('model_subgradient', '-4.908769571252367e-07', 200, _SAMPLED_800, True),
+        ('eps_subgradient', '-972.3633101652878', 1, _SAMPLED_800, True),
+    ],
+    "quad1d_overflow": [
+        ('coefficient_identity', '1.3234889793121025e-16', 5, '', True),
+        ('tau_identity', '0.0', 1, '', True),
+        ('coefficient_sum_lower', '0.0', 1, '', True),
+        ('function_gap_rate', '-1e-09', 4, '', True),
+        ('movement_bound', '-0.5000010519999945', 1, 'checked 1 of 42', True),
+        ('min_norm_bound', '-7.999996817343145e-14', 3, 'checked 3 of 42', True),
+        ('distance_x_bound', '-1.001000082740371e-09', 5, '', True),
+        ('distance_y_bound', '-1.0000000020010003', 3, '', True),
+        ('pair_absolute_bounds', '-1.500010902875868e-07', 1, 'checked 1 of 42', True),
+        ('residual_envelope', '-1.0000001e-12', 6, '', True),
+        ('certificate_identity', '0.0', 1, 'checked 1 of 42', True),
+        ('eta_nonnegative', '-4.999958622789515e-295', 42, '', True),
+        ('pair_norm_bounds', '-1.000049999990917e-12', 1, 'checked 1 of 42', True),
+        ('lower_model_minorizes', '-1.0000000000000051e-08', 1, '60 samples at k in [1]', True),
+        ('model_subgradient', '-5.999998970393267e-08', 1, '60 samples at k in [1]', True),
+        ('eps_subgradient', '-5.999998970393267e-08', 1, '60 samples at k in [1]', True),
+    ],
+}
 
 
 def _array_digest(a):
@@ -57,6 +118,22 @@ def test_invariant_report_matches_golden(elastic_capture):
     lines = harness.invariant_report(elastic_capture, sample_count=60).lines()
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN["elastic_report"]
+
+
+def _overflow_capture(quad1d):
+    config = engine.SolverConfig(lf=1.0 + 1e-7, mu_f=1.0)
+    return harness.capture_run(quad1d, config, np.array([1.0]), 500)
+
+
+def test_invariant_checks_match_golden_bits(lasso42_capture, elastic_capture,
+                                            quad1d):
+    captures = {"lasso42": lasso42_capture, "elastic": elastic_capture,
+                "quad1d_overflow": _overflow_capture(quad1d)}
+    for label, capture in captures.items():
+        checks = harness.invariant_report(capture, sample_count=60).checks
+        got = [(c.name, repr(c.worst), c.location, c.note, c.passed)
+               for c in checks]
+        assert got == GOLDEN_REPORT_CHECKS[label], label
 
 
 def test_equivalence_deviation_matches_golden(lasso_norm):

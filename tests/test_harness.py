@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sfista import bounds, engine, harness, problems
+from sfista.errors import ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +91,11 @@ def test_invariant_report_strongly_convex(elastic_capture):
     # tau crosses the noise gate well before 800, so gated checks stop early
     gated = next(c for c in report.checks if c.name == "certificate_identity")
     assert "checked" in gated.note and " of 800" in gated.note
+
+
+def test_invariant_report_rejects_negative_sample_count(elastic_capture):
+    with pytest.raises(ConfigError, match="sample count -1 must be nonnegative"):
+        harness.invariant_report(elastic_capture, sample_count=-1)
 
 
 def test_check_result_line_formats():
