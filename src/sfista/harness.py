@@ -110,14 +110,19 @@ def checkpoints(k_max: int) -> list:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """The worst value of one check; `skipped` when it looked at nothing."""
+
     name: str
     passed: bool
     worst: float
     limit: float
     location: Optional[int] = None
     note: str = ""
+    skipped: bool = False
 
     def line(self) -> str:
+        if self.skipped:
+            return f"{self.name} = skipped ({self.note})"
         status = "pass" if self.passed else "FAIL"
         where = f", k = {self.location}" if self.location is not None else ""
         note = f", {self.note}" if self.note else ""
@@ -127,23 +132,26 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
+    """Check results; `overall` holds when some check ran and none failed."""
+
     checks: list = field(default_factory=list)
 
     @property
     def overall(self) -> bool:
-        return all(c.passed for c in self.checks)
+        ran = [c for c in self.checks if not c.skipped]
+        return bool(ran) and all(c.passed for c in ran)
 
     def lines(self) -> list:
-        out = [c.line() for c in self.checks]
-        out.append(f"overall = {'pass' if self.overall else 'FAIL'}")
-        return out
+        status = ("skipped" if all(c.skipped for c in self.checks)
+                  else "pass" if self.overall else "FAIL")
+        return [c.line() for c in self.checks] + [f"overall = {status}"]
 
 
 def _worst_result(name, values, limit, ks=None, note=""):
     values = list(values)
     if not values:
         return CheckResult(name=name, passed=True, worst=-math.inf, limit=limit,
-                           note=note or "no applicable iterates")
+                           note=note or "no applicable iterates", skipped=True)
     idx = int(np.argmax(values))
     worst = float(values[idx])
     location = ks[idx] if ks is not None else None
@@ -179,8 +187,9 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
     The checks form one table: name, limit, the iterates checked with a
     note, and the value at iterate k, of which the report keeps the worst.
     A check behind a rounding-noise gate keeps the iterates before the first
-    one past it, and its note says `checked N of K`.  A negative
-    sample_count raises ConfigError.
+    one past it, and its note says `checked N of K`.  A check left with no
+    iterate, or a sampled check with no samples, is `skipped` and stays out
+    of `overall`.  A negative sample_count raises ConfigError.
     """
     if sample_count < 0:
         raise ConfigError(f"sample count {sample_count} must be nonnegative")
@@ -199,11 +208,14 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
 
     # sampled model checks at the log-spaced iterates the tau gate keeps, a
     # prefix since tau grows with k; taken before the per-state lists below
-    # exist, so the samples set the report's peak memory on their own
+    # exist, so the samples set the report's peak memory on their own;
+    # without samples they look at no iterate
     sample_ks = [k for k in checkpoints(K) if k <= len(cert[0])]
+    at_samples = (sample_ks if sample_count else [],
+                  f"{sample_count} samples at k in {sample_ks}")
     rng = np.random.Generator(np.random.PCG64(seed))
     sampled = {}
-    for k in sample_ks:
+    for k in at_samples[0]:
         st, pair, model = states[k], pairs[k], capture.models[k]
         tol = MODEL_TOL_SCALE * (1.0 + abs(capture.phi_y[k]))
         samples = _cert.sample_points(st, problem, sample_count, rng)
@@ -211,7 +223,6 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
             _cert.lower_model_gap(model, problem, samples),
             _cert.lower_model_violation(model, pair, st, problem, samples),
             _cert.check_eps_subgradient(pair, st, problem, samples))]
-    at_samples = (sample_ks, f"{sample_count} samples at k in {sample_ks}")
 
     # ||y_k - x0||^2 and ||y_k - x_tilde_{k-1}||^2, formed once per state
     dist_sq = [math.nan] + [_squared_norm(st.y - st.x0) for st in states[1:]]

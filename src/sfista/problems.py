@@ -25,8 +25,8 @@ from .errors import ConfigError, NumericFailure
 Array = np.ndarray
 
 # Multiplicative inflation applied to every computed curvature bound so that
-# the estimate certifiably dominates the true constant (the power iteration
-# below stops on a residual that certifies a smaller relative error).
+# it dominates the true constant despite the rounding of the dense
+# eigensolve that computes it (`gram_top` states the bound and its range).
 CURVATURE_INFLATION = 1.0 + 1e-9
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10**5
@@ -205,16 +205,17 @@ def least_squares(A: Array, b: Array, ridge: float = 0.0,
                   curvature: Optional[float] = None) -> SmoothOracle:
     """f(x) = 0.5 * ||A x - b||^2 + (ridge/2) * ||x||^2.
 
-    When `curvature` is omitted it is computed by power iteration on A^T A
-    and inflated so the bound certifiably dominates the top eigenvalue.
+    When `curvature` is omitted it is the top eigenvalue of A^T A from
+    `gram_top`, plus the ridge, inflated so that it dominates the true
+    constant.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
+    _require_finite("design A", A)
     if curvature is None:
-        top = power_iteration(gram_matvec(A), A.shape[1])
-        curvature = (top + ridge) * CURVATURE_INFLATION
+        curvature = (gram_top(A) + ridge) * CURVATURE_INFLATION
 
     def value(x):
         r = A @ x - b
@@ -234,11 +235,16 @@ def least_squares(A: Array, b: Array, ridge: float = 0.0,
 
 def quadratic(Q: Array, c: Array, mu: float = 0.0,
               curvature: Optional[float] = None) -> SmoothOracle:
-    """f(x) = 0.5 * x^T Q x - c^T x for symmetric positive semidefinite Q."""
+    """f(x) = 0.5 * x^T Q x - c^T x for symmetric positive semidefinite Q.
+
+    When `curvature` is omitted it is the top eigenvalue of Q from
+    `top_eigenvalue`, inflated so that it dominates the true constant.
+    """
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
+    _require_finite("matrix Q", Q)
     if curvature is None:
-        curvature = power_iteration(Q, Q.shape[0]) * CURVATURE_INFLATION
+        curvature = top_eigenvalue(Q) * CURVATURE_INFLATION
     return SmoothOracle(
         value=lambda x: 0.5 * float(x @ (Q @ x)) - float(c @ x),
         grad=lambda x: Q @ x - c,
@@ -259,9 +265,9 @@ def logistic_loss(A: Array, labels: Array, ridge: float = 0.0,
     m = A.shape[0]
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
+    _require_finite("design A", A)
     if curvature is None:
-        top = power_iteration(gram_matvec(A), A.shape[1])
-        curvature = (top / (4.0 * m) + ridge) * CURVATURE_INFLATION
+        curvature = (gram_top(A) / (4.0 * m) + ridge) * CURVATURE_INFLATION
 
     def value(x):
         margins = labels * (A @ x)
@@ -286,9 +292,43 @@ def logistic_loss(A: Array, labels: Array, ridge: float = 0.0,
 # Curvature estimation
 # ---------------------------------------------------------------------------
 
-def gram_matvec(A: Array) -> Callable[[Array], Array]:
-    """Matvec of A^T A without forming the Gram matrix."""
-    return lambda v: A.T @ (A @ v)
+def _require_finite(name: str, M: Array) -> None:
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} has non-finite entries")
+
+
+def top_eigenvalue(M: Array) -> float:
+    """Largest eigenvalue of the symmetric matrix M by one dense eigensolve.
+
+    np.linalg.eigvalsh is backward stable: its eigenvalues are exact for
+    some M + E with ||E||_2 <= c q u ||M||_2, where q is the order of M, u
+    = 2^-53 the unit roundoff and c a modest constant, so by Weyl's
+    inequality the top one is off by at most that much.  A solver that
+    fails to converge raises NumericFailure.
+    """
+    try:
+        return max(float(np.linalg.eigvalsh(M)[-1]), 0.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"symmetric eigensolve failed: {exc}") from exc
+
+
+def gram_top(A: Array) -> float:
+    """Largest eigenvalue of A^T A, sigma_max(A)^2, from the smaller Gram.
+
+    With A of shape (m, n) it solves A^T A when m >= n and A A^T otherwise;
+    both have the same nonzero spectrum.  Write p = max(m, n) for the length
+    of the Gram product's sums and q = min(m, n) for its order.  The product
+    is off by at most gamma_p ||A||_F^2 <= gamma_p q ||A||_2^2 in the
+    2-norm, with gamma_p = p u / (1 - p u), and the eigensolve adds the
+    backward error c q u ||A||_2^2 (see `top_eigenvalue`).  By Weyl's
+    inequality the result is within (p + c) q u of sigma_max(A)^2,
+    relatively, up to second-order terms.  CURVATURE_INFLATION = 1 + 1e-9
+    covers that while (p + c) q <= 9e6 or so: up to about 3000 x 3000, and
+    with a margin of about 18 at 1000 x 500.  The bound is a worst case;
+    rounding errors that do not all align leave far more room.
+    """
+    m, n = A.shape
+    return top_eigenvalue(A.T @ A if m >= n else A @ A.T)
 
 
 def power_iteration(op, dim: int, tol: float = POWER_TOL,
@@ -296,9 +336,13 @@ def power_iteration(op, dim: int, tol: float = POWER_TOL,
                     rng: Optional[np.random.Generator] = None) -> float:
     """Largest eigenvalue of a symmetric PSD operator by power iteration.
 
-    `op` is either a square array or a matvec callable.  Iterates until the
-    eigenpair residual ||M v - theta v|| drops below tol * theta, which for a
-    symmetric operator certifies |lambda_max - theta| <= tol * theta.  Raises
+    `op` is either a square array or a matvec callable, for operators known
+    only through their products.  Iterates until the eigenpair residual
+    ||M v - theta v|| drops below tol * theta.  For a symmetric operator
+    that bounds the distance from theta to the *nearest* eigenvalue, not to
+    lambda_max: a start nearly orthogonal to the top eigenvector can stop
+    near a smaller one, so the result is an estimate, not a certified upper
+    bound.  The instance builders use the dense `gram_top` instead.  Raises
     NumericFailure when the cap is hit first.
     """
     matvec = op if callable(op) else (lambda v: op @ v)
@@ -441,10 +485,8 @@ def _make_lasso(seed, m, n, params):
     rng = _rng(seed)
     A, b = _sparse_regression_data(rng, m, n, p["density"], p["noise"])
     if p["normalize"]:
-        top = power_iteration(gram_matvec(A), n, rng=rng)
-        A = A / math.sqrt(top)
-    top = power_iteration(gram_matvec(A), n, rng=rng)
-    f = least_squares(A, b, curvature=top * CURVATURE_INFLATION)
+        A = A / math.sqrt(gram_top(A))
+    f = least_squares(A, b)
     h = l1_norm(p["reg"])
     problem = CompositeProblem(f=f, h=h, dimension=n)
     return problem, p, {"A": A, "b": b}
@@ -453,13 +495,9 @@ def _make_lasso(seed, m, n, params):
 def _make_elastic_net(seed, m, n, params):
     p = _pop_params(params, {"reg": 0.1, "ridge": 1.0, "density": 0.1,
                              "noise": 0.1})
-    if p["ridge"] < 0:
-        raise ValueError("ridge must be nonnegative")
     rng = _rng(seed)
     A, b = _sparse_regression_data(rng, m, n, p["density"], p["noise"])
-    top = power_iteration(gram_matvec(A), n, rng=rng)
-    f = least_squares(A, b, ridge=p["ridge"],
-                      curvature=(top + p["ridge"]) * CURVATURE_INFLATION)
+    f = least_squares(A, b, ridge=p["ridge"])
     h = l1_norm(p["reg"])
     problem = CompositeProblem(f=f, h=h, dimension=n)
     return problem, p, {"A": A, "b": b}
@@ -478,8 +516,7 @@ def _make_box_qp(seed, m, n, params):
         Q = B.T @ B / m + p["ridge"] * np.eye(n)
         mu = p["ridge"]
     c = rng.standard_normal(n)
-    top = power_iteration(Q, n, rng=rng)
-    f = quadratic(Q, c, mu=mu, curvature=top * CURVATURE_INFLATION)
+    f = quadratic(Q, c, mu=mu)
     h = box_indicator(np.full(n, float(p["lo"])), np.full(n, float(p["hi"])))
     problem = CompositeProblem(f=f, h=h, dimension=n)
     return problem, p, {"Q": Q, "c": c}
@@ -487,16 +524,12 @@ def _make_box_qp(seed, m, n, params):
 
 def _make_logistic_l2(seed, m, n, params):
     p = _pop_params(params, {"ridge": 1.0})
-    if p["ridge"] < 0:
-        raise ValueError("ridge must be nonnegative")
     rng = _rng(seed)
     A = rng.standard_normal((m, n))
     w_true = rng.standard_normal(n) / math.sqrt(n)
     margins = A @ w_true + 0.1 * rng.standard_normal(m)
     labels = np.where(margins >= 0, 1.0, -1.0)
-    top = power_iteration(gram_matvec(A), n, rng=rng)
-    f = logistic_loss(A, labels, ridge=p["ridge"],
-                      curvature=(top / (4.0 * m) + p["ridge"]) * CURVATURE_INFLATION)
+    f = logistic_loss(A, labels, ridge=p["ridge"])
     h = zero_function()
     problem = CompositeProblem(f=f, h=h, dimension=n)
     return problem, p, {"A": A, "labels": labels}

@@ -315,6 +315,29 @@ def test_verify_invariants_negative_samples_exits_two(monkeypatch, capsys):
     assert err == ["error: sample count -1 must be nonnegative"]
 
 
+def test_verify_invariants_without_iterates_exits_three(capsys):
+    # a sweep that looked at nothing must not report a pass
+    code = cli.main(["verify", "invariants", "--m", "10", "--n", "12",
+                     "--iters", "0"])
+    out, _ = _lines(capsys)
+    assert code == 3
+    assert out[-1] == "overall = skipped"
+    assert "coefficient_identity = skipped (no applicable iterates)" in out
+
+
+def test_verify_invariants_without_samples_skips_sampled_checks(capsys):
+    code = cli.main(["verify", "invariants", "--m", "10", "--n", "12",
+                     "--iters", "50", "--samples", "0"])
+    out, _ = _lines(capsys)
+    assert code == 0
+    assert out[-1] == "overall = pass"
+    skipped = [line.split(" = ")[0] for line in out if "= skipped (" in line]
+    assert skipped == ["lower_model_minorizes", "model_subgradient",
+                       "eps_subgradient"]
+    assert out[-2] == ("eps_subgradient = skipped "
+                       "(0 samples at k in [1, 2, 5, 10, 20, 50])")
+
+
 def test_verify_bounds_reports_rows(monkeypatch, capsys):
     rows = [
         harness.BoundsRow(label="fake[seed=0]", variant="relative",
@@ -371,7 +394,7 @@ def test_make_instance_prints_the_file_it_writes(tmp_path, capsys):
         "kind = elastic_net\nseed = 9\nm = 12\nn = 18\nrng = pcg64\n"
         "density = 0.10000000000000001\nnoise = 0.10000000000000001\n"
         "reg = 0.10000000000000001\nridge = 1\n"
-        "lf_bar = 58.686174518903826\nmu_f_bar = 1\nmu_h_bar = 0\n")
+        "lf_bar = 58.686174518903861\nmu_f_bar = 1\nmu_h_bar = 0\n")
     assert out == path.read_text() + f"out = {path}\n"
 
 

@@ -65,9 +65,9 @@ def test_checkpoints_are_log_spaced():
 
 def test_worst_result_on_empty_input():
     result = harness._worst_result("anything", [], 1.0)
-    assert result.passed
+    assert result.passed and result.skipped
     assert result.note == "no applicable iterates"
-    assert "pass" in result.line()
+    assert result.line() == "anything = skipped (no applicable iterates)"
 
 
 def test_invariant_report_plain_convexity(lasso42_capture):
@@ -96,6 +96,26 @@ def test_invariant_report_strongly_convex(elastic_capture):
 def test_invariant_report_rejects_negative_sample_count(elastic_capture):
     with pytest.raises(ConfigError, match="sample count -1 must be nonnegative"):
         harness.invariant_report(elastic_capture, sample_count=-1)
+
+
+def test_invariant_report_skips_sampled_checks_without_samples(elastic_capture):
+    report = harness.invariant_report(elastic_capture, sample_count=0)
+    skipped = [c.name for c in report.checks if c.skipped]
+    assert skipped == ["lower_model_minorizes", "model_subgradient",
+                       "eps_subgradient"]
+    assert report.checks[-1].line().startswith(
+        "eps_subgradient = skipped (0 samples at k in [1, 2, 5, ")
+    assert report.overall and report.lines()[-1] == "overall = pass"
+
+
+def test_invariant_report_without_iterates_is_skipped(elastic_mu1):
+    config = engine.SolverConfig.for_problem(elastic_mu1)
+    capture = harness.capture_run(elastic_mu1, config,
+                                  np.zeros(elastic_mu1.dimension), 0)
+    report = harness.invariant_report(capture, sample_count=10)
+    assert all(c.skipped for c in report.checks)
+    assert not report.overall
+    assert report.lines()[-1] == "overall = skipped"
 
 
 def test_check_result_line_formats():

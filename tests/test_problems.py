@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sfista import problems
 from sfista.errors import NumericFailure
@@ -212,6 +214,101 @@ def test_power_iteration_edge_cases():
 
 
 # ---------------------------------------------------------------------------
+# certified curvature
+# ---------------------------------------------------------------------------
+
+# the computed bound may exceed the true constant by the inflation and the
+# rounding it covers, no more
+CERTIFIED_SLACK = 1.0 + 2e-9
+
+
+def _sigma_max(M):
+    return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def _assert_certified(curvature, exact):
+    assert exact <= curvature <= exact * CERTIFIED_SLACK
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       n=st.integers(1, 12), rank=st.integers(0, 12),
+       scale=st.sampled_from([1e-3, 1.0, 1e4]),
+       ridge=st.sampled_from([0.0, 0.5, 3.0]))
+@example(seed=0, m=1, n=1, rank=1, scale=1.0, ridge=0.0)   # 1x1
+@example(seed=0, m=5, n=3, rank=0, scale=1.0, ridge=0.0)   # zero matrix
+@example(seed=0, m=3, n=5, rank=0, scale=1.0, ridge=0.5)
+def test_curvature_bounds_the_top_squared_singular_value(seed, m, n, rank,
+                                                         scale, ridge):
+    # rank min(rank, m, n): rank-deficient designs, and the zero matrix at 0
+    rng = _rng(seed)
+    r = min(rank, m, n)
+    A = scale * (rng.standard_normal((m, r)) @ rng.standard_normal((r, n)))
+    b = rng.standard_normal(m)
+    top = _sigma_max(A) ** 2
+    _assert_certified(problems.least_squares(A, b, ridge=ridge).curvature,
+                      top + ridge)
+    labels = np.where(b >= 0, 1.0, -1.0)
+    _assert_certified(problems.logistic_loss(A, labels, ridge=ridge).curvature,
+                      top / (4.0 * m) + ridge)
+    Q = A.T @ A + ridge * np.eye(n)
+    _assert_certified(problems.quadratic(Q, np.zeros(n)).curvature,
+                      _sigma_max(Q))
+
+
+@pytest.mark.parametrize("kind, m, n, params", [
+    ("lasso", 30, 50, {}),
+    ("lasso", 40, 60, {"normalize": True}),
+    ("lasso", 70, 20, {"normalize": True}),
+    ("elastic_net", 50, 30, {"ridge": 0.5}),
+    ("box_qp", 30, 20, {"ridge": 0.1}),
+    ("box_qp", 10, 12, {"diag": True}),
+    ("logistic_l2", 25, 40, {"ridge": 0.2}),
+])
+def test_instance_curvature_is_certified(kind, m, n, params):
+    problem = make_instance(kind, 3, m, n, with_reference=False, **params)
+    data, ridge = problem.spec.data, problem.spec.params.get("ridge", 0.0)
+    if kind == "box_qp":
+        exact = _sigma_max(data["Q"])
+    elif kind == "logistic_l2":
+        exact = _sigma_max(data["A"]) ** 2 / (4.0 * m) + ridge
+    else:
+        exact = _sigma_max(data["A"]) ** 2 + ridge
+    _assert_certified(problem.f.curvature, exact)
+    if params.get("normalize"):
+        assert abs(_sigma_max(data["A"]) ** 2 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda M: problems.least_squares(M, np.zeros(3)), "design A"),
+    (lambda M: problems.logistic_loss(M, np.ones(3)), "design A"),
+    (lambda M: problems.quadratic(M, np.zeros(3)), "matrix Q"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_matrix_fails_before_the_eigensolve(monkeypatch, build,
+                                                       name, bad):
+    def no_eigensolve(M):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    M = np.eye(3)
+    M[1, 2] = bad
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        build(M)
+
+
+def test_eigensolve_failure_is_a_numeric_failure(monkeypatch):
+    def not_converged(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", not_converged)
+    with pytest.raises(NumericFailure, match="did not converge"):
+        problems.least_squares(np.eye(3), np.zeros(3))
+    with pytest.raises(NumericFailure, match="did not converge"):
+        make_instance("box_qp", 1, 4, 3, with_reference=False)
+
+
+# ---------------------------------------------------------------------------
 # reference solver
 # ---------------------------------------------------------------------------
 
@@ -327,6 +424,24 @@ def test_instance_file_detects_constant_mismatch(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(NumericFailure):
         problems.load_instance(path)
+
+
+# `sfista make-instance --problem elastic_net --seed 9 --m 12 --n 18` as
+# written when lf_bar came from a power iteration; it differs from today's
+# constant in the last digits, within load_instance's 1e-9 relative check
+RECORDED_INSTANCE_FILE = (
+    "kind = elastic_net\nseed = 9\nm = 12\nn = 18\nrng = pcg64\n"
+    "density = 0.10000000000000001\nnoise = 0.10000000000000001\n"
+    "reg = 0.10000000000000001\nridge = 1\n"
+    "lf_bar = 58.686174518903826\nmu_f_bar = 1\nmu_h_bar = 0\n")
+
+
+def test_recorded_instance_file_still_loads(tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_text(RECORDED_INSTANCE_FILE)
+    loaded = problems.load_instance(path)
+    assert loaded.dimension == 18 and loaded.f.mu == 1.0
+    assert abs(loaded.f.curvature / 58.686174518903826 - 1.0) <= 1e-14
 
 
 def test_instance_file_requires_keys(tmp_path):
