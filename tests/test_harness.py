@@ -98,7 +98,7 @@ def test_invariant_report_rejects_negative_sample_count(elastic_capture):
         harness.invariant_report(elastic_capture, sample_count=-1)
 
 
-def test_invariant_report_skips_sampled_checks_without_samples(elastic_capture):
+def test_invariant_report_without_samples_skips(elastic_capture):
     report = harness.invariant_report(elastic_capture, sample_count=0)
     skipped = [c.name for c in report.checks if c.skipped]
     assert skipped == ["lower_model_minorizes", "model_subgradient",
