@@ -140,6 +140,11 @@ def instance_meta(problem) -> list:
     return instance_recipe(problem, constants=False)
 
 
+def constant_meta(config: _engine.SolverConfig) -> list:
+    return [("lf", format_real(config.lf)), ("mu_f", format_real(config.mu_f)),
+            ("mu_h", format_real(config.mu_h))]
+
+
 def criterion_meta(criterion: Optional[_bounds.Criterion]) -> list:
     if criterion is None:
         return [("criterion", "none")]
@@ -170,20 +175,15 @@ def cmd_solve(args) -> int:
         max_iter=args.max_iter, criterion=criterion, trace_every=trace_every,
     )
     result = _engine.run(problem, config, default_start(problem))
+    # the summary's head lines, which the trace file repeats as metadata
+    head = (instance_meta(problem) + constant_meta(config)
+            + criterion_meta(criterion))
     if args.trace is not None:
-        meta = dict(instance_meta(problem))
-        meta["lf"] = format_real(config.lf)
-        meta["mu_f"] = format_real(config.mu_f)
-        meta["mu_h"] = format_real(config.mu_h)
-        meta.update(criterion_meta(criterion))
-        meta["trace_every"] = str(config.trace_every)
+        meta = dict(head + [("trace_every", str(config.trace_every))])
         _harness.write_trace(args.trace, result.trace, meta)
 
     final = result.trace[-1]
-    _emit(instance_meta(problem))
-    _emit([("lf", format_real(config.lf)), ("mu_f", format_real(config.mu_f)),
-           ("mu_h", format_real(config.mu_h))])
-    _emit(criterion_meta(criterion))
+    _emit(head)
     opt = lambda v: "none" if v is None else format_real(v)
     _emit([
         ("stop_reason", result.reason),
@@ -258,10 +258,8 @@ def cmd_verify_invariants(args) -> int:
                                               mu_f=args.mu_f, mu_h=args.mu_h)
     capture = _harness.capture_run(problem, config, default_start(problem),
                                    args.iters)
-    _emit(instance_meta(problem))
-    _emit([("lf", format_real(config.lf)), ("mu_f", format_real(config.mu_f)),
-           ("mu_h", format_real(config.mu_h)),
-           ("iterations", str(capture.iterations))])
+    _emit(instance_meta(problem) + constant_meta(config)
+          + [("iterations", str(capture.iterations))])
     if capture.overflowed:
         print("halted = growth_overflow")
     report = _harness.invariant_report(capture, sample_count=args.samples)

@@ -227,7 +227,12 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
     )
 
 
-def _trace_record(certs: _cert.Certificates, started_ns: int) -> TraceRecord:
+def trace_record(certs: _cert.Certificates, started_ns: int) -> TraceRecord:
+    """The trace row of one state, elapsed_ns counted from started_ns.
+
+    Rows after k = 0 carry both certificates; gap is None without a
+    reference optimum.
+    """
     state, problem = certs.state, certs.problem
     # the recorded a is the coefficient the NEXT step would use, so a single
     # row checks tau * (A + a) / a^2 = 1 / lam on its own
@@ -313,7 +318,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
         certs = _cert.Certificates(state, problem)
         row = None
         if state.k % config.trace_every == 0:
-            row = _trace_record(certs, started_ns)
+            row = trace_record(certs, started_ns)
             trace.append(row)
         reason = stop_reason(criterion, certs, row)
         if reason is not None:
@@ -321,7 +326,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     if reason is None:
         reason = "max_iter" if state.k == config.max_iter else "growth_overflow"
     if trace[-1].k != state.k:
-        trace.append(_trace_record(certs, started_ns))
+        trace.append(trace_record(certs, started_ns))
         if criterion is None:
             reason = stop_reason(None, certs, trace[-1]) or reason
     return RunResult(state=state, reason=reason, trace=trace)

@@ -1,10 +1,10 @@
 """Verification harness: recorded runs, invariant sweeps, and trace files.
 
-`capture_run` keeps every state `engine.iterate` yields, plus the aggregated
-lower model at the sampled checkpoints, which the invariant sweep and the
-test suite interrogate.  `invariant_report` evaluates the identities
-and a priori bounds the method guarantees on a recorded run and reports the
-worst violation of each.  `bounds_suite` measures observed criterion-firing
+`capture_run` keeps every state `engine.iterate` yields, its trace row, and
+the aggregated lower model at the sampled checkpoints, which the invariant
+sweep and the test suite interrogate.  `invariant_report` evaluates the
+identities and a priori bounds the method guarantees on a recorded run and
+reports the worst violation of each.  `bounds_suite` measures observed criterion-firing
 iterations against the closed-form predictors on a seeded instance family,
 with one pass of `engine.iterate` per instance tested against every
 criterion at once.
@@ -13,6 +13,7 @@ criterion at once.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, islice, takewhile
 from operator import attrgetter
@@ -24,8 +25,7 @@ from . import bounds as _bounds
 from . import certificates as _cert
 from . import engine as _engine
 from .errors import ConfigError
-from .problems import (CompositeProblem, eval_phi, format_real, make_instance,
-                       vector_norm)
+from .problems import CompositeProblem, format_real, make_instance, vector_norm
 
 Array = np.ndarray
 
@@ -46,26 +46,18 @@ INEQ_REL_SLACK = 1e-9
 
 @dataclass
 class RunCapture:
-    """Every state of a recorded run plus derived per-iterate quantities."""
+    """Every state of a recorded run, its trace row, and checkpoint models."""
 
     problem: CompositeProblem
     config: _engine.SolverConfig
     states: list
-    phi_y: Array
-    norm_u: Array  # nan at k = 0
-    pairs: list  # None at k = 0
+    rows: list  # engine.trace_record of each state, as run traces it
     models: dict  # lower model Gamma_k at each k of checkpoints(iterations)
     overflowed: bool = False
 
     @property
     def iterations(self) -> int:
         return len(self.states) - 1
-
-    def gaps(self) -> Array:
-        ref = self.problem.reference_optimum
-        if ref is None:
-            raise ValueError("gaps need a problem with a reference optimum")
-        return self.phi_y - ref.phi_star
 
     def d0(self) -> float:
         ref = self.problem.reference_optimum
@@ -79,26 +71,24 @@ def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
     """The first `iters + 1` states of `engine.iterate`, recording everything.
 
     Fewer states when the coefficient growth halts the run first, which
-    `overflowed` marks.  The lower models are kept only at `checkpoints`, the
-    iterates the sampled checks of `invariant_report` visit.  A negative
+    `overflowed` marks.  Each state's row is the one `engine.run` traces at
+    trace_every = 1, so `write_trace(path, capture.rows)` writes what
+    `solve --trace` would.  The lower models are kept only at `checkpoints`,
+    the iterates the sampled checks of `invariant_report` visit.  A negative
     `iters` raises ConfigError.
     """
     if iters < 0:
         raise ConfigError(f"step count {iters} must be nonnegative")
+    started_ns = time.perf_counter_ns()
     states = list(islice(_engine.iterate(problem, config, x0), iters + 1))
     overflowed = len(states) <= iters
-    phi_y = np.array([eval_phi(problem, s.y) for s in states])
-    norm_u = np.full(len(states), math.nan)
-    pairs: list = [None]
-    for k in range(1, len(states)):
-        norm_u[k] = _cert.stationarity_residual(states[k], problem).norm
-        pairs.append(_cert.residual_pair(states[k]))
+    rows = [_engine.trace_record(_cert.Certificates(state, problem), started_ns)
+            for state in states]
     keep = set(checkpoints(len(states) - 1))
     models = {k: model for k, model in _cert.lower_models(states, problem)
               if k in keep}
-    return RunCapture(problem=problem, config=config, states=states,
-                      phi_y=phi_y, norm_u=norm_u, pairs=pairs, models=models,
-                      overflowed=overflowed)
+    return RunCapture(problem=problem, config=config, states=states, rows=rows,
+                      models=models, overflowed=overflowed)
 
 
 def checkpoints(k_max: int) -> list:
@@ -170,10 +160,11 @@ def _excess(value, bound):
     return value - bound * (1.0 + INEQ_REL_SLACK) - 1e-12
 
 
-def _pair_excess(pair, bounds) -> float:
-    """The larger excess of ||v|| and of eta over their (v, eta) bounds."""
+def _pair_excess(row, bounds) -> float:
+    """The larger excess of a row's ||v|| and eta over their (v, eta) bounds."""
     v_bound, eta_bound = bounds
-    return max(_excess(pair.norm, v_bound), _excess(pair.eta, eta_bound))
+    return max(_excess(row.norm_v, v_bound),
+               _excess(row.eta_residual, eta_bound))
 
 
 def _squared_norm(v: Array) -> float:
@@ -194,7 +185,7 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
     if sample_count < 0:
         raise ConfigError(f"sample count {sample_count} must be nonnegative")
     problem, config, states = capture.problem, capture.config, capture.states
-    pairs, norm_u = capture.pairs, capture.norm_u
+    rows = capture.rows
     K = capture.iterations
     lf, mu_f, mu, lam = config.lf, config.mu_f, config.mu, config.lam
     lf_bar = problem.f.curvature
@@ -216,8 +207,9 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
     rng = np.random.Generator(np.random.PCG64(seed))
     sampled = {}
     for k in at_samples[0]:
-        st, pair, model = states[k], pairs[k], capture.models[k]
-        tol = MODEL_TOL_SCALE * (1.0 + abs(capture.phi_y[k]))
+        st, model = states[k], capture.models[k]
+        pair = _cert.residual_pair(st)
+        tol = MODEL_TOL_SCALE * (1.0 + abs(rows[k].phi_y))
         samples = _cert.sample_points(st, problem, sample_count, rng)
         sampled[k] = [value - tol for value in (
             _cert.lower_model_gap(model, problem, samples),
@@ -247,14 +239,14 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
     ]
 
     if ref is not None:
-        gaps, d0, phi_star = capture.gaps(), capture.d0(), ref.phi_star
+        d0, phi_star = capture.d0(), ref.phi_star
         c = _bounds.growth_factor(lf, mu_f, mu)
         slack = RATE_SLACK_SCALE * (1.0 + abs(phi_star))
         # at index k: the sum over i = 1 .. k of A_i ||y_i - x_tilde_{i-1}||^2,
         # the least ||u_i||^2, and the min-norm bound, which divides by the
         # sum of A_i
         moved = list(accumulate((A[k] * move_sq[k] for k in ks), initial=0.0))
-        best_sq = list(accumulate((norm_u[k] ** 2 for k in ks), min,
+        best_sq = list(accumulate((rows[k].norm_u ** 2 for k in ks), min,
                                   initial=math.inf))
         min_norm_rhs = [math.nan] + [8.0 * lf**2 * d0**2 / ((lf - lf_bar) * A_sum)
                                      for A_sum in accumulate(A[1:])]
@@ -262,7 +254,7 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
 
         def movement(k):
             lhs = 0.5 * (lf - lf_bar) * moved[k]
-            rhs = d0**2 - A[k] * float(gaps[k])
+            rhs = d0**2 - A[k] * rows[k].gap
             # the A_k term amplifies the objective's evaluation noise
             noise = A[k] * 1e-13 * (1.0 + abs(phi_star))
             return lhs - rhs - slack * (1.0 + d0**2) - noise
@@ -270,7 +262,7 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
         checks += [
             # phi(y_k) - phi* <= (lf - mu_f) d0^2 / 2 * min(4/k^2, c^(2(1-k)))
             ("function_gap_rate", 0.0, every,
-             lambda k: float(gaps[k]) - 0.5 * (lf - mu_f) * d0**2
+             lambda k: rows[k].gap - 0.5 * (lf - mu_f) * d0**2
              * min(4.0 / k**2, c ** (2.0 * (1.0 - k))) - slack),
             # (lf - lf_bar)/2 sum A_i ||y_i - x_tilde_{i-1}||^2
             #     <= d0^2 - A_k (phi(y_k) - phi*)
@@ -292,11 +284,12 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
                                    _bounds.distance_bound_y(A[k], mu, d0))),
                 ("pair_absolute_bounds", 0.0, cert,
                  lambda k: _pair_excess(
-                     pairs[k], _bounds.pair_absolute_bounds(A[k], mu, d0))),
+                     rows[k], _bounds.pair_absolute_bounds(A[k], mu, d0))),
             ]
 
     def cert_identity(k):
-        st, pair = states[k], pairs[k]
+        st = states[k]
+        pair = _cert.residual_pair(st)
         shifted = st.A * pair.v + st.y - st.x0
         lhs = _squared_norm(shifted) / st.tau + 2.0 * st.A * pair.eta
         return abs(lhs - dist_sq[k]) / max(1.0, dist_sq[k])
@@ -304,15 +297,16 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
     checks += [
         # ||u_k|| <= 2 lf ||y_k - x_tilde_{k-1}||
         ("residual_envelope", 0.0, every,
-         lambda k: (norm_u[k] - 2.0 * lf * math.sqrt(move_sq[k])
+         lambda k: (rows[k].norm_u - 2.0 * lf * math.sqrt(move_sq[k])
                     * (1.0 + INEQ_REL_SLACK) - 1e-12 * lf)),
         # ||A v + y - x0||^2 / tau + 2 A eta = ||y - x0||^2
         ("certificate_identity", CERT_IDENTITY_TOL, cert, cert_identity),
         # eta_k >= 0 up to rounding
-        ("eta_nonnegative", -ETA_FLOOR, every, lambda k: -pairs[k].eta),
+        ("eta_nonnegative", -ETA_FLOOR, every,
+         lambda k: -rows[k].eta_residual),
         # ||v_k|| and eta_k against their ||y_k - x0|| envelopes
         ("pair_norm_bounds", 0.0, cert,
-         lambda k: _pair_excess(pairs[k], _bounds.pair_norm_bounds(
+         lambda k: _pair_excess(rows[k], _bounds.pair_norm_bounds(
              A[k], tau[k], math.sqrt(dist_sq[k])))),
         ("lower_model_minorizes", 0.0, at_samples, lambda k: sampled[k][0]),
         ("model_subgradient", 0.0, at_samples, lambda k: sampled[k][1]),
@@ -410,15 +404,6 @@ def suite_rows(label: str, problem: CompositeProblem, criteria) -> list:
                       observed_k=k_obs,
                       passed=k_obs is not None and k_obs <= k_pred)
             for criterion, k_pred, k_obs in zip(criteria, predicted, observed)]
-
-
-def predictor_row(label: str, problem: CompositeProblem,
-                  criterion: "_bounds.Criterion") -> BoundsRow:
-    """Observed first-satisfaction iteration against the predicted count.
-
-    `suite_rows` with the one criterion.
-    """
-    return suite_rows(label, problem, [criterion])[0]
 
 
 def bounds_suite(seed_base: int = 0) -> list:

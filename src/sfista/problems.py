@@ -214,6 +214,7 @@ def least_squares(A: Array, b: Array, ridge: float = 0.0,
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     _require_finite("design A", A)
+    _require_finite("target b", b)
     if curvature is None:
         curvature = (gram_top(A) + ridge) * CURVATURE_INFLATION
 
@@ -243,6 +244,7 @@ def quadratic(Q: Array, c: Array, mu: float = 0.0,
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
     _require_finite("matrix Q", Q)
+    _require_finite("vector c", c)
     if curvature is None:
         curvature = top_eigenvalue(Q) * CURVATURE_INFLATION
     return SmoothOracle(
@@ -266,6 +268,7 @@ def logistic_loss(A: Array, labels: Array, ridge: float = 0.0,
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     _require_finite("design A", A)
+    _require_finite("labels", labels)
     if curvature is None:
         curvature = (gram_top(A) / (4.0 * m) + ridge) * CURVATURE_INFLATION
 
@@ -385,7 +388,8 @@ def reference_solve(problem: CompositeProblem, x0: Optional[Array] = None,
     fires, which resets the momentum and restarts from z = x (O'Donoghue and
     Candes, 2015).  T is nonexpansive, so the returned x = T(z) satisfies
     ||x - T(x)|| <= `tol` up to rounding, whichever path led to z.
-    `max_iter` caps the number of prox-gradient steps.  Returns
+    `max_iter` caps the number of prox-gradient steps, and a residual that
+    is not finite raises NumericFailure at once.  Returns
     (phi_star, x_star, d0) where d0 = ||x0 - x_star||.
 
     This routine is deliberately independent of the accelerated solver: it is
@@ -403,8 +407,12 @@ def reference_solve(problem: CompositeProblem, x0: Optional[Array] = None,
     theta = 1.0
     for _ in range(max_iter):
         x = problem.h.prox(z - t * problem.f.grad(z), t)
-        if vector_norm(z - x) <= tol:
+        residual = vector_norm(z - x)
+        if residual <= tol:
             break
+        if not math.isfinite(residual):
+            raise NumericFailure(
+                f"proximal-gradient residual {residual:g} is not finite")
         if float((z - x) @ (x - x_prev)) > 0.0:
             theta, z = 1.0, x
         else:

@@ -26,9 +26,9 @@ def test_acceptance_01_sublinear_rate(capsys, lasso42, lasso42_capture):
     cap = lasso42_capture
     lf, mu_f = cap.config.lf, cap.config.mu_f
     d0 = cap.d0()
-    gaps = cap.gaps()
+    gaps = [row.gap for row in cap.rows]
     slack = 1e-9 * (1.0 + abs(lasso42.reference_optimum.phi_star))
-    worst = max(float(gaps[k]) - 2.0 * (lf - mu_f) * d0**2 / k**2
+    worst = max(gaps[k] - 2.0 * (lf - mu_f) * d0**2 / k**2
                 for k in range(1, 2001))
     started = time.perf_counter()
     config = engine.SolverConfig.for_problem(lasso42, max_iter=2000,
@@ -46,7 +46,7 @@ def test_acceptance_02_geometric_rate(capsys, elastic_mu1, elastic_capture):
     lf, mu_f, mu = cap.config.lf, cap.config.mu_f, cap.config.mu
     assert mu == 1.0
     d0 = cap.d0()
-    gaps = cap.gaps()
+    gaps = np.array([row.gap for row in cap.rows])
     slack = 1e-9 * (1.0 + abs(elastic_mu1.reference_optimum.phi_star))
     c = bounds.growth_factor(lf, mu_f, mu)
     below = np.nonzero(gaps[1:] < 1e-12)[0]
@@ -113,12 +113,12 @@ def test_acceptance_05_certificate_identity(capsys, lasso42_capture,
             if k > cap.iterations or cap.states[k].tau > harness.CERT_TAU_LIMIT:
                 continue
             st = cap.states[k]
-            pair = cap.pairs[k]
+            pair = certificates.residual_pair(st)
             shifted = st.A * pair.v + st.y - st.x0
             lhs = float(shifted @ shifted) / st.tau + 2.0 * st.A * pair.eta
             rhs = float((st.y - st.x0) @ (st.y - st.x0))
             worst = max(worst, abs(lhs - rhs) / max(1.0, rhs))
-    eta_floor = min(cap.pairs[k].eta
+    eta_floor = min(cap.rows[k].eta_residual
                     for cap in (lasso42_capture, elastic_capture)
                     for k in range(1, cap.iterations + 1))
     ok = worst <= 1e-8 and eta_floor >= -1e-12
@@ -132,8 +132,8 @@ def test_acceptance_06_eps_subgradient(capsys, lasso42, lasso42_capture):
     worst_eps = worst_minor = -math.inf
     for k in (1, 10, 100):
         st = lasso42_capture.states[k]
-        pair = lasso42_capture.pairs[k]
-        tol = 1e-8 * (1.0 + abs(lasso42_capture.phi_y[k]))
+        pair = certificates.residual_pair(st)
+        tol = 1e-8 * (1.0 + abs(lasso42_capture.rows[k].phi_y))
         samples = certificates.sample_points(st, lasso42, 1000, rng)
         worst_eps = max(worst_eps, certificates.check_eps_subgradient(
             pair, st, lasso42, samples) - tol)
@@ -152,7 +152,7 @@ def _min_norm_worst(capture):
     running, best, worst = 0.0, math.inf, -math.inf
     for k in range(1, capture.iterations + 1):
         running += capture.states[k].A
-        best = min(best, capture.norm_u[k] ** 2)
+        best = min(best, capture.rows[k].norm_u ** 2)
         rhs = 8.0 * lf**2 * d0**2 / ((lf - lf_bar) * running)
         worst = max(worst, best - rhs * (1.0 + 1e-9))
     return worst

@@ -315,8 +315,8 @@ def test_relative_threshold_first_crossing(request, fixture_name):
     crossing = next(k for k in range(1, capture.iterations + 1)
                     if capture.states[k].A >= abar)
     state = capture.states[crossing]
-    pair = capture.pairs[crossing]
-    lhs = pair.norm**2 + 2.0 * pair.eta
+    row = capture.rows[crossing]
+    lhs = row.norm_v**2 + 2.0 * row.eta_residual
     dist2 = float((state.y - state.x0) @ (state.y - state.x0))
     assert lhs <= sigma_tilde * dist2 * (1.0 + 1e-9) + 1e-12
 

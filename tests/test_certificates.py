@@ -70,7 +70,7 @@ def test_residual_envelope(lasso42_capture):
     for k in range(1, lasso42_capture.iterations + 1):
         state = lasso42_capture.states[k]
         gap = float(np.linalg.norm(state.y - state.x_tilde_prev))
-        assert lasso42_capture.norm_u[k] <= 2.0 * lf * gap * (1 + 1e-9) + 1e-12 * lf
+        assert lasso42_capture.rows[k].norm_u <= 2.0 * lf * gap * (1 + 1e-9) + 1e-12 * lf
 
 
 @pytest.mark.parametrize("kind", problems.INSTANCE_KINDS)
@@ -88,7 +88,7 @@ def test_stationarity_screen_is_sound(kind, margin):
     screened = 0
     for k in range(1, capture.iterations + 1):
         certs = certificates.Certificates(capture.states[k], problem)
-        norm = capture.norm_u[k]
+        norm = capture.rows[k].norm_u
         assert certs.stationarity_lower <= norm * (1 + 1e-12)
         if not bounds.check(bounds.Criterion.stationarity(rho), certs):
             if "stationarity" not in vars(certs):
@@ -96,7 +96,7 @@ def test_stationarity_screen_is_sound(kind, margin):
                 assert norm > rho
     if margin == 1.25:
         assert screened > 0
-    assert capture.norm_u[1:].min() <= rho  # the run crosses rho
+    assert min(row.norm_u for row in capture.rows[1:]) <= rho  # crosses rho
 
 
 def test_residuals_match_expressions_bit_for_bit(elastic_mu1, elastic_capture):
@@ -180,7 +180,7 @@ def test_pair_vanishes_at_stationary_start(quad1d):
 
 def test_pair_mu_zero_form(lasso42_capture):
     state = lasso42_capture.states[10]
-    pair = lasso42_capture.pairs[10]
+    pair = certificates.residual_pair(state)
     assert state.tau == 1.0
     np.testing.assert_allclose(pair.v, (state.x0 - state.x) / state.A,
                                rtol=1e-14)
@@ -194,7 +194,7 @@ def test_pair_identity_on_iterates(lasso42_capture):
     # ||A v + y - x0||^2 / tau + 2 A eta = ||y - x0||^2
     for k in (1, 10, 100):
         state = lasso42_capture.states[k]
-        pair = lasso42_capture.pairs[k]
+        pair = certificates.residual_pair(state)
         shifted = state.A * pair.v + state.y - state.x0
         lhs = float(shifted @ shifted) / state.tau + 2.0 * state.A * pair.eta
         rhs = float((state.y - state.x0) @ (state.y - state.x0))
@@ -253,7 +253,7 @@ def test_model_minorizes_objective(lasso42, lasso42_capture):
     rng = _rng(7)
     for k in (1, 10, 100):
         state = lasso42_capture.states[k]
-        tol = 1e-8 * (1.0 + abs(lasso42_capture.phi_y[k]))
+        tol = 1e-8 * (1.0 + abs(lasso42_capture.rows[k].phi_y))
         samples = certificates.sample_points(state, lasso42, 100, rng)
         assert certificates.lower_model_gap(lasso42_capture.models[k], lasso42,
                                             samples) <= tol
@@ -264,7 +264,7 @@ def test_model_dominates_recursion_bound(lasso42, lasso42_capture):
     rng = _rng(8)
     for k in (5, 50):
         state = lasso42_capture.states[k]
-        phi_y = lasso42_capture.phi_y[k]
+        phi_y = lasso42_capture.rows[k].phi_y
         tol = 1e-8 * (1.0 + abs(phi_y))
         for x in certificates.sample_points(state, lasso42, 50, rng):
             quad = (state.tau * float((state.x - x) @ (state.x - x))
@@ -278,7 +278,7 @@ def test_model_dominates_recursion_bound(lasso42, lasso42_capture):
 
 def test_eps_subgradient_at_center_is_minus_eta(lasso42, lasso42_capture):
     state = lasso42_capture.states[10]
-    pair = lasso42_capture.pairs[10]
+    pair = certificates.residual_pair(state)
     worst = certificates.check_eps_subgradient(pair, state, lasso42,
                                                state.y[None, :])
     np.testing.assert_allclose(worst, -pair.eta, atol=1e-12)
@@ -288,8 +288,8 @@ def test_eps_subgradient_at_center_is_minus_eta(lasso42, lasso42_capture):
 def test_eps_subgradient_sampled(lasso42, lasso42_capture):
     rng = _rng(9)
     state = lasso42_capture.states[100]
-    pair = lasso42_capture.pairs[100]
-    tol = 1e-8 * (1.0 + abs(lasso42_capture.phi_y[100]))
+    pair = certificates.residual_pair(state)
+    tol = 1e-8 * (1.0 + abs(lasso42_capture.rows[100].phi_y))
     samples = certificates.sample_points(state, lasso42, 200, rng)
     assert certificates.check_eps_subgradient(pair, state, lasso42,
                                               samples) <= tol
@@ -298,8 +298,8 @@ def test_eps_subgradient_sampled(lasso42, lasso42_capture):
 def test_model_subgradient_inequality(lasso42, lasso42_capture):
     rng = _rng(10)
     state = lasso42_capture.states[100]
-    pair = lasso42_capture.pairs[100]
-    tol = 1e-8 * (1.0 + abs(lasso42_capture.phi_y[100]))
+    pair = certificates.residual_pair(state)
+    tol = 1e-8 * (1.0 + abs(lasso42_capture.rows[100].phi_y))
     samples = certificates.sample_points(state, lasso42, 200, rng)
     assert certificates.lower_model_violation(
         lasso42_capture.models[100], pair, state, lasso42, samples) <= tol

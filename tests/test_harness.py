@@ -19,16 +19,16 @@ def test_capture_structure(elastic_capture):
     cap = elastic_capture
     assert cap.iterations == 800
     assert len(cap.states) == 801
-    assert len(cap.pairs) == 801 and cap.pairs[0] is None
-    assert math.isnan(cap.norm_u[0])
-    assert cap.phi_y.shape == (801,)
+    assert len(cap.rows) == 801 and cap.rows[0].norm_v is None
+    assert cap.rows[0].norm_u is None
+    assert [row.k for row in cap.rows] == list(range(801))
     assert not cap.overflowed
     ks = [s.k for s in cap.states]
     assert ks == list(range(801))
 
 
 def test_capture_gaps_and_d0(elastic_capture, elastic_mu1):
-    gaps = elastic_capture.gaps()
+    gaps = [row.gap for row in elastic_capture.rows]
     assert gaps[0] >= gaps[-1] >= -1e-9
     ref = elastic_mu1.reference_optimum
     assert elastic_capture.d0() == float(np.linalg.norm(ref.x_star))
@@ -37,8 +37,7 @@ def test_capture_gaps_and_d0(elastic_capture, elastic_mu1):
 def test_capture_without_reference_refuses_gap_queries(lasso_norm):
     config = engine.SolverConfig.for_problem(lasso_norm)
     cap = harness.capture_run(lasso_norm, config, np.zeros(lasso_norm.dimension), 3)
-    with pytest.raises(ValueError):
-        cap.gaps()
+    assert all(row.gap is None for row in cap.rows)
     with pytest.raises(ValueError):
         cap.d0()
 
@@ -50,6 +49,21 @@ def test_capture_stops_at_overflow(quad1d):
     assert cap.overflowed
     assert 0 < cap.iterations < 500
     assert cap.states[-1].A <= engine.OVERFLOW_LIMIT
+
+
+@pytest.mark.parametrize("fixture_name", ["lasso_small", "elastic_mu1"])
+def test_capture_rows_are_the_run_trace(request, fixture_name):
+    # mu = 0 on the lasso, mu = 1 on the elastic net
+    problem = request.getfixturevalue(fixture_name)
+    x0, iters = np.zeros(problem.dimension), 60
+    cap = harness.capture_run(problem, engine.SolverConfig.for_problem(problem),
+                              x0, iters)
+    config = engine.SolverConfig.for_problem(problem, max_iter=iters,
+                                             trace_every=1)
+    trace = engine.run(problem, config, x0).trace
+    untimed = lambda rows: [dataclasses.replace(r, elapsed_ns=0) for r in rows]
+    assert len(cap.rows) == iters + 1
+    assert untimed(cap.rows) == untimed(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +153,8 @@ def test_suite_criteria_order(elastic_mu1):
 def test_predictor_row_single_instance():
     problem = problems.make_instance("logistic_l2", 5, 20, 10, ridge=1.0)
     from sfista import bounds
-    row = harness.predictor_row("logistic_l2[seed=5]", problem,
-                                bounds.Criterion.relative(0.1))
+    row = harness.suite_rows("logistic_l2[seed=5]", problem,
+                             [bounds.Criterion.relative(0.1)])[0]
     assert row.passed
     assert row.observed_k is not None
     assert row.observed_k <= row.predicted_k

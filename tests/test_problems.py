@@ -297,6 +297,24 @@ def test_non_finite_matrix_fails_before_the_eigensolve(monkeypatch, build,
         build(M)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda v: problems.least_squares(np.eye(3), v), "target b"),
+    (lambda v: problems.logistic_loss(np.eye(3), v), "labels"),
+    (lambda v: problems.quadratic(np.eye(3), v), "vector c"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_vector_fails_before_the_eigensolve(monkeypatch, build,
+                                                       name, bad):
+    def no_eigensolve(M):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    v = np.ones(3)
+    v[1] = bad
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        build(v)
+
+
 def test_eigensolve_failure_is_a_numeric_failure(monkeypatch):
     def not_converged(M):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -345,6 +363,22 @@ def test_reference_iteration_cap():
     problem = make_instance("lasso", 9, 10, 20, with_reference=False)
     with pytest.raises(NumericFailure):
         reference_solve(problem, max_iter=0)
+
+
+def test_reference_stops_at_first_non_finite_residual():
+    # a NaN gradient makes the first residual NaN; without the test the
+    # solve would run to its 10^6-step cap
+    problem = make_instance("lasso", 3, 30, 20, with_reference=False)
+    calls = []
+
+    def nan_grad(x):
+        calls.append(None)
+        return np.full_like(x, math.nan)
+
+    f = dataclasses.replace(problem.f, grad=nan_grad)
+    with pytest.raises(NumericFailure, match="nan is not finite"):
+        reference_solve(dataclasses.replace(problem, f=f))
+    assert len(calls) == 1
 
 
 # name -> (make_instance arguments, phi_star recorded from the unaccelerated
