@@ -10,10 +10,8 @@ criteria.
 """
 
 from .bounds import (BoundReport, Criterion, abar_relative,
-                     bound_absolute, bound_alternate_relative,
-                     bound_function_gap, bound_relative, bound_stationarity,
-                     coefficient_sum_lower, growth_factor, iters_for_a,
-                     log_plus_one, predicted_iterations)
+                     coefficient_sum_lower, growth_factor, log_plus_one,
+                     predicted_iterations)
 from .certificates import (Certificates, LowerModel, ResidualPair,
                            StationarityResidual, check_eps_subgradient,
                            lower_model_gap, lower_model_violation,
@@ -46,17 +44,13 @@ __all__ = [
     "NumericFailure", "ProxOracle", "ReferenceOptimum", "ResidualPair",
     "RunCapture", "RunResult", "SmoothOracle", "SolverConfig",
     "StationarityResidual", "TraceRecord", "VerificationReport",
-    "abar_relative", "alpha_next", "bound_absolute",
-    "bound_alternate_relative", "bound_function_gap", "bound_relative",
-    "bound_stationarity", "bounds_suite", "box_indicator", "capture_run",
-    "check_eps_subgradient", "classic_init", "classic_step",
+    "abar_relative", "alpha_next", "bounds_suite", "box_indicator",
+    "capture_run", "check_eps_subgradient", "classic_init", "classic_step",
     "coefficient_schedule", "coefficient_sum_lower", "equivalence_check",
     "eval_phi", "growth_factor", "init", "invariant_report", "iterate",
-    "iters_for_a",
-    "l1_norm", "least_squares", "load_instance",
-    "log_plus_one", "logistic_loss", "lower_model_gap",
-    "lower_model_violation", "lower_models", "make_instance",
-    "power_iteration",
+    "l1_norm", "least_squares", "load_instance", "log_plus_one",
+    "logistic_loss", "lower_model_gap", "lower_model_violation",
+    "lower_models", "make_instance", "power_iteration",
     "predicted_iterations", "prox_box", "prox_scaled_quadratic",
     "prox_soft_threshold", "quadratic", "reference_solve", "residual_pair",
     "run", "sample_points", "save_instance", "scaled_quadratic",

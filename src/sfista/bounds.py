@@ -1,14 +1,17 @@
 """Stopping criteria and closed-form iteration predictors.
 
-Every criterion is a cheap test on the current iterate and its certificates.
-For each one there is a matching worst-case predictor: an explicit iteration
-count by which the criterion is guaranteed to fire, derived from the lower
-bound on the coefficient sum
+Every criterion is a cheap test (`check`) on the current iterate and its
+certificates.  `predicted_iterations` holds the matching worst-case
+predictor of each of the five variants: an explicit iteration count by which
+the criterion is guaranteed to fire, derived from the lower bound on the
+coefficient sum
 
     A_k >= max(k^2 / 4, c^(2 (k - 1))) / (lf - mu_f),
     c = 1 + sqrt(mu / (lf - mu_f)) / 2.
 
-Predictors never run the solver; they evaluate closed forms and round up.
+The predictors of the variants in D0_VARIANTS also need an upper bound d0
+on ||x0 - x*||.  Predictors never run the solver; they evaluate closed forms
+and round up.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 VARIANTS = ("function_gap", "stationarity", "relative", "alternate_relative",
             "absolute")
+# the variants whose predictor needs d0 >= ||x0 - x*||
+D0_VARIANTS = ("function_gap", "stationarity", "absolute")
 
 # Relative margin by which the oracle-free lower bound on ||u|| must exceed
 # rho before a stationarity test skips forming u; it covers the rounding of
@@ -135,7 +140,6 @@ def check(criterion: Criterion, certs: "Certificates") -> bool:
 class BoundReport:
     """Predicted iteration count plus the constants behind it."""
 
-    criterion: Criterion
     predicted_k: int
     branch: str  # "polynomial" | "logarithmic"
     constants: dict = field(default_factory=dict)
@@ -189,50 +193,11 @@ def _branches(a_target: float, lf: float, mu_f: float, mu: float):
     return poly, logb
 
 
-def iters_for_a(a_target: float, lf: float, mu_f: float, mu: float) -> int:
-    """Iterations guaranteeing the coefficient sum reaches a_target."""
-    _validate_constants(lf, mu_f, mu)
-    return _report(None, *_branches(a_target, lf, mu_f, mu), {}).predicted_k
-
-
-def _report(criterion, poly, logb, constants) -> BoundReport:
+def _report(poly, logb, constants) -> BoundReport:
     """Report on the smaller of the polynomial and logarithmic branches."""
-    return BoundReport(criterion=criterion,
-                       predicted_k=_ceil_clamped(min(poly, logb)),
+    return BoundReport(predicted_k=_ceil_clamped(min(poly, logb)),
                        branch="polynomial" if poly <= logb else "logarithmic",
                        constants={**constants, "log_base": math.e})
-
-
-def bound_function_gap(d0: float, eps_bar: float, lf: float, mu_f: float,
-                       mu: float) -> BoundReport:
-    """Iterations until phi(y_k) - phi* <= eps_bar is guaranteed."""
-    _validate_constants(lf, mu_f, mu)
-    _validate_d0(d0)
-    criterion = Criterion.function_gap(eps_bar)
-    a_target = d0**2 / (2.0 * eps_bar)
-    return _report(criterion, *_branches(a_target, lf, mu_f, mu),
-                   {"abar": a_target})
-
-
-def bound_stationarity(d0: float, rho: float, lf: float, lf_bar: float,
-                       mu_f: float, mu: float) -> BoundReport:
-    """Iterations until min_i ||u_i|| <= rho is guaranteed."""
-    _validate_constants(lf, mu_f, mu)
-    if not math.isfinite(lf_bar):
-        raise ConfigError(f"lf_bar = {lf_bar:g} must be finite")
-    if lf <= lf_bar:
-        raise ConfigError("lf must strictly exceed the curvature bound lf_bar")
-    _validate_d0(d0)
-    criterion = Criterion.stationarity(rho)
-    zeta = 8.0 * lf**2 * (lf - mu_f) / (lf - lf_bar)
-    c = growth_factor(lf, mu_f, mu)
-    ratio = zeta * d0**2 / rho**2
-    poly = (12.0 * ratio) ** (1.0 / 3.0)
-    logb = math.inf
-    if mu > 0:
-        logb = (1.0 + 2.0 * math.sqrt((lf - mu_f) / mu)) \
-            * math.log(1.0 + ratio * (c**2 - 1.0))
-    return _report(criterion, poly, logb, {"zeta": zeta, "c": c})
 
 
 def abar_relative(mu: float, sigma_tilde: float) -> float:
@@ -249,76 +214,72 @@ def abar_relative(mu: float, sigma_tilde: float) -> float:
     return (b + math.sqrt(b**2 + 16.0 * sigma_tilde)) / (2.0 * sigma_tilde)
 
 
-def bound_relative(sigma_tilde: float, lf: float, mu_f: float,
-                   mu: float) -> BoundReport:
-    """Iterations until the relative criterion is guaranteed."""
-    _validate_constants(lf, mu_f, mu)
-    criterion = Criterion.relative(sigma_tilde)
-    a_target = abar_relative(mu, sigma_tilde)
-    return _report(criterion, *_branches(a_target, lf, mu_f, mu),
-                   {"abar": a_target})
-
-
-def bound_alternate_relative(mu: float, sigma: float, lf: float,
-                             mu_f: float) -> BoundReport:
-    """Iterations until the alternate relative criterion is guaranteed."""
-    _validate_constants(lf, mu_f, mu)
-    if not sigma > 0:
-        raise ConfigError("sigma must be positive")
-    criterion = Criterion.alternate_relative(sigma)
-    shrink = (1.0 + math.sqrt(sigma)) ** 2
-    sigma_tilde = sigma / shrink
-    cal_a = (2.0 * mu + 3.0) * shrink / sigma
-    # the alternate threshold dominates the plain relative one
-    abar = abar_relative(mu, sigma_tilde)
-    if not abar <= cal_a * (1.0 + 1e-12):
-        raise NumericFailure(f"alternate relative threshold {cal_a:g} fell "
-                             f"below the relative threshold {abar:g}")
-    return _report(criterion, *_branches(cal_a, lf, mu_f, mu),
-                   {"cal_a": cal_a, "sigma_tilde": sigma_tilde})
-
-
-def bound_absolute(d0: float, eps: float, eta_tol: float, lf: float,
-                   mu_f: float, mu: float) -> BoundReport:
-    """Iterations until ||v_k|| <= eps and eta_k <= eta_tol are guaranteed.
-
-    Requires mu > 0; with no strong convexity the closed form does not exist.
-    """
-    _validate_constants(lf, mu_f, mu)
-    if mu == 0:
-        raise ConfigError("the absolute-criterion bound requires mu > 0")
-    _validate_d0(d0)
-    criterion = Criterion.absolute(eps, eta_tol)
-    big_b = 1.0 + 8.0 * (lf - mu_f) / mu
-    big_m = big_b**2 * (lf - mu_f)
-    if d0 == 0:
-        return _report(criterion, 0.0, math.inf, {"big_m": big_m})
-    poly = 8.0 * (
-        1.0 / math.sqrt(eps)
-        + math.sqrt(mu * d0) / eps
-        + math.sqrt(d0) / math.sqrt(eta_tol)
-    ) * math.sqrt(big_m * d0)
-    inner = 16.0 * (1.0 / eps + mu * d0 / eps**2 + d0 / eta_tol) * big_m * d0
-    logb = (0.5 + math.sqrt((lf - mu_f) / mu)) * log_plus_one(inner) + 1.0
-    return _report(criterion, poly, logb, {"big_m": big_m})
-
-
 def predicted_iterations(criterion: Criterion, lf: float, lf_bar: float,
                          mu_f: float, mu: float,
                          d0: Optional[float] = None) -> BoundReport:
-    """Dispatch a criterion to its predictor (d0 required where it appears)."""
-    v = criterion.variant
-    if v == "relative":
-        return bound_relative(criterion.tol, lf, mu_f, mu)
-    if v == "alternate_relative":
-        return bound_alternate_relative(mu, criterion.tol, lf, mu_f)
-    if d0 is None:
+    """Iterations by which the criterion is guaranteed to hold.
+
+    d0 >= ||x0 - x*|| is needed by the variants in D0_VARIANTS, and lf_bar
+    (the certified curvature of f, below lf) by stationarity only.  The
+    absolute bound requires mu > 0; with no strong convexity its closed
+    form does not exist.
+    """
+    v, tol = criterion.variant, criterion.tol
+    if v in D0_VARIANTS and d0 is None:
         raise ConfigError(f"the {v} predictor needs d0")
+    _validate_constants(lf, mu_f, mu)
     if v == "function_gap":
-        return bound_function_gap(d0, criterion.tol, lf, mu_f, mu)
+        # phi(y_k) - phi* <= eps_bar
+        _validate_d0(d0)
+        a_target = d0**2 / (2.0 * tol)
+        return _report(*_branches(a_target, lf, mu_f, mu), {"abar": a_target})
     if v == "stationarity":
-        return bound_stationarity(d0, criterion.tol, lf, lf_bar, mu_f, mu)
-    return bound_absolute(d0, criterion.tol, criterion.eta_tol, lf, mu_f, mu)
+        # min_i ||u_i|| <= rho
+        if not math.isfinite(lf_bar):
+            raise ConfigError(f"lf_bar = {lf_bar:g} must be finite")
+        if lf <= lf_bar:
+            raise ConfigError("lf must strictly exceed the curvature bound lf_bar")
+        _validate_d0(d0)
+        zeta = 8.0 * lf**2 * (lf - mu_f) / (lf - lf_bar)
+        c = 1.0 + 0.5 * math.sqrt(mu / (lf - mu_f))
+        ratio = zeta * d0**2 / tol**2
+        poly = (12.0 * ratio) ** (1.0 / 3.0)
+        logb = math.inf
+        if mu > 0:
+            logb = (1.0 + 2.0 * math.sqrt((lf - mu_f) / mu)) \
+                * math.log(1.0 + ratio * (c**2 - 1.0))
+        return _report(poly, logb, {"zeta": zeta, "c": c})
+    if v == "relative":
+        a_target = abar_relative(mu, tol)
+        return _report(*_branches(a_target, lf, mu_f, mu), {"abar": a_target})
+    if v == "alternate_relative":
+        shrink = (1.0 + math.sqrt(tol)) ** 2
+        sigma_tilde = tol / shrink
+        cal_a = (2.0 * mu + 3.0) * shrink / tol
+        # the alternate threshold dominates the plain relative one
+        abar = abar_relative(mu, sigma_tilde)
+        if not abar <= cal_a * (1.0 + 1e-12):
+            raise NumericFailure(f"alternate relative threshold {cal_a:g} fell "
+                                 f"below the relative threshold {abar:g}")
+        return _report(*_branches(cal_a, lf, mu_f, mu),
+                       {"cal_a": cal_a, "sigma_tilde": sigma_tilde})
+    # absolute: ||v_k|| <= eps and eta_k <= eta_tol
+    if mu == 0:
+        raise ConfigError("the absolute-criterion bound requires mu > 0")
+    _validate_d0(d0)
+    eta_tol = criterion.eta_tol
+    big_b = 1.0 + 8.0 * (lf - mu_f) / mu
+    big_m = big_b**2 * (lf - mu_f)
+    if d0 == 0:
+        return _report(0.0, math.inf, {"big_m": big_m})
+    poly = 8.0 * (
+        1.0 / math.sqrt(tol)
+        + math.sqrt(mu * d0) / tol
+        + math.sqrt(d0) / math.sqrt(eta_tol)
+    ) * math.sqrt(big_m * d0)
+    inner = 16.0 * (1.0 / tol + mu * d0 / tol**2 + d0 / eta_tol) * big_m * d0
+    logb = (0.5 + math.sqrt((lf - mu_f) / mu)) * log_plus_one(inner) + 1.0
+    return _report(poly, logb, {"big_m": big_m})
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def cmd_predict(args) -> int:
     if criterion is None:
         raise ConfigError("predict needs --criterion")
     explicit = args.d0 is not None or args.lf_bar is not None
-    needs_d0 = criterion.variant in ("function_gap", "stationarity", "absolute")
+    needs_d0 = criterion.variant in _bounds.D0_VARIANTS
     if explicit:
         for name, value in (("d0", args.d0), ("lf_bar", args.lf_bar)):
             if value is not None and not math.isfinite(value):

@@ -93,7 +93,7 @@ class IterateState:
     x0: Array
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceRecord:
     """One trace row; certificate fields are None where not computed."""
 

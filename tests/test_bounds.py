@@ -138,23 +138,31 @@ def test_growth_factor():
         bounds.growth_factor(2.0, -1.0, 0.0)
 
 
-def test_iters_for_a_frozen_values():
-    assert bounds.iters_for_a(1.0, 1.0, 0.0, 0.0) == 2
-    assert bounds.iters_for_a(4.0, 1.0, 0.0, 0.0) == 4
+def _iters_for_target(a_target, lf, mu_f, mu):
+    """Iterations guaranteeing A_k >= a_target >= 0: the function_gap
+    predictor at eps_bar = 0.5, whose coefficient target is d0^2."""
+    return bounds.predicted_iterations(Criterion.function_gap(0.5), lf, 0.0,
+                                       mu_f, mu, d0=math.sqrt(a_target)).predicted_k
+
+
+def test_coefficient_target_frozen_values():
+    assert _iters_for_target(1.0, 1.0, 0.0, 0.0) == 2
+    assert _iters_for_target(4.0, 1.0, 0.0, 0.0) == 4
     # logarithmic branch wins: 1.5 * ln(e^2) + 1 = 4 < 2e
-    assert bounds.iters_for_a(math.e**2, 1.0, 0.0, 1.0) == 4
-    assert bounds.iters_for_a(0.0, 1.0, 0.0, 0.0) == 1
-    assert bounds.iters_for_a(-3.0, 1.0, 0.0, 1.0) == 1
+    assert _iters_for_target(math.e**2, 1.0, 0.0, 1.0) == 4
+    assert _iters_for_target(0.0, 1.0, 0.0, 0.0) == 1
+    # a negative target takes the same `not a_target > 0` branch as d0 = 0
+    assert _iters_for_target(0.0, 1.0, 0.0, 1.0) == 1
 
 
-def test_iters_for_a_monotone_in_target():
+def test_coefficient_target_monotone():
     rng = _rng(21)
     for _ in range(50):
         lf = float(10.0 ** rng.uniform(-1, 2))
         mu_f = float(rng.uniform(0, lf * 0.9))
         mu = mu_f + float(rng.uniform(0, 2))
         targets = np.sort(10.0 ** rng.uniform(-3, 6, size=20))
-        ks = [bounds.iters_for_a(float(t), lf, mu_f, mu) for t in targets]
+        ks = [_iters_for_target(float(t), lf, mu_f, mu) for t in targets]
         assert all(k2 >= k1 for k1, k2 in zip(ks, ks[1:]))
 
 
@@ -171,34 +179,37 @@ def test_coefficient_sum_lower():
 # ---------------------------------------------------------------------------
 
 def test_function_gap_predictor():
-    report = bounds.bound_function_gap(0.0, 1.0, 2.0, 0.0, 0.0)
+    predict, gap = bounds.predicted_iterations, Criterion.function_gap
+    report = predict(gap(1.0), 2.0, 0.0, 0.0, 0.0, d0=0.0)
     assert report.predicted_k == 1
-    report = bounds.bound_function_gap(1.0, 0.5, 1.0, 0.0, 0.0)
+    report = predict(gap(0.5), 1.0, 0.0, 0.0, 0.0, d0=1.0)
     assert report.predicted_k == 2
     assert report.branch == "polynomial"
     assert report.constants["abar"] == 1.0
     assert report.constants["log_base"] == math.e
-    assert bounds.bound_function_gap(1.0, 0.125, 1.0, 0.0, 0.0).predicted_k == 4
+    assert predict(gap(0.125), 1.0, 0.0, 0.0, 0.0, d0=1.0).predicted_k == 4
     with pytest.raises(ConfigError):
-        bounds.bound_function_gap(-1.0, 1.0, 1.0, 0.0, 0.0)
+        predict(gap(1.0), 1.0, 0.0, 0.0, 0.0, d0=-1.0)
 
 
 def test_stationarity_predictor():
-    report = bounds.bound_stationarity(1.0, 1.0, 2.0, 1.0, 0.0, 0.0)
+    predict, rho = bounds.predicted_iterations, Criterion.stationarity(1.0)
+    report = predict(rho, 2.0, 1.0, 0.0, 0.0, d0=1.0)
     assert report.constants["zeta"] == 64.0
     assert report.constants["c"] == 1.0
     assert report.branch == "polynomial"
     assert report.predicted_k == 10  # ceil((12 * 64)^(1/3)) = ceil(9.158...)
     with pytest.raises(ConfigError):
-        bounds.bound_stationarity(1.0, 1.0, 2.0, 2.0, 0.0, 0.0)
+        predict(rho, 2.0, 2.0, 0.0, 0.0, d0=1.0)
     with pytest.raises(ConfigError):
-        bounds.bound_stationarity(-1.0, 1.0, 2.0, 1.0, 0.0, 0.0)
+        predict(rho, 2.0, 1.0, 0.0, 0.0, d0=-1.0)
 
 
 def test_stationarity_predictor_exact_cube():
     # ratio = 144 so the closed form is exactly 12; the ceil slop must not
     # bump a value that lands on an integer up to 13
-    report = bounds.bound_stationarity(1.5, 1.0, 2.0, 1.0, 0.0, 0.0)
+    report = bounds.predicted_iterations(Criterion.stationarity(1.0), 2.0, 1.0,
+                                         0.0, 0.0, d0=1.5)
     assert report.predicted_k == 12
 
 
@@ -223,20 +234,22 @@ def test_abar_relative_is_quadratic_root():
 
 
 def test_relative_predictor():
-    report = bounds.bound_relative(1.0, 2.0, 1.0, 1.0)
+    report = bounds.predicted_iterations(Criterion.relative(1.0), 2.0, 0.0,
+                                         1.0, 1.0)
     assert report.constants["abar"] == 4.0
-    assert report.predicted_k == bounds.iters_for_a(4.0, 2.0, 1.0, 1.0)
+    assert report.predicted_k == _iters_for_target(4.0, 2.0, 1.0, 1.0)
 
 
 def test_alternate_relative_predictor():
-    report = bounds.bound_alternate_relative(1.0, 1.0, 2.0, 1.0)
+    predict, alternate = bounds.predicted_iterations, Criterion.alternate_relative
+    report = predict(alternate(1.0), 2.0, 0.0, 1.0, 1.0)
     assert report.constants["cal_a"] == 20.0
     assert report.constants["sigma_tilde"] == 0.25
     # for large sigma the threshold approaches 2 mu + 3
-    report = bounds.bound_alternate_relative(1.0, 1e12, 2.0, 1.0)
+    report = predict(alternate(1e12), 2.0, 0.0, 1.0, 1.0)
     assert abs(report.constants["cal_a"] - 5.0) <= 1e-5 * 5.0
     with pytest.raises(ConfigError):
-        bounds.bound_alternate_relative(1.0, 0.0, 2.0, 1.0)
+        predict(alternate(0.0), 2.0, 0.0, 1.0, 1.0)
 
 
 def test_alternate_threshold_dominates_relative():
@@ -254,17 +267,19 @@ def test_alternate_threshold_failure_raises(monkeypatch):
     # an explicit check, not an assert, so it survives python -O
     monkeypatch.setattr(bounds, "abar_relative", lambda mu, sigma_tilde: math.inf)
     with pytest.raises(NumericFailure):
-        bounds.bound_alternate_relative(1.0, 1.0, 2.0, 1.0)
+        bounds.predicted_iterations(Criterion.alternate_relative(1.0), 2.0, 0.0,
+                                    1.0, 1.0)
 
 
 def test_absolute_predictor():
-    report = bounds.bound_absolute(1.0, 1.0, 1.0, 2.0, 0.0, 1.0)
+    predict, absolute = bounds.predicted_iterations, Criterion.absolute(1.0, 1.0)
+    report = predict(absolute, 2.0, 0.0, 0.0, 1.0, d0=1.0)
     assert report.constants["big_m"] == 578.0  # (1 + 16)^2 * 2
-    assert bounds.bound_absolute(0.0, 1.0, 1.0, 2.0, 0.0, 1.0).predicted_k == 1
+    assert predict(absolute, 2.0, 0.0, 0.0, 1.0, d0=0.0).predicted_k == 1
     with pytest.raises(ConfigError):
-        bounds.bound_absolute(1.0, 1.0, 1.0, 2.0, 0.0, 0.0)
+        predict(absolute, 2.0, 0.0, 0.0, 0.0, d0=1.0)
     with pytest.raises(ConfigError):
-        bounds.bound_absolute(-1.0, 1.0, 1.0, 2.0, 0.0, 1.0)
+        predict(absolute, 2.0, 0.0, 0.0, 1.0, d0=-1.0)
 
 
 def test_absolute_predictor_reaches_sufficient_sum():
@@ -278,7 +293,8 @@ def test_absolute_predictor_reaches_sufficient_sum():
         d0 = float(10.0 ** rng.uniform(-2, 1))
         eps = float(10.0 ** rng.uniform(-6, 0))
         eta_tol = float(10.0 ** rng.uniform(-6, 0))
-        report = bounds.bound_absolute(d0, eps, eta_tol, lf, mu_f, mu)
+        report = bounds.predicted_iterations(Criterion.absolute(eps, eta_tol),
+                                             lf, 0.0, mu_f, mu, d0=d0)
         big_b = 1.0 + 8.0 * (lf - mu_f) / mu
         needed = (8.0 / eps) * big_b * d0 \
             + (16.0 * mu / eps**2 + 2.0 / eta_tol) * big_b**2 * d0**2
@@ -287,13 +303,17 @@ def test_absolute_predictor_reaches_sufficient_sum():
 
 
 def test_predicted_iterations_dispatch():
+    # the relative variants predict the iterations for their coefficient
+    # thresholds abar and cal_a
     crit = Criterion.relative(0.5)
-    via_dispatch = bounds.predicted_iterations(crit, 2.0, 1.0, 0.0, 1.0)
-    direct = bounds.bound_relative(0.5, 2.0, 0.0, 1.0)
-    assert via_dispatch.predicted_k == direct.predicted_k
+    report = bounds.predicted_iterations(crit, 2.0, 1.0, 0.0, 1.0)
+    assert report.constants["abar"] == bounds.abar_relative(1.0, 0.5)
+    assert report.predicted_k == _iters_for_target(report.constants["abar"],
+                                                   2.0, 0.0, 1.0)
     crit = Criterion.alternate_relative(0.5)
-    assert bounds.predicted_iterations(crit, 2.0, 1.0, 0.0, 1.0).predicted_k \
-        == bounds.bound_alternate_relative(1.0, 0.5, 2.0, 0.0).predicted_k
+    report = bounds.predicted_iterations(crit, 2.0, 1.0, 0.0, 1.0)
+    assert report.predicted_k == _iters_for_target(report.constants["cal_a"],
+                                                   2.0, 0.0, 1.0)
     crit = Criterion.stationarity(1.0)
     assert bounds.predicted_iterations(crit, 2.0, 1.0, 0.0, 0.0,
                                        d0=1.0).predicted_k == 10

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfista import cli, engine, harness, problems
+from sfista import bounds, cli, engine, harness, problems
 
 
 def _lines(capsys):
@@ -189,6 +189,32 @@ def test_predict_relative_from_instance(capsys):
     assert code == 0
     assert "abar = 4" in out  # ridge default gives mu = 1
     assert any(line.startswith("lf_bar = ") for line in out)
+
+
+@pytest.mark.parametrize("tolerances", [
+    ["--criterion", "relative", "--sigma-tilde", "1"],
+    ["--criterion", "absolute", "--eps", "1e-3", "--eta-tol", "1e-3"],
+])
+def test_predict_from_instance_solves_only_for_d0(monkeypatch, capsys,
+                                                  tolerances):
+    # the reference solve is what d0 costs, so only its variants pay it
+    calls = []
+    solve = problems.reference_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(problems, "reference_solve", counted)
+    code = cli.main([
+        "predict", "--problem", "elastic_net", "--seed", "7", "--m", "30",
+        "--n", "50", "--reg", "0.05", "--ridge", "1", *tolerances,
+    ])
+    out, _ = _lines(capsys)
+    needs_d0 = tolerances[1] in bounds.D0_VARIANTS
+    assert code == 0
+    assert len(calls) == (1 if needs_d0 else 0)
+    assert any(line.startswith("d0 = ") for line in out) == needs_d0
 
 
 def test_predict_function_gap_zero_distance(capsys):

@@ -6,7 +6,10 @@ text of a stationarity run with the elapsed_ns column dropped, and the
 report lines of an invariant sweep.  Those lines round `worst` to four
 digits, so every check's full-precision value is pinned too.  A change that
 moves any iterate by one bit fails here, and so does one that moves the
-deviation the classical equivalence check reports.
+deviation the classical equivalence check reports.  One more digest pins
+the iteration predictor on a grid of constants: each point's predicted_k,
+branch and constants, or the type and message of the error it raises, so
+the order of the predictor's input checks is pinned too.
 
 The digests were recorded when the curvature bound came from a power
 iteration, whose result differs from today's dense eigensolve in the last
@@ -224,3 +227,49 @@ def test_equivalence_deviation_matches_golden(golden_lasso_norm):
     worst = classic.equivalence_check(
         golden_lasso_norm, np.zeros(golden_lasso_norm.dimension), lf, 100)
     assert problems.format_real(worst) == GOLDEN_EQUIVALENCE
+
+
+# every predictor on a grid of constants, invalid values included: five
+# variants x three tolerances x lf x lf_bar x mu_f x mu x d0 = 13500 points
+_GRID_TOLERANCES = {
+    "function_gap": [(1e-6,), (0.5,), (3.0,)],
+    "stationarity": [(1e-8,), (1.0,), (1e-170,)],
+    "relative": [(1e-4,), (0.1,), (2.0,)],
+    "alternate_relative": [(1e-6,), (0.5,), (1e12,)],
+    "absolute": [(1e-6, 1e-3), (1.0, 1.0), (0.3, 1e-9)],
+}
+_GRID_LF = (2.0, 4.0, 0.75, 0.25, math.inf)
+_GRID_LF_BAR = (1.0, 0.5, math.nan)
+_GRID_MU_F = (0.0, 0.5, -1.0)
+_GRID_MU = (0.0, 1.0, 1e-12, math.nan)
+_GRID_D0 = (None, 0.0, 1.5, -1.0, math.inf)
+
+GOLDEN_PREDICTOR_GRID = "5eddd72c110242d672b17cb15fd4e6abffced2d4f816ff07dc392f5f4abcad7a"
+
+
+def _predictor_line(criterion, lf, lf_bar, mu_f, mu, d0):
+    try:
+        report = bounds.predicted_iterations(criterion, lf, lf_bar, mu_f, mu,
+                                             d0=d0)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    constants = ",".join(f"{key}={value!r}"
+                         for key, value in sorted(report.constants.items()))
+    return f"{report.predicted_k} {report.branch} {constants}"
+
+
+def test_predictor_grid_matches_golden():
+    lines = []
+    for variant, tolerances in _GRID_TOLERANCES.items():
+        for tols in tolerances:
+            criterion = getattr(bounds.Criterion, variant)(*tols)
+            for lf in _GRID_LF:
+                for lf_bar in _GRID_LF_BAR:
+                    for mu_f in _GRID_MU_F:
+                        for mu in _GRID_MU:
+                            for d0 in _GRID_D0:
+                                lines.append(_predictor_line(
+                                    criterion, lf, lf_bar, mu_f, mu, d0))
+    assert len(lines) == 13500
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_PREDICTOR_GRID
