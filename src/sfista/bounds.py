@@ -26,8 +26,11 @@ from .problems import CompositeProblem, vector_norm
 if TYPE_CHECKING:  # pragma: no cover
     from .certificates import Certificates
 
-VARIANTS = ("function_gap", "stationarity", "relative", "alternate_relative",
-            "absolute")
+# variant -> names of its tolerances, in the order its factory takes them
+TOLERANCES = {"function_gap": ("eps_bar",), "stationarity": ("rho",),
+              "relative": ("sigma_tilde",), "alternate_relative": ("sigma",),
+              "absolute": ("eps", "eta_tol")}
+VARIANTS = tuple(TOLERANCES)
 # the variants whose predictor needs d0 >= ||x0 - x*||
 D0_VARIANTS = ("function_gap", "stationarity", "absolute")
 
@@ -45,9 +48,8 @@ _CEIL_SLOP = 1e-9
 class Criterion:
     """Stopping rule selector with its tolerance(s).
 
-    tol carries the variant's main tolerance: eps_bar for function_gap, rho
-    for stationarity, sigma_tilde for relative, sigma for alternate_relative,
-    eps for absolute.  eta_tol is used by the absolute variant only.
+    tol carries the first of the variant's tolerances in TOLERANCES, and
+    eta_tol the second, which only the absolute variant has.
     """
 
     variant: str
@@ -166,6 +168,8 @@ def _validate_constants(lf: float, mu_f: float, mu: float) -> None:
         raise ConfigError("strong-convexity moduli must be nonnegative")
     if lf <= mu_f:
         raise ConfigError("lf must strictly exceed mu_f")
+    if mu < mu_f:
+        raise ConfigError(f"mu = {mu:g} must be at least mu_f = {mu_f:g}")
 
 
 def _validate_d0(d0: float) -> None:
@@ -242,6 +246,8 @@ def predicted_iterations(criterion: Criterion, lf: float, lf_bar: float,
         _validate_d0(d0)
         zeta = 8.0 * lf**2 * (lf - mu_f) / (lf - lf_bar)
         c = 1.0 + 0.5 * math.sqrt(mu / (lf - mu_f))
+        if tol**2 == 0.0:
+            raise ConfigError(f"rho = {tol:g} is too small: rho**2 is 0")
         ratio = zeta * d0**2 / tol**2
         poly = (12.0 * ratio) ** (1.0 / 3.0)
         logb = math.inf
@@ -277,6 +283,8 @@ def predicted_iterations(criterion: Criterion, lf: float, lf_bar: float,
         + math.sqrt(mu * d0) / tol
         + math.sqrt(d0) / math.sqrt(eta_tol)
     ) * math.sqrt(big_m * d0)
+    if tol**2 == 0.0:
+        raise ConfigError(f"eps = {tol:g} is too small: eps**2 is 0")
     inner = 16.0 * (1.0 / tol + mu * d0 / tol**2 + d0 / eta_tol) * big_m * d0
     logb = (0.5 + math.sqrt((lf - mu_f) / mu)) * log_plus_one(inner) + 1.0
     return _report(poly, logb, {"big_m": big_m})

@@ -27,23 +27,29 @@ from . import classic as _classic
 from . import engine as _engine
 from . import harness as _harness
 from .errors import ConfigError, NumericFailure
-from .problems import (INSTANCE_KINDS, format_real, instance_recipe,
-                       make_instance, save_instance, vector_norm)
-
-_TOL_FLAGS = {
-    "function_gap": ("eps_bar",),
-    "stationarity": ("rho",),
-    "relative": ("sigma_tilde",),
-    "alternate_relative": ("sigma",),
-    "absolute": ("eps", "eta_tol"),
-}
-
-_FLOAT_PARAMS = ("reg", "ridge", "density", "noise", "lo", "hi")
+from .problems import (INSTANCE_KINDS, INSTANCE_PARAMS, format_real,
+                       instance_recipe, make_instance, save_instance,
+                       vector_norm)
 
 
 def _auto(text: str) -> Optional[float]:
     # "auto" defers to the oracle-derived default
     return None if text == "auto" else float(text)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _instance_params() -> dict:
+    """parameter -> {kind: default}; reals before switches, for flag order."""
+    out: dict = {}
+    for switches in (False, True):
+        for kind, defaults in INSTANCE_PARAMS.items():
+            for key, default in defaults.items():
+                if isinstance(default, bool) == switches:
+                    out.setdefault(key, {})[kind] = default
+    return out
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
@@ -52,13 +58,15 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--seed", type=int, default=42)
     g.add_argument("--m", type=int, default=100)
     g.add_argument("--n", type=int, default=200)
-    for key in _FLOAT_PARAMS:
-        g.add_argument(f"--{key}", type=float, default=None,
-                       help=f"instance parameter {key} (kind-specific default)")
-    g.add_argument("--normalize", action="store_true",
-                   help="rescale the design matrix to unit curvature (lasso)")
-    g.add_argument("--diag", action="store_true",
-                   help="diagonal quadratic with eigenvalues 1..n (box_qp)")
+    for key, defaults in _instance_params().items():
+        if isinstance(next(iter(defaults.values())), bool):
+            g.add_argument(_flag(key), action="store_true",
+                           help=f"{', '.join(defaults)} switch, off by default")
+        else:
+            shown = ", ".join(f"{kind} {default:g}"
+                              for kind, default in defaults.items())
+            g.add_argument(_flag(key), type=float, default=None,
+                           help=f"default {shown}")
 
 
 def _add_constant_args(p: argparse.ArgumentParser) -> None:
@@ -74,57 +82,43 @@ def _add_constant_args(p: argparse.ArgumentParser) -> None:
 def _add_criterion_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("stopping criterion")
     g.add_argument("--criterion", choices=_bounds.VARIANTS, default=None)
-    g.add_argument("--eps-bar", type=float, default=None,
-                   help="function-gap tolerance")
-    g.add_argument("--rho", type=float, default=None,
-                   help="stationarity-residual norm tolerance")
-    g.add_argument("--sigma-tilde", type=float, default=None,
-                   help="relative-criterion tolerance")
-    g.add_argument("--sigma", type=float, default=None,
-                   help="alternate relative-criterion tolerance")
-    g.add_argument("--eps", type=float, default=None,
-                   help="absolute tolerance on the residual norm")
-    g.add_argument("--eta-tol", type=float, default=None,
-                   help="absolute tolerance on the residual offset eta")
+    for variant, names in _bounds.TOLERANCES.items():
+        for name in names:
+            g.add_argument(_flag(name), type=float, default=None,
+                           help=f"tolerance of criterion {variant}")
 
 
 def build_problem(args, with_reference: bool = True):
     params = {}
-    for key in _FLOAT_PARAMS:
+    for key in _instance_params():
         value = getattr(args, key, None)
-        if value is not None:
+        # `is`, not `in (None, False)`: 0.0 == False, and --noise 0 is a value
+        if value is not None and value is not False:
             params[key] = value
-    if getattr(args, "normalize", False):
-        params["normalize"] = True
-    if getattr(args, "diag", False):
-        params["diag"] = True
     return make_instance(args.problem, args.seed, args.m, args.n,
                          with_reference=with_reference, **params)
 
 
 def build_criterion(args) -> Optional[_bounds.Criterion]:
-    all_flags = ("eps_bar", "rho", "sigma_tilde", "sigma", "eps", "eta_tol")
-    provided = {f for f in all_flags if getattr(args, f, None) is not None}
+    provided = {name for names in _bounds.TOLERANCES.values()
+                for name in names if getattr(args, name, None) is not None}
     if args.criterion is None:
         if provided:
-            flag = sorted(provided)[0].replace("_", "-")
-            raise ConfigError(f"--{flag} needs --criterion")
+            raise ConfigError(f"{_flag(sorted(provided)[0])} needs --criterion")
         return None
-    wanted = set(_TOL_FLAGS[args.criterion])
-    stray = provided - wanted
+    wanted = _bounds.TOLERANCES[args.criterion]
+    stray = provided - set(wanted)
     if stray:
-        flag = sorted(stray)[0].replace("_", "-")
-        raise ConfigError(
-            f"--{flag} does not apply to criterion {args.criterion}")
-    missing = wanted - provided
+        raise ConfigError(f"{_flag(sorted(stray)[0])} does not apply to "
+                          f"criterion {args.criterion}")
+    missing = set(wanted) - provided
     if missing:
-        flag = sorted(missing)[0].replace("_", "-")
-        raise ConfigError(f"criterion {args.criterion} needs --{flag}")
-    values = [getattr(args, name) for name in _TOL_FLAGS[args.criterion]]
-    for name, value in zip(_TOL_FLAGS[args.criterion], values):
+        raise ConfigError(
+            f"criterion {args.criterion} needs {_flag(sorted(missing)[0])}")
+    values = [getattr(args, name) for name in wanted]
+    for name, value in zip(wanted, values):
         if not math.isfinite(value):
-            flag = name.replace("_", "-")
-            raise ConfigError(f"--{flag} = {value:g} must be finite")
+            raise ConfigError(f"{_flag(name)} = {value:g} must be finite")
     factory = getattr(_bounds.Criterion, args.criterion)
     return factory(*values)
 
@@ -132,12 +126,6 @@ def build_criterion(args) -> Optional[_bounds.Criterion]:
 def default_start(problem) -> np.ndarray:
     """Zero vector mapped into dom h (identity for every shipped regularizer)."""
     return problem.h.prox(np.zeros(problem.dimension), 1.0)
-
-
-def instance_meta(problem) -> list:
-    if problem.spec is None:
-        return [("dimension", str(problem.dimension))]
-    return instance_recipe(problem, constants=False)
 
 
 def constant_meta(config: _engine.SolverConfig) -> list:
@@ -148,11 +136,10 @@ def constant_meta(config: _engine.SolverConfig) -> list:
 def criterion_meta(criterion: Optional[_bounds.Criterion]) -> list:
     if criterion is None:
         return [("criterion", "none")]
-    out = [("criterion", criterion.variant),
-           (_TOL_FLAGS[criterion.variant][0], format_real(criterion.tol))]
-    if criterion.eta_tol is not None:
-        out.append(("eta_tol", format_real(criterion.eta_tol)))
-    return out
+    names = _bounds.TOLERANCES[criterion.variant]
+    values = (criterion.tol, criterion.eta_tol)
+    return [("criterion", criterion.variant)] + [
+        (name, format_real(value)) for name, value in zip(names, values)]
 
 
 def _emit(pairs) -> None:
@@ -176,7 +163,7 @@ def cmd_solve(args) -> int:
     )
     result = _engine.run(problem, config, default_start(problem))
     # the summary's head lines, which the trace file repeats as metadata
-    head = (instance_meta(problem) + constant_meta(config)
+    head = (instance_recipe(problem, constants=False) + constant_meta(config)
             + criterion_meta(criterion))
     if args.trace is not None:
         meta = dict(head + [("trace_every", str(config.trace_every))])
@@ -258,7 +245,7 @@ def cmd_verify_invariants(args) -> int:
                                               mu_f=args.mu_f, mu_h=args.mu_h)
     capture = _harness.capture_run(problem, config, default_start(problem),
                                    args.iters)
-    _emit(instance_meta(problem) + constant_meta(config)
+    _emit(instance_recipe(problem, constants=False) + constant_meta(config)
           + [("iterations", str(capture.iterations))])
     if capture.overflowed:
         print("halted = growth_overflow")
@@ -275,7 +262,7 @@ def cmd_verify_equivalence(args) -> int:
     mu_h = args.mu_h if args.mu_h is not None else 0.0
     deviation = _classic.equivalence_check(problem, default_start(problem), lf,
                                            args.iters, mu_f=mu_f, mu_h=mu_h)
-    _emit(instance_meta(problem))
+    _emit(instance_recipe(problem, constants=False))
     ok = deviation <= args.tol
     _emit([("lf", format_real(lf)), ("iters", str(args.iters)),
            ("max_deviation", format_real(deviation)),

@@ -35,7 +35,15 @@ REFERENCE_MAX_ITER = 10**6
 
 RNG_NAME = "pcg64"
 
-INSTANCE_KINDS = ("lasso", "elastic_net", "box_qp", "logistic_l2")
+# kind -> {parameter: default}; a bool default marks a switch, any other a
+# real.  make_instance, the instance files and the CLI flags all read it.
+INSTANCE_PARAMS = {
+    "lasso": {"reg": 0.1, "density": 0.1, "noise": 0.1, "normalize": False},
+    "elastic_net": {"reg": 0.1, "ridge": 1.0, "density": 0.1, "noise": 0.1},
+    "box_qp": {"ridge": 1.0, "lo": 0.0, "hi": 1.0, "diag": False},
+    "logistic_l2": {"ridge": 1.0},
+}
+INSTANCE_KINDS = tuple(INSTANCE_PARAMS)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -439,44 +447,30 @@ def make_instance(kind: str, seed: int, m: int, n: int,
     """Deterministic benchmark instance of the given kind.
 
     All randomness is drawn from a PCG64 stream seeded with `seed`, so
-    repeated calls produce identical data.  The returned problem carries its
-    generation recipe in `spec` and, unless `with_reference=False`, its
-    optimal value in `reference_optimum`.
-
-    Kinds and their parameters:
-        lasso: reg (0.1), density (0.1), noise (0.1), normalize (False)
-        elastic_net: reg (0.1), ridge (1.0), density (0.1), noise (0.1)
-        box_qp: ridge (1.0), lo (0.0), hi (1.0), diag (False)
-        logistic_l2: ridge (1.0)
+    repeated calls produce identical data.  `params` overrides the kind's
+    defaults in INSTANCE_PARAMS, and an unknown one is a ValueError.  The
+    returned problem carries its generation recipe in `spec`, every default
+    included, and, unless `with_reference=False`, its optimal value in
+    `reference_optimum`.
     """
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}; expected one of {INSTANCE_KINDS}")
     if m <= 0 or n <= 0:
         raise ValueError("instance shape must be positive")
-    builder = {
-        "lasso": _make_lasso,
-        "elastic_net": _make_elastic_net,
-        "box_qp": _make_box_qp,
-        "logistic_l2": _make_logistic_l2,
-    }[kind]
-    problem, used_params, data = builder(seed, m, n, dict(params))
-    spec = InstanceSpec(kind=kind, seed=seed, m=m, n=n, params=used_params, data=data)
-    problem = dataclasses.replace(problem, spec=spec)
+    defaults = INSTANCE_PARAMS[kind]
+    for key in params:
+        if key not in defaults:
+            raise ValueError(f"unknown instance parameter {key!r}")
+    p = {**defaults, **params}
+    f, h, data = _BUILDERS[kind](p, _rng(seed), m, n)
+    spec = InstanceSpec(kind=kind, seed=seed, m=m, n=n, params=p, data=data)
+    problem = CompositeProblem(f=f, h=h, dimension=n, spec=spec)
     if with_reference:
         phi_star, x_star, _ = reference_solve(problem)
         problem = dataclasses.replace(
             problem, reference_optimum=ReferenceOptimum(phi_star, x_star)
         )
     return problem
-
-
-def _pop_params(params: dict, defaults: dict) -> dict:
-    out = dict(defaults)
-    for key in list(params):
-        if key not in defaults:
-            raise ValueError(f"unknown instance parameter {key!r}")
-        out[key] = params.pop(key)
-    return out
 
 
 def _sparse_regression_data(rng, m, n, density, noise):
@@ -487,35 +481,23 @@ def _sparse_regression_data(rng, m, n, density, noise):
     b = A @ x_true + noise * rng.standard_normal(m)
     return A, b
 
-def _make_lasso(seed, m, n, params):
-    p = _pop_params(params, {"reg": 0.1, "density": 0.1, "noise": 0.1,
-                             "normalize": False})
-    rng = _rng(seed)
+
+def _make_lasso(p, rng, m, n):
     A, b = _sparse_regression_data(rng, m, n, p["density"], p["noise"])
     if p["normalize"]:
         A = A / math.sqrt(gram_top(A))
-    f = least_squares(A, b)
-    h = l1_norm(p["reg"])
-    problem = CompositeProblem(f=f, h=h, dimension=n)
-    return problem, p, {"A": A, "b": b}
+    return least_squares(A, b), l1_norm(p["reg"]), {"A": A, "b": b}
 
 
-def _make_elastic_net(seed, m, n, params):
-    p = _pop_params(params, {"reg": 0.1, "ridge": 1.0, "density": 0.1,
-                             "noise": 0.1})
-    rng = _rng(seed)
+def _make_elastic_net(p, rng, m, n):
     A, b = _sparse_regression_data(rng, m, n, p["density"], p["noise"])
     f = least_squares(A, b, ridge=p["ridge"])
-    h = l1_norm(p["reg"])
-    problem = CompositeProblem(f=f, h=h, dimension=n)
-    return problem, p, {"A": A, "b": b}
+    return f, l1_norm(p["reg"]), {"A": A, "b": b}
 
 
-def _make_box_qp(seed, m, n, params):
-    p = _pop_params(params, {"ridge": 1.0, "lo": 0.0, "hi": 1.0, "diag": False})
+def _make_box_qp(p, rng, m, n):
     if p["lo"] > p["hi"]:
         raise ValueError("box is empty: lo > hi")
-    rng = _rng(seed)
     if p["diag"]:
         Q = np.diag(np.arange(1.0, n + 1.0))
         mu = 1.0
@@ -524,23 +506,26 @@ def _make_box_qp(seed, m, n, params):
         Q = B.T @ B / m + p["ridge"] * np.eye(n)
         mu = p["ridge"]
     c = rng.standard_normal(n)
-    f = quadratic(Q, c, mu=mu)
     h = box_indicator(np.full(n, float(p["lo"])), np.full(n, float(p["hi"])))
-    problem = CompositeProblem(f=f, h=h, dimension=n)
-    return problem, p, {"Q": Q, "c": c}
+    return quadratic(Q, c, mu=mu), h, {"Q": Q, "c": c}
 
 
-def _make_logistic_l2(seed, m, n, params):
-    p = _pop_params(params, {"ridge": 1.0})
-    rng = _rng(seed)
+def _make_logistic_l2(p, rng, m, n):
     A = rng.standard_normal((m, n))
     w_true = rng.standard_normal(n) / math.sqrt(n)
     margins = A @ w_true + 0.1 * rng.standard_normal(m)
     labels = np.where(margins >= 0, 1.0, -1.0)
     f = logistic_loss(A, labels, ridge=p["ridge"])
-    h = zero_function()
-    problem = CompositeProblem(f=f, h=h, dimension=n)
-    return problem, p, {"A": A, "labels": labels}
+    return f, zero_function(), {"A": A, "labels": labels}
+
+
+# kind -> builder(params, rng, m, n), which returns (f, h, data)
+_BUILDERS = {
+    "lasso": _make_lasso,
+    "elastic_net": _make_elastic_net,
+    "box_qp": _make_box_qp,
+    "logistic_l2": _make_logistic_l2,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -580,31 +565,26 @@ def save_instance(path, problem: CompositeProblem) -> None:
 def _format_param(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_real(v)
-    return str(v)
+    return format_real(v)
 
 
-def _parse_value(text: str):
-    text = text.strip()
-    if text == "true":
-        return True
-    if text == "false":
-        return False
+def _parse(key: str, text: str, default):
+    """Instance-file text of `key`, read as the type of `default`."""
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+        if isinstance(default, bool):
+            return {"true": True, "false": False}[text]
+        return type(default)(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"instance value {key} = {text!r} is not "
+                         f"{type(default).__name__}") from None
 
 
 def load_instance(path) -> CompositeProblem:
-    """Regenerate an instance from a spec file, checking the recorded constants."""
+    """Regenerate an instance from a spec file, checking the recorded constants.
+
+    seed, m and n are ints, switches true or false, the rest floats; any
+    other value is a ValueError that names its key.
+    """
     entries: dict = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -613,30 +593,24 @@ def load_instance(path) -> CompositeProblem:
         if "=" not in line:
             raise ValueError(f"malformed instance line: {raw!r}")
         key, _, value = line.partition("=")
-        entries[key.strip()] = _parse_value(value)
+        entries[key.strip()] = value.strip()
     for required in ("kind", "seed", "m", "n"):
         if required not in entries:
             raise ValueError(f"instance file misses required key {required!r}")
-    recorded = {
-        "lf_bar": entries.pop("lf_bar", None),
-        "mu_f_bar": entries.pop("mu_f_bar", None),
-        "mu_h_bar": entries.pop("mu_h_bar", None),
-    }
     entries.pop("rng", None)
     kind = entries.pop("kind")
-    seed = entries.pop("seed")
-    m = entries.pop("m")
-    n = entries.pop("n")
-    problem = make_instance(kind, seed, m, n, **entries)
-    checks = (
-        (recorded["lf_bar"], problem.f.curvature),
-        (recorded["mu_f_bar"], problem.f.mu),
-        (recorded["mu_h_bar"], problem.h.mu),
-    )
-    for want, got in checks:
-        if want is None:
-            continue
-        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+    # unknown keys stay text, for make_instance to reject by name
+    schema = {"seed": 0, "m": 0, "n": 0, **INSTANCE_PARAMS.get(kind, {}),
+              "lf_bar": 0.0, "mu_f_bar": 0.0, "mu_h_bar": 0.0}
+    entries = {key: _parse(key, text, schema[key]) if key in schema else text
+               for key, text in entries.items()}
+    recorded = [entries.pop(key, None)
+                for key in ("lf_bar", "mu_f_bar", "mu_h_bar")]
+    problem = make_instance(kind, entries.pop("seed"), entries.pop("m"),
+                            entries.pop("n"), **entries)
+    got_constants = (problem.f.curvature, problem.f.mu, problem.h.mu)
+    for want, got in zip(recorded, got_constants):
+        if want is not None and abs(got - want) > 1e-9 * max(1.0, abs(want)):
             raise NumericFailure(
                 f"regenerated constant {got!r} does not match recorded {want!r}"
             )

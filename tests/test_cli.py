@@ -268,6 +268,26 @@ def test_predict_rejects_non_finite_constants(capsys, argv, name):
     assert "must be finite" in err[0]
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    # rho**2 underflows to 0, which the closed form divides by
+    (["--criterion", "stationarity", "--rho", "1e-170", "--d0", "1.5",
+      "--lf", "2", "--lf-bar", "1"], "rho = 1e-170 is too small"),
+    (["--criterion", "absolute", "--eps", "1e-170", "--eta-tol", "1",
+      "--d0", "1.5", "--lf", "2", "--mu-h", "1"], "eps = 1e-170 is too small"),
+    # mu = mu_f + mu_h below mu_f: no instance has these constants
+    (["--criterion", "relative", "--sigma-tilde", "0.1", "--lf", "2",
+      "--lf-bar", "1", "--mu-f", "0.5", "--mu-h", "-0.5"],
+     "mu = 0 must be at least mu_f = 0.5"),
+])
+def test_predict_rejects_impossible_constants(capsys, argv, fragment):
+    code = cli.main(["predict", *argv])
+    out, err = _lines(capsys)
+    assert code == 2
+    assert not out
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert fragment in err[0]
+
+
 def test_predict_explicit_needs_lf(capsys):
     code = cli.main([
         "predict", "--criterion", "function_gap", "--eps-bar", "1", "--d0", "1",
@@ -406,6 +426,29 @@ def test_make_instance_round_trip(tmp_path, capsys):
     loaded = problems.load_instance(path)
     assert loaded.spec.kind == "elastic_net"
     assert loaded.dimension == 18
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind, defaults in problems.INSTANCE_PARAMS.items()
+    for key, default in defaults.items()
+    if not isinstance(default, bool) and default != 0])
+def test_real_flag_at_zero_reaches_the_instance(tmp_path, capsys, kind, key):
+    # 0.0 == False, so a filter on falsy flag values would drop it
+    path = tmp_path / "inst.txt"
+    code = cli.main(["make-instance", "--problem", kind, *SMALL,
+                     f"--{key}", "0", "--out", str(path)])
+    out, _ = _lines(capsys)
+    assert code == 0
+    assert f"{key} = 0" in out
+    assert f"{key} = 0" in path.read_text().splitlines()
+
+
+def test_solve_noise_zero_reaches_the_instance(capsys):
+    code = cli.main(["solve", "--problem", "lasso", *SMALL, "--noise", "0",
+                     "--max-iter", "0"])
+    out, _ = _lines(capsys)
+    assert code == 1
+    assert "noise = 0" in out
 
 
 def test_make_instance_prints_the_file_it_writes(tmp_path, capsys):

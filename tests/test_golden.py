@@ -244,7 +244,7 @@ _GRID_MU_F = (0.0, 0.5, -1.0)
 _GRID_MU = (0.0, 1.0, 1e-12, math.nan)
 _GRID_D0 = (None, 0.0, 1.5, -1.0, math.inf)
 
-GOLDEN_PREDICTOR_GRID = "5eddd72c110242d672b17cb15fd4e6abffced2d4f816ff07dc392f5f4abcad7a"
+GOLDEN_PREDICTOR_GRID = "0c24ae5ed995771aaab745da31bba006b3441a18e7706b4777fc44c25cb8c4ff"
 
 
 def _predictor_line(criterion, lf, lf_bar, mu_f, mu, d0):

@@ -476,6 +476,45 @@ def test_recorded_instance_file_still_loads(tmp_path):
     loaded = problems.load_instance(path)
     assert loaded.dimension == 18 and loaded.f.mu == 1.0
     assert abs(loaded.f.curvature / 58.686174518903826 - 1.0) <= 1e-14
+    assert type(loaded.spec.params["ridge"]) is float
+
+
+@pytest.mark.parametrize("kind", problems.INSTANCE_KINDS)
+def test_instance_params_round_trip(tmp_path, kind):
+    defaults = problems.INSTANCE_PARAMS[kind]
+    # every switch on, and reals an API caller passed as integers
+    params = {key: True if isinstance(default, bool) else 2
+              for key, default in defaults.items()}
+    problem = make_instance(kind, 9, 12, 18, with_reference=False, **params)
+    path = tmp_path / "inst.txt"
+    problems.save_instance(path, problem)
+    loaded = problems.load_instance(path)
+    assert loaded.spec == problem.spec
+    assert set(loaded.spec.params) == set(defaults)
+    for key, value in loaded.spec.params.items():
+        assert type(value) is type(defaults[key])
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("lasso", "normalize = no"),
+    ("lasso", "normalize = False"),
+    ("box_qp", "diag = 1"),
+    ("lasso", "reg = abc"),
+    ("lasso", "seed = 9.0"),
+])
+def test_instance_file_rejects_mistyped_values(tmp_path, kind, line):
+    path = tmp_path / "inst.txt"
+    path.write_text(f"kind = {kind}\nseed = 9\nm = 12\nn = 18\n{line}\n")
+    key = line.split(" = ")[0]
+    with pytest.raises(ValueError, match=f"instance value {key} = "):
+        problems.load_instance(path)
+
+
+def test_instance_file_rejects_unknown_parameter(tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_text("kind = box_qp\nseed = 9\nm = 12\nn = 18\nreg = abc\n")
+    with pytest.raises(ValueError, match="unknown instance parameter 'reg'"):
+        problems.load_instance(path)
 
 
 def test_instance_file_requires_keys(tmp_path):
