@@ -443,6 +443,17 @@ def test_real_flag_at_zero_reaches_the_instance(tmp_path, capsys, kind, key):
     assert f"{key} = 0" in path.read_text().splitlines()
 
 
+def test_make_instance_rejects_non_finite_parameter(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    code = cli.main(["make-instance", "--problem", "lasso", *SMALL,
+                     "--density", "nan", "--out", str(path)])
+    out, err = _lines(capsys)
+    assert code == 2
+    assert out == []
+    assert err == ["error: instance parameter density = nan is not finite"]
+    assert not path.exists()
+
+
 def test_solve_noise_zero_reaches_the_instance(capsys):
     code = cli.main(["solve", "--problem", "lasso", *SMALL, "--noise", "0",
                      "--max-iter", "0"])

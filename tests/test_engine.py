@@ -410,3 +410,25 @@ def test_strongly_convex_iteration_growth(elastic_mu1):
     assert positive
     # roughly constant increments per factor 100, never blowing up like 1/sqrt(eps)
     assert max(increments) <= 2.0 * min(positive) + 5
+
+
+def test_sign_flips_keep_every_iterate_on_a_tall_design():
+    # a tall design takes the Gram-form gradient; negation stays exact
+    # through G = A^T A and c = A^T b, so each flipped iterate is exact too
+    problem = problems.make_instance("elastic_net", seed=5, m=60, n=40,
+                                     ridge=0.5, with_reference=False)
+    A, b = problem.spec.data["A"], problem.spec.data["b"]
+    rng = np.random.default_rng(11)
+    rows = rng.choice((-1.0, 1.0), size=60)
+    cols = rng.choice((-1.0, 1.0), size=40)
+    f = problems.least_squares((rows[:, None] * A) * cols[None, :], rows * b,
+                               ridge=0.5, curvature=problem.f.curvature)
+    flipped = dataclasses.replace(problem, f=f)
+    config = engine.SolverConfig.for_problem(
+        problem, criterion=bounds.Criterion.stationarity(1e-8))
+    base = engine.run(problem, config, np.zeros(40))
+    moved = engine.run(flipped, config, np.zeros(40))
+    assert base.reason == "converged" and moved.state.k == base.state.k
+    assert np.array_equal(cols * moved.state.y, base.state.y)
+    assert np.array_equal(cols * moved.state.x, base.state.x)
+    assert [r.phi_y for r in moved.trace] == [r.phi_y for r in base.trace]

@@ -327,6 +327,55 @@ def test_eigensolve_failure_is_a_numeric_failure(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# least-squares gradient forms
+# ---------------------------------------------------------------------------
+
+def _design(m, n):
+    rng = _rng(11)
+    return rng.standard_normal((m, n)), rng.standard_normal(m)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.5])
+@pytest.mark.parametrize("curvature", [None, 1e3])
+def test_tall_gradient_is_the_gram_form(ridge, curvature):
+    A, b = _design(60, 40)
+    f = problems.least_squares(A, b, ridge=ridge, curvature=curvature)
+    # the least-squares solution, where G x and c cancel
+    x = np.linalg.lstsq(A, b, rcond=None)[0]
+    gram = A.T @ A @ x - A.T @ b
+    residual = A.T @ (A @ x - b)
+    if ridge:
+        gram, residual = gram + ridge * x, residual + ridge * x
+    assert np.array_equal(f.grad(x), gram)
+    assert not np.array_equal(gram, residual)
+    # each form errs by a few u ||G||_2 ||x|| (see least_squares)
+    bound = 16 * 2.0**-53 * np.linalg.eigvalsh(A.T @ A)[-1] * np.linalg.norm(x)
+    assert np.linalg.norm(gram - residual) <= bound
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.5])
+def test_wide_gradient_is_the_residual_form(ridge):
+    A, b = _design(30, 50)
+    f = problems.least_squares(A, b, ridge=ridge)
+    x = _rng(12).standard_normal(50)
+    want = A.T @ (A @ x - b)
+    if ridge:
+        want = want + ridge * x
+    assert np.array_equal(f.grad(x), want)
+
+
+@pytest.mark.parametrize("kind, params", [("lasso", {}),
+                                          ("elastic_net", {"ridge": 0.5})])
+def test_tall_curvature_is_the_gram_eigenvalue(kind, params):
+    problem = make_instance(kind, 3, 60, 40, with_reference=False, **params)
+    A = problem.spec.data["A"]
+    ridge = params.get("ridge", 0.0)
+    want = ((problems.top_eigenvalue(A.T @ A) + ridge)
+            * problems.CURVATURE_INFLATION)
+    assert problem.f.curvature == want
+
+
+# ---------------------------------------------------------------------------
 # reference solver
 # ---------------------------------------------------------------------------
 
@@ -514,6 +563,31 @@ def test_instance_file_rejects_unknown_parameter(tmp_path):
     path = tmp_path / "inst.txt"
     path.write_text("kind = box_qp\nseed = 9\nm = 12\nn = 18\nreg = abc\n")
     with pytest.raises(ValueError, match="unknown instance parameter 'reg'"):
+        problems.load_instance(path)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("lasso", "density", math.nan),
+    ("elastic_net", "reg", math.inf),
+    ("box_qp", "lo", -math.inf),
+])
+def test_non_finite_parameter_fails_before_any_draw(monkeypatch, kind, key,
+                                                    value):
+    def no_draws(seed):
+        raise AssertionError("data drawn")
+
+    monkeypatch.setattr(problems, "_rng", no_draws)
+    with pytest.raises(ValueError,
+                       match=f"^instance parameter {key} = .* is not finite$"):
+        make_instance(kind, 3, 20, 30, **{key: value})
+
+
+def test_instance_file_rejects_non_finite_parameter(tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_text("kind = elastic_net\nseed = 9\nm = 12\nn = 18\n"
+                    "ridge = nan\n")
+    with pytest.raises(ValueError,
+                       match="^instance parameter ridge = nan is not finite$"):
         problems.load_instance(path)
 
 
