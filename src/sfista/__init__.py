@@ -20,8 +20,8 @@ from .certificates import (Certificates, LowerModel, ResidualPair,
 from .classic import (ClassicState, MomentumSchedule, alpha_next, classic_init,
                       classic_step, equivalence_check, t_next)
 from .engine import (CoefficientSchedule, IterateState, RunResult,
-                     SolverConfig, TraceRecord, coefficient_schedule, init,
-                     iterate, run, step, step_coefficients)
+                     SolverConfig, Trace, TraceRecord, coefficient_schedule,
+                     init, iterate, run, step, step_coefficients)
 from .errors import (CertificateUndefinedError, ConfigError,
                      GrowthOverflowError, InvalidStartError, NumericFailure)
 from .harness import (BoundsRow, CheckResult, RunCapture, VerificationReport,
@@ -43,7 +43,7 @@ __all__ = [
     "InvalidStartError", "IterateState", "LowerModel", "MomentumSchedule",
     "NumericFailure", "ProxOracle", "ReferenceOptimum", "ResidualPair",
     "RunCapture", "RunResult", "SmoothOracle", "SolverConfig",
-    "StationarityResidual", "TraceRecord", "VerificationReport",
+    "StationarityResidual", "Trace", "TraceRecord", "VerificationReport",
     "abar_relative", "alpha_next", "bounds_suite", "box_indicator",
     "capture_run", "check_eps_subgradient", "classic_init", "classic_step",
     "coefficient_schedule", "coefficient_sum_lower", "equivalence_check",

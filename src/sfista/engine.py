@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from itertools import islice
+from operator import attrgetter
 from typing import Iterator, Optional
 
 import numpy as np
@@ -109,11 +112,89 @@ class TraceRecord:
     elapsed_ns: int
 
 
+_row_values = attrgetter(*(f.name for f in fields(TraceRecord)))
+# doubles a packed row takes: the fields, then the bit mask of those None
+_ROW = len(fields(TraceRecord)) + 1
+
+
+def _unpack(values: list) -> TraceRecord:
+    """The TraceRecord of one packed row, given as a list of its doubles."""
+    mask = values.pop()
+    # the int fields, k and elapsed_ns, are the first and the last
+    values[0] = int(values[0])
+    values[-1] = int(values[-1])
+    if mask:
+        bits = int(mask)
+        for j in range(len(values)):
+            if bits >> j & 1:
+                values[j] = None
+    return TraceRecord(*values)
+
+
+class Trace(Sequence):
+    """Trace rows packed as doubles in one array, 88 B a row.
+
+    A row is the ten TraceRecord fields in field order, a None stored as
+    0.0, then the bit mask of the fields that were None.  k and elapsed_ns
+    are exact while below 2**53.  Reading a row, by index or by iterating,
+    rebuilds its TraceRecord field for field; a slice is a list of them.  A
+    Trace equals a Trace or a list that holds the same records.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, records=()):
+        self._data = array("d")
+        for record in records:
+            self.append(record)
+
+    def append(self, record: TraceRecord) -> None:
+        # fromlist adds the whole row or, on a bad field, nothing
+        values = _row_values(record)
+        if None not in values:
+            self._data.fromlist([*values, 0.0])
+        else:
+            mask = sum(1 << j for j, v in enumerate(values) if v is None)
+            self._data.fromlist([0.0 if v is None else v for v in values]
+                                + [mask])
+
+    def __len__(self) -> int:
+        return len(self._data) // _ROW
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return [self._record(i) for i in rows]
+        return self._record(rows)
+
+    def _record(self, i: int) -> TraceRecord:
+        start = i * _ROW
+        return _unpack(self._data[start:start + _ROW].tolist())
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self._record(i)
+
+    def __eq__(self, other):
+        if isinstance(other, (Trace, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"
+
+
 @dataclass
 class RunResult:
+    """Final state, stop reason and trace rows of one `run`.
+
+    trace is a Trace: a sequence of TraceRecords kept packed as doubles and
+    rebuilt on access.
+    """
+
     state: IterateState
     reason: str  # "converged" | "max_iter" | "growth_overflow" | "numeric_failure"
-    trace: list = field(default_factory=list)
+    trace: Trace = field(default_factory=Trace)
 
     @property
     def iterations(self) -> int:
@@ -302,8 +383,10 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     Each state gets one Certificates record, whose pieces are computed only
     when the criterion or the trace reads them; an untraced stationarity run
     forms u only at states its oracle-free lower bound cannot rule out.
-    Every trace_every-th state appends a TraceRecord, and so does the final
-    one; rows after the first carry both certificates.  `stop_reason`
+    Every trace_every-th state appends its TraceRecord to the result's
+    Trace, and so does the final one; rows after the first carry both
+    certificates.  The row of the current state stays in a local, so the
+    run never reads a row back from the Trace.  `stop_reason`
     tests the criterion from k = 1 on, and at k = 0 too for function_gap.  A
     NaN in the quantity it tests stops the run with "numeric_failure"; a run
     without a criterion stops so at the first y with a non-finite entry, or
@@ -311,7 +394,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     """
     started_ns = time.perf_counter_ns()
     criterion = config.criterion
-    trace = []
+    trace = Trace()
     states = iterate(problem, config, x0)
     # max(., 0) so that init runs, and rejects, a negative max_iter
     for state in islice(states, max(config.max_iter, 0) + 1):
@@ -325,10 +408,11 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
             break
     if reason is None:
         reason = "max_iter" if state.k == config.max_iter else "growth_overflow"
-    if trace[-1].k != state.k:
-        trace.append(trace_record(certs, started_ns))
+    if row is None:
+        row = trace_record(certs, started_ns)
+        trace.append(row)
         if criterion is None:
-            reason = stop_reason(None, certs, trace[-1]) or reason
+            reason = stop_reason(None, certs, row) or reason
     return RunResult(state=state, reason=reason, trace=trace)
 
 

@@ -25,7 +25,8 @@ from . import bounds as _bounds
 from . import certificates as _cert
 from . import engine as _engine
 from .errors import ConfigError
-from .problems import CompositeProblem, format_real, make_instance, vector_norm
+from .problems import (REAL_FORMAT, CompositeProblem, format_real,
+                       make_instance, vector_norm)
 
 Array = np.ndarray
 
@@ -429,6 +430,10 @@ TRACE_COLUMNS = tuple(f.name for f in fields(_engine.TraceRecord))
 _TRACE_FORMATS = tuple(str if f.type in (int, "int") else format_real
                        for f in fields(_engine.TraceRecord))
 _trace_values = attrgetter(*TRACE_COLUMNS)
+# the line of a row without a None field, in one printf-style call: %s is
+# str, and %.17g converts a real with float() as format_real does
+_TRACE_LINE = ",".join("%s" if fmt is str else f"%{REAL_FORMAT}"
+                       for fmt in _TRACE_FORMATS) + "\n"
 
 
 def _trace_lines(records, meta: Optional[dict]):
@@ -437,10 +442,14 @@ def _trace_lines(records, meta: Optional[dict]):
         yield f"# {key} = {value}\n"
     yield ",".join(TRACE_COLUMNS) + "\n"
     for r in records:
-        yield ",".join([
-            "" if value is None else fmt(value)
-            for fmt, value in zip(_TRACE_FORMATS, _trace_values(r))
-        ]) + "\n"
+        values = _trace_values(r)
+        if None not in values:
+            yield _TRACE_LINE % values
+        else:
+            yield ",".join([
+                "" if value is None else fmt(value)
+                for fmt, value in zip(_TRACE_FORMATS, values)
+            ]) + "\n"
 
 
 def format_trace(records, meta: Optional[dict] = None) -> str:

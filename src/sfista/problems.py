@@ -556,9 +556,13 @@ _BUILDERS = {
 # Instance spec files
 # ---------------------------------------------------------------------------
 
+# 17 significant digits: every double reads back bit for bit
+REAL_FORMAT = ".17g"
+
+
 def format_real(v: float) -> str:
-    """Decimal form with 17 significant digits (lossless float round trip)."""
-    return f"{float(v):.17g}"
+    """Decimal form of v as a float, in REAL_FORMAT (lossless round trip)."""
+    return format(float(v), REAL_FORMAT)
 
 
 def instance_recipe(problem: CompositeProblem, constants: bool = True) -> list:

@@ -3,11 +3,14 @@
 import dataclasses
 import itertools
 import math
+import struct
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sfista import bounds, certificates, engine, problems
+from sfista import bounds, certificates, engine, harness, problems
 from sfista.errors import ConfigError, GrowthOverflowError, InvalidStartError
 
 
@@ -432,3 +435,97 @@ def test_sign_flips_keep_every_iterate_on_a_tall_design():
     assert np.array_equal(cols * moved.state.y, base.state.y)
     assert np.array_equal(cols * moved.state.x, base.state.x)
     assert [r.phi_y for r in moved.trace] == [r.phi_y for r in base.trace]
+
+
+# ---------------------------------------------------------------------------
+# packed trace
+# ---------------------------------------------------------------------------
+
+def _recorded_rows(problem, config, x0, count):
+    """trace_record of the first `count` states, as the records run builds."""
+    started_ns = time.perf_counter_ns()
+    return [engine.trace_record(certificates.Certificates(state, problem),
+                                started_ns)
+            for state in itertools.islice(engine.iterate(problem, config, x0),
+                                          count)]
+
+
+def _bits(record):
+    """Each field's bytes as a double, None kept, and the int fields' types."""
+    values = dataclasses.astuple(record)
+    return ([None if v is None else struct.pack("<d", v) for v in values],
+            type(record.k), type(record.elapsed_ns))
+
+
+def _odd_record():
+    return engine.TraceRecord(k=3, a=math.inf, A=-0.0, tau=1.0, phi_y=math.nan,
+                              gap=-0.0, norm_u=0.0, norm_v=1e-300,
+                              eta_residual=-1.5e308, elapsed_ns=0)
+
+
+def test_trace_round_trips_every_kind_of_row(quad1d, lasso_small, lasso_norm,
+                                             nan_value_net):
+    zeros = lambda problem: np.zeros(problem.dimension)
+    # the k = 0 row has no certificates; later rows hold both
+    complete = _recorded_rows(lasso_small, engine.SolverConfig.for_problem(
+        lasso_small), zeros(lasso_small), 4)
+    assert complete[0].norm_u is None and complete[1].norm_u is not None
+    # no reference optimum: gap is None on every row
+    no_reference = _recorded_rows(lasso_norm, engine.SolverConfig.for_problem(
+        lasso_norm), zeros(lasso_norm), 3)
+    assert all(r.gap is None for r in no_reference)
+    # the last state's next coefficient overflows: a = inf
+    overflow = _recorded_rows(quad1d, engine.SolverConfig(
+        lf=1.0 + 1e-7, mu_f=1.0), np.array([1.0]), 1000)
+    assert overflow[-1].a == math.inf
+    # f.value returns NaN: phi_y is NaN
+    nan = _recorded_rows(nan_value_net, engine.SolverConfig.for_problem(
+        nan_value_net), zeros(nan_value_net), 2)
+    assert math.isnan(nan[-1].phi_y)
+    longest = dataclasses.replace(complete[-1], elapsed_ns=2**53 - 1)
+    records = (complete + no_reference + overflow + nan
+               + [_odd_record(), longest])
+    trace = engine.Trace()
+    for record in records:
+        trace.append(record)
+    assert len(trace) == len(records)
+    assert [_bits(r) for r in trace] == [_bits(r) for r in records]
+    assert trace[-1].elapsed_ns == 2**53 - 1
+
+
+def test_trace_is_a_sequence_of_records(lasso_small):
+    records = _recorded_rows(lasso_small, engine.SolverConfig.for_problem(
+        lasso_small), np.zeros(lasso_small.dimension), 5) + [_odd_record()]
+    trace = engine.Trace(records)
+    # a rebuilt NaN is a new float, and a record holding one equals no
+    # other: the odd record is compared by its bits, and plain leaves it out
+    plain = records[:-1]
+    assert len(trace) == 6 and len(engine.Trace()) == 0
+    assert trace[0] == records[0] and trace[-2] == records[-2]
+    assert _bits(trace[-1]) == _bits(records[-1])
+    assert _bits(trace[-6]) == _bits(records[0])
+    assert trace[1:3] == records[1:3] and trace[-3::-2] == records[3::-2]
+    assert isinstance(trace[1:3], list) and trace[7:] == []
+    for index in (6, -7, 100):
+        with pytest.raises(IndexError):
+            trace[index]
+    assert harness.format_trace(trace) == harness.format_trace(records)
+    packed = engine.Trace(plain)
+    assert packed == plain and packed == engine.Trace(plain)
+    assert packed != plain[:-1] and packed != tuple(plain)
+
+
+def test_traced_run_keeps_under_128_bytes_a_row(lasso42):
+    # a row packs into 88 B; a list of TraceRecords took about 360 B a row
+    config = engine.SolverConfig.for_problem(
+        lasso42, max_iter=2000, criterion=bounds.Criterion.stationarity(1e-6))
+    x0 = np.zeros(lasso42.dimension)
+    engine.run(lasso42, config, x0)
+    tracemalloc.start()
+    try:
+        result = engine.run(lasso42, config, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.trace) == 2001
+    assert peak < 128 * len(result.trace)
