@@ -17,11 +17,11 @@ from .certificates import (Certificates, LowerModel, ResidualPair,
                            lower_model_gap, lower_model_violation,
                            lower_models, residual_pair, sample_points,
                            stationarity_residual)
-from .classic import (ClassicState, MomentumSchedule, alpha_next, classic_init,
-                      classic_step, equivalence_check, t_next)
+from .classic import (ClassicState, alpha_next, classic_init, classic_step,
+                      equivalence_check, t_next)
 from .engine import (CoefficientSchedule, IterateState, RunResult,
                      SolverConfig, Trace, TraceRecord, coefficient_schedule,
-                     init, iterate, run, step, step_coefficients)
+                     init, iterate, run, step)
 from .errors import (CertificateUndefinedError, ConfigError,
                      GrowthOverflowError, InvalidStartError, NumericFailure)
 from .harness import (BoundsRow, CheckResult, RunCapture, VerificationReport,
@@ -40,20 +40,19 @@ __all__ = [
     "BoundReport", "BoundsRow", "CertificateUndefinedError", "Certificates",
     "CheckResult", "ClassicState", "CoefficientSchedule", "CompositeProblem",
     "ConfigError", "Criterion", "GrowthOverflowError", "InstanceSpec",
-    "InvalidStartError", "IterateState", "LowerModel", "MomentumSchedule",
-    "NumericFailure", "ProxOracle", "ReferenceOptimum", "ResidualPair",
-    "RunCapture", "RunResult", "SmoothOracle", "SolverConfig",
-    "StationarityResidual", "Trace", "TraceRecord", "VerificationReport",
-    "abar_relative", "alpha_next", "bounds_suite", "box_indicator",
-    "capture_run", "check_eps_subgradient", "classic_init", "classic_step",
+    "InvalidStartError", "IterateState", "LowerModel", "NumericFailure",
+    "ProxOracle", "ReferenceOptimum", "ResidualPair", "RunCapture",
+    "RunResult", "SmoothOracle", "SolverConfig", "StationarityResidual",
+    "Trace", "TraceRecord", "VerificationReport", "abar_relative",
+    "alpha_next", "bounds_suite", "box_indicator", "capture_run",
+    "check_eps_subgradient", "classic_init", "classic_step",
     "coefficient_schedule", "coefficient_sum_lower", "equivalence_check",
     "eval_phi", "growth_factor", "init", "invariant_report", "iterate",
     "l1_norm", "least_squares", "load_instance", "log_plus_one",
     "logistic_loss", "lower_model_gap", "lower_model_violation",
-    "lower_models", "make_instance", "power_iteration",
-    "predicted_iterations", "prox_box", "prox_scaled_quadratic",
-    "prox_soft_threshold", "quadratic", "reference_solve", "residual_pair",
-    "run", "sample_points", "save_instance", "scaled_quadratic",
-    "stationarity_residual", "step", "step_coefficients", "t_next",
-    "write_trace", "zero_function",
+    "lower_models", "make_instance", "power_iteration", "predicted_iterations",
+    "prox_box", "prox_scaled_quadratic", "prox_soft_threshold", "quadratic",
+    "reference_solve", "residual_pair", "run", "sample_points",
+    "save_instance", "scaled_quadratic", "stationarity_residual", "step",
+    "t_next", "write_trace", "zero_function",
 ]

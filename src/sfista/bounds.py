@@ -191,10 +191,14 @@ def _branches(a_target: float, lf: float, mu_f: float, mu: float):
         return 0.0, math.inf
     scaled = (lf - mu_f) * a_target
     poly = 2.0 * math.sqrt(scaled)
-    logb = math.inf
     if mu > 0 and scaled > 0:
-        logb = (0.5 + math.sqrt((lf - mu_f) / mu)) * log_plus_one(scaled) + 1.0
-    return poly, logb
+        return poly, _log_branch(scaled, lf, mu_f, mu)
+    return poly, math.inf
+
+
+def _log_branch(scaled: float, lf: float, mu_f: float, mu: float) -> float:
+    """Logarithmic iteration branch for a positive scaled target and mu > 0."""
+    return (0.5 + math.sqrt((lf - mu_f) / mu)) * log_plus_one(scaled) + 1.0
 
 
 def _report(poly, logb, constants) -> BoundReport:
@@ -245,7 +249,7 @@ def predicted_iterations(criterion: Criterion, lf: float, lf_bar: float,
             raise ConfigError("lf must strictly exceed the curvature bound lf_bar")
         _validate_d0(d0)
         zeta = 8.0 * lf**2 * (lf - mu_f) / (lf - lf_bar)
-        c = 1.0 + 0.5 * math.sqrt(mu / (lf - mu_f))
+        c = growth_factor(lf, mu_f, mu)
         if tol**2 == 0.0:
             raise ConfigError(f"rho = {tol:g} is too small: rho**2 is 0")
         ratio = zeta * d0**2 / tol**2
@@ -286,8 +290,7 @@ def predicted_iterations(criterion: Criterion, lf: float, lf_bar: float,
     if tol**2 == 0.0:
         raise ConfigError(f"eps = {tol:g} is too small: eps**2 is 0")
     inner = 16.0 * (1.0 / tol + mu * d0 / tol**2 + d0 / eta_tol) * big_m * d0
-    logb = (0.5 + math.sqrt((lf - mu_f) / mu)) * log_plus_one(inner) + 1.0
-    return _report(poly, logb, {"big_m": big_m})
+    return _report(poly, _log_branch(inner, lf, mu_f, mu), {"big_m": big_m})
 
 
 # ---------------------------------------------------------------------------

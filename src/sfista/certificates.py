@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -53,8 +53,7 @@ class ResidualPair:
 class LowerModel:
     """Quadratic minorant constant + <linear, x> + (curvature/2) ||x||^2.
 
-    `weight` is the accumulated coefficient sum behind the aggregation; a
-    weight of zero denotes the empty model before the first step.
+    `weight` is the accumulated coefficient sum behind the aggregation.
     """
 
     constant: float
@@ -70,47 +69,46 @@ class LowerModel:
         return out
 
 
-def zero_model(dim: int, curvature: float) -> LowerModel:
-    return LowerModel(constant=0.0, linear=np.zeros(dim), curvature=float(curvature),
-                      weight=0.0)
+def gamma_coefficients(state: "IterateState", f_at_tilde: float,
+                       h_at_y: float):
+    """Minorant coefficients (constant, linear) of the step that made state.
 
+    The minorant is built from the linearization of f at the step's
+    extrapolated point x_tilde_prev plus h at its proximal output y,
+    re-expanded around the origin so it can be aggregated coordinate-free:
 
-def gamma_coefficients(x_tilde: Array, y_next: Array, grad_at_tilde: Array,
-                       f_at_tilde: float, h_at_y_next: float,
-                       lam: float, mu: float, mu_f: float):
-    """Coefficients (constant, linear) of one step's quadratic minorant.
-
-    The minorant is built from the linearization of f at the extrapolated
-    point plus h at the proximal output, re-expanded around the origin so it
-    can be aggregated coordinate-free:
-
-        gamma(x) = value_at_y + <(x_tilde - y_next)/lam, x - y_next>
-                   + (mu/2) ||x - y_next||^2
+        gamma(x) = value_at_y + <(x_tilde_prev - y)/lam, x - y>
+                   + (mu/2) ||x - y||^2
     """
-    diff = x_tilde - y_next
+    x_tilde, y, config = state.x_tilde_prev, state.y, state.config
+    diff = x_tilde - y
     value_at_y = (
         float(f_at_tilde)
-        + float(grad_at_tilde @ (y_next - x_tilde))
-        + float(h_at_y_next)
-        + 0.5 * mu_f * float(diff @ diff)
+        + float(state.grad_tilde_prev @ (y - x_tilde))
+        + float(h_at_y)
+        + 0.5 * config.mu_f * float(diff @ diff)
     )
-    slope = diff / lam
-    linear = slope - mu * y_next
-    constant = value_at_y - float(slope @ y_next) + 0.5 * mu * float(y_next @ y_next)
+    slope = diff / config.lam
+    linear = slope - config.mu * y
+    constant = value_at_y - float(slope @ y) + 0.5 * config.mu * float(y @ y)
     return constant, linear
 
 
-def lower_model_update(model: LowerModel, a: float, x_tilde: Array, y_next: Array,
-                       grad_at_tilde: Array, f_at_tilde: float, h_at_y_next: float,
-                       lam: float, mu: float, mu_f: float) -> LowerModel:
-    """Fold one step's minorant into the aggregate with weight `a`."""
+def lower_model_update(model: Optional[LowerModel], state: "IterateState",
+                       problem: CompositeProblem) -> LowerModel:
+    """model with the minorant of the step that made state folded in.
+
+    The minorant gets weight state.a_prev, and model None is the empty
+    model.  Evaluates f at the step's extrapolated point and h at its
+    proximal output; the gradient is the step's own.
+    """
     constant, linear = gamma_coefficients(
-        x_tilde, y_next, grad_at_tilde, f_at_tilde, h_at_y_next, lam, mu, mu_f
-    )
-    total = model.weight + a
-    if model.weight == 0.0:
+        state, problem.f.value(state.x_tilde_prev), problem.h.value(state.y))
+    a = state.a_prev
+    if model is None:
         return LowerModel(constant=constant, linear=linear,
-                          curvature=model.curvature, weight=total)
+                          curvature=float(state.config.mu), weight=a)
+    total = model.weight + a
     w_old = model.weight / total
     w_new = a / total
     return LowerModel(
@@ -126,25 +124,11 @@ def lower_models(states: Sequence["IterateState"],
     """Aggregated lower models (k, Gamma_k) of a recorded run, k = 1, 2, ...
 
     states[0] is the initial state and each later state follows from the one
-    before it.  Each step's minorant needs f at its extrapolated point and h
-    at its proximal output, evaluated here; the gradient is the step's own.
+    before it.
     """
-    config = states[0].config
-    model = zero_model(problem.dimension, config.mu)
+    model = None
     for state in states[1:]:
-        model = lower_model_update(
-            model,
-            a=state.a_prev,
-            x_tilde=state.x_tilde_prev,
-            y_next=state.y,
-            grad_at_tilde=state.grad_tilde_prev,
-            f_at_tilde=problem.f.value(state.x_tilde_prev),
-            h_at_y_next=problem.h.value(state.y),
-            lam=config.lam,
-            mu=config.mu,
-            mu_f=config.mu_f,
-        )
-        yield state.k, model
+        yield state.k, (model := lower_model_update(model, state, problem))
 
 
 def stationarity_residual(state: "IterateState",

@@ -46,42 +46,37 @@ def alpha_next(alpha: float) -> float:
     return 2.0 * a2 / (a2 + math.sqrt(a2 * a2 + 4.0 * a2))
 
 
-@dataclass(frozen=True)
-class MomentumSchedule:
-    """Current momentum parameter in one of the two equivalent forms."""
+def beta_t(t: float, t_advanced: float) -> float:
+    """Extrapolation weight of the t-schedule between t and its advance."""
+    return (t - 1.0) / t_advanced
 
-    form: str  # "t" | "alpha"
-    value: float
 
-    def advance(self) -> "MomentumSchedule":
-        if self.form == "t":
-            return MomentumSchedule("t", t_next(self.value))
-        return MomentumSchedule("alpha", alpha_next(self.value))
+def beta_alpha(alpha: float, alpha_advanced: float) -> float:
+    """Extrapolation weight of the alpha-schedule between alpha and its advance."""
+    return alpha * (1.0 - alpha) / (alpha * alpha + alpha_advanced)
 
-    def beta(self, advanced: "MomentumSchedule") -> float:
-        """Extrapolation weight between the current and advanced parameter."""
-        if self.form == "t":
-            return (self.value - 1.0) / advanced.value
-        a = self.value
-        return a * (1.0 - a) / (a * a + advanced.value)
+
+# momentum form -> (advance, extrapolation weight)
+_FORMS = {"t": (t_next, beta_t), "alpha": (alpha_next, beta_alpha)}
 
 
 @dataclass
 class ClassicState:
-    """State after k classical steps: y_k and the extrapolated point."""
+    """y_k, the extrapolated point and the momentum value after k steps."""
 
     k: int
     y: Array
     x_tilde: Array
-    schedule: MomentumSchedule
+    form: str  # "t" | "alpha"
+    value: float
 
 
 def classic_init(x0: Array, form: str = "t") -> ClassicState:
-    if form not in ("t", "alpha"):
+    if form not in _FORMS:
         raise ConfigError(f"unknown momentum form {form!r}")
     x0 = np.asarray(x0, dtype=float).copy()
-    return ClassicState(k=0, y=x0.copy(), x_tilde=x0.copy(),
-                        schedule=MomentumSchedule(form, 1.0))
+    return ClassicState(k=0, y=x0.copy(), x_tilde=x0.copy(), form=form,
+                        value=1.0)
 
 
 def classic_step(state: ClassicState, problem: CompositeProblem,
@@ -91,36 +86,33 @@ def classic_step(state: ClassicState, problem: CompositeProblem,
         raise ConfigError("lf must strictly exceed the curvature bound")
     g = problem.f.grad(state.x_tilde)
     y_new = problem.h.prox(state.x_tilde - g / lf, 1.0 / lf)
-    advanced = state.schedule.advance()
-    beta = state.schedule.beta(advanced)
-    x_tilde = y_new + beta * (y_new - state.y)
+    advance, beta = _FORMS[state.form]
+    value = advance(state.value)
+    x_tilde = y_new + beta(state.value, value) * (y_new - state.y)
     return ClassicState(k=state.k + 1, y=y_new, x_tilde=x_tilde,
-                        schedule=advanced)
+                        form=state.form, value=value)
 
 
 def equivalence_check(problem: CompositeProblem, x0: Array, lf: float,
-                      k_max: int, *, mu_f: float = 0.0,
-                      mu_h: float = 0.0) -> float:
+                      k_max: int) -> float:
     """Maximum relative deviation between the three equivalent formulations.
 
     Steps the t-form and alpha-form classical methods alongside the first
     k_max steps of `engine.iterate` with zero moduli and returns the largest
     relative gap over the proximal iterates of both forms, the schedule
     consistency t_k = a_k / lam = A_{k+1} / a_k, and alpha_k * t_k = 1.  The
-    reformulation holds only without strong convexity, so nonzero moduli are
-    rejected, and so is a negative k_max.
+    reformulation holds only without strong convexity, so both moduli are 0.
+    A negative k_max raises ConfigError.
     """
-    if mu_f != 0.0 or mu_h != 0.0:
-        raise ConfigError("the classical reformulation requires mu_f = mu_h = 0")
     if k_max < 0:
         raise ConfigError(f"step count {k_max} must be nonnegative")
-    config = _engine.SolverConfig(lf=lf, mu_f=0.0, mu_h=0.0)
+    config = _engine.SolverConfig(lf=lf)
     states = _engine.iterate(problem, config, x0)
     t_state = classic_init(x0, "t")
     a_state = classic_init(x0, "alpha")
     worst = 0.0
     for state in islice(states, 1, k_max + 1):
-        t_k = t_state.schedule.value
+        t_k = t_state.value
         t_state = classic_step(t_state, problem, lf)
         a_state = classic_step(a_state, problem, lf)
         scale = max(1.0, vector_norm(state.y))
@@ -129,7 +121,7 @@ def equivalence_check(problem: CompositeProblem, x0: Array, lf: float,
         # the schedule value before the step equals both coefficient ratios
         dev_sched = max(abs(state.a_prev / config.lam - t_k),
                         abs(state.A / state.a_prev - t_k)) / max(1.0, t_k)
-        alpha_t = a_state.schedule.value * t_state.schedule.value
+        alpha_t = a_state.value * t_state.value
         dev_recip = abs(alpha_t - 1.0)
         worst = max(worst, dev_t, dev_a, dev_sched, dev_recip)
     return worst

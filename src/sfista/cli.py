@@ -69,14 +69,20 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
                            help=f"default {shown}")
 
 
-def _add_constant_args(p: argparse.ArgumentParser) -> None:
+# solver constant -> help of its auto|REAL flag
+_CONSTANTS = {
+    "lf": "upper curvature estimate; auto = 1.25 * computed bound",
+    "mu_f": "strong-convexity modulus of f exploited by the solver",
+    "mu_h": "strong-convexity modulus of h exploited by the solver",
+}
+
+
+def _add_constant_args(p: argparse.ArgumentParser,
+                       names=tuple(_CONSTANTS)) -> None:
     g = p.add_argument_group("solver constants")
-    g.add_argument("--lf", type=_auto, default=None, metavar="auto|REAL",
-                   help="upper curvature estimate; auto = 1.25 * computed bound")
-    g.add_argument("--mu-f", type=_auto, default=None, metavar="auto|REAL",
-                   help="strong-convexity modulus of f exploited by the solver")
-    g.add_argument("--mu-h", type=_auto, default=None, metavar="auto|REAL",
-                   help="strong-convexity modulus of h exploited by the solver")
+    for name in names:
+        g.add_argument(_flag(name), type=_auto, default=None,
+                       metavar="auto|REAL", help=_CONSTANTS[name])
 
 
 def _add_criterion_args(p: argparse.ArgumentParser) -> None:
@@ -258,10 +264,8 @@ def cmd_verify_invariants(args) -> int:
 def cmd_verify_equivalence(args) -> int:
     problem = build_problem(args, with_reference=False)
     lf = _engine.SolverConfig.for_problem(problem, lf=args.lf).lf
-    mu_f = args.mu_f if args.mu_f is not None else 0.0
-    mu_h = args.mu_h if args.mu_h is not None else 0.0
     deviation = _classic.equivalence_check(problem, default_start(problem), lf,
-                                           args.iters, mu_f=mu_f, mu_h=mu_h)
+                                           args.iters)
     _emit(instance_recipe(problem, constants=False))
     ok = deviation <= args.tol
     _emit([("lf", format_real(lf)), ("iters", str(args.iters)),
@@ -338,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="agreement of the two-sequence solver with the "
                               "classical momentum forms (zero moduli)")
     _add_instance_args(eq)
-    _add_constant_args(eq)
+    # the classical forms have no strong convexity: mu_f = mu_h = 0
+    _add_constant_args(eq, ("lf",))
     eq.add_argument("--iters", type=int, default=100)
     eq.add_argument("--tol", type=float, default=1e-9)
     eq.set_defaults(handler=cmd_verify_equivalence)

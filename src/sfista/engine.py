@@ -112,7 +112,10 @@ class TraceRecord:
     elapsed_ns: int
 
 
-_row_values = attrgetter(*(f.name for f in fields(TraceRecord)))
+# a record's fields in field order, and the positions of its int fields
+row_values = attrgetter(*(f.name for f in fields(TraceRecord)))
+INT_FIELDS = tuple(j for j, f in enumerate(fields(TraceRecord))
+                   if f.type in (int, "int"))
 # doubles a packed row takes: the fields, then the bit mask of those None
 _ROW = len(fields(TraceRecord)) + 1
 
@@ -120,9 +123,8 @@ _ROW = len(fields(TraceRecord)) + 1
 def _unpack(values: list) -> TraceRecord:
     """The TraceRecord of one packed row, given as a list of its doubles."""
     mask = values.pop()
-    # the int fields, k and elapsed_ns, are the first and the last
-    values[0] = int(values[0])
-    values[-1] = int(values[-1])
+    for j in INT_FIELDS:
+        values[j] = int(values[j])
     if mask:
         bits = int(mask)
         for j in range(len(values)):
@@ -150,7 +152,7 @@ class Trace(Sequence):
 
     def append(self, record: TraceRecord) -> None:
         # fromlist adds the whole row or, on a bad field, nothing
-        values = _row_values(record)
+        values = row_values(record)
         if None not in values:
             self._data.fromlist([*values, 0.0])
         else:
@@ -262,12 +264,6 @@ def _next_coefficients(lam: float, tau: float, A: float, mu: float):
     return a, A_next, tau_next
 
 
-def step_coefficients(state: IterateState):
-    """Coefficients (a, A_next, tau_next) the next step will use."""
-    config = state.config
-    return _next_coefficients(config.lam, state.tau, state.A, config.mu)
-
-
 def step(state: IterateState, problem: CompositeProblem) -> IterateState:
     """One accelerated step; returns the new state.
 
@@ -315,10 +311,11 @@ def trace_record(certs: _cert.Certificates, started_ns: int) -> TraceRecord:
     reference optimum.
     """
     state, problem = certs.state, certs.problem
+    config = state.config
     # the recorded a is the coefficient the NEXT step would use, so a single
     # row checks tau * (A + a) / a^2 = 1 / lam on its own
     try:
-        a, _, _ = step_coefficients(state)
+        a, _, _ = _next_coefficients(config.lam, state.tau, state.A, config.mu)
     except GrowthOverflowError:
         a = math.inf
     gap = None
@@ -359,16 +356,16 @@ def stop_reason(criterion: Optional["_bounds.Criterion"],
     "converged" when it holds and "numeric_failure" when the quantity it
     tests is NaN; None when it does not hold.  Without a criterion the
     record stops the run only when y has a non-finite entry or the row built
-    for it, if any, holds a NaN phi_y; the row costs no further oracle call.
-    The k = 0 record is tested only by function_gap: every other criterion,
-    and no criterion, gives None there.
+    for it, if any, holds a NaN or infinite phi_y; the row costs no further
+    oracle call.  The k = 0 record is tested only by function_gap: every
+    other criterion, and no criterion, gives None there.
     """
     if certs.state.k == 0 and (criterion is None
                                or criterion.variant != "function_gap"):
         return None
     if criterion is None:
-        nan_row = row is not None and math.isnan(row.phi_y)
-        if nan_row or not np.isfinite(certs.state.y).all():
+        bad_row = row is not None and not math.isfinite(row.phi_y)
+        if bad_row or not np.isfinite(certs.state.y).all():
             return "numeric_failure"
         return None
     try:
@@ -390,7 +387,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     tests the criterion from k = 1 on, and at k = 0 too for function_gap.  A
     NaN in the quantity it tests stops the run with "numeric_failure"; a run
     without a criterion stops so at the first y with a non-finite entry, or
-    at the first row, the final one included, whose phi_y is NaN.
+    at the first row, the final one included, whose phi_y is not finite.
     """
     started_ns = time.perf_counter_ns()
     criterion = config.criterion

@@ -16,7 +16,6 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, islice, takewhile
-from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -43,6 +42,7 @@ ETA_FLOOR = -1e-12
 MODEL_TOL_SCALE = 1e-8
 RATE_SLACK_SCALE = 1e-9
 INEQ_REL_SLACK = 1e-9
+SAMPLE_SEED = 2718  # of the sample points the minorant checks draw
 
 
 @dataclass
@@ -172,8 +172,8 @@ def _squared_norm(v: Array) -> float:
     return float(v @ v)
 
 
-def invariant_report(capture: RunCapture, sample_count: int = 200,
-                     seed: int = 2718) -> VerificationReport:
+def invariant_report(capture: RunCapture,
+                     sample_count: int = 200) -> VerificationReport:
     """Evaluate every identity and bound the method guarantees on a run.
 
     The checks form one table: name, limit, the iterates checked with a
@@ -205,7 +205,7 @@ def invariant_report(capture: RunCapture, sample_count: int = 200,
     sample_ks = [k for k in checkpoints(K) if k <= len(cert[0])]
     at_samples = (sample_ks if sample_count else [],
                   f"{sample_count} samples at k in {sample_ks}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(SAMPLE_SEED))
     sampled = {}
     for k in at_samples[0]:
         st, model = states[k], capture.models[k]
@@ -427,9 +427,8 @@ def bounds_suite(seed_base: int = 0) -> list:
 # one column per TraceRecord field, in field order; integer fields print
 # with str, reals with format_real, and None as an empty field
 TRACE_COLUMNS = tuple(f.name for f in fields(_engine.TraceRecord))
-_TRACE_FORMATS = tuple(str if f.type in (int, "int") else format_real
-                       for f in fields(_engine.TraceRecord))
-_trace_values = attrgetter(*TRACE_COLUMNS)
+_TRACE_FORMATS = tuple(str if j in _engine.INT_FIELDS else format_real
+                       for j in range(len(TRACE_COLUMNS)))
 # the line of a row without a None field, in one printf-style call: %s is
 # str, and %.17g converts a real with float() as format_real does
 _TRACE_LINE = ",".join("%s" if fmt is str else f"%{REAL_FORMAT}"
@@ -441,8 +440,9 @@ def _trace_lines(records, meta: Optional[dict]):
     for key, value in (meta or {}).items():
         yield f"# {key} = {value}\n"
     yield ",".join(TRACE_COLUMNS) + "\n"
+    row_values = _engine.row_values
     for r in records:
-        values = _trace_values(r)
+        values = row_values(r)
         if None not in values:
             yield _TRACE_LINE % values
         else:

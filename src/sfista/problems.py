@@ -405,17 +405,16 @@ def power_iteration(op, dim: int, tol: float = POWER_TOL,
 # ---------------------------------------------------------------------------
 
 def reference_solve(problem: CompositeProblem, x0: Optional[Array] = None,
-                    tol: float = REFERENCE_TOL,
                     max_iter: int = REFERENCE_MAX_ITER):
     """High-accuracy minimizer of phi by restarted accelerated proximal gradient.
 
     With L the curvature bound of f and T(z) = prox_h(z - grad f(z)/L, 1/L),
     each step forms x = T(z) and stops once the fixed-point residual
-    ||z - T(z)|| falls below `tol`.  Otherwise z moves on by the FISTA
+    ||z - T(z)|| falls below REFERENCE_TOL.  Otherwise z moves on by the FISTA
     momentum step, unless the gradient-mapping test <z - x, x - x_prev> > 0
     fires, which resets the momentum and restarts from z = x (O'Donoghue and
     Candes, 2015).  T is nonexpansive, so the returned x = T(z) satisfies
-    ||x - T(x)|| <= `tol` up to rounding, whichever path led to z.
+    ||x - T(x)|| <= REFERENCE_TOL up to rounding, whichever path led to z.
     `max_iter` caps the number of prox-gradient steps, and a residual that
     is not finite raises NumericFailure at once.  Returns
     (phi_star, x_star, d0) where d0 = ||x0 - x_star||.
@@ -436,7 +435,7 @@ def reference_solve(problem: CompositeProblem, x0: Optional[Array] = None,
     for _ in range(max_iter):
         x = problem.h.prox(z - t * problem.f.grad(z), t)
         residual = vector_norm(z - x)
-        if residual <= tol:
+        if residual <= REFERENCE_TOL:
             break
         if not math.isfinite(residual):
             raise NumericFailure(
@@ -450,7 +449,7 @@ def reference_solve(problem: CompositeProblem, x0: Optional[Array] = None,
         x_prev = x
     else:
         raise NumericFailure(
-            f"proximal gradient did not reach residual {tol:g} "
+            f"proximal gradient did not reach residual {REFERENCE_TOL:g} "
             f"within {max_iter} iterations"
         )
     phi_star = eval_phi(problem, x)

@@ -227,10 +227,8 @@ def test_model_matches_explicit_summation():
     for _ in range(20):
         state = engine.step(state, problem)
         states.append(state)
-        g = problem.f.grad(state.x_tilde_prev)
         constant, linear = certificates.gamma_coefficients(
-            state.x_tilde_prev, state.y, g, problem.f.value(state.x_tilde_prev),
-            problem.h.value(state.y), config.lam, config.mu, config.mu_f)
+            state, problem.f.value(state.x_tilde_prev), problem.h.value(state.y))
         stored.append((state.a_prev, constant, linear))
     for k, model in certificates.lower_models(states, problem):
         total = sum(a for a, _, _ in stored[:k])

@@ -87,7 +87,7 @@ def test_schedules_stay_reciprocal_in_lockstep():
 def test_init_and_form_validation():
     state = classic.classic_init(np.ones(3))
     assert state.k == 0
-    assert state.schedule.value == 1.0
+    assert state.value == 1.0
     np.testing.assert_array_equal(state.x_tilde, np.ones(3))
     with pytest.raises(ConfigError):
         classic.classic_init(np.ones(3), form="gamma")
@@ -152,11 +152,6 @@ def test_equivalence_on_seeded_instance(lasso_norm):
     worst = classic.equivalence_check(lasso_norm, np.zeros(lasso_norm.dimension),
                                       lf, 100)
     assert worst <= 1e-9
-
-
-def test_equivalence_rejects_strong_convexity(quad1d):
-    with pytest.raises(ConfigError):
-        classic.equivalence_check(quad1d, np.array([1.0]), 2.0, 5, mu_f=1.0)
 
 
 def test_equivalence_rejects_negative_step_count(quad1d):

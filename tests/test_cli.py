@@ -309,6 +309,18 @@ def test_verify_equivalence_default_instance(capsys):
     assert "overall = pass" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--mu-f", "0.5"), ("--mu-h", "0")])
+def test_verify_equivalence_takes_no_moduli(capsys, flag, value):
+    # the classical forms exist only with mu_f = mu_h = 0, so the moduli are
+    # not flags of verify equivalence, not even set to 0
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "equivalence", flag, value])
+    out, err = _lines(capsys)
+    assert info.value.code == 2
+    assert out == []
+    assert err[-1].endswith(f"unrecognized arguments: {flag} {value}")
+
+
 def test_verify_invariants_elastic(capsys):
     code = cli.main([
         "verify", "invariants", "--problem", "elastic_net", "--seed", "7",

@@ -311,17 +311,28 @@ def test_run_without_criterion_stops_on_nan_iterate(nan_gradient_net):
     assert [r.k for r in result.trace] == [0, 1]
 
 
+# what f.value returns in the runs whose objective stops being finite
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _with_value(problem, value):
+    """problem with an f.value that returns value everywhere."""
+    return dataclasses.replace(
+        problem, f=dataclasses.replace(problem.f, value=lambda x: value))
+
+
 def test_run_without_criterion_stops_on_nan_traced_objective(nan_value_net):
-    # every traced row holds phi(y), so a NaN there stops the run at no extra
-    # oracle call; y itself stays finite
-    problem = nan_value_net
-    config = engine.SolverConfig.for_problem(problem, max_iter=500)
-    result = engine.run(problem, config, np.zeros(problem.dimension))
-    assert result.reason == "numeric_failure"
-    assert result.state.k == 1
-    assert np.isfinite(result.state.y).all()
-    assert [r.k for r in result.trace] == [0, 1]
-    assert math.isnan(result.trace[-1].phi_y)
+    # every traced row holds phi(y), so a NaN or infinite one stops the run
+    # at no extra oracle call; y itself stays finite
+    for value in NON_FINITE:
+        problem = _with_value(nan_value_net, value)
+        config = engine.SolverConfig.for_problem(problem, max_iter=500)
+        result = engine.run(problem, config, np.zeros(problem.dimension))
+        assert result.reason == "numeric_failure", value
+        assert result.state.k == 1
+        assert np.isfinite(result.state.y).all()
+        assert [r.k for r in result.trace] == [0, 1]
+        np.testing.assert_equal(result.trace[-1].phi_y, value)
 
 
 @pytest.mark.parametrize("trace_every", [50, 1000])
@@ -329,27 +340,28 @@ def test_run_without_criterion_tests_final_objective(nan_value_net,
                                                      trace_every):
     # the final row is tested too, so the stop reason does not depend on
     # whether trace_every divides max_iter
-    problem = nan_value_net
-    config = engine.SolverConfig.for_problem(problem, max_iter=50,
-                                             trace_every=trace_every)
-    result = engine.run(problem, config, np.zeros(problem.dimension))
-    assert result.reason == "numeric_failure"
-    assert result.state.k == 50
-    assert [r.k for r in result.trace] == [0, 50]
-    assert math.isnan(result.trace[-1].phi_y)
+    for value in NON_FINITE:
+        problem = _with_value(nan_value_net, value)
+        config = engine.SolverConfig.for_problem(problem, max_iter=50,
+                                                 trace_every=trace_every)
+        result = engine.run(problem, config, np.zeros(problem.dimension))
+        assert result.reason == "numeric_failure", value
+        assert result.state.k == 50
+        assert [r.k for r in result.trace] == [0, 50]
+        np.testing.assert_equal(result.trace[-1].phi_y, value)
 
 
 def test_run_without_criterion_tests_final_objective_at_overflow(quad1d):
     # the same rule when the coefficient growth, not max_iter, ends the run
-    f = dataclasses.replace(quad1d.f, value=lambda x: math.nan)
-    problem = dataclasses.replace(quad1d, f=f)
-    config = engine.SolverConfig(lf=1.0 + 1e-7, mu_f=1.0, max_iter=1000,
-                                 trace_every=1000)
-    result = engine.run(problem, config, np.array([1.0]))
-    assert result.reason == "numeric_failure"
-    assert 0 < result.state.k < 100
-    assert [r.k for r in result.trace] == [0, result.state.k]
-    assert math.isnan(result.trace[-1].phi_y)
+    for value in NON_FINITE:
+        problem = _with_value(quad1d, value)
+        config = engine.SolverConfig(lf=1.0 + 1e-7, mu_f=1.0, max_iter=1000,
+                                     trace_every=1000)
+        result = engine.run(problem, config, np.array([1.0]))
+        assert result.reason == "numeric_failure", value
+        assert 0 < result.state.k < 100
+        assert [r.k for r in result.trace] == [0, result.state.k]
+        np.testing.assert_equal(result.trace[-1].phi_y, value)
 
 
 def test_states_and_records_have_no_instance_dict(quad1d):

@@ -9,6 +9,7 @@ driver of the recursion steps exactly as often as the states it reports.
 
 import collections
 import dataclasses
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -73,6 +74,36 @@ def test_certificates_computed_once_on_demand(elastic_mu1):
     assert certs.phi_y == certs.phi_y
     assert counts == {"f.grad": 1, "f.value": 1, "h.value": 1}
     assert set(pieces) <= set(vars(certs))
+
+
+def test_lower_model_update_budget(elastic_mu1):
+    # f at the step's extrapolated point, h at its proximal output, and no
+    # gradient: the step's own is reused; the same with and without a model
+    calls = []
+
+    def logged(name, fn):
+        def wrapper(x, *rest):
+            calls.append((name, x))
+            return fn(x, *rest)
+        return wrapper
+
+    problem = elastic_mu1
+    f = dataclasses.replace(problem.f, value=logged("f.value", problem.f.value),
+                            grad=logged("f.grad", problem.f.grad))
+    h = dataclasses.replace(problem.h, value=logged("h.value", problem.h.value),
+                            prox=logged("h.prox", problem.h.prox))
+    logged_problem = dataclasses.replace(problem, f=f, h=h)
+    state = engine.init(problem, engine.SolverConfig.for_problem(problem),
+                        np.zeros(problem.dimension))
+    model = None
+    for _ in range(2):
+        state = engine.step(state, problem)
+        calls.clear()
+        model = certificates.lower_model_update(model, state, logged_problem)
+        assert [name for name, _ in calls] == ["f.value", "h.value"]
+        np.testing.assert_array_equal(calls[0][1], state.x_tilde_prev)
+        np.testing.assert_array_equal(calls[1][1], state.y)
+    assert model.weight == state.A
 
 
 def test_untraced_run_budget(elastic_mu1):
@@ -163,6 +194,24 @@ def test_equivalence_check_steps_k_max_times(lasso_norm, step_calls):
     classic.equivalence_check(lasso_norm, np.zeros(lasso_norm.dimension), lf,
                               25)
     assert step_calls == list(range(25))
+
+
+def test_lower_models_update_once_per_state(elastic_mu1, monkeypatch):
+    # looked up as the module's global on every state, as a counter that
+    # wraps the module attribute sees it
+    calls = []
+    real_update = certificates.lower_model_update
+
+    def counted(model, state, problem):
+        calls.append(state.k)
+        return real_update(model, state, problem)
+
+    monkeypatch.setattr(certificates, "lower_model_update", counted)
+    config = engine.SolverConfig.for_problem(elastic_mu1)
+    states = list(islice(engine.iterate(elastic_mu1, config,
+                                        np.zeros(elastic_mu1.dimension)), 8))
+    models = list(certificates.lower_models(states, elastic_mu1))
+    assert calls == [k for k, _ in models] == list(range(1, 8))
 
 
 def test_bounds_suite_steps_once_per_instance(step_calls):
