@@ -99,9 +99,15 @@ class Criterion:
 
 
 def _tested(value: float, name: str) -> float:
-    """value itself; NumericFailure when it is NaN, which no test can pass."""
-    if math.isnan(value):
-        raise NumericFailure(f"{name} is NaN")
+    """value itself; NumericFailure when it is NaN or infinite.
+
+    No test can pass a NaN.  An infinite quantity says nothing about the
+    iterate either: a gap of -inf would pass its test and +inf would fail
+    every later one.
+    """
+    if not math.isfinite(value):
+        shown = "NaN" if math.isnan(value) else f"{value:g}"
+        raise NumericFailure(f"{name} is {shown}, not finite")
     return value
 
 
@@ -111,7 +117,7 @@ def check(criterion: Criterion, certs: "Certificates") -> bool:
     A stationarity test forms u only when the record does not hold it yet
     and the oracle-free bound `certs.stationarity_lower` cannot rule the
     state out; a NaN bound falls through to u.  Raises NumericFailure when
-    the quantity tested is NaN.
+    the quantity tested is NaN or infinite.
     """
     state, problem = certs.state, certs.problem
     v = criterion.variant
@@ -180,8 +186,11 @@ def _validate_d0(d0: float) -> None:
 
 
 def _ceil_clamped(value: float) -> int:
+    # NaN comes of an intermediate past the largest double, as inf * 0
     if math.isinf(value):
         raise ConfigError("predictor evaluated to infinity")
+    if math.isnan(value):
+        raise ConfigError("predictor evaluated to NaN")
     return max(1, math.ceil(value - _CEIL_SLOP))
 
 
@@ -219,7 +228,13 @@ def abar_relative(mu: float, sigma_tilde: float) -> float:
     if not sigma_tilde > 0:
         raise ConfigError("sigma_tilde must be positive")
     b = 2.0 * mu + 1.0
-    return (b + math.sqrt(b**2 + 16.0 * sigma_tilde)) / (2.0 * sigma_tilde)
+    disc = b**2 + 16.0 * sigma_tilde
+    if disc < math.inf:
+        return (b + math.sqrt(disc)) / (2.0 * sigma_tilde)
+    # sigma_tilde past about 1.1e307: the same root, through no
+    # intermediate past the largest double
+    return 0.5 * ((b + math.hypot(b, 4.0 * math.sqrt(sigma_tilde)))
+                  / sigma_tilde)
 
 
 def predicted_iterations(criterion: Criterion, lf: float, lf_bar: float,
@@ -230,8 +245,19 @@ def predicted_iterations(criterion: Criterion, lf: float, lf_bar: float,
     d0 >= ||x0 - x*|| is needed by the variants in D0_VARIANTS, and lf_bar
     (the certified curvature of f, below lf) by stationarity only.  The
     absolute bound requires mu > 0; with no strong convexity its closed
-    form does not exist.
+    form does not exist.  Constants whose closed form squares a number past
+    about 1e154 raise ConfigError, as a count that evaluates to infinity
+    does.
     """
+    try:
+        return _closed_form(criterion, lf, lf_bar, mu_f, mu, d0)
+    except OverflowError:  # float ** past the largest double
+        raise ConfigError("predictor overflowed double precision") from None
+
+
+def _closed_form(criterion: Criterion, lf: float, lf_bar: float, mu_f: float,
+                 mu: float, d0: Optional[float]) -> BoundReport:
+    """predicted_iterations, save that a ** may raise OverflowError."""
     v, tol = criterion.variant, criterion.tol
     if v in D0_VARIANTS and d0 is None:
         raise ConfigError(f"the {v} predictor needs d0")
@@ -290,7 +316,10 @@ def predicted_iterations(criterion: Criterion, lf: float, lf_bar: float,
     if tol**2 == 0.0:
         raise ConfigError(f"eps = {tol:g} is too small: eps**2 is 0")
     inner = 16.0 * (1.0 / tol + mu * d0 / tol**2 + d0 / eta_tol) * big_m * d0
-    return _report(poly, _log_branch(inner, lf, mu_f, mu), {"big_m": big_m})
+    # a d0 near the smallest double can take inner to 0: then, as for a zero
+    # target in _branches, there is no logarithmic branch
+    logb = _log_branch(inner, lf, mu_f, mu) if inner > 0 else math.inf
+    return _report(poly, logb, {"big_m": big_m})
 
 
 # ---------------------------------------------------------------------------

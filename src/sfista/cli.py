@@ -9,8 +9,8 @@ Subcommands:
 Summaries, reports, and instance files are `key = value` lines; traces are
 comma-delimited with reals as 17-significant-digit decimals.  Exit codes:
 0 converged / all checks pass, 1 iteration budget exhausted, 2 invalid
-configuration or flags, 3 verification failure, 4 NaN in the quantity the
-stopping criterion tests.
+configuration or flags, 3 verification failure, 4 a NaN or infinite
+quantity where the stopping criterion tests one.
 """
 
 from __future__ import annotations

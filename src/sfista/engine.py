@@ -11,6 +11,7 @@ linear.
 from __future__ import annotations
 
 import math
+import struct
 import time
 from array import array
 from collections.abc import Sequence
@@ -118,6 +119,20 @@ INT_FIELDS = tuple(j for j, f in enumerate(fields(TraceRecord))
                    if f.type in (int, "int"))
 # doubles a packed row takes: the fields, then the bit mask of those None
 _ROW = len(fields(TraceRecord)) + 1
+_PACKED_ROW = struct.Struct(f"{_ROW}d")
+
+
+def _packed(record: TraceRecord) -> list:
+    """The packed row of a record, as a list of its values.
+
+    The fields in field order, a None as 0.0, then the bit mask of the
+    fields that were None.
+    """
+    values = row_values(record)
+    if None not in values:
+        return [*values, 0.0]
+    mask = sum(1 << j for j, v in enumerate(values) if v is None)
+    return [0.0 if v is None else v for v in values] + [mask]
 
 
 def _unpack(values: list) -> TraceRecord:
@@ -141,6 +156,8 @@ class Trace(Sequence):
     are exact while below 2**53.  Reading a row, by index or by iterating,
     rebuilds its TraceRecord field for field; a slice is a list of them.  A
     Trace equals a Trace or a list that holds the same records.
+    `packed_rows` reads the rows as they are stored, with no rebuild, and
+    `harness.write_trace` prints each line straight from them.
     """
 
     __slots__ = ("_data",)
@@ -152,13 +169,7 @@ class Trace(Sequence):
 
     def append(self, record: TraceRecord) -> None:
         # fromlist adds the whole row or, on a bad field, nothing
-        values = row_values(record)
-        if None not in values:
-            self._data.fromlist([*values, 0.0])
-        else:
-            mask = sum(1 << j for j, v in enumerate(values) if v is None)
-            self._data.fromlist([0.0 if v is None else v for v in values]
-                                + [mask])
+        self._data.fromlist(_packed(record))
 
     def __len__(self) -> int:
         return len(self._data) // _ROW
@@ -184,6 +195,19 @@ class Trace(Sequence):
 
     def __repr__(self) -> str:
         return f"Trace({list(self)!r})"
+
+
+def packed_rows(records) -> Iterator[tuple]:
+    """The packed row of each record, one at a time, as a tuple.
+
+    A Trace gives its rows as it stores them, as doubles; any other
+    iterable of TraceRecords gives the values `Trace.append` would store
+    for each, with its ints left ints.  Neither builds more than one row at
+    a time.
+    """
+    if isinstance(records, Trace):
+        return _PACKED_ROW.iter_unpack(records._data)
+    return (tuple(_packed(record)) for record in records)
 
 
 @dataclass
@@ -354,11 +378,11 @@ def stop_reason(criterion: Optional["_bounds.Criterion"],
     """Stop reason the criterion gives this record, or None.
 
     "converged" when it holds and "numeric_failure" when the quantity it
-    tests is NaN; None when it does not hold.  Without a criterion the
-    record stops the run only when y has a non-finite entry or the row built
-    for it, if any, holds a NaN or infinite phi_y; the row costs no further
-    oracle call.  The k = 0 record is tested only by function_gap: every
-    other criterion, and no criterion, gives None there.
+    tests is NaN or infinite; None when it does not hold.  Without a
+    criterion the record stops the run only when y has a non-finite entry or
+    the row built for it, if any, holds a NaN or infinite phi_y; the row
+    costs no further oracle call.  The k = 0 record is tested only by
+    function_gap: every other criterion, and no criterion, gives None there.
     """
     if certs.state.k == 0 and (criterion is None
                                or criterion.variant != "function_gap"):
@@ -385,9 +409,10 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     certificates.  The row of the current state stays in a local, so the
     run never reads a row back from the Trace.  `stop_reason`
     tests the criterion from k = 1 on, and at k = 0 too for function_gap.  A
-    NaN in the quantity it tests stops the run with "numeric_failure"; a run
-    without a criterion stops so at the first y with a non-finite entry, or
-    at the first row, the final one included, whose phi_y is not finite.
+    NaN or infinite quantity it tests stops the run with "numeric_failure";
+    a run without a criterion stops so at the first y with a non-finite
+    entry, or at the first row, the final one included, whose phi_y is not
+    finite.
     """
     started_ns = time.perf_counter_ns()
     criterion = config.criterion

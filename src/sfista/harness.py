@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import accumulate, islice, takewhile
 from typing import Optional
 
@@ -24,8 +25,8 @@ from . import bounds as _bounds
 from . import certificates as _cert
 from . import engine as _engine
 from .errors import ConfigError
-from .problems import (REAL_FORMAT, CompositeProblem, format_real,
-                       make_instance, vector_norm)
+from .problems import (REAL_FORMAT, CompositeProblem, make_instance,
+                       vector_norm)
 
 Array = np.ndarray
 
@@ -374,11 +375,11 @@ def suite_rows(label: str, problem: CompositeProblem, criteria) -> list:
     """One BoundsRow per criterion, all tested on one pass of `engine.iterate`.
 
     Each criterion is tested through `engine.stop_reason` until it holds,
-    its quantity is NaN or k reaches its predicted count: the observed k is
-    the one `engine.run` with that criterion and max_iter = predicted_k
-    would stop at as "converged", and None otherwise.  The criteria share
-    one Certificates record per state, and the pass ends once none is still
-    tested.
+    its quantity is NaN or infinite, or k reaches its predicted count: the
+    observed k is the one `engine.run` with that criterion and max_iter =
+    predicted_k would stop at as "converged", and None otherwise.  The
+    criteria share one Certificates record per state, and the pass ends
+    once none is still tested.
     """
     x0 = np.zeros(problem.dimension)
     d0 = _suite_d0(problem)
@@ -424,38 +425,45 @@ def bounds_suite(seed_base: int = 0) -> list:
 # Trace files
 # ---------------------------------------------------------------------------
 
-# one column per TraceRecord field, in field order; integer fields print
-# with str, reals with format_real, and None as an empty field
+# one column per TraceRecord field, in field order
 TRACE_COLUMNS = tuple(f.name for f in fields(_engine.TraceRecord))
-_TRACE_FORMATS = tuple(str if j in _engine.INT_FIELDS else format_real
-                       for j in range(len(TRACE_COLUMNS)))
-# the line of a row without a None field, in one printf-style call: %s is
-# str, and %.17g converts a real with float() as format_real does
-_TRACE_LINE = ",".join("%s" if fmt is str else f"%{REAL_FORMAT}"
-                       for fmt in _TRACE_FORMATS) + "\n"
+
+
+@lru_cache(maxsize=None)
+def _line_format(mask: float) -> str:
+    """The %-format of the line of a packed row with this None mask.
+
+    A packed row is the ten fields then the mask (`engine.packed_rows`).
+    An int field prints with %d, as str prints an int; a real one with
+    %.17g (REAL_FORMAT), as format_real does; a None field, and the mask
+    itself, with %.0s, which prints nothing.
+    """
+    bits = int(mask)
+    return ",".join(
+        "%.0s" if bits >> j & 1
+        else "%d" if j in _engine.INT_FIELDS else f"%{REAL_FORMAT}"
+        for j in range(len(TRACE_COLUMNS))) + "%.0s\n"
 
 
 def _trace_lines(records, meta: Optional[dict]):
-    """The trace text one line at a time, each ending in a newline."""
+    """The trace text one line at a time, each ending in a newline.
+
+    Each row's line is one % of its None mask's format on its packed row,
+    whether the records are a Trace or a list of TraceRecords.
+    """
     for key, value in (meta or {}).items():
         yield f"# {key} = {value}\n"
     yield ",".join(TRACE_COLUMNS) + "\n"
-    row_values = _engine.row_values
-    for r in records:
-        values = row_values(r)
-        if None not in values:
-            yield _TRACE_LINE % values
-        else:
-            yield ",".join([
-                "" if value is None else fmt(value)
-                for fmt, value in zip(_TRACE_FORMATS, values)
-            ]) + "\n"
+    for row in _engine.packed_rows(records):
+        yield _line_format(row[-1]) % row
 
 
 def format_trace(records, meta: Optional[dict] = None) -> str:
     """Comma-delimited trace with `# key = value` provenance lines on top.
 
-    The same lines, byte for byte, that `write_trace` writes.
+    The same lines, byte for byte, that `write_trace` writes.  An int field
+    prints as an integer, a real one as format_real prints it, and a None
+    as an empty field.
     """
     return "".join(_trace_lines(records, meta))
 
@@ -463,8 +471,10 @@ def format_trace(records, meta: Optional[dict] = None) -> str:
 def write_trace(path, records, meta: Optional[dict] = None) -> None:
     """Write `format_trace(records, meta)` to path, one row at a time.
 
-    The file's bytes equal that text's, but neither the whole text nor a
-    list of its lines is ever built.
+    records is an `engine.Trace` or any iterable of TraceRecords.  Each
+    line is printed straight from the row's packed doubles, with no
+    TraceRecord rebuilt, and the file's bytes equal that text's.  Neither
+    the whole text nor a list of its lines is ever built.
     """
     with open(path, "w") as out:
         out.writelines(_trace_lines(records, meta))

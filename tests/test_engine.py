@@ -351,6 +351,20 @@ def test_run_without_criterion_tests_final_objective(nan_value_net,
         np.testing.assert_equal(result.trace[-1].phi_y, value)
 
 
+@pytest.mark.parametrize("value", [-math.inf, math.inf])
+def test_function_gap_run_stops_on_infinite_objective(value):
+    # a gap of -inf would pass the test and +inf fail every later one:
+    # both stop the run at k = 0, where function_gap is first tested
+    problem = _with_value(problems.make_instance("elastic_net", 1, 20, 30),
+                          value)
+    config = engine.SolverConfig.for_problem(
+        problem, max_iter=500, criterion=bounds.Criterion.function_gap(1e-6))
+    result = engine.run(problem, config, np.zeros(problem.dimension))
+    assert result.reason == "numeric_failure"
+    assert result.state.k == 0
+    assert result.trace[-1].gap == value
+
+
 def test_run_without_criterion_tests_final_objective_at_overflow(quad1d):
     # the same rule when the coefficient growth, not max_iter, ends the run
     for value in NON_FINITE:

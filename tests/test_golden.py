@@ -2,9 +2,10 @@
 
 A refactor that leaves the arithmetic alone leaves these SHA-256 digests
 alone: they cover the final x and y of the two conftest captures, the trace
-text of a stationarity run with the elapsed_ns column dropped, and the
-report lines of an invariant sweep.  Those lines round `worst` to four
-digits, so every check's full-precision value is pinned too.  A change that
+text of a stationarity run and of the README quick start's `sfista solve
+--trace` with the elapsed_ns column dropped, and the report lines of an
+invariant sweep.  Those lines round `worst` to four digits, so every
+check's full-precision value is pinned too.  A change that
 moves any iterate by one bit fails here, and so does one that moves the
 deviation the classical equivalence check reports.  One more digest pins
 the iteration predictor on a grid of constants: each point's predicted_k,
@@ -16,7 +17,9 @@ iteration, whose result differs from today's dense eigensolve in the last
 bits; since lf = 1.25 * lf_bar, every iterate moves with it.  So the
 instances below are rebuilt from make_instance's data at the recorded
 curvature constants, which keeps the digests a test of the engine, trace
-and harness arithmetic alone.  GOLDEN_LF_BAR pins today's constants.
+and harness arithmetic alone.  GOLDEN_LF_BAR pins today's constants; the
+README trace, recorded later, is of the lasso rebuilt at its GOLDEN_LF_BAR
+constant, so it too stays put when the curvature computation changes.
 """
 
 import dataclasses
@@ -26,7 +29,7 @@ import math
 import numpy as np
 import pytest
 
-from sfista import bounds, classic, engine, harness, problems
+from sfista import bounds, classic, cli, engine, harness, problems
 
 # curvature bounds the digests were recorded at, and the top eigenvalue of
 # lasso_norm's raw design that its normalisation divided by
@@ -47,6 +50,7 @@ GOLDEN = {
     "elastic_y": "0e9902c771bc84daf99e7d199ec057e9ad8ea5701144eedd199c48fbbafbeaf2",
     "elastic_trace": "1c7734326743b9ce1679cd19e33fcf1850f6354a3e4a62e68f24cb79f819d127",
     "elastic_report": "de30f6d606bc023e7277d6521504c58048b220bdec1562a66d794e430838ec6f",
+    "readme_trace": "f844c0b29145b07753c44a67016259493bbd40156906e859515d7bcab2a22dea",
 }
 
 # format_real of the worst deviation equivalence_check reports on lasso_norm
@@ -193,9 +197,33 @@ def test_trace_text_matches_golden(golden_elastic):
                         np.zeros(golden_elastic.dimension))
     assert result.state.k == 205 and len(result.trace) == 206
     text = harness.format_trace(result.trace)
-    # elapsed_ns is the last column and the only one that varies between runs
+    assert _stable_digest(text) == GOLDEN["elastic_trace"]
+
+
+def _stable_digest(text):
+    """Digest of trace text without elapsed_ns, the one column that varies."""
     stable = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
-    assert hashlib.sha256(stable.encode()).hexdigest() == GOLDEN["elastic_trace"]
+    return hashlib.sha256(stable.encode()).hexdigest()
+
+
+def test_readme_trace_matches_golden(lasso42, tmp_path):
+    # the README quick start's `sfista solve --trace` file, metadata lines
+    # included, with the lasso rebuilt at its recorded curvature bound: 7254
+    # steps, a row each
+    problem = _at_curvature(lasso42, lasso42.spec.data["A"],
+                            float(GOLDEN_LF_BAR["lasso42"]))
+    criterion = bounds.Criterion.stationarity(1e-6)
+    config = engine.SolverConfig.for_problem(problem, criterion=criterion)
+    result = engine.run(problem, config, cli.default_start(problem))
+    assert (result.reason, result.state.k) == ("converged", 7254)
+    meta = dict(problems.instance_recipe(problem, constants=False)
+                + cli.constant_meta(config) + cli.criterion_meta(criterion)
+                + [("trace_every", "1")])
+    path = tmp_path / "run.csv"
+    harness.write_trace(path, result.trace, meta)
+    text = path.read_text()
+    assert sum(not line.startswith("#") for line in text.splitlines()) == 7256
+    assert _stable_digest(text) == GOLDEN["readme_trace"]
 
 
 def test_invariant_report_matches_golden(golden_elastic_capture):

@@ -327,6 +327,41 @@ def test_write_trace_round_trip(tmp_path, quad1d, lasso_small, lasso_norm,
     assert last([odd]) == "3,inf,-0,1,nan,-0,0,1e-300,-1.5e+308,0"
 
 
+# one value of each kind the printer meets: an int, a negative zero, both
+# infinities, a NaN, the smallest subnormal, and the largest elapsed_ns a
+# packed row holds exactly
+_PRINTER_VALUES = dict(k=7, a=-0.0, A=math.inf, tau=1.0, phi_y=math.nan,
+                       gap=5e-324, norm_u=-math.inf, norm_v=0.1,
+                       eta_residual=1e300, elapsed_ns=2**53 - 1)
+
+
+def _reference_line(record):
+    """A row's line as the columns define it, field by field."""
+    return ",".join(
+        "" if value is None
+        else str(value) if isinstance(value, int)
+        else problems.format_real(value)
+        for value in dataclasses.astuple(record)) + "\n"
+
+
+def test_trace_printer_covers_every_none_mask():
+    # each of the 2**10 sets of None fields, the empty one included, prints
+    # alike from a Trace and from the list of its records, and as the
+    # columns define the line
+    names = harness.TRACE_COLUMNS
+    records = [engine.TraceRecord(**{
+        name: None if mask >> j & 1 else _PRINTER_VALUES[name]
+        for j, name in enumerate(names)}) for mask in range(2**len(names))]
+    text = harness.format_trace(records)
+    assert harness.format_trace(engine.Trace(records)) == text
+    assert text.splitlines(True)[1:] == [_reference_line(r) for r in records]
+    lines = text.splitlines()
+    assert lines[1] == ("7,-0,inf,1,nan,4.9406564584124654e-324,-inf,"
+                        "0.10000000000000001,1.0000000000000001e+300,"
+                        "9007199254740991")
+    assert lines[-1] == ",,,,,,,,,"
+
+
 def test_write_trace_streams_rows(tmp_path):
     # the README lasso's 7255 rows take about 1 MB of text; writing them row
     # by row keeps the writer's own peak to a few buffers

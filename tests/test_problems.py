@@ -364,6 +364,59 @@ def test_wide_gradient_is_the_residual_form(ridge):
     assert np.array_equal(f.grad(x), want)
 
 
+# ---------------------------------------------------------------------------
+# wide oracles: each call a function of its point alone
+# ---------------------------------------------------------------------------
+
+def _wide_least_squares():
+    A, b = _design(20, 30)
+    return problems.least_squares(A, b), (
+        lambda x: A.T @ (A @ x - b),
+        lambda x: problems.least_squares(A, b).value(x))
+
+
+def _logistic():
+    A, b = _design(20, 30)
+    labels = np.where(b >= 0, 1.0, -1.0)
+    fresh = lambda: problems.logistic_loss(A, labels)
+    return fresh(), (lambda x: fresh().grad(x), lambda x: fresh().value(x))
+
+
+def _same_bits(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("build", [_wide_least_squares, _logistic])
+def test_wide_oracles_ignore_earlier_calls(build):
+    # each call agrees bit for bit with a gradient or value formed afresh,
+    # whatever points the oracles were called at before: a residual or
+    # margins reused from an earlier call must keep this
+    f, (fresh_grad, fresh_value) = build()
+    rng = _rng(13)
+    x = rng.standard_normal(30)
+    f.value(x)
+    x[3] += 1.0  # changed in place after value, before grad
+    assert _same_bits(f.grad(x), fresh_grad(x))
+    # the same bytes under another dtype, then under another shape
+    ints = x.view(np.int64)
+    assert _same_bits(f.grad(ints), fresh_grad(ints))
+    assert _same_bits(f.value(x), fresh_value(x))
+    column = x.reshape(30, 1)
+    assert _same_bits(f.grad(column), fresh_grad(column))
+    assert _same_bits(f.grad(x), fresh_grad(x))
+    # a list
+    point = list(rng.standard_normal(30))
+    assert _same_bits(f.value(point), fresh_value(np.array(point)))
+    assert _same_bits(f.grad(point), fresh_grad(np.array(point)))
+    # alternating points, each call at the point the last one left
+    y, z = rng.standard_normal(30), rng.standard_normal(30)
+    for point, oracle in [(y, "value"), (z, "grad"), (y, "grad"),
+                          (y, "value"), (z, "value"), (z, "grad"),
+                          (y, "grad")]:
+        fresh = fresh_value if oracle == "value" else fresh_grad
+        assert _same_bits(getattr(f, oracle)(point), fresh(point)), oracle
+
+
 @pytest.mark.parametrize("kind, params", [("lasso", {}),
                                           ("elastic_net", {"ridge": 0.5})])
 def test_tall_curvature_is_the_gram_eigenvalue(kind, params):
