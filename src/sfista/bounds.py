@@ -34,11 +34,6 @@ VARIANTS = tuple(TOLERANCES)
 # the variants whose predictor needs d0 >= ||x0 - x*||
 D0_VARIANTS = ("function_gap", "stationarity", "absolute")
 
-# Relative margin by which the oracle-free lower bound on ||u|| must exceed
-# rho before a stationarity test skips forming u; it covers the rounding of
-# both the bound and the computed norm.
-_SCREEN_SLACK = 1e-9
-
 # Slop subtracted before ceil so closed forms that land exactly on an integer
 # are not bumped up by the last bit of rounding.
 _CEIL_SLOP = 1e-9
@@ -114,21 +109,19 @@ def _tested(value: float, name: str) -> float:
 def check(criterion: Criterion, certs: "Certificates") -> bool:
     """Whether the criterion holds at the state of the certificate record.
 
-    A stationarity test forms u only when the record does not hold it yet
-    and the oracle-free bound `certs.stationarity_lower` cannot rule the
-    state out; a NaN bound falls through to u.  Raises NumericFailure when
-    the quantity tested is NaN or infinite.
+    A stationarity test forms u only when `certs.rules_out_stationarity`
+    cannot rule the state out.  Raises NumericFailure when the quantity
+    tested is NaN or infinite.
     """
-    state, problem = certs.state, certs.problem
+    state = certs.state
     v = criterion.variant
     if v == "function_gap":
-        if problem.reference_optimum is None:
+        gap = certs.gap
+        if gap is None:
             raise ConfigError("function_gap check needs a reference optimum")
-        gap = certs.phi_y - problem.reference_optimum.phi_star
         return _tested(gap, "phi(y) gap") <= criterion.tol
     if v == "stationarity":
-        if ("stationarity" not in vars(certs)
-                and certs.stationarity_lower > criterion.tol * (1.0 + _SCREEN_SLACK)):
+        if certs.rules_out_stationarity(criterion.tol):
             return False
         return _tested(certs.stationarity.norm, "||u||") <= criterion.tol
     pair = certs.pair
@@ -328,10 +321,9 @@ def _closed_form(criterion: Criterion, lf: float, lf_bar: float, mu_f: float,
 
 def coefficient_sum_lower(k: int, lf: float, mu_f: float, mu: float) -> float:
     """Proven lower bound on the coefficient sum after k steps."""
-    _validate_constants(lf, mu_f, mu)
+    c = growth_factor(lf, mu_f, mu)
     if k < 1:
         return 0.0
-    c = growth_factor(lf, mu_f, mu)
     poly = k * k / 4.0
     geo = c ** (2.0 * (k - 1.0))
     return max(poly, geo) / (lf - mu_f)

@@ -28,6 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Array = np.ndarray
 
+# Relative margin by which the oracle-free lower bound on ||u|| must exceed
+# rho before a stationarity test skips forming u; it covers the rounding of
+# both the bound and the computed norm.
+_SCREEN_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class StationarityResidual:
@@ -174,8 +179,8 @@ class Certificates:
 
     Each piece is computed the first time it is read and kept; the residuals
     raise CertificateUndefinedError before the first step.
-    `stationarity_lower` bounds ||u|| from below without an oracle call, so a
-    stationarity test can rule a state out before paying for u's gradient.
+    `stationarity_lower` bounds ||u|| from below without an oracle call, so
+    `rules_out_stationarity` can rule a state out before u's gradient.
     """
 
     state: "IterateState"
@@ -184,6 +189,12 @@ class Certificates:
     @cached_property
     def phi_y(self) -> float:
         return eval_phi(self.problem, self.state.y)
+
+    @property
+    def gap(self) -> Optional[float]:
+        """phi(y) - phi*, or None when the problem has no reference optimum."""
+        ref = self.problem.reference_optimum
+        return None if ref is None else self.phi_y - ref.phi_star
 
     @cached_property
     def stationarity(self) -> StationarityResidual:
@@ -201,6 +212,11 @@ class Certificates:
             raise CertificateUndefinedError("stationarity bound needs at least one step")
         dist = vector_norm(state.y - state.x_tilde_prev)
         return (state.config.lf - self.problem.f.curvature) * dist
+
+    def rules_out_stationarity(self, rho: float) -> bool:
+        """||u|| > rho by `stationarity_lower` alone; False once u is held."""
+        return ("stationarity" not in vars(self)
+                and self.stationarity_lower > rho * (1.0 + _SCREEN_SLACK))
 
     @cached_property
     def pair(self) -> ResidualPair:

@@ -28,8 +28,7 @@ from . import engine as _engine
 from . import harness as _harness
 from .errors import ConfigError, NumericFailure
 from .problems import (INSTANCE_KINDS, INSTANCE_PARAMS, format_real,
-                       instance_recipe, make_instance, save_instance,
-                       vector_norm)
+                       instance_recipe, make_instance, save_instance)
 
 
 def _auto(text: str) -> Optional[float]:
@@ -221,10 +220,8 @@ def cmd_predict(args) -> int:
         config = _engine.SolverConfig.for_problem(
             problem, lf=args.lf, mu_f=args.mu_f, mu_h=args.mu_h)
         lf, mu_f, mu_h = config.lf, config.mu_f, config.mu_h
-        d0 = None
-        if needs_d0:
-            x0 = default_start(problem)
-            d0 = vector_norm(x0 - problem.reference_optimum.x_star)
+        d0 = (problem.reference_optimum.distance(default_start(problem))
+              if needs_d0 else None)
     mu = mu_f + mu_h
     report = _bounds.predicted_iterations(criterion, lf, lf_bar, mu_f, mu, d0=d0)
     _emit(criterion_meta(criterion))

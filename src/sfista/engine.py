@@ -177,16 +177,9 @@ class Trace(Sequence):
     def __getitem__(self, index):
         rows = range(len(self))[index]
         if isinstance(rows, range):
-            return [self._record(i) for i in rows]
-        return self._record(rows)
-
-    def _record(self, i: int) -> TraceRecord:
-        start = i * _ROW
+            return [self[i] for i in rows]
+        start = rows * _ROW
         return _unpack(self._data[start:start + _ROW].tolist())
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self._record(i)
 
     def __eq__(self, other):
         if isinstance(other, (Trace, list)):
@@ -214,17 +207,13 @@ def packed_rows(records) -> Iterator[tuple]:
 class RunResult:
     """Final state, stop reason and trace rows of one `run`.
 
-    trace is a Trace: a sequence of TraceRecords kept packed as doubles and
-    rebuilt on access.
+    state.k is the iteration count.  trace is a Trace: a sequence of
+    TraceRecords kept packed as doubles and rebuilt on access.
     """
 
     state: IterateState
     reason: str  # "converged" | "max_iter" | "growth_overflow" | "numeric_failure"
     trace: Trace = field(default_factory=Trace)
-
-    @property
-    def iterations(self) -> int:
-        return self.state.k
 
 
 def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateState:
@@ -331,10 +320,10 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
 def trace_record(certs: _cert.Certificates, started_ns: int) -> TraceRecord:
     """The trace row of one state, elapsed_ns counted from started_ns.
 
-    Rows after k = 0 carry both certificates; gap is None without a
-    reference optimum.
+    Rows after k = 0 carry both certificates; gap is `certs.gap`, None
+    without a reference optimum.
     """
-    state, problem = certs.state, certs.problem
+    state = certs.state
     config = state.config
     # the recorded a is the coefficient the NEXT step would use, so a single
     # row checks tau * (A + a) / a^2 = 1 / lam on its own
@@ -342,9 +331,7 @@ def trace_record(certs: _cert.Certificates, started_ns: int) -> TraceRecord:
         a, _, _ = _next_coefficients(config.lam, state.tau, state.A, config.mu)
     except GrowthOverflowError:
         a = math.inf
-    gap = None
-    if problem.reference_optimum is not None:
-        gap = certs.phi_y - problem.reference_optimum.phi_star
+    gap = certs.gap
     norm_u = norm_v = eta = None
     if state.k >= 1:
         norm_u = certs.stationarity.norm
@@ -455,8 +442,8 @@ class CoefficientSchedule:
 
 def coefficient_schedule(lf: float, mu_f: float, mu_h: float,
                          k_max: int) -> CoefficientSchedule:
-    if lf <= mu_f:
-        raise ConfigError("lf must strictly exceed mu_f")
+    """k_max steps from A = 0; ConfigError on constants no predictor takes."""
+    _bounds._validate_constants(lf, mu_f, mu_f + mu_h)
     lam = 1.0 / (lf - mu_f)
     mu = mu_f + mu_h
     a_list: list[float] = []

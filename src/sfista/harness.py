@@ -62,10 +62,11 @@ class RunCapture:
         return len(self.states) - 1
 
     def d0(self) -> float:
+        """||x0 - x*|| by `ReferenceOptimum.distance`; ValueError without one."""
         ref = self.problem.reference_optimum
         if ref is None:
             raise ValueError("d0 needs a problem with a reference optimum")
-        return vector_norm(self.states[0].x0 - ref.x_star)
+        return ref.distance(self.states[0].x0)
 
 
 def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
@@ -139,16 +140,16 @@ class VerificationReport:
         return [c.line() for c in self.checks] + [f"overall = {status}"]
 
 
-def _worst_result(name, values, limit, ks=None, note=""):
+def _worst_result(name, values, limit, ks, note=""):
+    """The check's result at the worst of values, taken at the iterates ks."""
     values = list(values)
     if not values:
         return CheckResult(name=name, passed=True, worst=-math.inf, limit=limit,
                            note=note or "no applicable iterates", skipped=True)
     idx = int(np.argmax(values))
     worst = float(values[idx])
-    location = ks[idx] if ks is not None else None
     return CheckResult(name=name, passed=worst <= limit, worst=worst,
-                       limit=limit, location=location, note=note)
+                       limit=limit, location=ks[idx], note=note)
 
 
 def _gated(ks, past, K):
@@ -366,11 +367,6 @@ def suite_criteria(problem: CompositeProblem, d0: float):
     ]
 
 
-def _suite_d0(problem: CompositeProblem) -> float:
-    """||x0 - x_star|| for the suite's start x0 = 0."""
-    return vector_norm(problem.reference_optimum.x_star)
-
-
 def suite_rows(label: str, problem: CompositeProblem, criteria) -> list:
     """One BoundsRow per criterion, all tested on one pass of `engine.iterate`.
 
@@ -382,7 +378,7 @@ def suite_rows(label: str, problem: CompositeProblem, criteria) -> list:
     once none is still tested.
     """
     x0 = np.zeros(problem.dimension)
-    d0 = _suite_d0(problem)
+    d0 = problem.reference_optimum.distance(x0)
     config = _engine.SolverConfig.for_problem(problem)
     predicted = []
     for criterion in criteria:
@@ -416,8 +412,8 @@ def bounds_suite(seed_base: int = 0) -> list:
     """
     rows = []
     for label, problem in _suite_instances(seed_base):
-        rows += suite_rows(label, problem,
-                           suite_criteria(problem, _suite_d0(problem)))
+        d0 = problem.reference_optimum.distance(np.zeros(problem.dimension))
+        rows += suite_rows(label, problem, suite_criteria(problem, d0))
     return rows
 
 

@@ -92,8 +92,14 @@ class ProxOracle:
 
 @dataclass(frozen=True)
 class ReferenceOptimum:
+    """phi* and a minimizer x*, against which every gap and d0 is measured."""
+
     phi_star: float
     x_star: Array
+
+    def distance(self, x0: Array) -> float:
+        """d0 = ||x0 - x*||, the start distance the predictors read."""
+        return vector_norm(x0 - self.x_star)
 
 
 @dataclass(frozen=True)
@@ -404,8 +410,7 @@ def power_iteration(op, dim: int, tol: float = POWER_TOL,
 # Reference solver
 # ---------------------------------------------------------------------------
 
-def reference_solve(problem: CompositeProblem, x0: Optional[Array] = None,
-                    max_iter: int = REFERENCE_MAX_ITER):
+def reference_solve(problem: CompositeProblem, x0: Optional[Array] = None):
     """High-accuracy minimizer of phi by restarted accelerated proximal gradient.
 
     With L the curvature bound of f and T(z) = prox_h(z - grad f(z)/L, 1/L),
@@ -415,9 +420,9 @@ def reference_solve(problem: CompositeProblem, x0: Optional[Array] = None,
     fires, which resets the momentum and restarts from z = x (O'Donoghue and
     Candes, 2015).  T is nonexpansive, so the returned x = T(z) satisfies
     ||x - T(x)|| <= REFERENCE_TOL up to rounding, whichever path led to z.
-    `max_iter` caps the number of prox-gradient steps, and a residual that
-    is not finite raises NumericFailure at once.  Returns
-    (phi_star, x_star, d0) where d0 = ||x0 - x_star||.
+    REFERENCE_MAX_ITER caps the number of prox-gradient steps, and a
+    residual that is not finite raises NumericFailure at once.  x0 defaults
+    to the origin.  Returns (phi_star, x_star).
 
     This routine is deliberately independent of the accelerated solver: it is
     the oracle the rest of the toolkit is checked against.
@@ -432,7 +437,7 @@ def reference_solve(problem: CompositeProblem, x0: Optional[Array] = None,
         raise ValueError(f"x0 has shape {start.shape}, expected ({n},)")
     x_prev = z = start
     theta = 1.0
-    for _ in range(max_iter):
+    for _ in range(REFERENCE_MAX_ITER):
         x = problem.h.prox(z - t * problem.f.grad(z), t)
         residual = vector_norm(z - x)
         if residual <= REFERENCE_TOL:
@@ -450,11 +455,9 @@ def reference_solve(problem: CompositeProblem, x0: Optional[Array] = None,
     else:
         raise NumericFailure(
             f"proximal gradient did not reach residual {REFERENCE_TOL:g} "
-            f"within {max_iter} iterations"
+            f"within {REFERENCE_MAX_ITER} iterations"
         )
-    phi_star = eval_phi(problem, x)
-    d0 = vector_norm(start - x)
-    return phi_star, x, d0
+    return eval_phi(problem, x), x
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +492,8 @@ def make_instance(kind: str, seed: int, m: int, n: int,
     spec = InstanceSpec(kind=kind, seed=seed, m=m, n=n, params=p, data=data)
     problem = CompositeProblem(f=f, h=h, dimension=n, spec=spec)
     if with_reference:
-        phi_star, x_star, _ = reference_solve(problem)
         problem = dataclasses.replace(
-            problem, reference_optimum=ReferenceOptimum(phi_star, x_star)
+            problem, reference_optimum=ReferenceOptimum(*reference_solve(problem))
         )
     return problem
 

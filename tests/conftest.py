@@ -51,6 +51,12 @@ def lasso_norm():
 
 
 @pytest.fixture(scope="session")
+def elastic_net_20x30():
+    """The 20x30 elastic net the fault fixtures break, with its optimum."""
+    return problems.make_instance("elastic_net", 1, 20, 30)
+
+
+@pytest.fixture(scope="session")
 def nan_gradient_net():
     """A 20x30 elastic net whose f.grad returns NaN everywhere."""
     problem = problems.make_instance("elastic_net", 1, 20, 30,

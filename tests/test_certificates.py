@@ -1,5 +1,7 @@
 """Stationarity residual, approximate-subgradient pair, and lower model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -313,3 +315,52 @@ def test_sample_points_respect_domain():
     assert samples.shape == (64, 5)
     assert all(np.isfinite(problem.h.value(s)) for s in samples)
 
+
+# ---------------------------------------------------------------------------
+# the certificate record's own rules
+# ---------------------------------------------------------------------------
+
+def test_gap_is_each_traced_rows_gap(lasso_small, lasso_norm):
+    config = engine.SolverConfig.for_problem(lasso_small)
+    capture = harness.capture_run(lasso_small, config,
+                                  np.zeros(lasso_small.dimension), 20)
+    phi_star = lasso_small.reference_optimum.phi_star
+    for state, row in zip(capture.states, capture.rows):
+        certs = certificates.Certificates(state, lasso_small)
+        assert certs.gap == row.gap == certs.phi_y - phi_star
+    # no reference optimum: no gap, and phi(y) is not read for it
+    state = engine.init(lasso_norm, engine.SolverConfig.for_problem(lasso_norm),
+                        np.zeros(lasso_norm.dimension))
+    certs = certificates.Certificates(state, lasso_norm)
+    assert certs.gap is None
+    assert "phi_y" not in vars(certs)
+
+
+def _counting(problem, calls):
+    """problem whose four oracles append their name to calls."""
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+    f = dataclasses.replace(problem.f, value=counted("f.value", problem.f.value),
+                            grad=counted("f.grad", problem.f.grad))
+    h = dataclasses.replace(problem.h, value=counted("h.value", problem.h.value),
+                            prox=counted("h.prox", problem.h.prox))
+    return dataclasses.replace(problem, f=f, h=h)
+
+
+def test_rules_out_stationarity_calls_no_oracle(quad1d):
+    calls = []
+    problem = _counting(quad1d, calls)
+    state = _one_step(quad1d)
+    # ||u_1|| = 0.5 = (lf - lf_bar) ||y_1 - x_tilde_0||, a tight bound
+    certs = certificates.Certificates(state, problem)
+    assert certs.rules_out_stationarity(0.4)
+    assert not certs.rules_out_stationarity(0.5)
+    assert calls == []
+    # once u is held its norm is read instead: never ruled out
+    assert certs.stationarity.norm == 0.5
+    assert calls == ["f.grad"]
+    assert not certs.rules_out_stationarity(0.4)
+    assert calls == ["f.grad"]

@@ -160,6 +160,16 @@ def test_schedule_overflow_halts():
         engine.coefficient_schedule(1.0, 1.0, 0.0, 10)
 
 
+@pytest.mark.parametrize("lf,mu_f,mu_h", [
+    (math.nan, 0.0, 0.0), (2.0, 0.0, math.nan), (math.inf, 0.0, 0.0),
+    (2.0, -1.0, 0.0), (2.0, 0.0, -0.5)])
+def test_schedule_rejects_impossible_constants(lf, mu_f, mu_h):
+    # unchecked, a NaN gave an all-NaN schedule, lf = inf a
+    # ZeroDivisionError and a negative modulus a math domain error
+    with pytest.raises(ConfigError):
+        engine.coefficient_schedule(lf, mu_f, mu_h, 5)
+
+
 # ---------------------------------------------------------------------------
 # single steps
 # ---------------------------------------------------------------------------
@@ -217,7 +227,6 @@ def test_run_max_iter_zero(quad1d):
     result = engine.run(quad1d, _quad_config(max_iter=0), np.array([1.0]))
     assert result.reason == "max_iter"
     assert result.state.k == 0
-    assert result.iterations == 0
     assert len(result.trace) == 1 and result.trace[0].k == 0
 
 

@@ -1,0 +1,96 @@
+"""How a run ends when an oracle of f turns NaN or infinite.
+
+Four faults on the 20x30 elastic net, crossed with no criterion and each of
+the five criteria and with trace_every 1 and 500, at max_iter = 500.  A NaN
+gradient makes y_1 NaN, which every test meets at k = 1.  A non-finite
+f.value reaches only phi(y): the gap test meets it at k = 0, a run without
+a criterion at its first traced row after k = 0, and the certificate
+criteria never read it, so they converge as on the sound problem.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from sfista import bounds, cli, engine
+
+C = bounds.Criterion
+CRITERIA = {
+    "none": None,
+    "function_gap": C.function_gap(1e-6),
+    "stationarity": C.stationarity(1e-6),
+    "relative": C.relative(0.1),
+    "alternate_relative": C.alternate_relative(0.5),
+    "absolute": C.absolute(1e-6, 1e-6),
+}
+# the stopping iteration of the criteria that never read phi(y)
+CONVERGED_AT = {"stationarity": 167, "relative": 39, "alternate_relative": 30,
+                "absolute": 170}
+MAX_ITER = 500
+FAULTS = ("nan_grad", "nan_value", "inf_value", "neg_inf_value")
+
+
+def _faulty(problem, fault):
+    """problem with the fault in its f oracle."""
+    if fault == "nan_grad":
+        f = dataclasses.replace(problem.f,
+                                grad=lambda x: np.full_like(x, math.nan))
+    else:
+        value = {"nan_value": math.nan, "inf_value": math.inf,
+                 "neg_inf_value": -math.inf}[fault]
+        f = dataclasses.replace(problem.f, value=lambda x: value)
+    return dataclasses.replace(problem, f=f)
+
+
+def _expected(fault, name, trace_every):
+    """(stop reason, k) of the matrix cell."""
+    if fault == "nan_grad":
+        return "numeric_failure", 1
+    if name == "function_gap":
+        return "numeric_failure", 0
+    if name == "none":
+        # the first row after k = 0: the traced k = 1, or the final one
+        return "numeric_failure", 1 if trace_every == 1 else MAX_ITER
+    return "converged", CONVERGED_AT[name]
+
+
+@pytest.mark.parametrize("trace_every", [1, MAX_ITER])
+@pytest.mark.parametrize("name", list(CRITERIA))
+@pytest.mark.parametrize("fault", FAULTS)
+def test_failure_mode_matrix(elastic_net_20x30, fault, name, trace_every):
+    problem = _faulty(elastic_net_20x30, fault)
+    config = engine.SolverConfig.for_problem(
+        problem, max_iter=MAX_ITER, criterion=CRITERIA[name],
+        trace_every=trace_every)
+    result = engine.run(problem, config, np.zeros(problem.dimension))
+    assert (result.reason, result.state.k) == _expected(fault, name,
+                                                        trace_every)
+
+
+# (fault, criterion flags, exit code, final k): one cell of each kind
+SOLVE_CELLS = [
+    ("nan_grad", [], 4, 1),
+    ("nan_grad", ["--criterion", "function_gap", "--eps-bar", "1e-6"], 4, 1),
+    ("nan_grad", ["--criterion", "stationarity", "--rho", "1e-6"], 4, 1),
+    # untraced, only the final row at the cap holds phi(y)
+    ("nan_value", [], 4, MAX_ITER),
+    ("nan_value", ["--criterion", "function_gap", "--eps-bar", "1e-6"], 4, 0),
+    ("nan_value", ["--criterion", "stationarity", "--rho", "1e-6"], 0, 167),
+]
+
+
+@pytest.mark.parametrize("fault,flags,code,k", SOLVE_CELLS)
+def test_solve_exit_code_on_fault(monkeypatch, capsys, elastic_net_20x30,
+                                  fault, flags, code, k):
+    problem = _faulty(elastic_net_20x30, fault)
+    monkeypatch.setattr(cli, "build_problem", lambda args: problem)
+    got = cli.main(["solve", "--problem", "elastic_net", "--seed", "1",
+                    "--m", "20", "--n", "30", "--max-iter", str(MAX_ITER)]
+                   + flags)
+    out = capsys.readouterr().out.splitlines()
+    assert got == code
+    reason = "converged" if code == 0 else "numeric_failure"
+    assert f"stop_reason = {reason}" in out
+    assert f"iterations = {k}" in out

@@ -126,7 +126,7 @@ def _at_curvature(problem, A, curvature, with_reference=True):
     problem = dataclasses.replace(problem, f=f, reference_optimum=None)
     if not with_reference:
         return problem
-    phi_star, x_star, _ = problems.reference_solve(problem)
+    phi_star, x_star = problems.reference_solve(problem)
     return dataclasses.replace(
         problem, reference_optimum=problems.ReferenceOptimum(phi_star, x_star))
 

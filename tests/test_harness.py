@@ -78,7 +78,7 @@ def test_checkpoints_are_log_spaced():
 
 
 def test_worst_result_on_empty_input():
-    result = harness._worst_result("anything", [], 1.0)
+    result = harness._worst_result("anything", [], 1.0, [])
     assert result.passed and result.skipped
     assert result.note == "no applicable iterates"
     assert result.line() == "anything = skipped (no applicable iterates)"
@@ -379,3 +379,12 @@ def test_write_trace_streams_rows(tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size > 2**20
     assert peak < 256 * 2**10
+
+
+def test_reference_distance_is_the_captured_d0(lasso42_capture, elastic_capture):
+    # 0 - x* is exact, so every d0 of a start at the origin has the bits of
+    # ||x*||
+    for capture in (lasso42_capture, elastic_capture):
+        ref = capture.problem.reference_optimum
+        d0 = ref.distance(np.zeros(capture.problem.dimension))
+        assert d0 == capture.d0() == problems.vector_norm(ref.x_star)

@@ -439,32 +439,35 @@ def test_reference_matches_normal_equations():
     c = rng.standard_normal(8)
     f = quadratic(Q, c, mu=1.0)
     problem = CompositeProblem(f=f, h=problems.zero_function(), dimension=8)
-    phi_star, x_star, d0 = reference_solve(problem)
+    phi_star, x_star = reference_solve(problem)
     direct = np.linalg.solve(Q, c)
     assert float(np.linalg.norm(x_star - direct)) <= 1e-10 * (1 + np.linalg.norm(direct))
     direct_value = 0.5 * float(direct @ (Q @ direct)) - float(c @ direct)
     assert abs(phi_star - direct_value) <= 1e-10 * (1.0 + abs(direct_value))
+    d0 = problems.ReferenceOptimum(phi_star, x_star).distance(np.zeros(8))
     assert d0 == float(np.linalg.norm(x_star))
 
 
 def test_reference_unique_under_strong_convexity(elastic_mu1):
-    _, from_zero, _ = reference_solve(elastic_mu1)
+    _, from_zero = reference_solve(elastic_mu1)
     rng = _rng(6)
-    _, from_random, _ = reference_solve(elastic_mu1,
-                                        x0=rng.standard_normal(elastic_mu1.dimension))
+    _, from_random = reference_solve(elastic_mu1,
+                                     x0=rng.standard_normal(elastic_mu1.dimension))
     assert float(np.linalg.norm(from_zero - from_random)) <= 1e-10
 
 
 def test_reference_from_optimum_has_zero_distance(elastic_mu1):
-    x_star = elastic_mu1.reference_optimum.x_star
-    _, _, d0 = reference_solve(elastic_mu1, x0=x_star)
-    assert d0 <= 1e-12
+    ref = elastic_mu1.reference_optimum
+    _, x = reference_solve(elastic_mu1, x0=ref.x_star)
+    assert ref.distance(x) <= 1e-12
 
 
-def test_reference_iteration_cap():
+def test_reference_iteration_cap(monkeypatch):
+    # the cap is read when the solve runs, so a cap of 0 stops it at once
     problem = make_instance("lasso", 9, 10, 20, with_reference=False)
-    with pytest.raises(NumericFailure):
-        reference_solve(problem, max_iter=0)
+    monkeypatch.setattr(problems, "REFERENCE_MAX_ITER", 0)
+    with pytest.raises(NumericFailure, match="within 0 iterations"):
+        reference_solve(problem)
 
 
 def test_reference_stops_at_first_non_finite_residual():
