@@ -118,7 +118,7 @@ def check(criterion: Criterion, certs: "Certificates") -> bool:
     if v == "function_gap":
         gap = certs.gap
         if gap is None:
-            raise ConfigError("function_gap check needs a reference optimum")
+            criterion.validate(certs.problem)
         return _tested(gap, "phi(y) gap") <= criterion.tol
     if v == "stationarity":
         if certs.rules_out_stationarity(criterion.tol):

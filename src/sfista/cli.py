@@ -10,7 +10,8 @@ Summaries, reports, and instance files are `key = value` lines; traces are
 comma-delimited with reals as 17-significant-digit decimals.  Exit codes:
 0 converged / all checks pass, 1 iteration budget exhausted, 2 invalid
 configuration or flags, 3 verification failure, 4 a NaN or infinite
-quantity where the stopping criterion tests one.
+quantity the criterion tests or phi(y_k) of a trace row, the final row
+always included; without a criterion, also a non-finite entry of y_k.
 """
 
 from __future__ import annotations

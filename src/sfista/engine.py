@@ -218,8 +218,6 @@ class RunResult:
 
 def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateState:
     """Validated initial state (k = 0, zero coefficient sum, unit tau)."""
-    if not math.isfinite(config.lf):
-        raise ConfigError(f"lf = {config.lf:g} must be finite")
     if config.lf <= problem.f.curvature:
         raise ConfigError(
             f"lf = {config.lf:g} must strictly exceed the curvature bound "
@@ -233,6 +231,7 @@ def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateS
         raise ConfigError(
             f"mu_h = {config.mu_h:g} outside [0, {problem.h.mu:g}]"
         )
+    _bounds._validate_constants(config.lf, config.mu_f, config.mu)
     if config.max_iter < 0:
         raise ConfigError("max_iter must be nonnegative")
     if config.trace_every < 1:
@@ -364,21 +363,19 @@ def stop_reason(criterion: Optional["_bounds.Criterion"],
                 row: Optional[TraceRecord]) -> Optional[str]:
     """Stop reason the criterion gives this record, or None.
 
-    "converged" when it holds and "numeric_failure" when the quantity it
-    tests is NaN or infinite; None when it does not hold.  Without a
-    criterion the record stops the run only when y has a non-finite entry or
-    the row built for it, if any, holds a NaN or infinite phi_y; the row
-    costs no further oracle call.  The k = 0 record is tested only by
+    "numeric_failure" when the phi_y of the row built for the record, if
+    any, the quantity the criterion tests or, without a criterion, an entry
+    of y is NaN or infinite; else "converged" when the criterion holds and
+    None when it does not.  The k = 0 record is tested only by
     function_gap: every other criterion, and no criterion, gives None there.
     """
     if certs.state.k == 0 and (criterion is None
                                or criterion.variant != "function_gap"):
         return None
+    if row is not None and not math.isfinite(row.phi_y):
+        return "numeric_failure"
     if criterion is None:
-        bad_row = row is not None and not math.isfinite(row.phi_y)
-        if bad_row or not np.isfinite(certs.state.y).all():
-            return "numeric_failure"
-        return None
+        return None if np.isfinite(certs.state.y).all() else "numeric_failure"
     try:
         return "converged" if _bounds.check(criterion, certs) else None
     except NumericFailure:
@@ -396,10 +393,10 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     certificates.  The row of the current state stays in a local, so the
     run never reads a row back from the Trace.  `stop_reason`
     tests the criterion from k = 1 on, and at k = 0 too for function_gap.  A
-    NaN or infinite quantity it tests stops the run with "numeric_failure";
-    a run without a criterion stops so at the first y with a non-finite
-    entry, or at the first row, the final one included, whose phi_y is not
-    finite.
+    NaN or infinite quantity it tests stops the run with "numeric_failure",
+    and so does, whatever the criterion, the first row whose phi_y is not
+    finite: the final row is always built and tested.  A run without a
+    criterion also stops so at the first y with a non-finite entry.
     """
     started_ns = time.perf_counter_ns()
     criterion = config.criterion
@@ -420,8 +417,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     if row is None:
         row = trace_record(certs, started_ns)
         trace.append(row)
-        if criterion is None:
-            reason = stop_reason(None, certs, row) or reason
+        reason = stop_reason(None, certs, row) or reason
     return RunResult(state=state, reason=reason, trace=trace)
 
 

@@ -370,12 +370,12 @@ def suite_criteria(problem: CompositeProblem, d0: float):
 def suite_rows(label: str, problem: CompositeProblem, criteria) -> list:
     """One BoundsRow per criterion, all tested on one pass of `engine.iterate`.
 
-    Each criterion is tested through `engine.stop_reason` until it holds,
-    its quantity is NaN or infinite, or k reaches its predicted count: the
-    observed k is the one `engine.run` with that criterion and max_iter =
-    predicted_k would stop at as "converged", and None otherwise.  The
-    criteria share one Certificates record per state, and the pass ends
-    once none is still tested.
+    Each criterion goes through `engine.stop_reason`, with no row, until it
+    holds, its quantity is NaN or infinite, or k reaches its predicted
+    count.  On a finite objective, as every suite instance has, observed k
+    is where `engine.run` with that criterion and max_iter = predicted_k
+    stops "converged", else None.  The criteria share one Certificates
+    record per state, and the pass ends once none is still tested.
     """
     x0 = np.zeros(problem.dimension)
     d0 = problem.reference_optimum.distance(x0)

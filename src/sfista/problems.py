@@ -185,7 +185,7 @@ def box_indicator(lo, hi) -> ProxOracle:
         raise ValueError("box is empty: lo > hi on some component")
 
     def value(x):
-        inside = np.all(x >= lo - 0.0) and np.all(x <= hi + 0.0)
+        inside = np.all(x >= lo) and np.all(x <= hi)
         return 0.0 if inside else math.inf
 
     return ProxOracle(value=value, prox=lambda x, t: prox_box(x, lo, hi), mu=0.0)

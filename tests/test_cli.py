@@ -342,6 +342,20 @@ def test_verify_invariants_box_qp(capsys):
     assert out[-1] == "overall = pass"
 
 
+def test_verify_invariants_growth_halt(capsys):
+    # the 2x2 diagonal box_qp's coefficient sum reaches the halting limit
+    # well inside the step budget, and the sweep still checks what it ran
+    code = cli.main([
+        "verify", "invariants", "--problem", "box_qp", "--diag", "--m", "2",
+        "--n", "2", "--iters", "2000", "--samples", "10",
+    ])
+    out, _ = _lines(capsys)
+    assert code == 0
+    assert "iterations = 869" in out
+    assert "halted = growth_overflow" in out
+    assert out[-1] == "overall = pass"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "equivalence", "--iters", "-5"],
     ["verify", "invariants", "--m", "10", "--n", "12", "--iters", "-5"],

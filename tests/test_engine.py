@@ -80,6 +80,16 @@ def test_init_validation(quad1d):
         engine.init(quad1d, _quad_config(trace_every=0), x0)
     with pytest.raises(ValueError):
         engine.init(quad1d, _quad_config(), np.zeros(2))
+    # mu_f within the modulus of f but not below lf: lam = 1 / (lf - mu_f)
+    # has no positive value, so init rejects it before run takes a step
+    f = problems.SmoothOracle(value=lambda x: float(x @ x),
+                              grad=lambda x: 2 * x, mu=2.0, curvature=1.0)
+    steep = problems.CompositeProblem(f=f, h=problems.zero_function(),
+                                      dimension=3)
+    for mu_f in (2.0, 1.5):
+        with pytest.raises(ConfigError, match="lf must strictly exceed mu_f"):
+            engine.run(steep, _quad_config(lf=1.5, mu_f=mu_f, max_iter=5),
+                       np.ones(3))
 
 
 def test_init_rejects_start_outside_domain():

@@ -3,9 +3,11 @@
 Four faults on the 20x30 elastic net, crossed with no criterion and each of
 the five criteria and with trace_every 1 and 500, at max_iter = 500.  A NaN
 gradient makes y_1 NaN, which every test meets at k = 1.  A non-finite
-f.value reaches only phi(y): the gap test meets it at k = 0, a run without
-a criterion at its first traced row after k = 0, and the certificate
-criteria never read it, so they converge as on the sound problem.
+f.value reaches only phi(y), which every run tests in each row it builds,
+whatever the criterion: the gap test meets it at k = 0, every other run at
+its first row after k = 0, the traced k = 1 or else the final row, built
+where the run stops on the sound problem.  Every cell ends with
+numeric_failure.
 """
 
 import dataclasses
@@ -25,10 +27,11 @@ CRITERIA = {
     "alternate_relative": C.alternate_relative(0.5),
     "absolute": C.absolute(1e-6, 1e-6),
 }
-# the stopping iteration of the criteria that never read phi(y)
-CONVERGED_AT = {"stationarity": 167, "relative": 39, "alternate_relative": 30,
-                "absolute": 170}
 MAX_ITER = 500
+# where each run stops on the sound problem: the certificate criteria
+# converge, and a run without a criterion reaches the cap
+STOPS_AT = {"none": MAX_ITER, "stationarity": 167, "relative": 39,
+            "alternate_relative": 30, "absolute": 170}
 FAULTS = ("nan_grad", "nan_value", "inf_value", "neg_inf_value")
 
 
@@ -50,10 +53,8 @@ def _expected(fault, name, trace_every):
         return "numeric_failure", 1
     if name == "function_gap":
         return "numeric_failure", 0
-    if name == "none":
-        # the first row after k = 0: the traced k = 1, or the final one
-        return "numeric_failure", 1 if trace_every == 1 else MAX_ITER
-    return "converged", CONVERGED_AT[name]
+    # the first row after k = 0: the traced k = 1, or the final one
+    return "numeric_failure", 1 if trace_every == 1 else STOPS_AT[name]
 
 
 @pytest.mark.parametrize("trace_every", [1, MAX_ITER])
@@ -74,10 +75,11 @@ SOLVE_CELLS = [
     ("nan_grad", [], 4, 1),
     ("nan_grad", ["--criterion", "function_gap", "--eps-bar", "1e-6"], 4, 1),
     ("nan_grad", ["--criterion", "stationarity", "--rho", "1e-6"], 4, 1),
-    # untraced, only the final row at the cap holds phi(y)
+    # untraced, only the final row holds phi(y): at the cap, or where the
+    # criterion holds
     ("nan_value", [], 4, MAX_ITER),
     ("nan_value", ["--criterion", "function_gap", "--eps-bar", "1e-6"], 4, 0),
-    ("nan_value", ["--criterion", "stationarity", "--rho", "1e-6"], 0, 167),
+    ("nan_value", ["--criterion", "stationarity", "--rho", "1e-6"], 4, 167),
 ]
 
 
@@ -91,6 +93,5 @@ def test_solve_exit_code_on_fault(monkeypatch, capsys, elastic_net_20x30,
                    + flags)
     out = capsys.readouterr().out.splitlines()
     assert got == code
-    reason = "converged" if code == 0 else "numeric_failure"
-    assert f"stop_reason = {reason}" in out
+    assert "stop_reason = numeric_failure" in out
     assert f"iterations = {k}" in out
