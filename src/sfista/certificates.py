@@ -8,7 +8,8 @@ Three objects are computable from a solver state without extra assumptions:
   shifted objective phi - (mu/2) ||. - y||^2 at y, and
 * an aggregated quadratic lower model of phi, one scalar, one vector and a
   fixed Hessian multiple of the identity, folded over a recorded run by
-  `lower_models` (the solver itself never builds it).
+  `lower_models` (the solver itself never builds it).  The sampled checks
+  take phi at their points from `sample_points` and call no oracle.
 """
 
 from __future__ import annotations
@@ -224,8 +225,9 @@ class Certificates:
 
 
 def sample_points(state: "IterateState", problem: CompositeProblem, count: int,
-                  rng: np.random.Generator) -> Array:
-    """Gaussian queries around y, scaled by (1 + ||y||), mapped into dom h.
+                  rng: np.random.Generator) -> tuple[Array, list]:
+    """Gaussian queries around y, scaled by (1 + ||y||), mapped into dom h,
+    and phi at each: `(points, phi_at)`.
 
     Points outside the effective domain are replaced by their prox image
     (for an indicator that is exactly the projection).
@@ -235,20 +237,18 @@ def sample_points(state: "IterateState", problem: CompositeProblem, count: int,
     for i in range(count):
         if math.isinf(problem.h.value(points[i])):
             points[i] = problem.h.prox(points[i], 1.0)
-    return points
+    return points, [eval_phi(problem, x) for x in points]
 
 
-def _subgradient_violation(minorant, pair: ResidualPair, state: "IterateState",
-                           problem: CompositeProblem, samples: Array) -> float:
+def _subgradient_violation(minorant_at, pair: ResidualPair, state: "IterateState",
+                           phi_y: float, samples: Array) -> float:
     """Worst violation of minorant(x) - (mu/2)||x - y||^2 >= phi(y)
-    + <v, x - y> - eta over the samples where minorant(x) is not +inf.
+    + <v, x - y> - eta over the samples x whose minorant_at is not +inf.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    phi_y = eval_phi(problem, state.y)
     mu = state.config.mu
     worst = -math.inf
-    for x in samples:
-        low = minorant(x)
+    for x, low in zip(samples, minorant_at, strict=True):
         if low == math.inf:
             continue
         diff = x - state.y
@@ -259,28 +259,26 @@ def _subgradient_violation(minorant, pair: ResidualPair, state: "IterateState",
 
 
 def check_eps_subgradient(pair: ResidualPair, state: "IterateState",
-                          problem: CompositeProblem, samples: Array) -> float:
+                          phi_y: float, samples: Array, phi_at: list) -> float:
     """Worst violation of the eta-subgradient inequality over the samples.
 
-    For each sample x the inequality phi(x) - (mu/2)||x - y||^2 >= phi(y)
-    + <v, x - y> - eta must hold; the returned value is the largest amount by
-    which it fails (negative when it holds everywhere).  Samples outside
-    dom h contribute -inf and are skipped.
+    With phi_y = phi(y) and phi_at[i] = phi(x) at sample x, the inequality
+    phi(x) - (mu/2)||x - y||^2 >= phi(y) + <v, x - y> - eta must hold; the
+    returned value is the largest amount by which it fails (negative when it
+    holds everywhere).  Samples outside dom h (phi_at = +inf) are skipped.
     """
-    return _subgradient_violation(lambda x: eval_phi(problem, x), pair, state,
-                                  problem, samples)
+    return _subgradient_violation(phi_at, pair, state, phi_y, samples)
 
 
-def lower_model_gap(model: LowerModel, problem: CompositeProblem,
-                    samples: Array) -> float:
+def lower_model_gap(model: LowerModel, samples: Array, phi_at: list) -> float:
     """Largest amount by which the aggregated model exceeds phi on the samples.
 
-    Nonpositive (up to rounding) because the model is a global minorant.
+    phi_at[i] = phi(samples[i]), skipped where infinite.  Nonpositive (up to
+    rounding) because the model is a global minorant.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     worst = -math.inf
-    for x in samples:
-        phi_x = eval_phi(problem, x)
+    for x, phi_x in zip(samples, phi_at, strict=True):
         if math.isinf(phi_x):
             continue
         worst = max(worst, model(x) - phi_x)
@@ -288,12 +286,13 @@ def lower_model_gap(model: LowerModel, problem: CompositeProblem,
 
 
 def lower_model_violation(model: LowerModel, pair: ResidualPair,
-                          state: "IterateState", problem: CompositeProblem,
+                          state: "IterateState", phi_y: float,
                           samples: Array) -> float:
     """Worst violation of the model-based subgradient inequality.
 
     Checks model(x) - (mu/2)||x - y||^2 >= phi(y) + <v, x - y> - eta over the
-    samples, the inequality that makes (v, eta) a certificate as soon as the
-    model minorizes phi.
+    samples, with phi_y = phi(y), the inequality that makes (v, eta) a
+    certificate as soon as the model minorizes phi.
     """
-    return _subgradient_violation(model, pair, state, problem, samples)
+    return _subgradient_violation(map(model, np.atleast_2d(samples)), pair,
+                                  state, phi_y, samples)

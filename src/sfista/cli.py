@@ -130,7 +130,7 @@ def build_criterion(args) -> Optional[_bounds.Criterion]:
 
 
 def default_start(problem) -> np.ndarray:
-    """Zero vector mapped into dom h (identity for every shipped regularizer)."""
+    """The prox of the zero vector, a start inside dom h."""
     return problem.h.prox(np.zeros(problem.dimension), 1.0)
 
 
@@ -260,6 +260,8 @@ def cmd_verify_invariants(args) -> int:
 
 
 def cmd_verify_equivalence(args) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        raise ConfigError(f"--tol = {args.tol:g} must be finite and nonnegative")
     problem = build_problem(args, with_reference=False)
     lf = _engine.SolverConfig.for_problem(problem, lf=args.lf).lf
     deviation = _classic.equivalence_check(problem, default_start(problem), lf,

@@ -1,13 +1,13 @@
 """Verification harness: recorded runs, invariant sweeps, and trace files.
 
-`capture_run` keeps every state `engine.iterate` yields, its trace row, and
-the aggregated lower model at the sampled checkpoints, which the invariant
-sweep and the test suite interrogate.  `invariant_report` evaluates the
-identities and a priori bounds the method guarantees on a recorded run and
-reports the worst violation of each.  `bounds_suite` measures observed criterion-firing
-iterations against the closed-form predictors on a seeded instance family,
-with one pass of `engine.iterate` per instance tested against every
-criterion at once.
+`capture_run` keeps every state `engine.iterate` yields and its trace row,
+which the invariant sweep and the test suite interrogate.  `invariant_report`
+evaluates the identities and a priori bounds the method guarantees on a
+recorded run, folding the lower model as far as its sampled checks reach,
+and reports the worst violation of each.  `bounds_suite` measures observed
+criterion-firing iterations against the closed-form predictors on a seeded
+instance family, with one pass of `engine.iterate` per instance tested
+against every criterion at once.
 """
 
 from __future__ import annotations
@@ -48,13 +48,12 @@ SAMPLE_SEED = 2718  # of the sample points the minorant checks draw
 
 @dataclass
 class RunCapture:
-    """Every state of a recorded run, its trace row, and checkpoint models."""
+    """Every state of a recorded run and its trace row."""
 
     problem: CompositeProblem
     config: _engine.SolverConfig
     states: list
     rows: list  # engine.trace_record of each state, as run traces it
-    models: dict  # lower model Gamma_k at each k of checkpoints(iterations)
     overflowed: bool = False
 
     @property
@@ -71,14 +70,14 @@ class RunCapture:
 
 def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
                 x0: Array, iters: int) -> RunCapture:
-    """The first `iters + 1` states of `engine.iterate`, recording everything.
+    """The first `iters + 1` states of `engine.iterate` and their rows.
 
     Fewer states when the coefficient growth halts the run first, which
     `overflowed` marks.  Each state's row is the one `engine.run` traces at
     trace_every = 1, so `write_trace(path, capture.rows)` writes what
-    `solve --trace` would.  The lower models are kept only at `checkpoints`,
-    the iterates the sampled checks of `invariant_report` visit.  A negative
-    `iters` raises ConfigError.
+    `solve --trace` would.  No lower model is folded here:
+    `lower_models(capture.states, problem)` folds it.  A negative `iters`
+    raises ConfigError.
     """
     if iters < 0:
         raise ConfigError(f"step count {iters} must be nonnegative")
@@ -87,11 +86,8 @@ def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
     overflowed = len(states) <= iters
     rows = [_engine.trace_record(_cert.Certificates(state, problem), started_ns)
             for state in states]
-    keep = set(checkpoints(len(states) - 1))
-    models = {k: model for k, model in _cert.lower_models(states, problem)
-              if k in keep}
     return RunCapture(problem=problem, config=config, states=states, rows=rows,
-                      models=models, overflowed=overflowed)
+                      overflowed=overflowed)
 
 
 def checkpoints(k_max: int) -> list:
@@ -202,22 +198,24 @@ def invariant_report(capture: RunCapture,
 
     # sampled model checks at the log-spaced iterates the tau gate keeps, a
     # prefix since tau grows with k; taken before the per-state lists below
-    # exist, so the samples set the report's peak memory on their own;
-    # without samples they look at no iterate
+    # exist, so the samples set the report's peak memory on their own; the
+    # lower model is folded up to the last sampled k, and not without samples
     sample_ks = [k for k in checkpoints(K) if k <= len(cert[0])]
     at_samples = (sample_ks if sample_count else [],
                   f"{sample_count} samples at k in {sample_ks}")
     rng = np.random.Generator(np.random.PCG64(SAMPLE_SEED))
+    models = _cert.lower_models(states, problem)
     sampled = {}
     for k in at_samples[0]:
-        st, model = states[k], capture.models[k]
+        st, phi_y = states[k], rows[k].phi_y
+        model = next(model for j, model in models if j == k)
         pair = _cert.residual_pair(st)
-        tol = MODEL_TOL_SCALE * (1.0 + abs(rows[k].phi_y))
-        samples = _cert.sample_points(st, problem, sample_count, rng)
+        tol = MODEL_TOL_SCALE * (1.0 + abs(phi_y))
+        samples, phi_at = _cert.sample_points(st, problem, sample_count, rng)
         sampled[k] = [value - tol for value in (
-            _cert.lower_model_gap(model, problem, samples),
-            _cert.lower_model_violation(model, pair, st, problem, samples),
-            _cert.check_eps_subgradient(pair, st, problem, samples))]
+            _cert.lower_model_gap(model, samples, phi_at),
+            _cert.lower_model_violation(model, pair, st, phi_y, samples),
+            _cert.check_eps_subgradient(pair, st, phi_y, samples, phi_at))]
 
     # ||y_k - x0||^2 and ||y_k - x_tilde_{k-1}||^2, formed once per state
     dist_sq = [math.nan] + [_squared_norm(st.y - st.x0) for st in states[1:]]

@@ -289,8 +289,7 @@ def quadratic(Q: Array, c: Array, mu: float = 0.0,
     )
 
 
-def logistic_loss(A: Array, labels: Array, ridge: float = 0.0,
-                  curvature: Optional[float] = None) -> SmoothOracle:
+def logistic_loss(A: Array, labels: Array, ridge: float = 0.0) -> SmoothOracle:
     """Mean logistic loss over rows of A with +/-1 labels, plus a ridge term.
 
     The Hessian is dominated by A^T A / (4 m) + ridge * I, which supplies the
@@ -303,8 +302,7 @@ def logistic_loss(A: Array, labels: Array, ridge: float = 0.0,
         raise ValueError("ridge must be nonnegative")
     _require_finite("design A", A)
     _require_finite("labels", labels)
-    if curvature is None:
-        curvature = (gram_top(A) / (4.0 * m) + ridge) * CURVATURE_INFLATION
+    curvature = (gram_top(A) / (4.0 * m) + ridge) * CURVATURE_INFLATION
 
     def value(x):
         margins = labels * (A @ x)

@@ -6,11 +6,12 @@ the acceptance checks and the unit tests interrogate the same runs.
 
 import dataclasses
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from sfista import engine, harness, problems
+from sfista import certificates, engine, harness, problems
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,14 @@ def lasso42_capture(lasso42):
     config = engine.SolverConfig.for_problem(lasso42)
     x0 = np.zeros(lasso42.dimension)
     return harness.capture_run(lasso42, config, x0, 2000)
+
+
+@pytest.fixture(scope="session")
+def lasso42_models(lasso42, lasso42_capture):
+    """The lower models Gamma_k of lasso42_capture at k in 1, 5, 10, 50, 100."""
+    folded = certificates.lower_models(lasso42_capture.states, lasso42)
+    return {k: model for k, model in islice(folded, 100)
+            if k in (1, 5, 10, 50, 100)}
 
 
 @pytest.fixture(scope="session")

@@ -127,18 +127,20 @@ def test_acceptance_05_certificate_identity(capsys, lasso42_capture,
     assert eta_floor >= -1e-12, f"eta dropped to {eta_floor:.3e}"
 
 
-def test_acceptance_06_eps_subgradient(capsys, lasso42, lasso42_capture):
+def test_acceptance_06_eps_subgradient(capsys, lasso42, lasso42_capture,
+                                       lasso42_models):
     rng = _rng(606)
     worst_eps = worst_minor = -math.inf
     for k in (1, 10, 100):
         st = lasso42_capture.states[k]
         pair = certificates.residual_pair(st)
-        tol = 1e-8 * (1.0 + abs(lasso42_capture.rows[k].phi_y))
-        samples = certificates.sample_points(st, lasso42, 1000, rng)
+        phi_y = lasso42_capture.rows[k].phi_y
+        tol = 1e-8 * (1.0 + abs(phi_y))
+        samples, phi_at = certificates.sample_points(st, lasso42, 1000, rng)
         worst_eps = max(worst_eps, certificates.check_eps_subgradient(
-            pair, st, lasso42, samples) - tol)
+            pair, st, phi_y, samples, phi_at) - tol)
         worst_minor = max(worst_minor, certificates.lower_model_gap(
-            lasso42_capture.models[k], lasso42, samples) - tol)
+            lasso42_models[k], samples, phi_at) - tol)
     ok = worst_eps <= 0.0 and worst_minor <= 0.0
     _report(capsys, 6, "eps_subgradient_inclusion", ok)
     assert worst_eps <= 0.0, f"inequality violated by {worst_eps:.3e} over tol"

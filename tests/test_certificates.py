@@ -211,7 +211,7 @@ def test_first_model_is_single_minorant(quad1d):
     # after one step: Gamma_1(x) = x - 1/2, tight at the extrapolation point
     capture = harness.capture_run(quad1d, engine.SolverConfig(lf=2.0),
                                   np.array([1.0]), 1)
-    model = capture.models[1]
+    [(_, model)] = certificates.lower_models(capture.states, quad1d)
     assert model.constant == -0.5
     np.testing.assert_array_equal(model.linear, [1.0])
     assert model.curvature == 0.0
@@ -242,34 +242,37 @@ def test_model_matches_explicit_summation():
             assert abs(got - direct) <= 1e-10 * (1.0 + abs(direct))
 
 
-def test_model_curvature_never_drifts(elastic_capture):
+def test_model_curvature_never_drifts(elastic_mu1, elastic_capture):
     final = elastic_capture.states[-1]
-    model = elastic_capture.models[final.k]
+    *_, (_, model) = certificates.lower_models(elastic_capture.states,
+                                               elastic_mu1)
     assert model.curvature == elastic_capture.config.mu
     assert model.weight == final.A
 
 
-def test_model_minorizes_objective(lasso42, lasso42_capture):
+def test_model_minorizes_objective(lasso42, lasso42_capture, lasso42_models):
     rng = _rng(7)
     for k in (1, 10, 100):
         state = lasso42_capture.states[k]
         tol = 1e-8 * (1.0 + abs(lasso42_capture.rows[k].phi_y))
-        samples = certificates.sample_points(state, lasso42, 100, rng)
-        assert certificates.lower_model_gap(lasso42_capture.models[k], lasso42,
-                                            samples) <= tol
+        samples, phi_at = certificates.sample_points(state, lasso42, 100, rng)
+        assert certificates.lower_model_gap(lasso42_models[k], samples,
+                                            phi_at) <= tol
 
 
-def test_model_dominates_recursion_bound(lasso42, lasso42_capture):
+def test_model_dominates_recursion_bound(lasso42, lasso42_capture,
+                                         lasso42_models):
     # Gamma_k(x) >= phi(y_k) + (tau ||x_k - x||^2 - ||x0 - x||^2) / (2 A_k)
     rng = _rng(8)
     for k in (5, 50):
         state = lasso42_capture.states[k]
         phi_y = lasso42_capture.rows[k].phi_y
         tol = 1e-8 * (1.0 + abs(phi_y))
-        for x in certificates.sample_points(state, lasso42, 50, rng):
+        samples, _ = certificates.sample_points(state, lasso42, 50, rng)
+        for x in samples:
             quad = (state.tau * float((state.x - x) @ (state.x - x))
                     - float((state.x0 - x) @ (state.x0 - x))) / (2.0 * state.A)
-            assert lasso42_capture.models[k](x) >= phi_y + quad - tol
+            assert lasso42_models[k](x) >= phi_y + quad - tol
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +282,9 @@ def test_model_dominates_recursion_bound(lasso42, lasso42_capture):
 def test_eps_subgradient_at_center_is_minus_eta(lasso42, lasso42_capture):
     state = lasso42_capture.states[10]
     pair = certificates.residual_pair(state)
-    worst = certificates.check_eps_subgradient(pair, state, lasso42,
-                                               state.y[None, :])
+    phi_y = lasso42_capture.rows[10].phi_y
+    worst = certificates.check_eps_subgradient(pair, state, phi_y,
+                                               state.y[None, :], [phi_y])
     np.testing.assert_allclose(worst, -pair.eta, atol=1e-12)
     assert worst <= 0.0
 
@@ -289,20 +293,23 @@ def test_eps_subgradient_sampled(lasso42, lasso42_capture):
     rng = _rng(9)
     state = lasso42_capture.states[100]
     pair = certificates.residual_pair(state)
-    tol = 1e-8 * (1.0 + abs(lasso42_capture.rows[100].phi_y))
-    samples = certificates.sample_points(state, lasso42, 200, rng)
-    assert certificates.check_eps_subgradient(pair, state, lasso42,
-                                              samples) <= tol
+    phi_y = lasso42_capture.rows[100].phi_y
+    tol = 1e-8 * (1.0 + abs(phi_y))
+    samples, phi_at = certificates.sample_points(state, lasso42, 200, rng)
+    assert certificates.check_eps_subgradient(pair, state, phi_y, samples,
+                                              phi_at) <= tol
 
 
-def test_model_subgradient_inequality(lasso42, lasso42_capture):
+def test_model_subgradient_inequality(lasso42, lasso42_capture,
+                                      lasso42_models):
     rng = _rng(10)
     state = lasso42_capture.states[100]
     pair = certificates.residual_pair(state)
-    tol = 1e-8 * (1.0 + abs(lasso42_capture.rows[100].phi_y))
-    samples = certificates.sample_points(state, lasso42, 200, rng)
+    phi_y = lasso42_capture.rows[100].phi_y
+    tol = 1e-8 * (1.0 + abs(phi_y))
+    samples, _ = certificates.sample_points(state, lasso42, 200, rng)
     assert certificates.lower_model_violation(
-        lasso42_capture.models[100], pair, state, lasso42, samples) <= tol
+        lasso42_models[100], pair, state, phi_y, samples) <= tol
 
 
 def test_sample_points_respect_domain():
@@ -311,9 +318,10 @@ def test_sample_points_respect_domain():
     config = engine.SolverConfig.for_problem(problem)
     state = engine.init(problem, config, np.zeros(5))
     state = engine.step(state, problem)
-    samples = certificates.sample_points(state, problem, 64, _rng(11))
+    samples, phi_at = certificates.sample_points(state, problem, 64, _rng(11))
     assert samples.shape == (64, 5)
     assert all(np.isfinite(problem.h.value(s)) for s in samples)
+    assert phi_at == [eval_phi(problem, s) for s in samples]
 
 
 # ---------------------------------------------------------------------------

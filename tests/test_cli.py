@@ -309,6 +309,20 @@ def test_verify_equivalence_default_instance(capsys):
     assert "overall = pass" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_equivalence_rejects_meaningless_tol(monkeypatch, capsys, tol):
+    # a NaN or negative tolerance fails every deviation and an infinite one
+    # passes any, so each is bad input, rejected before the first step (a
+    # step would raise TypeError here)
+    monkeypatch.setattr(engine, "step", None)
+    code = cli.main(["verify", "equivalence", "--iters", "10", "--tol", tol])
+    out, err = _lines(capsys)
+    assert code == 2
+    assert out == []
+    assert err == [f"error: --tol = {float(tol):g} must be finite and "
+                   "nonnegative"]
+
+
 @pytest.mark.parametrize("flag, value", [("--mu-f", "0.5"), ("--mu-h", "0")])
 def test_verify_equivalence_takes_no_moduli(capsys, flag, value):
     # the classical forms exist only with mu_f = mu_h = 0, so the moduli are

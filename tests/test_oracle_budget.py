@@ -214,6 +214,52 @@ def test_lower_models_update_once_per_state(elastic_mu1, monkeypatch):
     assert calls == [k for k, _ in models] == list(range(1, 8))
 
 
+# ---------------------------------------------------------------------------
+# the invariant sweep
+# ---------------------------------------------------------------------------
+
+def test_invariant_sweep_budget(elastic_mu1, monkeypatch):
+    # the capture evaluates phi once per row and folds no model; the report
+    # folds the model up to its last sampled k and evaluates phi once per
+    # sample (h.value twice: the domain test and phi), and the three checks
+    # work on those values alone
+    problem, counts = _counted(elastic_mu1)
+    updates = []
+    real_update = certificates.lower_model_update
+
+    def counted_update(model, state, problem):
+        updates.append(state.k)
+        return real_update(model, state, problem)
+
+    def oracle_free(fn):
+        def check(*args):
+            before = counts.copy()
+            out = fn(*args)
+            assert counts == before, fn.__name__
+            return out
+        return check
+
+    monkeypatch.setattr(certificates, "lower_model_update", counted_update)
+    for name in ("lower_model_gap", "lower_model_violation",
+                 "check_eps_subgradient"):
+        monkeypatch.setattr(certificates, name,
+                            oracle_free(getattr(certificates, name)))
+    capture = harness.capture_run(problem, engine.SolverConfig.for_problem(problem),
+                                  np.zeros(problem.dimension), 30)
+    assert counts["f.value"] == 31 and updates == []
+
+    counts.clear()
+    harness.invariant_report(capture, sample_count=0)
+    assert counts == {} and updates == []
+
+    report = harness.invariant_report(capture, sample_count=5)
+    assert {c.note for c in report.checks if c.name == "eps_subgradient"} == {
+        "5 samples at k in [1, 2, 5, 10, 20, 30]"}
+    assert updates == list(range(1, 31))
+    assert counts["f.value"] == 30 + 6 * 5
+    assert counts["h.value"] == 30 + 6 * 5 * 2
+
+
 def test_bounds_suite_steps_once_per_instance(step_calls):
     # each instance's one pass ends when its last criterion stops being
     # tested: at the largest min(observed_k, predicted_k) of its five rows
