@@ -9,7 +9,8 @@ Three objects are computable from a solver state without extra assumptions:
 * an aggregated quadratic lower model of phi, one scalar, one vector and a
   fixed Hessian multiple of the identity, folded over a recorded run by
   `lower_models` (the solver itself never builds it).  The sampled checks
-  take phi at their points from `sample_points` and call no oracle.
+  work on values and call no oracle: `sample_points` gives phi at each
+  point, and a NaN value fails its check.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import CertificateUndefinedError
-from .problems import CompositeProblem, eval_phi, vector_norm
+from .problems import CompositeProblem, _phi_given_h, eval_phi, vector_norm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import IterateState
@@ -229,70 +230,57 @@ def sample_points(state: "IterateState", problem: CompositeProblem, count: int,
     """Gaussian queries around y, scaled by (1 + ||y||), mapped into dom h,
     and phi at each: `(points, phi_at)`.
 
-    Points outside the effective domain are replaced by their prox image
-    (for an indicator that is exactly the projection).
+    A point where h is +inf is replaced by its prox image (for an indicator
+    that is exactly the projection); elsewhere the domain test's h is phi's.
     """
     scale = 1.0 + vector_norm(state.y)
     points = state.y + scale * rng.standard_normal((count, state.y.size))
-    for i in range(count):
-        if math.isinf(problem.h.value(points[i])):
-            points[i] = problem.h.prox(points[i], 1.0)
-    return points, [eval_phi(problem, x) for x in points]
-
-
-def _subgradient_violation(minorant_at, pair: ResidualPair, state: "IterateState",
-                           phi_y: float, samples: Array) -> float:
-    """Worst violation of minorant(x) - (mu/2)||x - y||^2 >= phi(y)
-    + <v, x - y> - eta over the samples x whose minorant_at is not +inf.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    mu = state.config.mu
-    worst = -math.inf
-    for x, low in zip(samples, minorant_at, strict=True):
-        if low == math.inf:
-            continue
-        diff = x - state.y
-        lhs = phi_y + float(pair.v @ diff) - pair.eta
-        rhs = low - 0.5 * mu * float(diff @ diff)
-        worst = max(worst, lhs - rhs)
-    return worst
+    phi_at = []
+    for x in points:
+        hx = problem.h.value(x)
+        if math.isinf(hx):
+            x[:] = problem.h.prox(x, 1.0)
+            hx = problem.h.value(x)
+        phi_at.append(_phi_given_h(problem, x, hx))
+    return points, phi_at
 
 
 def check_eps_subgradient(pair: ResidualPair, state: "IterateState",
-                          phi_y: float, samples: Array, phi_at: list) -> float:
+                          phi_y: float, samples: Array,
+                          values_at: list) -> float:
     """Worst violation of the eta-subgradient inequality over the samples.
 
-    With phi_y = phi(y) and phi_at[i] = phi(x) at sample x, the inequality
-    phi(x) - (mu/2)||x - y||^2 >= phi(y) + <v, x - y> - eta must hold; the
-    returned value is the largest amount by which it fails (negative when it
-    holds everywhere).  Samples outside dom h (phi_at = +inf) are skipped.
-    """
-    return _subgradient_violation(phi_at, pair, state, phi_y, samples)
-
-
-def lower_model_gap(model: LowerModel, samples: Array, phi_at: list) -> float:
-    """Largest amount by which the aggregated model exceeds phi on the samples.
-
-    phi_at[i] = phi(samples[i]), skipped where infinite.  Nonpositive (up to
-    rounding) because the model is a global minorant.
+    values_at[i] is phi, or a minorant of it, at sample x; the inequality
+    value(x) - (mu/2)||x - y||^2 >= phi(y) + <v, x - y> - eta, with
+    phi_y = phi(y), must hold.  Returns the largest amount by which it fails:
+    negative when it holds everywhere, NaN when a compared value is NaN.
+    Samples where value is +inf (outside dom h) are skipped.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    worst = -math.inf
-    for x, phi_x in zip(samples, phi_at, strict=True):
-        if math.isinf(phi_x):
+    mu = state.config.mu
+    excess = []
+    for x, value in zip(samples, values_at, strict=True):
+        if value == math.inf:
             continue
-        worst = max(worst, model(x) - phi_x)
-    return worst
+        diff = x - state.y
+        lhs = phi_y + float(pair.v @ diff) - pair.eta
+        rhs = value - 0.5 * mu * float(diff @ diff)
+        excess.append(lhs - rhs)
+    return float(np.max(excess, initial=-math.inf))
 
 
-def lower_model_violation(model: LowerModel, pair: ResidualPair,
-                          state: "IterateState", phi_y: float,
-                          samples: Array) -> float:
-    """Worst violation of the model-based subgradient inequality.
+# the same inequality on the model's values; an alias, not a wrapper, so a
+# tracer that wraps both names times each call once
+lower_model_violation = check_eps_subgradient
 
-    Checks model(x) - (mu/2)||x - y||^2 >= phi(y) + <v, x - y> - eta over the
-    samples, with phi_y = phi(y), the inequality that makes (v, eta) a
-    certificate as soon as the model minorizes phi.
+
+def lower_model_gap(model_at: list, phi_at: list) -> float:
+    """Largest amount by which the aggregated model exceeds phi on the samples.
+
+    model_at[i] and phi_at[i] are the model and phi at one sample, skipped
+    where phi is infinite.  Nonpositive (up to rounding) because the model
+    is a global minorant; NaN when a compared value is NaN.
     """
-    return _subgradient_violation(map(model, np.atleast_2d(samples)), pair,
-                                  state, phi_y, samples)
+    return float(np.max([low - phi_x for low, phi_x in
+                         zip(model_at, phi_at, strict=True)
+                         if not math.isinf(phi_x)], initial=-math.inf))

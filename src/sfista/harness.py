@@ -212,9 +212,10 @@ def invariant_report(capture: RunCapture,
         pair = _cert.residual_pair(st)
         tol = MODEL_TOL_SCALE * (1.0 + abs(phi_y))
         samples, phi_at = _cert.sample_points(st, problem, sample_count, rng)
+        model_at = [model(x) for x in samples]
         sampled[k] = [value - tol for value in (
-            _cert.lower_model_gap(model, samples, phi_at),
-            _cert.lower_model_violation(model, pair, st, phi_y, samples),
+            _cert.lower_model_gap(model_at, phi_at),
+            _cert.lower_model_violation(pair, st, phi_y, samples, model_at),
             _cert.check_eps_subgradient(pair, st, phi_y, samples, phi_at))]
 
     # ||y_k - x0||^2 and ||y_k - x_tilde_{k-1}||^2, formed once per state
@@ -244,11 +245,11 @@ def invariant_report(capture: RunCapture,
         c = _bounds.growth_factor(lf, mu_f, mu)
         slack = RATE_SLACK_SCALE * (1.0 + abs(phi_star))
         # at index k: the sum over i = 1 .. k of A_i ||y_i - x_tilde_{i-1}||^2,
-        # the least ||u_i||^2, and the min-norm bound, which divides by the
-        # sum of A_i
+        # the least ||u_i||^2 (np.minimum keeps a NaN, which min would drop),
+        # and the min-norm bound, which divides by the sum of A_i
         moved = list(accumulate((A[k] * move_sq[k] for k in ks), initial=0.0))
-        best_sq = list(accumulate((rows[k].norm_u ** 2 for k in ks), min,
-                                  initial=math.inf))
+        best_sq = np.minimum.accumulate(
+            [math.inf] + [rows[k].norm_u ** 2 for k in ks]).tolist()
         min_norm_rhs = [math.nan] + [8.0 * lf**2 * d0**2 / ((lf - lf_bar) * A_sum)
                                      for A_sum in accumulate(A[1:])]
         floor = (1e-9 * lf * (1.0 + d0)) ** 2

@@ -130,7 +130,11 @@ def eval_phi(problem: CompositeProblem, x: Array) -> float:
         raise ValueError(
             f"point has shape {x.shape}, expected ({problem.dimension},)"
         )
-    hx = problem.h.value(x)
+    return _phi_given_h(problem, x, problem.h.value(x))
+
+
+def _phi_given_h(problem: CompositeProblem, x: Array, hx: float) -> float:
+    """phi(x) from hx = h(x): +inf off dom h, else f(x) + hx."""
     if math.isinf(hx):
         return math.inf
     return float(problem.f.value(x)) + float(hx)
@@ -610,7 +614,7 @@ def load_instance(path) -> CompositeProblem:
     """Regenerate an instance from a spec file, checking the recorded constants.
 
     seed, m and n are ints, switches true or false, the rest floats; any
-    other value is a ValueError that names its key.
+    other value, and a key given twice, is a ValueError that names its key.
     """
     entries: dict = {}
     for raw in Path(path).read_text().splitlines():
@@ -620,7 +624,10 @@ def load_instance(path) -> CompositeProblem:
         if "=" not in line:
             raise ValueError(f"malformed instance line: {raw!r}")
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in entries:
+            raise ValueError(f"instance file repeats key {key!r}")
+        entries[key] = value.strip()
     for required in ("kind", "seed", "m", "n"):
         if required not in entries:
             raise ValueError(f"instance file misses required key {required!r}")

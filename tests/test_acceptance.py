@@ -140,7 +140,7 @@ def test_acceptance_06_eps_subgradient(capsys, lasso42, lasso42_capture,
         worst_eps = max(worst_eps, certificates.check_eps_subgradient(
             pair, st, phi_y, samples, phi_at) - tol)
         worst_minor = max(worst_minor, certificates.lower_model_gap(
-            lasso42_models[k], samples, phi_at) - tol)
+            [lasso42_models[k](x) for x in samples], phi_at) - tol)
     ok = worst_eps <= 0.0 and worst_minor <= 0.0
     _report(capsys, 6, "eps_subgradient_inclusion", ok)
     assert worst_eps <= 0.0, f"inequality violated by {worst_eps:.3e} over tol"

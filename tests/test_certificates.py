@@ -256,8 +256,8 @@ def test_model_minorizes_objective(lasso42, lasso42_capture, lasso42_models):
         state = lasso42_capture.states[k]
         tol = 1e-8 * (1.0 + abs(lasso42_capture.rows[k].phi_y))
         samples, phi_at = certificates.sample_points(state, lasso42, 100, rng)
-        assert certificates.lower_model_gap(lasso42_models[k], samples,
-                                            phi_at) <= tol
+        assert certificates.lower_model_gap(
+            [lasso42_models[k](x) for x in samples], phi_at) <= tol
 
 
 def test_model_dominates_recursion_bound(lasso42, lasso42_capture,
@@ -309,7 +309,8 @@ def test_model_subgradient_inequality(lasso42, lasso42_capture,
     tol = 1e-8 * (1.0 + abs(phi_y))
     samples, _ = certificates.sample_points(state, lasso42, 200, rng)
     assert certificates.lower_model_violation(
-        lasso42_models[100], pair, state, phi_y, samples) <= tol
+        pair, state, phi_y, samples,
+        [lasso42_models[100](x) for x in samples]) <= tol
 
 
 def test_sample_points_respect_domain():

@@ -122,6 +122,42 @@ def test_invariant_report_without_samples_skips(elastic_capture):
     assert report.overall and report.lines()[-1] == "overall = pass"
 
 
+def _report_checks(capture, sample_count):
+    report = harness.invariant_report(capture, sample_count=sample_count)
+    return report, {c.name: c for c in report.checks}
+
+
+def test_nan_at_the_samples_fails_the_sampled_checks(elastic_mu1,
+                                                     elastic_capture):
+    # f.value is NaN only far from x*, where most samples fall but no iterate
+    # does; a max that skipped NaN would report these checks as passing
+    far = 3.0 * (1.0 + problems.vector_norm(
+        elastic_mu1.reference_optimum.x_star))
+    value = elastic_mu1.f.value
+    f = dataclasses.replace(
+        elastic_mu1.f,
+        value=lambda x: math.nan if problems.vector_norm(x) > far else value(x))
+    capture = dataclasses.replace(
+        elastic_capture, problem=dataclasses.replace(elastic_mu1, f=f))
+    report, checks = _report_checks(capture, 20)
+    for name in ("lower_model_minorizes", "eps_subgradient"):
+        assert not checks[name].passed and math.isnan(checks[name].worst)
+        assert checks[name].line().startswith(f"{name} = FAIL (worst nan")
+    assert checks["model_subgradient"].passed
+    assert not report.overall and report.lines()[-1] == "overall = FAIL"
+
+
+def test_nan_residual_fails_min_norm_bound(elastic_capture):
+    # the running least ||u_i||^2 keeps a NaN row; min would drop it
+    rows = list(elastic_capture.rows)
+    rows[3] = dataclasses.replace(rows[3], norm_u=math.nan)
+    _, checks = _report_checks(dataclasses.replace(elastic_capture, rows=rows),
+                               0)
+    check = checks["min_norm_bound"]
+    assert not check.passed and math.isnan(check.worst)
+    assert check.location == 3
+
+
 def test_invariant_report_without_iterates_is_skipped(elastic_mu1):
     config = engine.SolverConfig.for_problem(elastic_mu1)
     capture = harness.capture_run(elastic_mu1, config,

@@ -9,12 +9,13 @@ driver of the recursion steps exactly as often as the states it reports.
 
 import collections
 import dataclasses
+import math
 from itertools import islice
 
 import numpy as np
 import pytest
 
-from sfista import bounds, certificates, classic, engine, harness
+from sfista import bounds, certificates, classic, engine, harness, problems
 
 
 def _counted(problem):
@@ -220,16 +221,22 @@ def test_lower_models_update_once_per_state(elastic_mu1, monkeypatch):
 
 def test_invariant_sweep_budget(elastic_mu1, monkeypatch):
     # the capture evaluates phi once per row and folds no model; the report
-    # folds the model up to its last sampled k and evaluates phi once per
-    # sample (h.value twice: the domain test and phi), and the three checks
-    # work on those values alone
+    # folds the model up to its last sampled k and evaluates phi and the
+    # model once per sample (every sample lies in dom h, so its domain test
+    # is the h inside phi), and the three checks work on those values alone
     problem, counts = _counted(elastic_mu1)
     updates = []
+    model_calls = []
     real_update = certificates.lower_model_update
+    real_model = certificates.LowerModel.__call__
 
     def counted_update(model, state, problem):
         updates.append(state.k)
         return real_update(model, state, problem)
+
+    def counted_model(model, x):
+        model_calls.append(model.weight)
+        return real_model(model, x)
 
     def oracle_free(fn):
         def check(*args):
@@ -240,6 +247,7 @@ def test_invariant_sweep_budget(elastic_mu1, monkeypatch):
         return check
 
     monkeypatch.setattr(certificates, "lower_model_update", counted_update)
+    monkeypatch.setattr(certificates.LowerModel, "__call__", counted_model)
     for name in ("lower_model_gap", "lower_model_violation",
                  "check_eps_subgradient"):
         monkeypatch.setattr(certificates, name,
@@ -250,14 +258,37 @@ def test_invariant_sweep_budget(elastic_mu1, monkeypatch):
 
     counts.clear()
     harness.invariant_report(capture, sample_count=0)
-    assert counts == {} and updates == []
+    assert counts == {} and updates == [] and model_calls == []
 
     report = harness.invariant_report(capture, sample_count=5)
     assert {c.note for c in report.checks if c.name == "eps_subgradient"} == {
         "5 samples at k in [1, 2, 5, 10, 20, 30]"}
     assert updates == list(range(1, 31))
     assert counts["f.value"] == 30 + 6 * 5
-    assert counts["h.value"] == 30 + 6 * 5 * 2
+    assert counts["h.value"] == 30 + 6 * 5
+    # 5 calls on each sampled k's model, told apart by its weight A_k
+    weights = [capture.states[k].A for k in (1, 2, 5, 10, 20, 30)]
+    assert model_calls == [w for w in weights for _ in range(5)]
+
+
+def test_sample_points_budget_with_projection():
+    # a sample outside the box costs the domain test, the projection and h
+    # at the projected point; one inside it costs h once, shared with phi
+    problem = problems.make_instance("box_qp", 2, 2, 2, diag=True,
+                                     with_reference=False)
+    state = engine.init(problem, engine.SolverConfig.for_problem(problem),
+                        np.zeros(2))
+    state = engine.step(state, problem)
+    count = 40
+    draws = state.y + (1.0 + problems.vector_norm(state.y)) * (
+        np.random.Generator(np.random.PCG64(11)).standard_normal((count, 2)))
+    outside = sum(math.isinf(problem.h.value(x)) for x in draws)
+    assert 0 < outside < count
+    counted, counts = _counted(problem)
+    certificates.sample_points(state, counted, count,
+                               np.random.Generator(np.random.PCG64(11)))
+    assert counts == {"h.value": count + outside, "h.prox": outside,
+                      "f.value": count}
 
 
 def test_bounds_suite_steps_once_per_instance(step_calls):

@@ -609,9 +609,26 @@ def test_instance_params_round_trip(tmp_path, kind):
 ])
 def test_instance_file_rejects_mistyped_values(tmp_path, kind, line):
     path = tmp_path / "inst.txt"
-    path.write_text(f"kind = {kind}\nseed = 9\nm = 12\nn = 18\n{line}\n")
-    key = line.split(" = ")[0]
+    key, _, text = line.partition(" = ")
+    # the line replaces a required key's entry rather than repeating it
+    entries = {"kind": kind, "seed": "9", "m": "12", "n": "18", key: text}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
     with pytest.raises(ValueError, match=f"instance value {key} = "):
+        problems.load_instance(path)
+
+
+@pytest.mark.parametrize("key, first, second", [
+    ("reg", "0.1", "5"),
+    ("lf_bar", "1", "2"),
+    ("kind", "lasso", "lasso"),
+])
+def test_instance_file_rejects_repeated_key(tmp_path, key, first, second):
+    path = tmp_path / "inst.txt"
+    lines = ["kind = lasso", "seed = 9", "m = 12", "n = 18",
+             f"{key} = {first}", f"{key} = {second}"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError,
+                       match=f"^instance file repeats key '{key}'$"):
         problems.load_instance(path)
 
 
