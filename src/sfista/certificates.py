@@ -10,7 +10,7 @@ Three objects are computable from a solver state without extra assumptions:
   fixed Hessian multiple of the identity, folded over a recorded run by
   `lower_models` (the solver itself never builds it).  The sampled checks
   work on values and call no oracle: `sample_points` gives phi at each
-  point, and a NaN value fails its check.
+  point, a +inf phi (off dom h) never sets a worst, and a -inf or NaN fails.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def sample_points(state: "IterateState", problem: CompositeProblem, count: int,
     phi_at = []
     for x in points:
         hx = problem.h.value(x)
-        if math.isinf(hx):
+        if hx == math.inf:
             x[:] = problem.h.prox(x, 1.0)
             hx = problem.h.value(x)
         phi_at.append(_phi_given_h(problem, x, hx))
@@ -254,14 +254,12 @@ def check_eps_subgradient(pair: ResidualPair, state: "IterateState",
     value(x) - (mu/2)||x - y||^2 >= phi(y) + <v, x - y> - eta, with
     phi_y = phi(y), must hold.  Returns the largest amount by which it fails:
     negative when it holds everywhere, NaN when a compared value is NaN.
-    Samples where value is +inf (outside dom h) are skipped.
+    A +inf value (off dom h) gives an excess of -inf, never the worst.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     mu = state.config.mu
     excess = []
     for x, value in zip(samples, values_at, strict=True):
-        if value == math.inf:
-            continue
         diff = x - state.y
         lhs = phi_y + float(pair.v @ diff) - pair.eta
         rhs = value - 0.5 * mu * float(diff @ diff)
@@ -277,10 +275,9 @@ lower_model_violation = check_eps_subgradient
 def lower_model_gap(model_at: list, phi_at: list) -> float:
     """Largest amount by which the aggregated model exceeds phi on the samples.
 
-    model_at[i] and phi_at[i] are the model and phi at one sample, skipped
-    where phi is infinite.  Nonpositive (up to rounding) because the model
-    is a global minorant; NaN when a compared value is NaN.
+    model_at[i] and phi_at[i] are the model and phi at one sample.
+    Nonpositive (up to rounding) because the model is a global minorant; a
+    +inf phi (off dom h) never sets it, a -inf or NaN value does.
     """
-    return float(np.max([low - phi_x for low, phi_x in
-                         zip(model_at, phi_at, strict=True)
-                         if not math.isinf(phi_x)], initial=-math.inf))
+    return float(np.max([low - phi_x for low, phi_x in zip(
+        model_at, phi_at, strict=True)], initial=-math.inf))

@@ -9,9 +9,10 @@ Subcommands:
 Summaries, reports, and instance files are `key = value` lines; traces are
 comma-delimited with reals as 17-significant-digit decimals.  Exit codes:
 0 converged / all checks pass, 1 iteration budget exhausted, 2 invalid
-configuration or flags, 3 verification failure, 4 a NaN or infinite
-quantity the criterion tests or phi(y_k) of a trace row, the final row
-always included; without a criterion, also a non-finite entry of y_k.
+configuration or flags, or an output path that cannot be written (checked
+before any work), 3 verification failure, 4 a NaN or infinite quantity the
+criterion tests or phi(y_k) of a trace row, the final row always included;
+without a criterion, also a non-finite entry of y_k.
 """
 
 from __future__ import annotations
@@ -158,8 +159,10 @@ def _emit(pairs) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    problem = build_problem(args)
     criterion = build_criterion(args)
+    if args.trace is not None:  # fail before any work, keeping an old trace
+        open(args.trace, "a").close()
+    problem = build_problem(args)
     # without a trace file only the final row is read
     trace_every = (args.trace_every if args.trace is not None
                    else max(1, args.max_iter))
@@ -221,8 +224,9 @@ def cmd_predict(args) -> int:
         config = _engine.SolverConfig.for_problem(
             problem, lf=args.lf, mu_f=args.mu_f, mu_h=args.mu_h)
         lf, mu_f, mu_h = config.lf, config.mu_f, config.mu_h
-        d0 = (problem.reference_optimum.distance(default_start(problem))
-              if needs_d0 else None)
+        # the checks solve makes before its first step, on the same start
+        x0 = _engine.init(problem, config, default_start(problem)).x0
+        d0 = problem.reference_optimum.distance(x0) if needs_d0 else None
     mu = mu_f + mu_h
     report = _bounds.predicted_iterations(criterion, lf, lf_bar, mu_f, mu, d0=d0)
     _emit(criterion_meta(criterion))
@@ -287,8 +291,7 @@ def cmd_verify_bounds(args) -> int:
 def cmd_make_instance(args) -> int:
     problem = build_problem(args, with_reference=False)
     save_instance(args.out, problem)
-    _emit(instance_recipe(problem))
-    _emit([("out", str(args.out))])
+    _emit(instance_recipe(problem) + [("out", str(args.out))])
     return 0
 
 
@@ -371,7 +374,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return handler(args)
-    except (ConfigError, NumericFailure, ValueError) as exc:
+    except (ConfigError, NumericFailure, ValueError, OSError) as exc:
+        # a broken stdout pipe names no file and is not a flag error
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

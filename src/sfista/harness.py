@@ -346,11 +346,8 @@ def _suite_instances(seed_base: int):
     ]
     for i in range(10):
         kind, kw = recipes[i % len(recipes)]
-        kw = dict(kw)
-        m = kw.pop("m")
-        n = kw.pop("n")
         seed = seed_base + i
-        yield f"{kind}[seed={seed}]", make_instance(kind, seed, m, n, **kw)
+        yield f"{kind}[seed={seed}]", make_instance(kind, seed, **kw)
 
 
 def suite_criteria(problem: CompositeProblem, d0: float):

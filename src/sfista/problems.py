@@ -134,8 +134,8 @@ def eval_phi(problem: CompositeProblem, x: Array) -> float:
 
 
 def _phi_given_h(problem: CompositeProblem, x: Array, hx: float) -> float:
-    """phi(x) from hx = h(x): +inf off dom h, else f(x) + hx."""
-    if math.isinf(hx):
+    """phi(x) from hx = h(x): +inf if hx is +inf (off dom h), else f(x) + hx."""
+    if hx == math.inf:
         return math.inf
     return float(problem.f.value(x)) + float(hx)
 

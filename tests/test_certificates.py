@@ -1,6 +1,7 @@
 """Stationarity residual, approximate-subgradient pair, and lower model."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -323,6 +324,24 @@ def test_sample_points_respect_domain():
     assert samples.shape == (64, 5)
     assert all(np.isfinite(problem.h.value(s)) for s in samples)
     assert phi_at == [eval_phi(problem, s) for s in samples]
+
+
+def test_lower_model_gap_reads_infinite_phi():
+    # a +inf phi (off dom h) gives -inf, which never sets the worst; a -inf
+    # phi gives +inf, a failure
+    assert certificates.lower_model_gap([0.0], [-math.inf]) == math.inf
+    assert certificates.lower_model_gap([0.0, 1.0], [math.inf, 2.0]) == -1.0
+
+
+def test_eps_subgradient_reads_infinite_values(quad1d):
+    state = _one_step(quad1d)
+    pair = certificates.residual_pair(state)
+    samples = np.stack([state.y, state.y])
+    # at x = y the excess is phi(y) - eta - value, here -eta
+    assert certificates.check_eps_subgradient(
+        pair, state, 0.0, samples, [math.inf, 0.0]) == -pair.eta
+    assert certificates.check_eps_subgradient(
+        pair, state, 0.0, samples, [-math.inf, 0.0]) == math.inf
 
 
 # ---------------------------------------------------------------------------

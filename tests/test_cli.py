@@ -146,11 +146,53 @@ def test_no_subcommand_exits_two(capsys):
     (["--criterion", "stationarity", "--rho", "nan"],
      "--rho = nan must be finite"),
 ])
-def test_solve_criterion_flag_validation(capsys, argv, fragment):
+def test_solve_criterion_flag_validation(monkeypatch, capsys, argv,
+                                         fragment):
+    # the flags are read before the instance, so no reference solve runs
+    calls = []
+    monkeypatch.setattr(problems, "reference_solve",
+                        lambda *args, **kwargs: calls.append(args))
     code = cli.main(["solve", "--problem", "lasso", *SMALL, *argv])
     _, err = _lines(capsys)
     assert code == 2
     assert fragment in err[0]
+    assert calls == []
+
+
+def test_solve_unwritable_trace_exits_two_before_any_step(monkeypatch,
+                                                          capsys, tmp_path):
+    # the trace path is opened before the run (a step would raise TypeError)
+    monkeypatch.setattr(engine, "step", None)
+    path = tmp_path / "missing" / "run.csv"
+    code = cli.main(["solve", "--problem", "lasso", *SMALL, "--criterion",
+                     "stationarity", "--rho", "1e-6", "--trace", str(path)])
+    out, err = _lines(capsys)
+    assert code == 2
+    assert out == []
+    assert err == [f"error: [Errno 2] No such file or directory: '{path}'"]
+
+
+def test_solve_config_error_keeps_an_old_trace(capsys, tmp_path):
+    # the early open only appends, so a run that never starts leaves the
+    # file as it was
+    path = tmp_path / "run.csv"
+    path.write_text("old trace\n")
+    code = cli.main(["solve", "--problem", "lasso", *SMALL, "--lf", "1",
+                     "--trace", str(path)])
+    _, err = _lines(capsys)
+    assert code == 2
+    assert err[0].startswith("error: lf = 1 must strictly exceed")
+    assert path.read_text() == "old trace\n"
+
+
+def test_broken_stdout_pipe_is_not_a_flag_error(monkeypatch):
+    # an OSError that names no file is not bad input and is not exit 2
+    def broken(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "cmd_verify_bounds", broken)
+    with pytest.raises(BrokenPipeError):
+        cli.main(["verify", "bounds"])
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +231,27 @@ def test_predict_relative_from_instance(capsys):
     assert code == 0
     assert "abar = 4" in out  # ridge default gives mu = 1
     assert any(line.startswith("lf_bar = ") for line in out)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--criterion", "function_gap", "--eps-bar", "1e-3", "--lf", "1"],
+     "lf = 1 must strictly exceed the curvature bound 83.1065"),
+    (["--criterion", "relative", "--sigma-tilde", "0.5", "--mu-f", "5"],
+     "mu_f = 5 outside [0, 0]"),
+    (["--criterion", "relative", "--sigma-tilde", "0.5", "--mu-h", "1"],
+     "mu_h = 1 outside [0, 0]"),
+])
+def test_predict_from_instance_checks_constants_as_solve_does(capsys, argv,
+                                                              message):
+    # the lasso's f.mu and h.mu are both 0; solve rejects these constants
+    # before its first step, and predict rejects them with the same line
+    instance = ["--problem", "lasso", "--m", "20", "--n", "30"]
+    for command in ("predict", "solve"):
+        code = cli.main([command, *instance, *argv])
+        out, err = _lines(capsys)
+        assert code == 2
+        assert out == []
+        assert err == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("tolerances", [
@@ -278,6 +341,11 @@ def test_predict_rejects_non_finite_constants(capsys, argv, name):
     (["--criterion", "relative", "--sigma-tilde", "0.1", "--lf", "2",
       "--lf-bar", "1", "--mu-f", "0.5", "--mu-h", "-0.5"],
      "mu = 0 must be at least mu_f = 0.5"),
+    (["--criterion", "function_gap", "--eps-bar", "1e-3", "--d0", "-1",
+      "--lf", "2"], "d0 must be nonnegative"),
+    (["--criterion", "stationarity", "--rho", "1", "--d0", "1", "--lf", "2"],
+     "stationarity prediction needs --lf-bar"),
+    ([], "predict needs --criterion"),
 ])
 def test_predict_rejects_impossible_constants(capsys, argv, fragment):
     code = cli.main(["predict", *argv])
@@ -492,6 +560,16 @@ def test_make_instance_rejects_non_finite_parameter(tmp_path, capsys):
     assert out == []
     assert err == ["error: instance parameter density = nan is not finite"]
     assert not path.exists()
+
+
+def test_make_instance_unwritable_out_exits_two(tmp_path, capsys):
+    path = tmp_path / "missing" / "inst.txt"
+    code = cli.main(["make-instance", "--problem", "lasso", *SMALL,
+                     "--out", str(path)])
+    out, err = _lines(capsys)
+    assert code == 2
+    assert out == []
+    assert err == [f"error: [Errno 2] No such file or directory: '{path}'"]
 
 
 def test_solve_noise_zero_reaches_the_instance(capsys):

@@ -147,6 +147,31 @@ def test_nan_at_the_samples_fails_the_sampled_checks(elastic_mu1,
     assert not report.overall and report.lines()[-1] == "overall = FAIL"
 
 
+@pytest.mark.parametrize("oracle", ["f", "h"])
+def test_minus_inf_at_the_samples_fails_the_sampled_checks(
+        elastic_mu1, elastic_capture, oracle):
+    # +inf alone marks a point off dom h: a -inf value of f or h far from
+    # x*, where samples fall but no iterate does, makes phi -inf there, and
+    # that is a violation, not a skipped sample
+    far = 3.0 * (1.0 + problems.vector_norm(
+        elastic_mu1.reference_optimum.x_star))
+    part = getattr(elastic_mu1, oracle)
+    value = part.value
+    faulty = dataclasses.replace(
+        part,
+        value=lambda x: -math.inf if problems.vector_norm(x) > far
+        else value(x))
+    capture = dataclasses.replace(
+        elastic_capture,
+        problem=dataclasses.replace(elastic_mu1, **{oracle: faulty}))
+    report, checks = _report_checks(capture, 20)
+    for name in ("lower_model_minorizes", "eps_subgradient"):
+        assert not checks[name].passed and checks[name].worst == math.inf
+        assert checks[name].line().startswith(f"{name} = FAIL (worst inf")
+    assert checks["model_subgradient"].passed
+    assert not report.overall and report.lines()[-1] == "overall = FAIL"
+
+
 def test_nan_residual_fails_min_norm_bound(elastic_capture):
     # the running least ||u_i||^2 keeps a NaN row; min would drop it
     rows = list(elastic_capture.rows)

@@ -291,6 +291,21 @@ def test_sample_points_budget_with_projection():
                       "f.value": count}
 
 
+def test_sample_points_never_projects_minus_inf(elastic_mu1):
+    # +inf alone marks a point off dom h: an h of -inf costs its one
+    # h.value, no projection, and reaches phi as it is
+    h = dataclasses.replace(elastic_mu1.h, value=lambda x: -math.inf)
+    problem = dataclasses.replace(elastic_mu1, h=h)
+    state = engine.init(elastic_mu1, engine.SolverConfig.for_problem(problem),
+                        np.zeros(problem.dimension))
+    state = engine.step(state, elastic_mu1)
+    counted, counts = _counted(problem)
+    _, phi_at = certificates.sample_points(
+        state, counted, 10, np.random.Generator(np.random.PCG64(11)))
+    assert counts == {"h.value": 10, "f.value": 10}
+    assert phi_at == [-math.inf] * 10
+
+
 def test_bounds_suite_steps_once_per_instance(step_calls):
     # each instance's one pass ends when its last criterion stops being
     # tested: at the largest min(observed_k, predicted_k) of its five rows

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfista import problems
-from sfista.errors import NumericFailure
+from sfista.errors import ConfigError, NumericFailure
 from sfista.problems import (CompositeProblem, eval_phi, make_instance,
                              power_iteration, prox_box, prox_scaled_quadratic,
                              prox_soft_threshold, quadratic, reference_solve)
@@ -36,6 +36,25 @@ def test_soft_threshold_rejects_bad_args():
         prox_soft_threshold(np.array([1.0]), -0.1, 1.0)
     with pytest.raises(ValueError):
         prox_soft_threshold(np.array([1.0]), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: prox_scaled_quadratic(np.ones(2), -1.0, 1.0),
+     "scaled quadratic needs alpha >= 0 and step > 0"),
+    (lambda: prox_scaled_quadratic(np.ones(2), 1.0, 0.0),
+     "scaled quadratic needs alpha >= 0 and step > 0"),
+    (lambda: problems.l1_norm(-0.1), "l1 weight must be nonnegative"),
+    (lambda: problems.box_indicator([0.0, 1.0], [1.0, 0.0]),
+     "box is empty: lo > hi on some component"),
+    (lambda: problems.scaled_quadratic(-1.0), "alpha must be nonnegative"),
+    (lambda: problems.least_squares(np.eye(2), np.ones(2), ridge=-1.0),
+     "ridge must be nonnegative"),
+    (lambda: problems.logistic_loss(np.eye(2), np.ones(2), ridge=-1.0),
+     "ridge must be nonnegative"),
+])
+def test_oracle_builders_reject_bad_args(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_box_projection_values():
@@ -185,6 +204,8 @@ def test_logistic_modulus_and_kind_errors():
         make_instance("lasso", 0, 0, 5)
     with pytest.raises(ValueError):
         make_instance("lasso", 0, 5, 5, bogus=1.0)
+    with pytest.raises(ValueError, match="^box is empty: lo > hi$"):
+        make_instance("box_qp", 0, 4, 4, lo=2.0, hi=1.0)
 
 
 @pytest.mark.parametrize("size", [0, 1, 7, 200, 4096])
@@ -470,6 +491,20 @@ def test_reference_iteration_cap(monkeypatch):
         reference_solve(problem)
 
 
+def test_reference_rejects_bad_inputs():
+    flat = CompositeProblem(
+        f=quadratic(np.zeros((2, 2)), np.zeros(2), curvature=0.0),
+        h=problems.zero_function(), dimension=2)
+    with pytest.raises(ConfigError,
+                       match="^reference solve needs a positive curvature "
+                             "bound$"):
+        reference_solve(flat)
+    problem = make_instance("lasso", 9, 10, 20, with_reference=False)
+    with pytest.raises(ValueError,
+                       match=r"^x0 has shape \(3,\), expected \(20,\)$"):
+        reference_solve(problem, x0=np.zeros(3))
+
+
 def test_reference_stops_at_first_non_finite_residual():
     # a NaN gradient makes the first residual NaN; without the test the
     # solve would run to its 10^6-step cap
@@ -661,6 +696,17 @@ def test_instance_file_rejects_non_finite_parameter(tmp_path):
                     "ridge = nan\n")
     with pytest.raises(ValueError,
                        match="^instance parameter ridge = nan is not finite$"):
+        problems.load_instance(path)
+
+
+def test_instance_file_skips_comments_and_rejects_bare_lines(tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_text("# a comment\n\nkind = lasso\nseed = 9\nm = 12\n"
+                    "n = 18\n")
+    assert problems.load_instance(path).spec.seed == 9
+    path.write_text("kind = lasso\nseed = 9\nm = 12\nn = 18\nreg 0.1\n")
+    with pytest.raises(ValueError,
+                       match="^malformed instance line: 'reg 0.1'$"):
         problems.load_instance(path)
 
 
