@@ -18,6 +18,7 @@ without a criterion, also a non-finite entry of y_k.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from typing import Optional
@@ -29,8 +30,9 @@ from . import classic as _classic
 from . import engine as _engine
 from . import harness as _harness
 from .errors import ConfigError, NumericFailure
-from .problems import (INSTANCE_KINDS, INSTANCE_PARAMS, format_real,
-                       instance_recipe, make_instance, save_instance)
+from .problems import (INSTANCE_KINDS, INSTANCE_PARAMS, attach_reference,
+                       format_real, instance_recipe, make_instance,
+                       save_instance)
 
 
 def _auto(text: str) -> Optional[float]:
@@ -95,15 +97,20 @@ def _add_criterion_args(p: argparse.ArgumentParser) -> None:
                            help=f"tolerance of criterion {variant}")
 
 
-def build_problem(args, with_reference: bool = True):
+def build_problem(args, **settings):
+    """(problem, config, x0) as `engine.init` passes them, with no reference."""
     params = {}
     for key in _instance_params():
         value = getattr(args, key, None)
         # `is`, not `in (None, False)`: 0.0 == False, and --noise 0 is a value
         if value is not None and value is not False:
             params[key] = value
-    return make_instance(args.problem, args.seed, args.m, args.n,
-                         with_reference=with_reference, **params)
+    problem = make_instance(args.problem, args.seed, args.m, args.n,
+                            with_reference=False, **params)
+    constants = {name: getattr(args, name, None) for name in _CONSTANTS}
+    config = _engine.SolverConfig.for_problem(problem, **constants, **settings)
+    return problem, config, _engine.init(problem, config,
+                                         default_start(problem)).x0
 
 
 def build_criterion(args) -> Optional[_bounds.Criterion]:
@@ -162,15 +169,16 @@ def cmd_solve(args) -> int:
     criterion = build_criterion(args)
     if args.trace is not None:  # fail before any work, keeping an old trace
         open(args.trace, "a").close()
-    problem = build_problem(args)
-    # without a trace file only the final row is read
+    problem, config, x0 = build_problem(args, max_iter=args.max_iter,
+                                        trace_every=args.trace_every)
+    # without a trace file only the final row is read; the criterion joins
+    # after the gate, as init rejects function_gap without a reference
     trace_every = (args.trace_every if args.trace is not None
                    else max(1, args.max_iter))
-    config = _engine.SolverConfig.for_problem(
-        problem, lf=args.lf, mu_f=args.mu_f, mu_h=args.mu_h,
-        max_iter=args.max_iter, criterion=criterion, trace_every=trace_every,
-    )
-    result = _engine.run(problem, config, default_start(problem))
+    config = dataclasses.replace(config, criterion=criterion,
+                                 trace_every=trace_every)
+    problem = attach_reference(problem)
+    result = _engine.run(problem, config, x0)
     # the summary's head lines, which the trace file repeats as metadata
     head = (instance_recipe(problem, constants=False) + constant_meta(config)
             + criterion_meta(criterion))
@@ -219,14 +227,12 @@ def cmd_predict(args) -> int:
         mu_h = args.mu_h if args.mu_h is not None else 0.0
         d0 = args.d0
     else:
-        problem = build_problem(args, with_reference=needs_d0)
-        lf_bar = problem.f.curvature
-        config = _engine.SolverConfig.for_problem(
-            problem, lf=args.lf, mu_f=args.mu_f, mu_h=args.mu_h)
-        lf, mu_f, mu_h = config.lf, config.mu_f, config.mu_h
         # the checks solve makes before its first step, on the same start
-        x0 = _engine.init(problem, config, default_start(problem)).x0
-        d0 = problem.reference_optimum.distance(x0) if needs_d0 else None
+        problem, config, x0 = build_problem(args)
+        lf_bar = problem.f.curvature
+        lf, mu_f, mu_h = config.lf, config.mu_f, config.mu_h
+        d0 = (attach_reference(problem).reference_optimum.distance(x0)
+              if needs_d0 else None)
     mu = mu_f + mu_h
     report = _bounds.predicted_iterations(criterion, lf, lf_bar, mu_f, mu, d0=d0)
     _emit(criterion_meta(criterion))
@@ -248,11 +254,11 @@ def cmd_predict(args) -> int:
 def cmd_verify_invariants(args) -> int:
     if args.samples < 0:
         raise ConfigError(f"sample count {args.samples} must be nonnegative")
-    problem = build_problem(args)
-    config = _engine.SolverConfig.for_problem(problem, lf=args.lf,
-                                              mu_f=args.mu_f, mu_h=args.mu_h)
-    capture = _harness.capture_run(problem, config, default_start(problem),
-                                   args.iters)
+    if args.iters < 0:
+        raise ConfigError(f"step count {args.iters} must be nonnegative")
+    problem, config, x0 = build_problem(args)
+    problem = attach_reference(problem)
+    capture = _harness.capture_run(problem, config, x0, args.iters)
     _emit(instance_recipe(problem, constants=False) + constant_meta(config)
           + [("iterations", str(capture.iterations))])
     if capture.overflowed:
@@ -266,13 +272,11 @@ def cmd_verify_invariants(args) -> int:
 def cmd_verify_equivalence(args) -> int:
     if not 0.0 <= args.tol < math.inf:
         raise ConfigError(f"--tol = {args.tol:g} must be finite and nonnegative")
-    problem = build_problem(args, with_reference=False)
-    lf = _engine.SolverConfig.for_problem(problem, lf=args.lf).lf
-    deviation = _classic.equivalence_check(problem, default_start(problem), lf,
-                                           args.iters)
+    problem, config, x0 = build_problem(args)
+    deviation = _classic.equivalence_check(problem, x0, config.lf, args.iters)
     _emit(instance_recipe(problem, constants=False))
     ok = deviation <= args.tol
-    _emit([("lf", format_real(lf)), ("iters", str(args.iters)),
+    _emit([("lf", format_real(config.lf)), ("iters", str(args.iters)),
            ("max_deviation", format_real(deviation)),
            ("tolerance", format_real(args.tol)),
            ("overall", "pass" if ok else "FAIL")])
@@ -289,7 +293,7 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_make_instance(args) -> int:
-    problem = build_problem(args, with_reference=False)
+    problem, _, _ = build_problem(args)
     save_instance(args.out, problem)
     _emit(instance_recipe(problem) + [("out", str(args.out))])
     return 0

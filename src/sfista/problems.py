@@ -472,16 +472,18 @@ def make_instance(kind: str, seed: int, m: int, n: int,
 
     All randomness is drawn from a PCG64 stream seeded with `seed`, so
     repeated calls produce identical data.  `params` overrides the kind's
-    defaults in INSTANCE_PARAMS; an unknown one, or a real one that is NaN
-    or infinite, is a ValueError raised before any data is drawn.  The
-    returned problem carries its generation recipe in `spec`, every default
-    included, and, unless `with_reference=False`, its optimal value in
-    `reference_optimum`.
+    defaults in INSTANCE_PARAMS; a negative seed, an unknown parameter, or a
+    real one that is NaN or infinite, is a ValueError raised before any data
+    is drawn.  The returned problem carries its generation recipe in `spec`,
+    every default included, and, unless `with_reference=False`, its optimal
+    value in `reference_optimum` (`attach_reference` adds it later).
     """
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}; expected one of {INSTANCE_KINDS}")
     if m <= 0 or n <= 0:
         raise ValueError("instance shape must be positive")
+    if seed < 0:
+        raise ValueError(f"seed {seed} must be nonnegative")
     defaults = INSTANCE_PARAMS[kind]
     for key in params:
         if key not in defaults:
@@ -493,11 +495,13 @@ def make_instance(kind: str, seed: int, m: int, n: int,
     f, h, data = _BUILDERS[kind](p, _rng(seed), m, n)
     spec = InstanceSpec(kind=kind, seed=seed, m=m, n=n, params=p, data=data)
     problem = CompositeProblem(f=f, h=h, dimension=n, spec=spec)
-    if with_reference:
-        problem = dataclasses.replace(
-            problem, reference_optimum=ReferenceOptimum(*reference_solve(problem))
-        )
-    return problem
+    return attach_reference(problem) if with_reference else problem
+
+
+def attach_reference(problem: CompositeProblem) -> CompositeProblem:
+    """The problem with the optimum `reference_solve` finds as its reference."""
+    return dataclasses.replace(
+        problem, reference_optimum=ReferenceOptimum(*reference_solve(problem)))
 
 
 def _sparse_regression_data(rng, m, n, density, noise):

@@ -11,7 +11,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from sfista import certificates, engine, harness, problems
+from sfista import certificates, cli, engine, harness, problems
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +63,19 @@ def lasso_norm():
 def elastic_net_20x30():
     """The 20x30 elastic net the fault fixtures break, with its optimum."""
     return problems.make_instance("elastic_net", 1, 20, 30)
+
+
+@pytest.fixture
+def cli_serves(monkeypatch):
+    """Make the CLI set up the given problem, reference optimum as it is.
+
+    The seam is the instance itself: `build_problem` still forms the config
+    and runs `engine.init` on it.
+    """
+    def serve(problem):
+        monkeypatch.setattr(cli, "make_instance", lambda *args, **kw: problem)
+        monkeypatch.setattr(cli, "attach_reference", lambda given: given)
+    return serve
 
 
 @pytest.fixture(scope="session")

@@ -80,8 +80,8 @@ def test_solve_growth_overflow_exit(capsys):
     assert "stop_reason = growth_overflow" in out
 
 
-def test_solve_nan_gradient_exits_four(monkeypatch, capsys, nan_gradient_net):
-    monkeypatch.setattr(cli, "build_problem", lambda args: nan_gradient_net)
+def test_solve_nan_gradient_exits_four(cli_serves, capsys, nan_gradient_net):
+    cli_serves(nan_gradient_net)
     code = cli.main(["solve", "--problem", "elastic_net", "--seed", "1",
                      "--m", "20", "--n", "30", "--max-iter", "500",
                      "--criterion", "stationarity", "--rho", "1e-6"])
@@ -91,9 +91,9 @@ def test_solve_nan_gradient_exits_four(monkeypatch, capsys, nan_gradient_net):
     assert "iterations = 1" in out
 
 
-def test_solve_nan_gradient_without_criterion_exits_four(monkeypatch, capsys,
+def test_solve_nan_gradient_without_criterion_exits_four(cli_serves, capsys,
                                                          nan_gradient_net):
-    monkeypatch.setattr(cli, "build_problem", lambda args: nan_gradient_net)
+    cli_serves(nan_gradient_net)
     code = cli.main(["solve", "--problem", "elastic_net", "--seed", "1",
                      "--m", "20", "--n", "30", "--max-iter", "500"])
     out, _ = _lines(capsys)
@@ -103,8 +103,8 @@ def test_solve_nan_gradient_without_criterion_exits_four(monkeypatch, capsys,
 
 
 def test_solve_nan_objective_without_criterion_exits_four(
-        monkeypatch, capsys, tmp_path, nan_value_net):
-    monkeypatch.setattr(cli, "build_problem", lambda args: nan_value_net)
+        cli_serves, capsys, tmp_path, nan_value_net):
+    cli_serves(nan_value_net)
     trace_path = tmp_path / "nan.csv"
     code = cli.main(["solve", "--problem", "elastic_net", "--seed", "1",
                      "--m", "20", "--n", "30", "--max-iter", "500",
@@ -183,6 +183,55 @@ def test_solve_config_error_keeps_an_old_trace(capsys, tmp_path):
     assert code == 2
     assert err[0].startswith("error: lf = 1 must strictly exceed")
     assert path.read_text() == "old trace\n"
+
+
+TINY = ["--m", "20", "--n", "30"]
+
+
+@pytest.mark.parametrize("argv, code, message, solves", [
+    (["solve", *TINY, "--lf", "1"], 2,
+     "lf = 1 must strictly exceed the curvature bound 83.1065", 0),
+    (["solve", *TINY, "--mu-f", "5"], 2, "mu_f = 5 outside [0, 0]", 0),
+    (["solve", *TINY, "--max-iter", "-1"], 2,
+     "max_iter must be nonnegative", 0),
+    (["solve", *TINY, "--trace-every", "0", "--trace", "t.csv"], 2,
+     "trace_every must be a positive integer", 0),
+    (["solve", *TINY, "--trace-every", "0"], 2,
+     "trace_every must be a positive integer", 0),
+    (["solve", *TINY, "--seed", "-1"], 2, "seed -1 must be nonnegative", 0),
+    (["verify", "invariants", *TINY, "--lf", "1"], 2,
+     "lf = 1 must strictly exceed the curvature bound 83.1065", 0),
+    (["verify", "invariants", *TINY, "--iters", "-1"], 2,
+     "step count -1 must be nonnegative", 0),
+    (["verify", "bounds", "--seed-base", "-5"], 2,
+     "seed -5 must be nonnegative", 0),
+    (["predict", "--criterion", "function_gap", "--eps-bar", "1e-3",
+      "--lf", "1", *TINY], 2,
+     "lf = 1 must strictly exceed the curvature bound 83.1065", 0),
+    (["solve", *TINY, "--criterion", "stationarity", "--rho", "1e-6"], 0,
+     None, 1),
+], ids=["solve-lf", "solve-mu_f", "solve-max_iter", "solve-trace_every-traced",
+        "solve-trace_every", "solve-seed", "invariants-lf", "invariants-iters",
+        "bounds-seed_base", "predict-lf", "solve-valid"])
+def test_flags_and_constants_are_checked_before_the_reference_solve(
+        monkeypatch, capsys, tmp_path, argv, code, message, solves):
+    # the reference optimum is the costly part of the set-up, so bad input
+    # must exit before it, and a valid run solves for it once
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    solve = problems.reference_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(problems, "reference_solve", counted)
+    assert cli.main(argv) == code
+    out, err = _lines(capsys)
+    assert len(calls) == solves
+    if message is not None:
+        assert out == []
+        assert err == [f"error: {message}"]
 
 
 def test_broken_stdout_pipe_is_not_a_flag_error(monkeypatch):
@@ -560,6 +609,26 @@ def test_make_instance_rejects_non_finite_parameter(tmp_path, capsys):
     assert out == []
     assert err == ["error: instance parameter density = nan is not finite"]
     assert not path.exists()
+
+
+def test_negative_seed_is_rejected_by_name(monkeypatch, tmp_path, capsys):
+    # numpy's own message names no flag; make_instance checks the seed
+    # before it draws anything, for the flags and instance files alike
+    def no_draws(seed):
+        raise AssertionError("data drawn")
+
+    monkeypatch.setattr(problems, "_rng", no_draws)
+    path = tmp_path / "inst.txt"
+    code = cli.main(["make-instance", "--problem", "lasso", *TINY,
+                     "--seed", "-1", "--out", str(path)])
+    out, err = _lines(capsys)
+    assert code == 2
+    assert out == []
+    assert err == ["error: seed -1 must be nonnegative"]
+    assert not path.exists()
+    path.write_text("kind = lasso\nseed = -3\nm = 12\nn = 18\n")
+    with pytest.raises(ValueError, match="^seed -3 must be nonnegative$"):
+        problems.load_instance(path)
 
 
 def test_make_instance_unwritable_out_exits_two(tmp_path, capsys):

@@ -84,10 +84,9 @@ SOLVE_CELLS = [
 
 
 @pytest.mark.parametrize("fault,flags,code,k", SOLVE_CELLS)
-def test_solve_exit_code_on_fault(monkeypatch, capsys, elastic_net_20x30,
+def test_solve_exit_code_on_fault(cli_serves, capsys, elastic_net_20x30,
                                   fault, flags, code, k):
-    problem = _faulty(elastic_net_20x30, fault)
-    monkeypatch.setattr(cli, "build_problem", lambda args: problem)
+    cli_serves(_faulty(elastic_net_20x30, fault))
     got = cli.main(["solve", "--problem", "elastic_net", "--seed", "1",
                     "--m", "20", "--n", "30", "--max-iter", str(MAX_ITER)]
                    + flags)
