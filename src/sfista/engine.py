@@ -16,6 +16,7 @@ import time
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import islice
 from operator import attrgetter
 from typing import Iterator, Optional
@@ -26,7 +27,7 @@ from . import bounds as _bounds
 from . import certificates as _cert
 from .errors import (ConfigError, GrowthOverflowError, InvalidStartError,
                      NumericFailure)
-from .problems import CompositeProblem
+from .problems import REAL_FORMAT, CompositeProblem
 
 Array = np.ndarray
 
@@ -114,8 +115,8 @@ class TraceRecord:
 
 
 # a record's fields in field order, and the positions of its int fields
-row_values = attrgetter(*(f.name for f in fields(TraceRecord)))
-INT_FIELDS = tuple(j for j, f in enumerate(fields(TraceRecord))
+_row_values = attrgetter(*(f.name for f in fields(TraceRecord)))
+_INT_FIELDS = tuple(j for j, f in enumerate(fields(TraceRecord))
                    if f.type in (int, "int"))
 # doubles a packed row takes: the fields, then the bit mask of those None
 _ROW = len(fields(TraceRecord)) + 1
@@ -128,7 +129,7 @@ def _packed(record: TraceRecord) -> list:
     The fields in field order, a None as 0.0, then the bit mask of the
     fields that were None.
     """
-    values = row_values(record)
+    values = _row_values(record)
     if None not in values:
         return [*values, 0.0]
     mask = sum(1 << j for j, v in enumerate(values) if v is None)
@@ -138,7 +139,7 @@ def _packed(record: TraceRecord) -> list:
 def _unpack(values: list) -> TraceRecord:
     """The TraceRecord of one packed row, given as a list of its doubles."""
     mask = values.pop()
-    for j in INT_FIELDS:
+    for j in _INT_FIELDS:
         values[j] = int(values[j])
     if mask:
         bits = int(mask)
@@ -146,6 +147,21 @@ def _unpack(values: list) -> TraceRecord:
             if bits >> j & 1:
                 values[j] = None
     return TraceRecord(*values)
+
+
+@lru_cache(maxsize=None)
+def _line_format(mask: float) -> str:
+    """The %-format of the trace line of a packed row with this None mask.
+
+    An int field prints with %d, as str prints an int; a real one with
+    %.17g, as format_real does; a None field, and the mask itself, with
+    %.0s, which prints nothing.
+    """
+    bits = int(mask)
+    return ",".join(
+        "%.0s" if bits >> j & 1
+        else "%d" if j in _INT_FIELDS else f"%{REAL_FORMAT}"
+        for j in range(_ROW - 1)) + "%.0s\n"
 
 
 class Trace(Sequence):
@@ -156,8 +172,7 @@ class Trace(Sequence):
     are exact while below 2**53.  Reading a row, by index or by iterating,
     rebuilds its TraceRecord field for field; a slice is a list of them.  A
     Trace equals a Trace or a list that holds the same records.
-    `packed_rows` reads the rows as they are stored, with no rebuild, and
-    `harness.write_trace` prints each line straight from them.
+    `trace_lines` prints each row's line straight from its packed doubles.
     """
 
     __slots__ = ("_data",)
@@ -190,17 +205,18 @@ class Trace(Sequence):
         return f"Trace({list(self)!r})"
 
 
-def packed_rows(records) -> Iterator[tuple]:
-    """The packed row of each record, one at a time, as a tuple.
+def trace_lines(records) -> Iterator[str]:
+    """Each record's trace line, one at a time, ending in a newline.
 
-    A Trace gives its rows as it stores them, as doubles; any other
-    iterable of TraceRecords gives the values `Trace.append` would store
-    for each, with its ints left ints.  Neither builds more than one row at
-    a time.
+    The fields comma-delimited in field order: an int as an integer, a real
+    as format_real prints it, a None as nothing.  A Trace's lines print
+    straight from its packed doubles, with no TraceRecord rebuilt; any other
+    iterable's from the values `Trace.append` would store, a row at a time.
     """
-    if isinstance(records, Trace):
-        return _PACKED_ROW.iter_unpack(records._data)
-    return (tuple(_packed(record)) for record in records)
+    rows = (_PACKED_ROW.iter_unpack(records._data) if isinstance(records, Trace)
+            else (tuple(_packed(record)) for record in records))
+    for row in rows:
+        yield _line_format(row[-1]) % row
 
 
 @dataclass
@@ -243,8 +259,12 @@ def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateS
         raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.dimension},)")
     if not np.all(np.isfinite(x0)):
         raise InvalidStartError("x0 has a non-finite entry")
-    if math.isinf(problem.h.value(x0)):
+    # +inf alone marks a point outside dom h; any other non-finite h is a fault
+    h0 = problem.h.value(x0)
+    if h0 == math.inf:
         raise InvalidStartError("x0 lies outside the effective domain of h")
+    if not math.isfinite(h0):
+        raise InvalidStartError(f"h(x0) = {h0} is neither finite nor +inf")
     return IterateState(
         k=0,
         config=config,

@@ -7,7 +7,8 @@ recorded run, folding the lower model as far as its sampled checks reach,
 and reports the worst violation of each.  `bounds_suite` measures observed
 criterion-firing iterations against the closed-form predictors on a seeded
 instance family, with one pass of `engine.iterate` per instance tested
-against every criterion at once.
+against every criterion at once.  `format_trace` and `write_trace` put the
+provenance lines and the header over `engine.trace_lines`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from itertools import accumulate, islice, takewhile
 from typing import Optional
 
@@ -25,8 +25,7 @@ from . import bounds as _bounds
 from . import certificates as _cert
 from . import engine as _engine
 from .errors import ConfigError
-from .problems import (REAL_FORMAT, CompositeProblem, make_instance,
-                       vector_norm)
+from .problems import CompositeProblem, make_instance, vector_norm
 
 Array = np.ndarray
 
@@ -73,21 +72,22 @@ def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
     """The first `iters + 1` states of `engine.iterate` and their rows.
 
     Fewer states when the coefficient growth halts the run first, which
-    `overflowed` marks.  Each state's row is the one `engine.run` traces at
-    trace_every = 1, so `write_trace(path, capture.rows)` writes what
-    `solve --trace` would.  No lower model is folded here:
-    `lower_models(capture.states, problem)` folds it.  A negative `iters`
-    raises ConfigError.
+    `overflowed` marks.  Each state's row is built as the state is taken,
+    as `engine.run` builds it at trace_every = 1, so `write_trace(path,
+    capture.rows)` writes what `solve --trace` would.  No lower model is
+    folded here: `lower_models(capture.states, problem)` folds it.  A
+    negative `iters` raises ConfigError.
     """
     if iters < 0:
         raise ConfigError(f"step count {iters} must be nonnegative")
     started_ns = time.perf_counter_ns()
-    states = list(islice(_engine.iterate(problem, config, x0), iters + 1))
-    overflowed = len(states) <= iters
-    rows = [_engine.trace_record(_cert.Certificates(state, problem), started_ns)
-            for state in states]
+    states, rows = [], []
+    for state in islice(_engine.iterate(problem, config, x0), iters + 1):
+        states.append(state)
+        rows.append(_engine.trace_record(_cert.Certificates(state, problem),
+                                         started_ns))
     return RunCapture(problem=problem, config=config, states=states, rows=rows,
-                      overflowed=overflowed)
+                      overflowed=len(states) <= iters)
 
 
 def checkpoints(k_max: int) -> list:
@@ -421,41 +421,18 @@ def bounds_suite(seed_base: int = 0) -> list:
 TRACE_COLUMNS = tuple(f.name for f in fields(_engine.TraceRecord))
 
 
-@lru_cache(maxsize=None)
-def _line_format(mask: float) -> str:
-    """The %-format of the line of a packed row with this None mask.
-
-    A packed row is the ten fields then the mask (`engine.packed_rows`).
-    An int field prints with %d, as str prints an int; a real one with
-    %.17g (REAL_FORMAT), as format_real does; a None field, and the mask
-    itself, with %.0s, which prints nothing.
-    """
-    bits = int(mask)
-    return ",".join(
-        "%.0s" if bits >> j & 1
-        else "%d" if j in _engine.INT_FIELDS else f"%{REAL_FORMAT}"
-        for j in range(len(TRACE_COLUMNS))) + "%.0s\n"
-
-
 def _trace_lines(records, meta: Optional[dict]):
-    """The trace text one line at a time, each ending in a newline.
-
-    Each row's line is one % of its None mask's format on its packed row,
-    whether the records are a Trace or a list of TraceRecords.
-    """
+    """The `# key = value` lines, the header, then `engine.trace_lines`."""
     for key, value in (meta or {}).items():
         yield f"# {key} = {value}\n"
     yield ",".join(TRACE_COLUMNS) + "\n"
-    for row in _engine.packed_rows(records):
-        yield _line_format(row[-1]) % row
+    yield from _engine.trace_lines(records)
 
 
 def format_trace(records, meta: Optional[dict] = None) -> str:
     """Comma-delimited trace with `# key = value` provenance lines on top.
 
-    The same lines, byte for byte, that `write_trace` writes.  An int field
-    prints as an integer, a real one as format_real prints it, and a None
-    as an empty field.
+    The same lines, byte for byte, that `write_trace` writes.
     """
     return "".join(_trace_lines(records, meta))
 
@@ -463,10 +440,10 @@ def format_trace(records, meta: Optional[dict] = None) -> str:
 def write_trace(path, records, meta: Optional[dict] = None) -> None:
     """Write `format_trace(records, meta)` to path, one row at a time.
 
-    records is an `engine.Trace` or any iterable of TraceRecords.  Each
-    line is printed straight from the row's packed doubles, with no
-    TraceRecord rebuilt, and the file's bytes equal that text's.  Neither
-    the whole text nor a list of its lines is ever built.
+    records is an `engine.Trace` or any iterable of TraceRecords, whose
+    lines `engine.trace_lines` prints one row at a time; the file's bytes
+    equal that text's.  Neither the whole text nor a list of its lines is
+    ever built.
     """
     with open(path, "w") as out:
         out.writelines(_trace_lines(records, meta))

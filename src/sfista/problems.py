@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -472,11 +473,12 @@ def make_instance(kind: str, seed: int, m: int, n: int,
 
     All randomness is drawn from a PCG64 stream seeded with `seed`, so
     repeated calls produce identical data.  `params` overrides the kind's
-    defaults in INSTANCE_PARAMS; a negative seed, an unknown parameter, or a
-    real one that is NaN or infinite, is a ValueError raised before any data
-    is drawn.  The returned problem carries its generation recipe in `spec`,
-    every default included, and, unless `with_reference=False`, its optimal
-    value in `reference_optimum` (`attach_reference` adds it later).
+    defaults in INSTANCE_PARAMS; a negative seed, an unknown parameter, a
+    switch that is not True or False, or a real that is a bool, no number,
+    NaN or infinite, is a ValueError raised before any data is drawn.  The
+    returned problem carries its generation recipe in `spec`, every default
+    included, and, unless `with_reference=False`, its optimal value in
+    `reference_optimum` (`attach_reference` adds it later).
     """
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}; expected one of {INSTANCE_KINDS}")
@@ -490,7 +492,14 @@ def make_instance(kind: str, seed: int, m: int, n: int,
             raise ValueError(f"unknown instance parameter {key!r}")
     p = {**defaults, **params}
     for key, value in p.items():
-        if not isinstance(defaults[key], bool) and not math.isfinite(value):
+        if isinstance(defaults[key], bool):
+            if not isinstance(value, bool):
+                raise ValueError(f"instance parameter {key} = {value!r} "
+                                 "is not True or False")
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"instance parameter {key} = {value!r} "
+                             "is not a real number")
+        elif not math.isfinite(value):
             raise ValueError(f"instance parameter {key} = {value!r} is not finite")
     f, h, data = _BUILDERS[kind](p, _rng(seed), m, n)
     spec = InstanceSpec(kind=kind, seed=seed, m=m, n=n, params=p, data=data)

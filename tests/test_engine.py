@@ -104,6 +104,17 @@ def test_init_rejects_start_outside_domain():
     for bad in (np.full(30, math.nan), np.r_[math.inf, np.zeros(29)]):
         with pytest.raises(InvalidStartError):
             engine.init(net, config, bad)
+    # only h(x0) = +inf means outside dom h: a NaN or -inf there is named,
+    # where a NaN used to pass and -inf to read as outside the domain
+    for value in (math.nan, -math.inf):
+        def h_value(x, value=value):
+            return value if not x.any() else net.h.value(x)
+
+        faulty = dataclasses.replace(
+            net, h=dataclasses.replace(net.h, value=h_value))
+        with pytest.raises(InvalidStartError, match=(
+                f"^h\\(x0\\) = {value} is neither finite nor \\+inf$")):
+            engine.init(faulty, config, np.zeros(30))
 
 
 def test_init_function_gap_needs_reference():

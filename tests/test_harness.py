@@ -66,6 +66,29 @@ def test_capture_rows_are_the_run_trace(request, fixture_name):
     assert untimed(cap.rows) == untimed(trace)
 
 
+def test_capture_builds_each_row_before_the_next_step(monkeypatch,
+                                                      lasso_small):
+    # as in engine.run, row k is built before step k + 1 starts, so its
+    # elapsed_ns counts only the steps that reached state k
+    events = []
+    step, trace_record = engine.step, engine.trace_record
+
+    def logged_step(state, problem):
+        events.append(("step", state.k))
+        return step(state, problem)
+
+    def logged_row(certs, started_ns):
+        events.append(("row", certs.state.k))
+        return trace_record(certs, started_ns)
+
+    monkeypatch.setattr(engine, "step", logged_step)
+    monkeypatch.setattr(engine, "trace_record", logged_row)
+    harness.capture_run(lasso_small, engine.SolverConfig.for_problem(lasso_small),
+                        np.zeros(lasso_small.dimension), 3)
+    assert events == [("row", 0), ("step", 0), ("row", 1), ("step", 1),
+                      ("row", 2), ("step", 2), ("row", 3)]
+
+
 # ---------------------------------------------------------------------------
 # invariant sweep
 # ---------------------------------------------------------------------------

@@ -690,6 +690,24 @@ def test_non_finite_parameter_fails_before_any_draw(monkeypatch, kind, key,
         make_instance(kind, 3, 20, 30, **{key: value})
 
 
+@pytest.mark.parametrize("kind, key, value, expected", [
+    # a truthy string normalized, and its file failed to save
+    ("lasso", "normalize", "no", "True or False"),
+    # saved as normalize = 1 and reg = true, which load_instance rejects
+    ("lasso", "normalize", 1.0, "True or False"),
+    ("elastic_net", "reg", True, "a real number"),
+])
+def test_wrong_kind_parameter_fails_before_any_draw(monkeypatch, kind, key,
+                                                    value, expected):
+    def no_draws(seed):
+        raise AssertionError("data drawn")
+
+    monkeypatch.setattr(problems, "_rng", no_draws)
+    with pytest.raises(ValueError, match=(
+            f"^instance parameter {key} = {value!r} is not {expected}$")):
+        make_instance(kind, 3, 20, 30, **{key: value})
+
+
 def test_instance_file_rejects_non_finite_parameter(tmp_path):
     path = tmp_path / "inst.txt"
     path.write_text("kind = elastic_net\nseed = 9\nm = 12\nn = 18\n"
