@@ -10,9 +10,10 @@ Summaries, reports, and instance files are `key = value` lines; traces are
 comma-delimited with reals as 17-significant-digit decimals.  Exit codes:
 0 converged / all checks pass, 1 iteration budget exhausted, 2 invalid
 configuration or flags, or an output path that cannot be written (checked
-before any work), 3 verification failure, 4 a NaN or infinite quantity the
-criterion tests or phi(y_k) of a trace row, the final row always included;
-without a criterion, also a non-finite entry of y_k.
+before the reference solve and the run), 3 verification failure, 4 a NaN or
+infinite phi(y_k) in any row the run builds (row 0, each traced row and the
+final row), whatever the criterion, or a NaN or infinite quantity the
+criterion tests; without a criterion, also a non-finite entry of y_k.
 """
 
 from __future__ import annotations
@@ -167,10 +168,12 @@ def _emit(pairs) -> None:
 
 def cmd_solve(args) -> int:
     criterion = build_criterion(args)
-    if args.trace is not None:  # fail before any work, keeping an old trace
-        open(args.trace, "a").close()
     problem, config, x0 = build_problem(args, max_iter=args.max_iter,
                                         trace_every=args.trace_every)
+    # after every flag check, so a rejected solve creates no file, and
+    # before the reference solve and the run; "a" keeps an old trace
+    if args.trace is not None:
+        open(args.trace, "a").close()
     # without a trace file only the final row is read; the criterion joins
     # after the gate, as init rejects function_gap without a reference
     trace_every = (args.trace_every if args.trace is not None

@@ -384,18 +384,18 @@ def stop_reason(criterion: Optional["_bounds.Criterion"],
     """Stop reason the criterion gives this record, or None.
 
     "numeric_failure" when the phi_y of the row built for the record, if
-    any, the quantity the criterion tests or, without a criterion, an entry
-    of y is NaN or infinite; else "converged" when the criterion holds and
-    None when it does not.  The k = 0 record is tested only by
-    function_gap: every other criterion, and no criterion, gives None there.
+    any, is NaN or infinite, at every k and whatever the criterion; else
+    when, without a criterion, an entry of y is, or the quantity the
+    criterion tests is.  "converged" when the criterion holds and None when
+    it does not.  The certificates u and (v, eta) start at k = 1, so at
+    k = 0 every criterion but function_gap gives None once the row passes.
     """
-    if certs.state.k == 0 and (criterion is None
-                               or criterion.variant != "function_gap"):
-        return None
     if row is not None and not math.isfinite(row.phi_y):
         return "numeric_failure"
     if criterion is None:
         return None if np.isfinite(certs.state.y).all() else "numeric_failure"
+    if certs.state.k == 0 and criterion.variant != "function_gap":
+        return None
     try:
         return "converged" if _bounds.check(criterion, certs) else None
     except NumericFailure:
@@ -411,12 +411,14 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     Every trace_every-th state appends its TraceRecord to the result's
     Trace, and so does the final one; rows after the first carry both
     certificates.  The row of the current state stays in a local, so the
-    run never reads a row back from the Trace.  `stop_reason`
-    tests the criterion from k = 1 on, and at k = 0 too for function_gap.  A
-    NaN or infinite quantity it tests stops the run with "numeric_failure",
-    and so does, whatever the criterion, the first row whose phi_y is not
-    finite: the final row is always built and tested.  A run without a
-    criterion also stops so at the first y with a non-finite entry.
+    run never reads a row back from the Trace.  One rule holds for every
+    row the run builds, row 0 and the final row included: a phi_y that is
+    NaN or infinite stops the run with "numeric_failure", whatever the
+    criterion and the spacing, so a non-finite phi(x0) ends it at k = 0.
+    `stop_reason` tests the criterion from k = 1 on, and at k = 0 too for
+    function_gap; a NaN or infinite quantity it tests stops the run the same
+    way.  A run without a criterion also stops so at the first y with a
+    non-finite entry.
     """
     started_ns = time.perf_counter_ns()
     criterion = config.criterion

@@ -473,15 +473,20 @@ def make_instance(kind: str, seed: int, m: int, n: int,
 
     All randomness is drawn from a PCG64 stream seeded with `seed`, so
     repeated calls produce identical data.  `params` overrides the kind's
-    defaults in INSTANCE_PARAMS; a negative seed, an unknown parameter, a
-    switch that is not True or False, or a real that is a bool, no number,
-    NaN or infinite, is a ValueError raised before any data is drawn.  The
-    returned problem carries its generation recipe in `spec`, every default
-    included, and, unless `with_reference=False`, its optimal value in
-    `reference_optimum` (`attach_reference` adds it later).
+    defaults in INSTANCE_PARAMS; a seed, m or n that is not an int (a bool
+    included), a negative seed, an unknown parameter, a switch that is not
+    True or False, or a real that is a bool, no number, NaN or infinite, is
+    a ValueError raised before any data is drawn.  The returned problem
+    carries its generation recipe in `spec`, every default included, and,
+    unless `with_reference=False`, its optimal value in `reference_optimum`
+    (`attach_reference` adds it later).
     """
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}; expected one of {INSTANCE_KINDS}")
+    for key, value in (("seed", seed), ("m", m), ("n", n)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"instance parameter {key} = {value!r} "
+                             "is not an int")
     if m <= 0 or n <= 0:
         raise ValueError("instance shape must be positive")
     if seed < 0:
@@ -626,8 +631,9 @@ def _parse(key: str, text: str, default):
 def load_instance(path) -> CompositeProblem:
     """Regenerate an instance from a spec file, checking the recorded constants.
 
-    seed, m and n are ints, switches true or false, the rest floats; any
-    other value, and a key given twice, is a ValueError that names its key.
+    seed, m and n are ints, switches true or false, rng (if given) pcg64,
+    the rest floats; any other value, and a key given twice, is a
+    ValueError that names its key.
     """
     entries: dict = {}
     for raw in Path(path).read_text().splitlines():
@@ -644,7 +650,9 @@ def load_instance(path) -> CompositeProblem:
     for required in ("kind", "seed", "m", "n"):
         if required not in entries:
             raise ValueError(f"instance file misses required key {required!r}")
-    entries.pop("rng", None)
+    rng = entries.pop("rng", RNG_NAME)
+    if rng != RNG_NAME:
+        raise ValueError(f"instance value rng = {rng!r} is not {RNG_NAME!r}")
     kind = entries.pop("kind")
     # unknown keys stay text, for make_instance to reject by name
     schema = {"seed": 0, "m": 0, "n": 0, **INSTANCE_PARAMS.get(kind, {}),

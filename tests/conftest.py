@@ -98,6 +98,24 @@ def nan_value_net():
 
 
 @pytest.fixture(scope="session")
+def nan_at_origin_net(elastic_net_20x30):
+    """elastic_net_20x30 with an f.value that is NaN at the origin only."""
+    value = elastic_net_20x30.f.value
+    f = dataclasses.replace(elastic_net_20x30.f,
+                            value=lambda x: value(x) if x.any() else math.nan)
+    return dataclasses.replace(elastic_net_20x30, f=f)
+
+
+@pytest.fixture(scope="session")
+def nan_off_origin_net(elastic_net_20x30):
+    """elastic_net_20x30 with an f.value that is NaN but at the origin."""
+    value = elastic_net_20x30.f.value
+    f = dataclasses.replace(elastic_net_20x30.f,
+                            value=lambda x: math.nan if x.any() else value(x))
+    return dataclasses.replace(elastic_net_20x30, f=f)
+
+
+@pytest.fixture(scope="session")
 def quad1d():
     """f(x) = x^2 / 2, h = 0, minimizer 0; curvature bound exactly 1."""
     f = problems.quadratic(np.array([[1.0]]), np.zeros(1), mu=1.0, curvature=1.0)

@@ -103,8 +103,9 @@ def test_solve_nan_gradient_without_criterion_exits_four(cli_serves, capsys,
 
 
 def test_solve_nan_objective_without_criterion_exits_four(
-        cli_serves, capsys, tmp_path, nan_value_net):
-    cli_serves(nan_value_net)
+        cli_serves, capsys, tmp_path, nan_off_origin_net):
+    # phi(x0) is finite at the start x0 = 0, so row 0 passes
+    cli_serves(nan_off_origin_net)
     trace_path = tmp_path / "nan.csv"
     code = cli.main(["solve", "--problem", "elastic_net", "--seed", "1",
                      "--m", "20", "--n", "30", "--max-iter", "500",
@@ -122,6 +123,20 @@ def test_solve_nan_objective_without_criterion_exits_four(
     assert code == 4
     assert "stop_reason = numeric_failure" in out
     assert "iterations = 500" in out
+
+
+def test_solve_nan_objective_at_the_start_exits_four(cli_serves, capsys,
+                                                     nan_at_origin_net):
+    # row 0 holds phi(x0) = NaN; at --max-iter 0 it is also the final row
+    cli_serves(nan_at_origin_net)
+    code = cli.main(["solve", "--problem", "elastic_net", "--seed", "1",
+                     "--m", "20", "--n", "30", "--max-iter", "0",
+                     "--criterion", "stationarity", "--rho", "1e-6"])
+    out, _ = _lines(capsys)
+    assert code == 4
+    assert "stop_reason = numeric_failure" in out
+    assert "iterations = 0" in out
+    assert "phi = nan" in out
 
 
 def test_unknown_flag_exits_two():
@@ -161,7 +176,11 @@ def test_solve_criterion_flag_validation(monkeypatch, capsys, argv,
 
 def test_solve_unwritable_trace_exits_two_before_any_step(monkeypatch,
                                                           capsys, tmp_path):
-    # the trace path is opened before the run (a step would raise TypeError)
+    # the trace path is opened before the reference solve and the run (a
+    # step would raise TypeError)
+    calls = []
+    monkeypatch.setattr(problems, "reference_solve",
+                        lambda *args, **kwargs: calls.append(args))
     monkeypatch.setattr(engine, "step", None)
     path = tmp_path / "missing" / "run.csv"
     code = cli.main(["solve", "--problem", "lasso", *SMALL, "--criterion",
@@ -170,11 +189,11 @@ def test_solve_unwritable_trace_exits_two_before_any_step(monkeypatch,
     assert code == 2
     assert out == []
     assert err == [f"error: [Errno 2] No such file or directory: '{path}'"]
+    assert calls == []
 
 
 def test_solve_config_error_keeps_an_old_trace(capsys, tmp_path):
-    # the early open only appends, so a run that never starts leaves the
-    # file as it was
+    # a run that never starts leaves the file as it was
     path = tmp_path / "run.csv"
     path.write_text("old trace\n")
     code = cli.main(["solve", "--problem", "lasso", *SMALL, "--lf", "1",
@@ -183,6 +202,17 @@ def test_solve_config_error_keeps_an_old_trace(capsys, tmp_path):
     assert code == 2
     assert err[0].startswith("error: lf = 1 must strictly exceed")
     assert path.read_text() == "old trace\n"
+
+
+def test_solve_config_error_creates_no_trace(capsys, tmp_path):
+    # the path is opened only once every flag has passed
+    path = tmp_path / "new.csv"
+    code = cli.main(["solve", "--problem", "lasso", *SMALL, "--lf", "1",
+                     "--trace", str(path)])
+    _, err = _lines(capsys)
+    assert code == 2
+    assert err[0].startswith("error: lf = 1 must strictly exceed")
+    assert not path.exists()
 
 
 TINY = ["--m", "20", "--n", "30"]

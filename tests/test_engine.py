@@ -283,6 +283,23 @@ def test_stop_reason_at_start_only_for_function_gap(quad1d):
                               None) == "converged"
 
 
+def test_stop_reason_tests_the_objective_of_row_zero(quad1d):
+    # the k = 0 exemption covers the certificates, not the row's phi_y
+    certs = certificates.Certificates(
+        engine.init(quad1d, _quad_config(), np.array([1.0])), quad1d)
+    row = engine.trace_record(certs, time.perf_counter_ns())
+    criteria = [None, bounds.Criterion.function_gap(10.0),
+                bounds.Criterion.stationarity(10.0),
+                bounds.Criterion.relative(10.0),
+                bounds.Criterion.alternate_relative(10.0),
+                bounds.Criterion.absolute(10.0, 10.0)]
+    for value in NON_FINITE:
+        bad = dataclasses.replace(row, phi_y=value)
+        assert [engine.stop_reason(c, certs, bad) for c in criteria] == [
+            "numeric_failure"] * 6
+    assert engine.stop_reason(None, certs, row) is None
+
+
 def test_iterate_yields_init_then_each_step(elastic_mu1):
     config = engine.SolverConfig.for_problem(elastic_mu1)
     x0 = np.zeros(elastic_mu1.dimension)
@@ -345,17 +362,26 @@ def test_run_without_criterion_stops_on_nan_iterate(nan_gradient_net):
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
-def _with_value(problem, value):
-    """problem with an f.value that returns value everywhere."""
+def _with_value(problem, value, spared=None):
+    """problem with an f.value that returns value everywhere but at spared.
+
+    At the point spared, if any, f.value keeps its own value, so phi(x0)
+    stays finite in a run that starts there.
+    """
+    own = problem.f.value
+    faulty = (lambda x: value) if spared is None else (
+        lambda x: own(x) if np.array_equal(x, spared) else value)
     return dataclasses.replace(
-        problem, f=dataclasses.replace(problem.f, value=lambda x: value))
+        problem, f=dataclasses.replace(problem.f, value=faulty))
 
 
-def test_run_without_criterion_stops_on_nan_traced_objective(nan_value_net):
+def test_run_without_criterion_stops_on_nan_traced_objective(
+        elastic_net_20x30):
     # every traced row holds phi(y), so a NaN or infinite one stops the run
     # at no extra oracle call; y itself stays finite
     for value in NON_FINITE:
-        problem = _with_value(nan_value_net, value)
+        problem = _with_value(elastic_net_20x30, value,
+                              spared=np.zeros(elastic_net_20x30.dimension))
         config = engine.SolverConfig.for_problem(problem, max_iter=500)
         result = engine.run(problem, config, np.zeros(problem.dimension))
         assert result.reason == "numeric_failure", value
@@ -366,12 +392,14 @@ def test_run_without_criterion_stops_on_nan_traced_objective(nan_value_net):
 
 
 @pytest.mark.parametrize("trace_every", [50, 1000])
-def test_run_without_criterion_tests_final_objective(nan_value_net,
+def test_run_without_criterion_tests_final_objective(elastic_net_20x30,
                                                      trace_every):
     # the final row is tested too, so the stop reason does not depend on
-    # whether trace_every divides max_iter
+    # whether trace_every divides max_iter; phi(x0) is finite, so row 0
+    # passes
     for value in NON_FINITE:
-        problem = _with_value(nan_value_net, value)
+        problem = _with_value(elastic_net_20x30, value,
+                              spared=np.zeros(elastic_net_20x30.dimension))
         config = engine.SolverConfig.for_problem(problem, max_iter=50,
                                                  trace_every=trace_every)
         result = engine.run(problem, config, np.zeros(problem.dimension))
@@ -395,10 +423,26 @@ def test_function_gap_run_stops_on_infinite_objective(value):
     assert result.trace[-1].gap == value
 
 
+@pytest.mark.parametrize("trace_every", [1, 1000])
+@pytest.mark.parametrize("max_iter", [0, 500])
+def test_run_tests_the_objective_of_row_zero(nan_at_origin_net, max_iter,
+                                             trace_every):
+    # row 0, which every run builds, holds phi(x0) = NaN and stops the run
+    # under a criterion that tests only from k = 1 on
+    problem = nan_at_origin_net
+    config = engine.SolverConfig.for_problem(
+        problem, max_iter=max_iter, trace_every=trace_every,
+        criterion=bounds.Criterion.stationarity(1e-6))
+    result = engine.run(problem, config, np.zeros(problem.dimension))
+    assert (result.reason, result.state.k) == ("numeric_failure", 0)
+    assert [r.k for r in result.trace] == [0]
+    assert math.isnan(result.trace[-1].phi_y)
+
+
 def test_run_without_criterion_tests_final_objective_at_overflow(quad1d):
     # the same rule when the coefficient growth, not max_iter, ends the run
     for value in NON_FINITE:
-        problem = _with_value(quad1d, value)
+        problem = _with_value(quad1d, value, spared=np.array([1.0]))
         config = engine.SolverConfig(lf=1.0 + 1e-7, mu_f=1.0, max_iter=1000,
                                      trace_every=1000)
         result = engine.run(problem, config, np.array([1.0]))

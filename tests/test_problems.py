@@ -696,6 +696,12 @@ def test_non_finite_parameter_fails_before_any_draw(monkeypatch, kind, key,
     # saved as normalize = 1 and reg = true, which load_instance rejects
     ("lasso", "normalize", 1.0, "True or False"),
     ("elastic_net", "reg", True, "a real number"),
+    # saved as seed = True, which load_instance rejects
+    ("lasso", "seed", True, "an int"),
+    ("box_qp", "seed", 3.0, "an int"),
+    # numpy raised its own TypeError at the draw
+    ("lasso", "m", 2.5, "an int"),
+    ("logistic_l2", "n", "30", "an int"),
 ])
 def test_wrong_kind_parameter_fails_before_any_draw(monkeypatch, kind, key,
                                                     value, expected):
@@ -705,7 +711,7 @@ def test_wrong_kind_parameter_fails_before_any_draw(monkeypatch, kind, key,
     monkeypatch.setattr(problems, "_rng", no_draws)
     with pytest.raises(ValueError, match=(
             f"^instance parameter {key} = {value!r} is not {expected}$")):
-        make_instance(kind, 3, 20, 30, **{key: value})
+        make_instance(kind, **{"seed": 3, "m": 20, "n": 30, key: value})
 
 
 def test_instance_file_rejects_non_finite_parameter(tmp_path):
@@ -715,6 +721,19 @@ def test_instance_file_rejects_non_finite_parameter(tmp_path):
     with pytest.raises(ValueError,
                        match="^instance parameter ridge = nan is not finite$"):
         problems.load_instance(path)
+
+
+def test_instance_file_rejects_another_generator(tmp_path):
+    # the data is drawn from PCG64 alone; another generator's file was
+    # regenerated with PCG64 as if it named none
+    path = tmp_path / "inst.txt"
+    path.write_text("kind = lasso\nseed = 9\nm = 12\nn = 18\n"
+                    "rng = mt19937\n")
+    with pytest.raises(ValueError, match=(
+            "^instance value rng = 'mt19937' is not 'pcg64'$")):
+        problems.load_instance(path)
+    path.write_text("kind = lasso\nseed = 9\nm = 12\nn = 18\nrng = pcg64\n")
+    assert problems.load_instance(path).spec.seed == 9
 
 
 def test_instance_file_skips_comments_and_rejects_bare_lines(tmp_path):
