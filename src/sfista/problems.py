@@ -7,7 +7,11 @@ function whose value may be +inf outside its effective domain.  The module
 also ships a small catalog of closed-form proximal maps, seeded benchmark
 instance generators, and a reference solver used as the ground-truth oracle
 for optimal values: accelerated proximal gradient with gradient-mapping
-restart, stopped on the proximal-gradient fixed-point residual.
+restart, stopped on the proximal-gradient fixed-point residual.  On a lasso
+or elastic net instance each restart also tries a least-squares polish on
+the detected support, under a cost guard; its candidate is kept only if it
+passes the same residual test, so the returned point is certified the same
+way whichever path found it.
 """
 
 from __future__ import annotations
@@ -421,11 +425,29 @@ def reference_solve(problem: CompositeProblem, x0: Optional[Array] = None):
     ||z - T(z)|| falls below REFERENCE_TOL.  Otherwise z moves on by the FISTA
     momentum step, unless the gradient-mapping test <z - x, x - x_prev> > 0
     fires, which resets the momentum and restarts from z = x (O'Donoghue and
-    Candes, 2015).  T is nonexpansive, so the returned x = T(z) satisfies
-    ||x - T(x)|| <= REFERENCE_TOL up to rounding, whichever path led to z.
-    REFERENCE_MAX_ITER caps the number of prox-gradient steps, and a
-    residual that is not finite raises NumericFailure at once.  x0 defaults
-    to the origin.  Returns (phi_star, x_star).
+    Candes, 2015).
+
+    At each restart a lasso or elastic net instance (one whose `spec` has a
+    polish in _POLISHES) also tries a polish: the least-squares solve on the
+    support S of x with the signs of x held, which on the final support is
+    the exact minimizer, where the momentum steps would close the rest of
+    the distance only linearly.  It is tried only while |S|^2 <= k n, with k
+    the proximal-gradient steps taken so far, so its m |S|^2 cost stays
+    below the k m n already spent.  Its candidate z costs one more step,
+    T(z), and is kept only if it passes the same test ||z - T(z)|| <=
+    REFERENCE_TOL; a candidate that fails it, or that is not finite, is
+    dropped without a warning and the momentum steps go on as if it had
+    never been tried.  The test uses this problem's own f and h, so a
+    `spec` whose data no longer match f (an f rebuilt on other data) can
+    cost steps but cannot pass a wrong point.  Either way the returned x =
+    T(z) for a z that passed
+    the test, and T is nonexpansive, so ||x - T(x)|| <= REFERENCE_TOL up to
+    rounding, whichever path led to z.
+
+    REFERENCE_MAX_ITER caps the number of prox-gradient steps, the polish
+    steps included, and a residual along the momentum path that is not
+    finite raises NumericFailure at once.  x0 defaults to the origin.
+    Returns (phi_star, x_star).
 
     This routine is deliberately independent of the accelerated solver: it is
     the oracle the rest of the toolkit is checked against.
@@ -438,29 +460,87 @@ def reference_solve(problem: CompositeProblem, x0: Optional[Array] = None):
     start = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if start.shape != (n,):
         raise ValueError(f"x0 has shape {start.shape}, expected ({n},)")
+    spec = problem.spec
+    polish = None if spec is None else _POLISHES.get(spec.kind)
+
+    def step(z):
+        return problem.h.prox(z - t * problem.f.grad(z), t)
+
     x_prev = z = start
     theta = 1.0
-    for _ in range(REFERENCE_MAX_ITER):
-        x = problem.h.prox(z - t * problem.f.grad(z), t)
-        residual = vector_norm(z - x)
+    steps = 0
+    while steps < REFERENCE_MAX_ITER:
+        x = step(z)
+        steps += 1
+        move = z - x
+        residual = vector_norm(move)
         if residual <= REFERENCE_TOL:
-            break
+            return eval_phi(problem, x), x
         if not math.isfinite(residual):
             raise NumericFailure(
                 f"proximal-gradient residual {residual:g} is not finite")
-        if float((z - x) @ (x - x_prev)) > 0.0:
+        stride = x - x_prev
+        if float(move @ stride) > 0.0:
             theta, z = 1.0, x
+            if (polish is not None and steps < REFERENCE_MAX_ITER
+                    and np.count_nonzero(x) ** 2 <= steps * n):
+                # a polish that fails may overflow on its way to a candidate
+                # the test drops, so it warns of nothing
+                with np.errstate(all="ignore"):
+                    candidate = polish(spec, x)
+                    if candidate is not None:
+                        polished = step(candidate)
+                        steps += 1
+                        if vector_norm(candidate - polished) <= REFERENCE_TOL:
+                            return eval_phi(problem, polished), polished
         else:
             theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-            z = x + ((theta - 1.0) / theta_next) * (x - x_prev)
+            z = x + ((theta - 1.0) / theta_next) * stride
             theta = theta_next
         x_prev = x
-    else:
-        raise NumericFailure(
-            f"proximal gradient did not reach residual {REFERENCE_TOL:g} "
-            f"within {REFERENCE_MAX_ITER} iterations"
-        )
-    return eval_phi(problem, x), x
+    raise NumericFailure(
+        f"proximal gradient did not reach residual {REFERENCE_TOL:g} "
+        f"within {REFERENCE_MAX_ITER} iterations"
+    )
+
+
+def _polish_least_squares(spec: InstanceSpec, x: Array) -> Optional[Array]:
+    """The minimizer of a lasso or elastic net on x's support, signs held.
+
+    With S the support of x and A, b from `spec.data`, it solves
+    (A_S^T A_S + ridge I) x_S = A_S^T b - reg sign(x_S), the stationarity
+    condition of phi on the sign pattern of x, and returns x_S padded with
+    zeros off S.  A lasso with |S| > m, whose system is singular by rank,
+    gives None before any work, and so does a system the solver finds
+    singular or a non-finite x_S.  Nothing here is trusted:
+    `reference_solve` keeps the result only if it passes the fixed-point
+    test.
+    """
+    A, b = spec.data["A"], spec.data["b"]
+    ridge = spec.params.get("ridge", 0.0)
+    support = np.flatnonzero(x)
+    if not ridge and support.size > A.shape[0]:
+        return None
+    A_S = A[:, support]
+    gram = A_S.T @ A_S
+    gram[np.diag_indices_from(gram)] += ridge
+    rhs = A_S.T @ b - spec.params["reg"] * np.sign(x[support])
+    try:
+        x_S = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(x_S).all():
+        return None
+    candidate = np.zeros_like(x)
+    candidate[support] = x_S
+    return candidate
+
+
+# kind -> polish(spec, x), which returns a candidate minimizer or None
+_POLISHES = {
+    "lasso": _polish_least_squares,
+    "elastic_net": _polish_least_squares,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -570,6 +570,151 @@ def test_reference_solve_is_accelerated():
     assert len(calls) < 3000
 
 
+def _counted_solve(problem):
+    """reference_solve(problem) and the number of gradients it took."""
+    calls = []
+    grad = problem.f.grad
+
+    def counting_grad(x):
+        calls.append(None)
+        return grad(x)
+
+    f = dataclasses.replace(problem.f, grad=counting_grad)
+    return reference_solve(dataclasses.replace(problem, f=f)), len(calls)
+
+
+def _plain(problem):
+    """The problem without its recipe, which reference_solve cannot polish."""
+    return dataclasses.replace(problem, spec=None)
+
+
+def _spy_polish(monkeypatch, kind, change=None):
+    """Record every candidate the polish of `kind` returns, after `change`."""
+    polish = problems._POLISHES[kind]
+    tried = []
+
+    def spy(spec, x):
+        candidate = polish(spec, x)
+        if candidate is not None and change is not None:
+            candidate = change(candidate)
+        tried.append(candidate)
+        return candidate
+
+    monkeypatch.setitem(problems._POLISHES, kind, spy)
+    return tried
+
+
+def test_reference_polish_cuts_readme_lasso_gradients():
+    # 1798 gradients without the polish, 607 with it
+    problem = make_instance("lasso", 42, 100, 200, reg=0.1,
+                            with_reference=False)
+    _, calls = _counted_solve(problem)
+    assert calls <= 700
+
+
+@pytest.mark.parametrize("name", ["lasso42", "elastic_mu1"])
+def test_polished_reference_agrees_with_plain_solve(name, request):
+    problem = request.getfixturevalue(name)
+    ref = problem.reference_optimum
+    phi_star, x_star = reference_solve(_plain(problem))
+    assert abs(ref.phi_star - phi_star) <= 1e-10
+    assert np.abs(ref.x_star - x_star).max() <= 1e-10
+
+
+@pytest.mark.parametrize("args, params", [
+    # 484 active columns at step 194: no restart meets |S|^2 <= k n
+    (("elastic_net", 42, 1000, 500), {"reg": 0.1, "ridge": 0.1}),
+    (("box_qp", 3, 30, 40), {"ridge": 0.01}),
+    (("logistic_l2", 4, 60, 40), {"ridge": 0.01}),
+], ids=["tall_net", "box_qp", "logistic_l2"])
+def test_unpolished_reference_keeps_every_bit(args, params):
+    problem = make_instance(*args, with_reference=False, **params)
+    (phi_star, x_star), calls = _counted_solve(problem)
+    (plain_phi, plain_x), plain_calls = _counted_solve(_plain(problem))
+    assert phi_star == plain_phi and np.array_equal(x_star, plain_x)
+    assert calls == plain_calls
+
+
+def _assert_polish_dropped(problem, tried):
+    """Every tried polish failed, and the solve is the plain one bit for bit.
+
+    A candidate costs one step; a polish without one costs none.
+    """
+    (phi_star, x_star), calls = _counted_solve(problem)
+    (plain_phi, plain_x), plain_calls = _counted_solve(_plain(problem))
+    assert tried
+    assert phi_star == plain_phi and np.array_equal(x_star, plain_x)
+    assert calls == plain_calls + sum(c is not None for c in tried)
+
+
+def test_polish_of_singular_lasso_is_dropped(monkeypatch):
+    # m = 6 rows: a support of more than 6 columns makes A_S^T A_S singular
+    problem = make_instance("lasso", 0, 6, 30, reg=0.0, with_reference=False)
+    tried = _spy_polish(monkeypatch, "lasso")
+    _assert_polish_dropped(problem, tried)
+    assert all(c is None for c in tried)
+
+
+def test_polish_of_repeated_column_is_none():
+    # |S| <= m, but two equal columns make the system singular all the same
+    A = _rng(0).standard_normal((10, 4))
+    A[:, 1] = A[:, 0]
+    spec = problems.InstanceSpec(kind="lasso", seed=0, m=10, n=4,
+                                 params={"reg": 0.1},
+                                 data={"A": A, "b": _rng(1).standard_normal(10)})
+    x = np.array([1.0, 1.0, 0.0, 0.0])
+    assert problems._polish_least_squares(spec, x) is None
+
+
+def test_polish_with_non_finite_solution_is_dropped(monkeypatch):
+    # A_S^T b overflows, so no x_S is finite
+    problem = make_instance("elastic_net", 1, 20, 30, with_reference=False)
+    data = {"A": problem.spec.data["A"], "b": np.full(20, 1e308)}
+    stale = dataclasses.replace(
+        problem, spec=dataclasses.replace(problem.spec, data=data))
+    tried = _spy_polish(monkeypatch, "elastic_net")
+    _assert_polish_dropped(stale, tried)
+    assert all(c is None for c in tried)
+
+
+def test_polish_with_non_finite_residual_is_dropped(monkeypatch):
+    # a finite candidate whose residual ||z - T(z)||^2 overflows
+    problem = make_instance("elastic_net", 1, 20, 30, with_reference=False)
+    tried = _spy_polish(monkeypatch, "elastic_net",
+                        change=lambda candidate: 1e300 * candidate)
+    _assert_polish_dropped(problem, tried)
+    t = 1.0 / problem.f.curvature
+    with np.errstate(all="ignore"):
+        for z in tried:
+            assert np.isfinite(z).all()
+            mapped = problem.h.prox(z - t * problem.f.grad(z), t)
+            assert not math.isfinite(problems.vector_norm(z - mapped))
+
+
+def test_polish_from_stale_recipe_is_dropped(monkeypatch):
+    # f rebuilt on another instance's data, the recipe left as it was
+    problem = make_instance("lasso", 3, 30, 50, with_reference=False)
+    other = make_instance("lasso", 4, 30, 50, with_reference=False)
+    stale = dataclasses.replace(other, spec=problem.spec)
+    tried = _spy_polish(monkeypatch, "lasso")
+    _assert_polish_dropped(stale, tried)
+    assert any(c is not None for c in tried)
+
+
+def test_reference_cap_counts_polish_steps(monkeypatch):
+    problem = make_instance("elastic_net", 7, 30, 50, reg=0.05, ridge=1.0,
+                            with_reference=False)
+    _, calls = _counted_solve(problem)
+    monkeypatch.setattr(problems, "REFERENCE_MAX_ITER", calls - 1)
+    counted = []
+    grad = problem.f.grad
+    f = dataclasses.replace(problem.f,
+                            grad=lambda x: counted.append(None) or grad(x))
+    with pytest.raises(NumericFailure, match=f"within {calls - 1} "):
+        reference_solve(dataclasses.replace(problem, f=f))
+    assert len(counted) == calls - 1
+
+
 # ---------------------------------------------------------------------------
 # instance spec files
 # ---------------------------------------------------------------------------
