@@ -234,8 +234,13 @@ def cmd_predict(args) -> int:
         problem, config, x0 = build_problem(args)
         lf_bar = problem.f.curvature
         lf, mu_f, mu_h = config.lf, config.mu_f, config.mu_h
-        d0 = (attach_reference(problem).reference_optimum.distance(x0)
-              if needs_d0 else None)
+        d0 = None
+        if needs_d0:
+            # what the predictor rejects at d0 = 0 it rejects at every d0,
+            # so that test goes before the reference solve that measures d0
+            _bounds.predicted_iterations(criterion, lf, lf_bar, mu_f,
+                                         mu_f + mu_h, d0=0.0)
+            d0 = attach_reference(problem).reference_optimum.distance(x0)
     mu = mu_f + mu_h
     report = _bounds.predicted_iterations(criterion, lf, lf_bar, mu_f, mu, d0=d0)
     _emit(criterion_meta(criterion))

@@ -82,13 +82,16 @@ class IterateState:
 
     x_tilde_prev is the extrapolated point the latest proximal step was taken
     from and grad_tilde_prev the gradient of f there (both None before the
-    first step); a_prev is the coefficient that advanced the state to k.
-    config is the SolverConfig the run was started with.
+    first step); a_prev is the coefficient that advanced the state to k, and
+    a_next the one the step from k takes, inf once that step's coefficient
+    sum would pass OVERFLOW_LIMIT.  config is the SolverConfig the run was
+    started with.
     """
 
     k: int
     config: SolverConfig
     a_prev: Optional[float]
+    a_next: float
     A: float
     tau: float
     x: Array
@@ -269,6 +272,7 @@ def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateS
         k=0,
         config=config,
         a_prev=None,
+        a_next=_next_coefficient(config.lam, 1.0, 0.0),
         A=0.0,
         tau=1.0,
         x=x0,
@@ -279,36 +283,38 @@ def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateS
     )
 
 
-def _next_coefficients(lam: float, tau: float, A: float, mu: float):
-    """Advance the scalar recursion by one step.
+def _next_coefficient(lam: float, tau: float, A: float) -> float:
+    """The coefficient a of the step from a state with tau and A, or inf.
 
     a solves a^2 / (lam * tau) - a - A = 0; the root formula is factored so
-    nothing overflows before A itself approaches the halting limit.
+    nothing overflows before A itself approaches the halting limit.  inf
+    marks a step whose coefficient sum A + a would pass OVERFLOW_LIMIT.
     """
     lt = lam * tau
     a = 0.5 * lt * (1.0 + math.sqrt(1.0 + 4.0 * A / lt))
-    A_next = A + a
-    if A_next > OVERFLOW_LIMIT:
-        raise GrowthOverflowError(
-            f"coefficient sum exceeded {OVERFLOW_LIMIT:g} (geometric growth)"
-        )
-    tau_next = 1.0 + mu * A_next
-    return a, A_next, tau_next
+    return math.inf if A + a > OVERFLOW_LIMIT else a
 
 
 def step(state: IterateState, problem: CompositeProblem) -> IterateState:
     """One accelerated step; returns the new state.
 
-    The step's coefficient, extrapolated point and gradient there are the new
-    state's a_prev, x_tilde_prev and grad_tilde_prev.  The vector updates
-    run in place on fresh arrays but keep the floating-point operations of
-    x_tilde = (A y + a x) / A_next and
+    Its coefficient a is state.a_next; an inf one raises GrowthOverflowError
+    before any oracle call.  a, the extrapolated point and the gradient there
+    are the new state's a_prev, x_tilde_prev and grad_tilde_prev.  The vector
+    updates run in place on fresh arrays but keep the floating-point
+    operations of x_tilde = (A y + a x) / A_next and
     x_next = ((a / lam)(y_next - x_tilde) + mu a y_next + tau x) / tau_next,
     operands and order included, so the iterates are the same bit for bit.
     """
     config = state.config
     lf, lam, mu = config.lf, config.lam, config.mu
-    a, A_next, tau_next = _next_coefficients(lam, state.tau, state.A, mu)
+    a = state.a_next
+    if a == math.inf:
+        raise GrowthOverflowError(
+            f"coefficient sum would exceed {OVERFLOW_LIMIT:g} (geometric growth)"
+        )
+    A_next = state.A + a
+    tau_next = 1.0 + mu * A_next
     if state.A == 0.0:
         x_tilde = state.x.copy()
     else:
@@ -326,6 +332,7 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
         k=state.k + 1,
         config=config,
         a_prev=a,
+        a_next=_next_coefficient(lam, tau_next, A_next),
         A=A_next,
         tau=tau_next,
         x=x_next,
@@ -339,23 +346,18 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
 def trace_record(certs: _cert.Certificates, started_ns: int) -> TraceRecord:
     """The trace row of one state, elapsed_ns counted from started_ns.
 
-    Rows after k = 0 carry both certificates; gap is `certs.gap`, None
-    without a reference optimum.
+    Its a is state.a_next, the coefficient the NEXT step takes (inf at a
+    growth halt), so a single row checks tau * (A + a) / a^2 = 1 / lam on
+    its own.  Rows after k = 0 carry both certificates; gap is `certs.gap`,
+    None without a reference optimum.
     """
     state = certs.state
-    config = state.config
-    # the recorded a is the coefficient the NEXT step would use, so a single
-    # row checks tau * (A + a) / a^2 = 1 / lam on its own
-    try:
-        a, _, _ = _next_coefficients(config.lam, state.tau, state.A, config.mu)
-    except GrowthOverflowError:
-        a = math.inf
     gap = certs.gap
     norm_u = norm_v = eta = None
     if state.k >= 1:
         norm_u = certs.stationarity.norm
         norm_v, eta = certs.pair.norm, certs.pair.eta
-    return TraceRecord(k=state.k, a=a, A=state.A, tau=state.tau,
+    return TraceRecord(k=state.k, a=state.a_next, A=state.A, tau=state.tau,
                        phi_y=certs.phi_y, gap=gap, norm_u=norm_u, norm_v=norm_v,
                        eta_residual=eta,
                        elapsed_ns=time.perf_counter_ns() - started_ns)
@@ -365,16 +367,14 @@ def iterate(problem: CompositeProblem, config: SolverConfig,
             x0: Array) -> Iterator[IterateState]:
     """Yield init's state, then each step's, until the growth halts.
 
-    init runs when the first state is taken, and the end is quiet where step
-    would raise GrowthOverflowError.  Each later state costs one step call.
+    init runs when the first state is taken.  The last state is the first
+    whose a_next is inf, from which step would raise GrowthOverflowError;
+    no such step is attempted.  Each later state costs one step call.
     """
     state = init(problem, config, x0)
     yield state
-    while True:
-        try:
-            state = step(state, problem)
-        except GrowthOverflowError:
-            return
+    while state.a_next < math.inf:
+        state = step(state, problem)
         yield state
 
 
@@ -467,16 +467,13 @@ def coefficient_schedule(lf: float, mu_f: float, mu_h: float,
     a_list: list[float] = []
     A_list = [0.0]
     tau_list = [1.0]
-    overflowed = False
     for _ in range(k_max):
-        try:
-            a, A_next, tau_next = _next_coefficients(lam, tau_list[-1],
-                                                     A_list[-1], mu)
-        except GrowthOverflowError:
-            overflowed = True
+        a = _next_coefficient(lam, tau_list[-1], A_list[-1])
+        if a == math.inf:
             break
         a_list.append(a)
-        A_list.append(A_next)
-        tau_list.append(tau_next)
+        A_list.append(A_list[-1] + a)
+        tau_list.append(1.0 + mu * A_list[-1])
     return CoefficientSchedule(a=np.array(a_list), A=np.array(A_list),
-                               tau=np.array(tau_list), overflowed=overflowed)
+                               tau=np.array(tau_list),
+                               overflowed=len(a_list) < k_max)

@@ -15,7 +15,7 @@ class NumericFailure(RuntimeError):
 
 
 class GrowthOverflowError(OverflowError):
-    """The coefficient sum exceeded the floating-point safety limit."""
+    """A step would take the coefficient sum past the floating-point safety limit."""
 
 
 class CertificateUndefinedError(ValueError):

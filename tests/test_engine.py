@@ -321,6 +321,28 @@ def test_iterate_ends_at_growth_overflow(quad1d):
         engine.step(states[-1], quad1d)
 
 
+def test_states_carry_the_coefficient_their_next_step_takes(quad1d):
+    # the quad1d halt: 42 steps, then a coefficient sum past the limit; each
+    # state's a_next is the next state's a_prev, bit for bit, and the
+    # schedule run in isolation gives the same a, A and tau
+    lf = 1.0 + 1e-7
+    states = list(engine.iterate(quad1d, engine.SolverConfig(lf=lf, mu_f=1.0),
+                                 np.array([1.0])))
+    assert len(states) == 43
+    bits = lambda values: np.array(values, dtype=float).tobytes()
+    a = bits([s.a_next for s in states[:-1]])
+    assert a == bits([s.a_prev for s in states[1:]])
+    assert states[-1].a_next == math.inf
+    row = engine.trace_record(certificates.Certificates(states[-1], quad1d),
+                              time.perf_counter_ns())
+    assert row.a == math.inf
+    sched = engine.coefficient_schedule(lf, 1.0, 0.0, 10**4)
+    assert sched.overflowed
+    assert bits(sched.a) == a
+    assert bits(sched.A) == bits([s.A for s in states])
+    assert bits(sched.tau) == bits([s.tau for s in states])
+
+
 def test_run_rejects_negative_max_iter(quad1d):
     for max_iter in (-1, -5):
         with pytest.raises(ConfigError):

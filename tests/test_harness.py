@@ -51,6 +51,21 @@ def test_capture_stops_at_overflow(quad1d):
     assert cap.states[-1].A <= engine.OVERFLOW_LIMIT
 
 
+def test_capture_rejects_negative_step_count(monkeypatch, quad1d):
+    steps = []
+    step = engine.step
+
+    def logged_step(state, problem):
+        steps.append(state.k)
+        return step(state, problem)
+
+    monkeypatch.setattr(engine, "step", logged_step)
+    with pytest.raises(ConfigError, match="step count -1 must be nonnegative"):
+        harness.capture_run(quad1d, engine.SolverConfig(lf=2.0),
+                            np.array([1.0]), -1)
+    assert steps == []
+
+
 @pytest.mark.parametrize("fixture_name", ["lasso_small", "elastic_mu1"])
 def test_capture_rows_are_the_run_trace(request, fixture_name):
     # mu = 0 on the lasso, mu = 1 on the elastic net

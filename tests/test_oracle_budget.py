@@ -174,12 +174,12 @@ def test_run_steps_once_per_iteration(elastic_mu1, step_calls, criterion,
 
 
 def test_run_steps_once_per_iteration_to_overflow(quad1d, step_calls):
-    # the step from the last state raises before any oracle call, so the
-    # run's k steps succeed and one more is attempted
+    # the last state's a_next is inf, so iterate ends there and no step
+    # from it is attempted: the run's k states cost k steps
     config = engine.SolverConfig(lf=1.0 + 1e-7, mu_f=1.0, max_iter=1000)
     result = engine.run(quad1d, config, np.array([1.0]))
     assert result.reason == "growth_overflow"
-    assert step_calls == list(range(result.state.k + 1))
+    assert step_calls == list(range(result.state.k))
 
 
 def test_capture_run_steps_iters_times(elastic_mu1, step_calls):
