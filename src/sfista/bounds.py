@@ -296,6 +296,8 @@ def _closed_form(criterion: Criterion, lf: float, lf_bar: float, mu_f: float,
     if mu == 0:
         raise ConfigError("the absolute-criterion bound requires mu > 0")
     _validate_d0(d0)
+    if tol**2 == 0.0:
+        raise ConfigError(f"eps = {tol:g} is too small: eps**2 is 0")
     eta_tol = criterion.eta_tol
     big_b = 1.0 + 8.0 * (lf - mu_f) / mu
     big_m = big_b**2 * (lf - mu_f)
@@ -306,8 +308,6 @@ def _closed_form(criterion: Criterion, lf: float, lf_bar: float, mu_f: float,
         + math.sqrt(mu * d0) / tol
         + math.sqrt(d0) / math.sqrt(eta_tol)
     ) * math.sqrt(big_m * d0)
-    if tol**2 == 0.0:
-        raise ConfigError(f"eps = {tol:g} is too small: eps**2 is 0")
     inner = 16.0 * (1.0 / tol + mu * d0 / tol**2 + d0 / eta_tol) * big_m * d0
     # a d0 near the smallest double can take inner to 0: then, as for a zero
     # target in _branches, there is no logarithmic branch

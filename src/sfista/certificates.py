@@ -70,9 +70,9 @@ class LowerModel:
 
     def __call__(self, x: Array) -> float:
         x = np.asarray(x, dtype=float)
-        out = self.constant + float(self.linear @ x)
+        out = self.constant + float(self.linear.dot(x))
         if self.curvature:
-            out += 0.5 * self.curvature * float(x @ x)
+            out += 0.5 * self.curvature * float(x.dot(x))
         return out
 
 
@@ -91,13 +91,14 @@ def gamma_coefficients(state: "IterateState", f_at_tilde: float,
     diff = x_tilde - y
     value_at_y = (
         float(f_at_tilde)
-        + float(state.grad_tilde_prev @ (y - x_tilde))
+        + float(state.grad_tilde_prev.dot(y - x_tilde))
         + float(h_at_y)
-        + 0.5 * config.mu_f * float(diff @ diff)
+        + 0.5 * config.mu_f * float(diff.dot(diff))
     )
     slope = diff / config.lam
     linear = slope - config.mu * y
-    constant = value_at_y - float(slope @ y) + 0.5 * config.mu * float(y @ y)
+    constant = (value_at_y - float(slope.dot(y))
+                + 0.5 * config.mu * float(y.dot(y)))
     return constant, linear
 
 
@@ -261,8 +262,8 @@ def check_eps_subgradient(pair: ResidualPair, state: "IterateState",
     excess = []
     for x, value in zip(samples, values_at, strict=True):
         diff = x - state.y
-        lhs = phi_y + float(pair.v @ diff) - pair.eta
-        rhs = value - 0.5 * mu * float(diff @ diff)
+        lhs = phi_y + float(pair.v.dot(diff)) - pair.eta
+        rhs = value - 0.5 * mu * float(diff.dot(diff))
         excess.append(lhs - rhs)
     return float(np.max(excess, initial=-math.inf))
 

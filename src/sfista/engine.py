@@ -14,6 +14,7 @@ import math
 import struct
 import time
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -121,73 +122,75 @@ class TraceRecord:
 _row_values = attrgetter(*(f.name for f in fields(TraceRecord)))
 _INT_FIELDS = tuple(j for j, f in enumerate(fields(TraceRecord))
                    if f.type in (int, "int"))
-# doubles a packed row takes: the fields, then the bit mask of those None
-_ROW = len(fields(TraceRecord)) + 1
+# doubles a packed row takes: the fields, with a None as 0.0
+_ROW = len(fields(TraceRecord))
 _PACKED_ROW = struct.Struct(f"{_ROW}d")
 
 
-def _packed(record: TraceRecord) -> list:
-    """The packed row of a record, as a list of its values.
-
-    The fields in field order, a None as 0.0, then the bit mask of the
-    fields that were None.
-    """
-    values = _row_values(record)
+def _none_mask(values: tuple) -> int:
+    """The bit mask of the fields, given in field order, that are None."""
     if None not in values:
-        return [*values, 0.0]
-    mask = sum(1 << j for j, v in enumerate(values) if v is None)
-    return [0.0 if v is None else v for v in values] + [mask]
+        return 0
+    return sum(1 << j for j, v in enumerate(values) if v is None)
 
 
-def _unpack(values: list) -> TraceRecord:
+def _unpack(values: list, mask: int) -> TraceRecord:
     """The TraceRecord of one packed row, given as a list of its doubles."""
-    mask = values.pop()
     for j in _INT_FIELDS:
         values[j] = int(values[j])
     if mask:
-        bits = int(mask)
-        for j in range(len(values)):
-            if bits >> j & 1:
+        for j in range(_ROW):
+            if mask >> j & 1:
                 values[j] = None
     return TraceRecord(*values)
 
 
 @lru_cache(maxsize=None)
-def _line_format(mask: float) -> str:
-    """The %-format of the trace line of a packed row with this None mask.
+def _line_format(mask: int) -> str:
+    """The %-format of the trace line of a row with this None mask.
 
     An int field prints with %d, as str prints an int; a real one with
-    %.17g, as format_real does; a None field, and the mask itself, with
-    %.0s, which prints nothing.
+    %.17g, as format_real does; a None field with %.0s, which prints
+    nothing, whether it is given as None or as a packed 0.0.
     """
-    bits = int(mask)
     return ",".join(
-        "%.0s" if bits >> j & 1
+        "%.0s" if mask >> j & 1
         else "%d" if j in _INT_FIELDS else f"%{REAL_FORMAT}"
-        for j in range(_ROW - 1)) + "%.0s\n"
+        for j in range(_ROW)) + "\n"
 
 
 class Trace(Sequence):
-    """Trace rows packed as doubles in one array, 88 B a row.
+    """Trace rows packed as doubles in one array, 80 B a row.
 
     A row is the ten TraceRecord fields in field order, a None stored as
-    0.0, then the bit mask of the fields that were None.  k and elapsed_ns
-    are exact while below 2**53.  Reading a row, by index or by iterating,
-    rebuilds its TraceRecord field for field; a slice is a list of them.  A
-    Trace equals a Trace or a list that holds the same records.
-    `trace_lines` prints each row's line straight from its packed doubles.
+    0.0.  Which fields are None is kept once per run of consecutive rows
+    that share it, as the run's first row index and bit mask, 10 B a run;
+    `run`'s trace has at most two runs, its k = 0 row and the rest.  k and
+    elapsed_ns are exact while below 2**53.
+    Reading a row, by index or by iterating, bisects the run starts for its
+    mask and rebuilds its TraceRecord field for field; a slice is a list of
+    them.  A Trace equals a Trace or a list that holds the same records.
+    `trace_lines` prints each run's rows straight from their packed doubles.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_run_starts", "_run_masks")
 
     def __init__(self, records=()):
         self._data = array("d")
+        self._run_starts = array("q")
+        self._run_masks = array("H")
         for record in records:
             self.append(record)
 
     def append(self, record: TraceRecord) -> None:
+        values = _row_values(record)
+        mask = _none_mask(values)
         # fromlist adds the whole row or, on a bad field, nothing
-        self._data.fromlist(_packed(record))
+        self._data.fromlist([0.0 if v is None else v for v in values] if mask
+                            else list(values))
+        if not self._run_masks or self._run_masks[-1] != mask:
+            self._run_starts.append(len(self) - 1)
+            self._run_masks.append(mask)
 
     def __len__(self) -> int:
         return len(self._data) // _ROW
@@ -197,7 +200,8 @@ class Trace(Sequence):
         if isinstance(rows, range):
             return [self[i] for i in rows]
         start = rows * _ROW
-        return _unpack(self._data[start:start + _ROW].tolist())
+        mask = self._run_masks[bisect_right(self._run_starts, rows) - 1]
+        return _unpack(self._data[start:start + _ROW].tolist(), mask)
 
     def __eq__(self, other):
         if isinstance(other, (Trace, list)):
@@ -212,14 +216,23 @@ def trace_lines(records) -> Iterator[str]:
     """Each record's trace line, one at a time, ending in a newline.
 
     The fields comma-delimited in field order: an int as an integer, a real
-    as format_real prints it, a None as nothing.  A Trace's lines print
-    straight from its packed doubles, with no TraceRecord rebuilt; any other
-    iterable's from the values `Trace.append` would store, a row at a time.
+    as format_real prints it, a None as nothing.  A Trace picks the line
+    format once per run of rows sharing a None mask and prints that run's
+    rows straight from their packed doubles, with no TraceRecord rebuilt;
+    any other iterable prints from each record's own fields, a record at a
+    time, with no Trace built for it.
     """
-    rows = (_PACKED_ROW.iter_unpack(records._data) if isinstance(records, Trace)
-            else (tuple(_packed(record)) for record in records))
-    for row in rows:
-        yield _line_format(row[-1]) % row
+    if not isinstance(records, Trace):
+        for record in records:
+            values = _row_values(record)
+            yield _line_format(_none_mask(values)) % values
+        return
+    rows = _PACKED_ROW.iter_unpack(records._data)
+    ends = [*records._run_starts[1:], len(records)]
+    for start, end, mask in zip(records._run_starts, ends, records._run_masks):
+        line = _line_format(mask)
+        for row in islice(rows, end - start):
+            yield line % row
 
 
 @dataclass

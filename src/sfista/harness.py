@@ -1,13 +1,14 @@
 """Verification harness: recorded runs, invariant sweeps, and trace files.
 
 `capture_run` keeps every state `engine.iterate` yields and its trace row,
-which the invariant sweep and the test suite interrogate.  `invariant_report`
-evaluates the identities and a priori bounds the method guarantees on a
-recorded run, folding the lower model as far as its sampled checks reach,
-and reports the worst violation of each.  `bounds_suite` measures observed
-criterion-firing iterations against the closed-form predictors on a seeded
-instance family, with one pass of `engine.iterate` per instance tested
-against every criterion at once.  `format_trace` and `write_trace` put the
+the rows in an `engine.Trace` as a run keeps them, which the invariant
+sweep and the test suite interrogate.  `invariant_report` evaluates the
+identities and a priori bounds the method guarantees on a recorded run,
+folding the lower model as far as its sampled checks reach, and reports the
+worst violation of each.  `bounds_suite` measures observed criterion-firing
+iterations against the closed-form predictors on a seeded instance family,
+with one pass of `engine.iterate` per instance tested against every
+criterion at once.  `format_trace` and `write_trace` put the
 provenance lines and the header over `engine.trace_lines`.
 """
 
@@ -47,12 +48,16 @@ SAMPLE_SEED = 2718  # of the sample points the minorant checks draw
 
 @dataclass
 class RunCapture:
-    """Every state of a recorded run and its trace row."""
+    """Every state of a recorded run and its trace row.
+
+    rows holds the engine.trace_record of each state, as run traces it, in
+    an `engine.Trace`, 80 B a row, as `engine.run` keeps its rows.
+    """
 
     problem: CompositeProblem
     config: _engine.SolverConfig
     states: list
-    rows: list  # engine.trace_record of each state, as run traces it
+    rows: _engine.Trace
     overflowed: bool = False
 
     @property
@@ -73,15 +78,15 @@ def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
 
     Fewer states when the coefficient growth halts the run first, which
     `overflowed` marks.  Each state's row is built as the state is taken,
-    as `engine.run` builds it at trace_every = 1, so `write_trace(path,
-    capture.rows)` writes what `solve --trace` would.  No lower model is
-    folded here: `lower_models(capture.states, problem)` folds it.  A
-    negative `iters` raises ConfigError.
+    as `engine.run` builds it at trace_every = 1, and appended to a Trace,
+    so `write_trace(path, capture.rows)` writes what `solve --trace` would.
+    No lower model is folded here: `lower_models(capture.states, problem)`
+    folds it.  A negative `iters` raises ConfigError.
     """
     if iters < 0:
         raise ConfigError(f"step count {iters} must be nonnegative")
     started_ns = time.perf_counter_ns()
-    states, rows = [], []
+    states, rows = [], _engine.Trace()
     for state in islice(_engine.iterate(problem, config, x0), iters + 1):
         states.append(state)
         rows.append(_engine.trace_record(_cert.Certificates(state, problem),
@@ -167,7 +172,7 @@ def _pair_excess(row, bounds) -> float:
 
 
 def _squared_norm(v: Array) -> float:
-    return float(v @ v)
+    return float(v.dot(v))
 
 
 def invariant_report(capture: RunCapture,

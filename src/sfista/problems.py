@@ -214,7 +214,7 @@ def scaled_quadratic(alpha: float) -> ProxOracle:
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     return ProxOracle(
-        value=lambda x: 0.5 * alpha * float(x @ x),
+        value=lambda x: 0.5 * alpha * float(x.dot(x)),
         prox=lambda x, t: prox_scaled_quadratic(x, alpha, t),
         mu=alpha,
     )
@@ -263,9 +263,9 @@ def least_squares(A: Array, b: Array, ridge: float = 0.0,
 
     def value(x):
         r = A @ x - b
-        out = 0.5 * float(r @ r)
+        out = 0.5 * float(r.dot(r))
         if ridge:
-            out += 0.5 * ridge * float(x @ x)
+            out += 0.5 * ridge * float(x.dot(x))
         return out
 
     def grad(x):
@@ -291,7 +291,7 @@ def quadratic(Q: Array, c: Array, mu: float = 0.0,
     if curvature is None:
         curvature = top_eigenvalue(Q) * CURVATURE_INFLATION
     return SmoothOracle(
-        value=lambda x: 0.5 * float(x @ (Q @ x)) - float(c @ x),
+        value=lambda x: 0.5 * float(x.dot(Q @ x)) - float(c.dot(x)),
         grad=lambda x: Q @ x - c,
         mu=float(mu),
         curvature=float(curvature),
@@ -317,7 +317,7 @@ def logistic_loss(A: Array, labels: Array, ridge: float = 0.0) -> SmoothOracle:
         margins = labels * (A @ x)
         out = float(np.logaddexp(0.0, -margins).mean())
         if ridge:
-            out += 0.5 * ridge * float(x @ x)
+            out += 0.5 * ridge * float(x.dot(x))
         return out
 
     def grad(x):
@@ -400,7 +400,7 @@ def power_iteration(op, dim: int, tol: float = POWER_TOL,
     v = v / nv
     for _ in range(max_iter):
         w = matvec(v)
-        theta = float(v @ w)
+        theta = float(v.dot(w))
         resid = vector_norm(w - theta * v)
         if resid <= tol * max(theta, 1e-300):
             return max(theta, 0.0)
@@ -480,7 +480,7 @@ def reference_solve(problem: CompositeProblem, x0: Optional[Array] = None):
             raise NumericFailure(
                 f"proximal-gradient residual {residual:g} is not finite")
         stride = x - x_prev
-        if float(move @ stride) > 0.0:
+        if float(move.dot(stride)) > 0.0:
             theta, z = 1.0, x
             if (polish is not None and steps < REFERENCE_MAX_ITER
                     and np.count_nonzero(x) ** 2 <= steps * n):

@@ -305,6 +305,17 @@ def test_absolute_predictor():
         predict(absolute, 2.0, 0.0, 0.0, 1.0, d0=-1.0)
 
 
+def test_absolute_predictor_rejects_a_vanishing_eps_at_every_d0():
+    # eps**2 underflows to 0 whatever d0 is, so d0 = 0 is no way round it
+    absolute = Criterion.absolute(1e-300, 1e-3)
+    messages = []
+    for d0 in (0.0, 1.0):
+        with pytest.raises(ConfigError) as caught:
+            bounds.predicted_iterations(absolute, 2.0, 0.0, 0.0, 1.0, d0=d0)
+        messages.append(str(caught.value))
+    assert messages == ["eps = 1e-300 is too small: eps**2 is 0"] * 2
+
+
 def test_absolute_predictor_reaches_sufficient_sum():
     # by the predicted iteration the guaranteed coefficient sum must clear
     # the threshold that forces ||v|| <= eps and eta <= eta_tol

@@ -242,12 +242,15 @@ TINY = ["--m", "20", "--n", "30"]
       "1e-3", *TINY], 2, "the absolute-criterion bound requires mu > 0", 0),
     (["predict", "--criterion", "stationarity", "--rho", "1e-300", *TINY], 2,
      "rho = 1e-300 is too small: rho**2 is 0", 0),
+    (["predict", "--criterion", "absolute", "--eps", "1e-300", "--eta-tol",
+      "1e-3", "--problem", "elastic_net", *TINY], 2,
+     "eps = 1e-300 is too small: eps**2 is 0", 0),
     (["solve", *TINY, "--criterion", "stationarity", "--rho", "1e-6"], 0,
      None, 1),
 ], ids=["solve-lf", "solve-mu_f", "solve-max_iter", "solve-trace_every-traced",
         "solve-trace_every", "solve-seed", "invariants-lf", "invariants-iters",
         "bounds-seed_base", "predict-lf", "predict-absolute-mu",
-        "predict-rho", "solve-valid"])
+        "predict-rho", "predict-absolute-eps", "solve-valid"])
 def test_flags_and_constants_are_checked_before_the_reference_solve(
         monkeypatch, capsys, tmp_path, argv, code, message, solves):
     # the reference optimum is the costly part of the set-up, so bad input

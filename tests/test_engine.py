@@ -637,8 +637,52 @@ def test_trace_is_a_sequence_of_records(lasso_small):
     assert packed != plain[:-1] and packed != tuple(plain)
 
 
+def _row_with_none_mask(k, mask):
+    """A record whose fields in the bit mask are None; k sets the others."""
+    values = dict(k=k, a=0.5 + k, A=k / 3.0, tau=1.0 + k, phi_y=-k / 7.0,
+                  gap=1e-300 * k, norm_u=math.pi, norm_v=math.e * k,
+                  eta_residual=-0.0, elapsed_ns=10**9 + k)
+    return engine.TraceRecord(**{
+        name: None if mask >> j & 1 else value
+        for j, (name, value) in enumerate(values.items())})
+
+
+def test_trace_with_a_new_none_mask_on_every_row():
+    # consecutive masks differ by 37 mod 1024, so every row is a run of its
+    # own, and each read below crosses runs
+    records = [_row_with_none_mask(k, 37 * k % 1024) for k in range(300)]
+    trace = engine.Trace(records)
+    assert len(trace) == 300 and trace == records
+    for index in (0, 1, 150, 299, -1, -2, -151, -300):
+        assert trace[index] == records[index]
+    assert trace[-5:-1] == records[-5:-1] and trace[::-7] == records[::-7]
+    assert trace[298:1:-3] == records[298:1:-3]
+    with pytest.raises(IndexError):
+        trace[-301]
+    assert harness.format_trace(trace) == harness.format_trace(records)
+
+
+@pytest.mark.parametrize("masks, limit", [
+    ((0,), 84),  # complete rows, one run: the row's ten doubles
+    ((0, 32), 94),  # gap None on every other row: ten more bytes a run
+], ids=["one-run", "a-run-a-row"])
+def test_trace_holds_80_bytes_a_row_and_10_a_run(masks, limit):
+    # the limits leave 4 B a row for the arrays' growth slack
+    records = [_row_with_none_mask(1, mask) for mask in masks]
+    tracemalloc.start()
+    try:
+        trace = engine.Trace()
+        for k in range(10_000):
+            trace.append(records[k % len(records)])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 10_000
+    assert held < limit * len(trace)
+
+
 def test_traced_run_keeps_under_128_bytes_a_row(lasso42):
-    # a row packs into 88 B; a list of TraceRecords took about 360 B a row
+    # a row packs into 80 B; a list of TraceRecords took about 360 B a row
     config = engine.SolverConfig.for_problem(
         lasso42, max_iter=2000, criterion=bounds.Criterion.stationarity(1e-6))
     x0 = np.zeros(lasso42.dimension)

@@ -27,6 +27,11 @@ def test_capture_structure(elastic_capture):
     assert ks == list(range(801))
 
 
+def test_capture_rows_are_a_trace(elastic_capture):
+    # a capture keeps its rows packed, as a run keeps its trace
+    assert isinstance(elastic_capture.rows, engine.Trace)
+
+
 def test_capture_gaps_and_d0(elastic_capture, elastic_mu1):
     gaps = [row.gap for row in elastic_capture.rows]
     assert gaps[0] >= gaps[-1] >= -1e-9
