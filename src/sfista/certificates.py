@@ -235,7 +235,10 @@ def sample_points(state: "IterateState", problem: CompositeProblem, count: int,
     that is exactly the projection); elsewhere the domain test's h is phi's.
     """
     scale = 1.0 + vector_norm(state.y)
-    points = state.y + scale * rng.standard_normal((count, state.y.size))
+    # y + scale * z, built in place: * and + commute, so the bits are the same
+    points = rng.standard_normal((count, state.y.size))
+    points *= scale
+    points += state.y
     phi_at = []
     for x in points:
         hx = problem.h.value(x)

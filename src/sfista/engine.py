@@ -124,6 +124,8 @@ _INT_FIELDS = tuple(j for j, f in enumerate(fields(TraceRecord))
                    if f.type in (int, "int"))
 # doubles a packed row takes: the fields, with a None as 0.0
 _ROW = len(fields(TraceRecord))
+# each field's position in a packed row
+_FIELD_INDEX = {f.name: j for j, f in enumerate(fields(TraceRecord))}
 _PACKED_ROW = struct.Struct(f"{_ROW}d")
 
 
@@ -170,7 +172,8 @@ class Trace(Sequence):
     Reading a row, by index or by iterating, bisects the run starts for its
     mask and rebuilds its TraceRecord field for field; a slice is a list of
     them.  A Trace equals a Trace or a list that holds the same records.
-    `trace_lines` prints each run's rows straight from their packed doubles.
+    `trace_lines` prints each run's rows straight from their packed doubles,
+    and `harness.invariant_report` reads one field of every row at once.
     """
 
     __slots__ = ("_data", "_run_starts", "_run_masks")
@@ -202,6 +205,27 @@ class Trace(Sequence):
         start = rows * _ROW
         mask = self._run_masks[bisect_right(self._run_starts, rows) - 1]
         return _unpack(self._data[start:start + _ROW].tolist(), mask)
+
+    def _column(self, name: str) -> Array:
+        """Field `name` of every row: a view of the packed doubles, no copy.
+
+        A None reads 0.0 there, which `_first_none` tells apart.  The Trace
+        cannot grow while the view is alive.
+        """
+        return np.frombuffer(self._data)[_FIELD_INDEX[name]::_ROW]
+
+    def _first_none(self, name: str, start: int) -> Optional[int]:
+        """The first row from start on whose field `name` is None, or None.
+
+        Read from the run masks alone: no row is unpacked.
+        """
+        bit = 1 << _FIELD_INDEX[name]
+        ends = [*self._run_starts[1:], len(self)]
+        for run_start, end, mask in zip(self._run_starts, ends,
+                                        self._run_masks):
+            if mask & bit and end > start:
+                return max(run_start, start)
+        return None
 
     def __eq__(self, other):
         if isinstance(other, (Trace, list)):

@@ -4,12 +4,13 @@
 the rows in an `engine.Trace` as a run keeps them, which the invariant
 sweep and the test suite interrogate.  `invariant_report` evaluates the
 identities and a priori bounds the method guarantees on a recorded run,
-folding the lower model as far as its sampled checks reach, and reports the
-worst violation of each.  `bounds_suite` measures observed criterion-firing
-iterations against the closed-form predictors on a seeded instance family,
-with one pass of `engine.iterate` per instance tested against every
-criterion at once.  `format_trace` and `write_trace` put the
-provenance lines and the header over `engine.trace_lines`.
+each over all its iterates in one array pass, folding the lower model as
+far as its sampled checks reach, and reports the worst violation of each.
+`bounds_suite` measures observed criterion-firing iterations against the
+closed-form predictors on a seeded instance family, with one pass of
+`engine.iterate` per instance tested against every criterion at once.
+`format_trace` and `write_trace` put the provenance lines and the header
+over `engine.trace_lines`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, islice, takewhile
+from itertools import accumulate, islice
 from typing import Optional
 
 import numpy as np
@@ -52,6 +53,8 @@ class RunCapture:
 
     rows holds the engine.trace_record of each state, as run traces it, in
     an `engine.Trace`, 80 B a row, as `engine.run` keeps its rows.
+    `invariant_report` reads each row field it checks once, as a column of
+    the packed doubles, and tests each check over all its iterates.
     """
 
     problem: CompositeProblem
@@ -142,9 +145,12 @@ class VerificationReport:
 
 
 def _worst_result(name, values, limit, ks, note=""):
-    """The check's result at the worst of values, taken at the iterates ks."""
-    values = list(values)
-    if not values:
+    """The check's result at the worst of values, taken at the iterates ks.
+
+    The worst is the first largest value, or the first NaN, where np.argmax
+    finds it.
+    """
+    if not len(values):
         return CheckResult(name=name, passed=True, worst=-math.inf, limit=limit,
                            note=note or "no applicable iterates", skipped=True)
     idx = int(np.argmax(values))
@@ -153,10 +159,16 @@ def _worst_result(name, values, limit, ks, note=""):
                        limit=limit, location=ks[idx], note=note)
 
 
-def _gated(ks, past, K):
-    """The iterates of ks before the first with past(k), and their note."""
-    kept = list(takewhile(lambda k: not past(k), ks))
-    return kept, f"checked {len(kept)} of {K}"
+def _kept(past: Array) -> int:
+    """How many iterates a gate keeps: those before the first past it."""
+    hits = np.flatnonzero(past)
+    return int(hits[0]) if hits.size else len(past)
+
+
+def _gated(name, values, limit, kept, K):
+    """The result over the first `kept` of the K iterates, and its note."""
+    return _worst_result(name, values[:kept], limit, range(1, kept + 1),
+                         f"checked {kept} of {K}")
 
 
 def _excess(value, bound):
@@ -164,164 +176,218 @@ def _excess(value, bound):
     return value - bound * (1.0 + INEQ_REL_SLACK) - 1e-12
 
 
-def _pair_excess(row, bounds) -> float:
-    """The larger excess of a row's ||v|| and eta over their (v, eta) bounds."""
-    v_bound, eta_bound = bounds
-    return max(_excess(row.norm_v, v_bound),
-               _excess(row.eta_residual, eta_bound))
+# a (v, eta) bound pair, one row of a two-column array
+_PAIR = np.dtype((float, 2))
+
+
+def _pair_excess(norm_v, eta, bounds) -> Array:
+    """The larger excess of ||v|| and eta over their (v, eta) bounds."""
+    v_excess = _excess(norm_v, bounds[:, 0])
+    eta_excess = _excess(eta, bounds[:, 1])
+    # max(v_excess, eta_excess) entry by entry, as Python's max takes it
+    return np.where(eta_excess > v_excess, eta_excess, v_excess)
 
 
 def _squared_norm(v: Array) -> float:
     return float(v.dot(v))
 
 
+def _row_columns(rows, names, K: int) -> dict:
+    """Rows 1 .. K of each named TraceRecord field, as float64 arrays.
+
+    A Trace's rows are read in place, a column at a time, and no
+    TraceRecord is rebuilt; a list of records is packed once first.  A
+    packed None reads 0.0, so a None among those rows is a ValueError that
+    names the field and the first k that holds it.
+    """
+    if not isinstance(rows, _engine.Trace):
+        rows = _engine.Trace(rows)
+    missing = [(k, name) for name in names
+               if (k := rows._first_none(name, 1)) is not None and k <= K]
+    if missing:
+        k, name = min(missing, key=lambda found: found[0])
+        raise ValueError(f"the invariant report reads {name}, which the row "
+                         f"of k = {k} holds as None")
+    return {name: rows._column(name)[1:K + 1] for name in names}
+
+
 def invariant_report(capture: RunCapture,
                      sample_count: int = 200) -> VerificationReport:
     """Evaluate every identity and bound the method guarantees on a run.
 
-    The checks form one table: name, limit, the iterates checked with a
-    note, and the value at iterate k, of which the report keeps the worst.
-    A check behind a rounding-noise gate keeps the iterates before the first
-    one past it, and its note says `checked N of K`.  A check left with no
-    iterate, or a sampled check with no samples, is `skipped` and stays out
-    of `overall`.  A negative sample_count raises ConfigError.
+    Each check keeps the worst of its values over the iterates it looks at.
+    The rows' fields are read once, a column each, and every check is one
+    array expression over all its iterates; the bounds module's scalar
+    bounds and the vector norms are taken per iterate.  A check behind a
+    rounding-noise gate keeps the iterates before the first one past it,
+    and its note says `checked N of K`.  A check left with no iterate, or a
+    sampled check with no samples, is `skipped` and stays out of `overall`.
+    A negative sample_count raises ConfigError; a None in a row field a
+    check reads raises ValueError.
     """
     if sample_count < 0:
         raise ConfigError(f"sample count {sample_count} must be nonnegative")
     problem, config, states = capture.problem, capture.config, capture.states
-    rows = capture.rows
     K = capture.iterations
     lf, mu_f, mu, lam = config.lf, config.mu_f, config.mu, config.lam
     lf_bar = problem.f.curvature
     ref = problem.reference_optimum
-    a = [st.a_prev for st in states]
-    A = [st.A for st in states]
-    tau = [st.tau for st in states]
+    # one entry per iterate k = 1 .. K, at index k - 1; tau_prev is tau_{k-1}
+    rows = _row_columns(capture.rows, ["phi_y", "norm_u", "norm_v",
+                                       "eta_residual"]
+                        + (["gap"] if ref is not None else []), K)
+    norm_u, norm_v, eta = rows["norm_u"], rows["norm_v"], rows["eta_residual"]
+    a = np.fromiter((st.a_prev for st in states[1:]), float, K)
+    A = np.fromiter((st.A for st in states[1:]), float, K)
+    tau_all = np.fromiter((st.tau for st in states), float, K + 1)
+    tau, tau_prev = tau_all[1:], tau_all[:-1]
     ks = range(1, K + 1)
-    every = (ks, "")
-    cert = _gated(ks, lambda k: tau[k] > CERT_TAU_LIMIT, K)
+    n_cert = _kept(tau > CERT_TAU_LIMIT)
 
     # sampled model checks at the log-spaced iterates the tau gate keeps, a
-    # prefix since tau grows with k; taken before the per-state lists below
+    # prefix since tau grows with k; taken before the per-state arrays below
     # exist, so the samples set the report's peak memory on their own; the
     # lower model is folded up to the last sampled k, and not without samples
-    sample_ks = [k for k in checkpoints(K) if k <= len(cert[0])]
-    at_samples = (sample_ks if sample_count else [],
-                  f"{sample_count} samples at k in {sample_ks}")
+    sample_ks = [k for k in checkpoints(K) if k <= n_cert]
+    sampled_at = sample_ks if sample_count else []
+    sample_note = f"{sample_count} samples at k in {sample_ks}"
     rng = np.random.Generator(np.random.PCG64(SAMPLE_SEED))
     models = _cert.lower_models(states, problem)
-    sampled = {}
-    for k in at_samples[0]:
-        st, phi_y = states[k], rows[k].phi_y
+    sampled = []
+    for k in sampled_at:
+        st, phi = states[k], float(rows["phi_y"][k - 1])
         model = next(model for j, model in models if j == k)
         pair = _cert.residual_pair(st)
-        tol = MODEL_TOL_SCALE * (1.0 + abs(phi_y))
+        tol = MODEL_TOL_SCALE * (1.0 + abs(phi))
         samples, phi_at = _cert.sample_points(st, problem, sample_count, rng)
         model_at = [model(x) for x in samples]
-        sampled[k] = [value - tol for value in (
+        sampled.append([value - tol for value in (
             _cert.lower_model_gap(model_at, phi_at),
-            _cert.lower_model_violation(pair, st, phi_y, samples, model_at),
-            _cert.check_eps_subgradient(pair, st, phi_y, samples, phi_at))]
+            _cert.lower_model_violation(pair, st, phi, samples, model_at),
+            _cert.check_eps_subgradient(pair, st, phi, samples, phi_at))])
+    minorizes, model_subgradient, eps_subgradient = (
+        np.array(sampled).reshape(-1, 3).T)
 
     # ||y_k - x0||^2 and ||y_k - x_tilde_{k-1}||^2, formed once per state
-    dist_sq = [math.nan] + [_squared_norm(st.y - st.x0) for st in states[1:]]
-    move_sq = [math.nan] + [_squared_norm(st.y - st.x_tilde_prev)
-                            for st in states[1:]]
+    dist_sq = np.fromiter((_squared_norm(st.y - st.x0) for st in states[1:]),
+                          float, K)
+    move_sq = np.fromiter((_squared_norm(st.y - st.x_tilde_prev)
+                           for st in states[1:]), float, K)
+    dist_y = np.sqrt(dist_sq)
 
-    def sum_lower(k):
-        lower = _bounds.coefficient_sum_lower(k, lf, mu_f, mu)
-        return (lower - A[k]) / lower
-
-    checks = [
-        # coefficient recursion tau_{k-1} A_k / a_{k-1}^2 = lf - mu_f, as a
-        # ratio of ratios: tau, A and a all reach ~1e300 under geometric
-        # growth, so tau * A would overflow
-        ("coefficient_identity", IDENTITY_TOL, every,
-         lambda k: abs((tau[k - 1] / a[k]) * (A[k] / a[k]) - 1.0 / lam) * lam),
-        # tau_k = 1 + mu A_k
-        ("tau_identity", IDENTITY_TOL, every,
-         lambda k: abs(tau[k] - (1.0 + mu * A[k])) / max(1.0, tau[k])),
-        # A_k >= max(k^2/4, c^(2(k-1))) / (lf - mu_f)
-        ("coefficient_sum_lower", COEFF_LOWER_TOL, every, sum_lower),
-    ]
-
-    if ref is not None:
-        d0, phi_star = capture.d0(), ref.phi_star
-        c = _bounds.growth_factor(lf, mu_f, mu)
-        slack = RATE_SLACK_SCALE * (1.0 + abs(phi_star))
-        # at index k: the sum over i = 1 .. k of A_i ||y_i - x_tilde_{i-1}||^2,
-        # the least ||u_i||^2 (np.minimum keeps a NaN, which min would drop),
-        # and the min-norm bound, which divides by the sum of A_i
-        moved = list(accumulate((A[k] * move_sq[k] for k in ks), initial=0.0))
-        best_sq = np.minimum.accumulate(
-            [math.inf] + [rows[k].norm_u ** 2 for k in ks]).tolist()
-        min_norm_rhs = [math.nan] + [8.0 * lf**2 * d0**2 / ((lf - lf_bar) * A_sum)
-                                     for A_sum in accumulate(A[1:])]
-        floor = (1e-9 * lf * (1.0 + d0)) ** 2
-
-        def movement(k):
-            lhs = 0.5 * (lf - lf_bar) * moved[k]
-            rhs = d0**2 - A[k] * rows[k].gap
-            # the A_k term amplifies the objective's evaluation noise
-            noise = A[k] * 1e-13 * (1.0 + abs(phi_star))
-            return lhs - rhs - slack * (1.0 + d0**2) - noise
-
-        checks += [
-            # phi(y_k) - phi* <= (lf - mu_f) d0^2 / 2 * min(4/k^2, c^(2(1-k)))
-            ("function_gap_rate", 0.0, every,
-             lambda k: rows[k].gap - 0.5 * (lf - mu_f) * d0**2
-             * min(4.0 / k**2, c ** (2.0 * (1.0 - k))) - slack),
-            # (lf - lf_bar)/2 sum A_i ||y_i - x_tilde_{i-1}||^2
-            #     <= d0^2 - A_k (phi(y_k) - phi*)
-            ("movement_bound", 0.0,
-             _gated(ks, lambda k: A[k] > MOVEMENT_A_LIMIT, K), movement),
-            # min_i ||u_i||^2 <= 8 lf^2 d0^2 / ((lf - lf_bar) sum A_i)
-            ("min_norm_bound", 0.0,
-             _gated(ks, lambda k: min_norm_rhs[k] < floor, K),
-             lambda k: best_sq[k] - min_norm_rhs[k] * (1.0 + INEQ_REL_SLACK)),
-            # ||x_k - x0|| <= (1/sqrt(tau_k) + 1) d0
-            ("distance_x_bound", 0.0, every,
-             lambda k: _excess(vector_norm(states[k].x - states[k].x0),
-                               _bounds.distance_bound_x(tau[k], d0))),
-        ]
-        if mu > 0:
-            checks += [
-                ("distance_y_bound", 0.0, every,
-                 lambda k: _excess(math.sqrt(dist_sq[k]),
-                                   _bounds.distance_bound_y(A[k], mu, d0))),
-                ("pair_absolute_bounds", 0.0, cert,
-                 lambda k: _pair_excess(
-                     rows[k], _bounds.pair_absolute_bounds(A[k], mu, d0))),
-            ]
-
-    def cert_identity(k):
-        st = states[k]
+    def identity_lhs(st):
         pair = _cert.residual_pair(st)
         shifted = st.A * pair.v + st.y - st.x0
-        lhs = _squared_norm(shifted) / st.tau + 2.0 * st.A * pair.eta
-        return abs(lhs - dist_sq[k]) / max(1.0, dist_sq[k])
+        return _squared_norm(shifted) / st.tau + 2.0 * st.A * pair.eta
 
-    checks += [
-        # ||u_k|| <= 2 lf ||y_k - x_tilde_{k-1}||
-        ("residual_envelope", 0.0, every,
-         lambda k: (rows[k].norm_u - 2.0 * lf * math.sqrt(move_sq[k])
-                    * (1.0 + INEQ_REL_SLACK) - 1e-12 * lf)),
-        # ||A v + y - x0||^2 / tau + 2 A eta = ||y - x0||^2
-        ("certificate_identity", CERT_IDENTITY_TOL, cert, cert_identity),
-        # eta_k >= 0 up to rounding
-        ("eta_nonnegative", -ETA_FLOOR, every,
-         lambda k: -rows[k].eta_residual),
-        # ||v_k|| and eta_k against their ||y_k - x0|| envelopes
-        ("pair_norm_bounds", 0.0, cert,
-         lambda k: _pair_excess(rows[k], _bounds.pair_norm_bounds(
-             A[k], tau[k], math.sqrt(dist_sq[k])))),
-        ("lower_model_minorizes", 0.0, at_samples, lambda k: sampled[k][0]),
-        ("model_subgradient", 0.0, at_samples, lambda k: sampled[k][1]),
-        ("eps_subgradient", 0.0, at_samples, lambda k: sampled[k][2]),
-    ]
-    return VerificationReport([
-        _worst_result(name, map(value, over), limit, over, note)
-        for name, limit, (over, note), value in checks])
+    cert_lhs = np.fromiter(map(identity_lhs, states[1:n_cert + 1]), float,
+                           n_cert)
+    # the bounds module's bounds, and every power of a float, are taken per
+    # iterate with Python's **: numpy squares an array by x * x, which is
+    # not always pow(x, 2) to the last bit
+    lower = np.fromiter((_bounds.coefficient_sum_lower(k, lf, mu_f, mu)
+                         for k in ks), float, K)
+    pair_norm = np.fromiter(
+        (_bounds.pair_norm_bounds(st.A, st.tau, dist)
+         for st, dist in zip(states[1:n_cert + 1], map(float, dist_y))),
+        _PAIR, n_cert)
+
+    # as with Python floats, an overflow or an invalid operation gives an
+    # inf or a NaN, which the check then reports as its worst
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = [
+            # coefficient recursion tau_{k-1} A_k / a_{k-1}^2 = lf - mu_f, as
+            # a ratio of ratios: tau, A and a all reach ~1e300 under geometric
+            # growth, so tau * A would overflow
+            _worst_result("coefficient_identity",
+                          np.abs((tau_prev / a) * (A / a) - 1.0 / lam) * lam,
+                          IDENTITY_TOL, ks),
+            # tau_k = 1 + mu A_k
+            _worst_result("tau_identity",
+                          np.abs(tau - (1.0 + mu * A)) / np.fmax(1.0, tau),
+                          IDENTITY_TOL, ks),
+            # A_k >= max(k^2/4, c^(2(k-1))) / (lf - mu_f)
+            _worst_result("coefficient_sum_lower", (lower - A) / lower,
+                          COEFF_LOWER_TOL, ks),
+        ]
+
+        if ref is not None:
+            gap = rows["gap"]
+            d0, phi_star = capture.d0(), ref.phi_star
+            c = _bounds.growth_factor(lf, mu_f, mu)
+            slack = RATE_SLACK_SCALE * (1.0 + abs(phi_star))
+            rate = np.fromiter((min(4.0 / k**2, c ** (2.0 * (1.0 - k)))
+                                for k in ks), float, K)
+            # at index k - 1: the sum over i = 1 .. k of
+            # A_i ||y_i - x_tilde_{i-1}||^2, summed in order, the least
+            # ||u_i||^2 (np.minimum keeps a NaN, which min would drop), and
+            # the min-norm bound, which divides by the sum of A_i
+            moved = np.fromiter(accumulate(map(float, A * move_sq)), float, K)
+            best_sq = np.minimum.accumulate(
+                np.fromiter((u ** 2 for u in map(float, norm_u)), float, K))
+            min_norm_rhs = 8.0 * lf**2 * d0**2 / ((lf - lf_bar) * np.fromiter(
+                accumulate(st.A for st in states[1:]), float, K))
+            floor = (1e-9 * lf * (1.0 + d0)) ** 2
+            dist_x = np.fromiter((vector_norm(st.x - st.x0)
+                                  for st in states[1:]), float, K)
+            checks += [
+                # phi(y_k) - phi* <= (lf - mu_f) d0^2 / 2 * min(4/k^2, c^(2(1-k)))
+                _worst_result("function_gap_rate",
+                              gap - 0.5 * (lf - mu_f) * d0**2 * rate - slack,
+                              0.0, ks),
+                # (lf - lf_bar)/2 sum A_i ||y_i - x_tilde_{i-1}||^2
+                #     <= d0^2 - A_k (phi(y_k) - phi*),
+                # less the A_k term's share of the objective's evaluation noise
+                _gated("movement_bound",
+                       0.5 * (lf - lf_bar) * moved - (d0**2 - A * gap)
+                       - slack * (1.0 + d0**2)
+                       - A * 1e-13 * (1.0 + abs(phi_star)),
+                       0.0, _kept(A > MOVEMENT_A_LIMIT), K),
+                # min_i ||u_i||^2 <= 8 lf^2 d0^2 / ((lf - lf_bar) sum A_i)
+                _gated("min_norm_bound",
+                       best_sq - min_norm_rhs * (1.0 + INEQ_REL_SLACK),
+                       0.0, _kept(min_norm_rhs < floor), K),
+                # ||x_k - x0|| <= (1/sqrt(tau_k) + 1) d0
+                _worst_result("distance_x_bound", _excess(dist_x, np.fromiter(
+                    (_bounds.distance_bound_x(st.tau, d0)
+                     for st in states[1:]), float, K)), 0.0, ks),
+            ]
+            if mu > 0:
+                checks += [
+                    _worst_result("distance_y_bound", _excess(
+                        dist_y, np.fromiter(
+                            (_bounds.distance_bound_y(st.A, mu, d0)
+                             for st in states[1:]), float, K)), 0.0, ks),
+                    _gated("pair_absolute_bounds", _pair_excess(
+                        norm_v[:n_cert], eta[:n_cert], np.fromiter(
+                            (_bounds.pair_absolute_bounds(st.A, mu, d0)
+                             for st in states[1:n_cert + 1]), _PAIR, n_cert)),
+                        0.0, n_cert, K),
+                ]
+
+        checks += [
+            # ||u_k|| <= 2 lf ||y_k - x_tilde_{k-1}||
+            _worst_result("residual_envelope",
+                          norm_u - 2.0 * lf * np.sqrt(move_sq)
+                          * (1.0 + INEQ_REL_SLACK) - 1e-12 * lf, 0.0, ks),
+            # ||A v + y - x0||^2 / tau + 2 A eta = ||y - x0||^2
+            _gated("certificate_identity",
+                   np.abs(cert_lhs - dist_sq[:n_cert])
+                   / np.fmax(1.0, dist_sq[:n_cert]),
+                   CERT_IDENTITY_TOL, n_cert, K),
+            # eta_k >= 0 up to rounding
+            _worst_result("eta_nonnegative", -eta, -ETA_FLOOR, ks),
+            # ||v_k|| and eta_k against their ||y_k - x0|| envelopes
+            _gated("pair_norm_bounds", _pair_excess(
+                norm_v[:n_cert], eta[:n_cert], pair_norm), 0.0, n_cert, K),
+            _worst_result("lower_model_minorizes", minorizes, 0.0,
+                          sampled_at, sample_note),
+            _worst_result("model_subgradient", model_subgradient, 0.0,
+                          sampled_at, sample_note),
+            _worst_result("eps_subgradient", eps_subgradient, 0.0,
+                          sampled_at, sample_note),
+        ]
+    return VerificationReport(checks)
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,16 @@ def test_sample_points_respect_domain():
     assert phi_at == [eval_phi(problem, s) for s in samples]
 
 
+def test_sample_points_are_y_plus_scaled_draws(lasso42, lasso42_capture):
+    # the points are built in place; from the same generator state they are
+    # y + (1 + ||y||) z to the bit (h = l1 is finite, so none is projected)
+    state = lasso42_capture.states[10]
+    samples, _ = certificates.sample_points(state, lasso42, 64, _rng(12))
+    draws = _rng(12).standard_normal((64, state.y.size))
+    expected = state.y + (1.0 + problems.vector_norm(state.y)) * draws
+    assert samples.tobytes() == expected.tobytes()
+
+
 def test_lower_model_gap_reads_infinite_phi():
     # a +inf phi (off dom h) gives -inf, which never sets the worst; a -inf
     # phi gives +inf, a failure

@@ -65,9 +65,14 @@ GOLDEN_EQUIVALENCE = "1.0177618793157411e-15"
 
 # (name, repr(worst), location, note, passed) of every check invariant_report
 # gives at sample_count=60: the plain-convexity and strongly convex captures
-# of conftest, and the quad1d run that halts at the growth limit
+# of conftest, and the quad1d run that halts at the growth limit; and at
+# sample_count=30, the `sfista verify invariants` runs of a box_qp, whose
+# indicator h makes sample_points project points, and of a logistic_l2, the
+# one f that is not quadratic (make_instance's data and curvature, 200 steps)
 _SAMPLED_2000 = "60 samples at k in [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000]"
 _SAMPLED_800 = "60 samples at k in [1, 2, 5, 10, 20, 50, 100, 200]"
+_SAMPLED_BOX = "30 samples at k in [1, 2, 5, 10, 20, 50]"
+_SAMPLED_LOGISTIC = "30 samples at k in [1, 2, 5, 10, 20]"
 GOLDEN_REPORT_CHECKS = {
     "lasso42": [
         ('coefficient_identity', '6.092935052196907e-16', 1053, '', True),
@@ -120,6 +125,42 @@ GOLDEN_REPORT_CHECKS = {
         ('lower_model_minorizes', '-1.0000000000000051e-08', 1, '60 samples at k in [1]', True),
         ('model_subgradient', '-5.999998970393267e-08', 1, '60 samples at k in [1]', True),
         ('eps_subgradient', '-5.999998970393267e-08', 1, '60 samples at k in [1]', True),
+    ],
+    "box_qp": [
+        ('coefficient_identity', '3.617022630144576e-16', 3, '', True),
+        ('tau_identity', '0.0', 1, '', True),
+        ('coefficient_sum_lower', '0.0', 1, '', True),
+        ('function_gap_rate', '-5.575159295425794e-09', 145, '', True),
+        ('movement_bound', '-3.8956506692300676', 2, 'checked 63 of 200', True),
+        ('min_norm_bound', '-4.5593843181747405e-16', 94, 'checked 94 of 200', True),
+        ('distance_x_bound', '-2.1487939426972624e-09', 170, '', True),
+        ('distance_y_bound', '-2.1477944373622524', 188, '', True),
+        ('pair_absolute_bounds', '-7.461523680360521e-10', 53, 'checked 53 of 200', True),
+        ('residual_envelope', '-5.911048684636696e-12', 108, '', True),
+        ('certificate_identity', '1.925372673267656e-16', 33, 'checked 53 of 200', True),
+        ('eta_nonnegative', '6.317049169229466e-32', 199, '', True),
+        ('pair_norm_bounds', '-1.0000002483850705e-12', 53, 'checked 53 of 200', True),
+        ('lower_model_minorizes', '-1.4548292990996021', 10, _SAMPLED_BOX, True),
+        ('model_subgradient', '-5.6330829168806445e-08', 50, _SAMPLED_BOX, True),
+        ('eps_subgradient', '-1.4892933727367774', 10, _SAMPLED_BOX, True),
+    ],
+    "logistic": [
+        ('coefficient_identity', '3.5843291062557523e-16', 4, '', True),
+        ('tau_identity', '0.0', 1, '', True),
+        ('coefficient_sum_lower', '0.0', 1, '', True),
+        ('function_gap_rate', '-1.587318750174051e-09', 76, '', True),
+        ('movement_bound', '-0.12825385781935852', 2, 'checked 32 of 200', True),
+        ('min_norm_bound', '-2.1487470233971437e-17', 47, 'checked 47 of 200', True),
+        ('distance_x_bound', '-3.897208888109228e-10', 85, '', True),
+        ('distance_y_bound', '-0.3887213457029447', 46, '', True),
+        ('pair_absolute_bounds', '-5.496809392368003e-11', 26, 'checked 26 of 200', True),
+        ('residual_envelope', '-2.238985621671606e-12', 110, '', True),
+        ('certificate_identity', '2.7755575615628914e-17', 7, 'checked 26 of 200', True),
+        ('eta_nonnegative', '9.215875710446734e-34', 160, '', True),
+        ('pair_norm_bounds', '-1.0000000179924643e-12', 26, 'checked 26 of 200', True),
+        ('lower_model_minorizes', '-1.355619260782316', 1, _SAMPLED_LOGISTIC, True),
+        ('model_subgradient', '-1.768667008806192e-08', 20, _SAMPLED_LOGISTIC, True),
+        ('eps_subgradient', '-1.378740003873117', 1, _SAMPLED_LOGISTIC, True),
     ],
 }
 
@@ -254,6 +295,24 @@ def test_invariant_checks_match_golden_bits(golden_lasso42_capture,
         got = [(c.name, repr(c.worst), c.location, c.note, c.passed)
                for c in checks]
         assert got == GOLDEN_REPORT_CHECKS[label], label
+
+
+@pytest.mark.parametrize("label, kind, seed, m, n", [
+    ("box_qp", "box_qp", 3, 20, 20),
+    ("logistic", "logistic_l2", 4, 60, 40),
+])
+def test_invariant_checks_of_each_kind_match_golden_bits(label, kind, seed,
+                                                         m, n):
+    # as `sfista verify invariants --problem KIND --seed SEED --m M --n N
+    # --iters 200 --samples 30` runs them
+    problem = problems.make_instance(kind, seed, m, n)
+    capture = harness.capture_run(problem,
+                                  engine.SolverConfig.for_problem(problem),
+                                  cli.default_start(problem), 200)
+    checks = harness.invariant_report(capture, sample_count=30).checks
+    got = [(c.name, repr(c.worst), c.location, c.note, c.passed)
+           for c in checks]
+    assert got == GOLDEN_REPORT_CHECKS[label]
 
 
 def test_equivalence_deviation_matches_golden(golden_lasso_norm):

@@ -226,6 +226,53 @@ def test_nan_residual_fails_min_norm_bound(elastic_capture):
     assert check.location == 3
 
 
+def test_gap_read_as_none_is_named():
+    # rows captured without a reference hold no gap; a packed None reads
+    # 0.0, which would pass function_gap_rate, so the report names it
+    p = problems.make_instance("elastic_net", 7, 30, 50, reg=0.05, ridge=1.0,
+                               with_reference=False)
+    capture = harness.capture_run(p, engine.SolverConfig.for_problem(p),
+                                  np.zeros(p.dimension), 20)
+    capture = dataclasses.replace(capture,
+                                  problem=problems.attach_reference(p))
+    with pytest.raises(ValueError, match=r"reads gap, .* k = 1 holds as None"):
+        harness.invariant_report(capture, sample_count=5)
+
+
+def test_norm_u_read_as_none_is_named(elastic_capture):
+    rows = list(elastic_capture.rows[:31])
+    rows[5] = dataclasses.replace(rows[5], norm_u=None)
+    capture = dataclasses.replace(elastic_capture,
+                                  states=elastic_capture.states[:31], rows=rows)
+    with pytest.raises(ValueError,
+                       match=r"reads norm_u, .* k = 5 holds as None"):
+        harness.invariant_report(capture, sample_count=0)
+
+
+def test_report_on_list_rows_matches_trace_rows(elastic_capture):
+    capture = dataclasses.replace(elastic_capture,
+                                  states=elastic_capture.states[:301],
+                                  rows=elastic_capture.rows[:301])
+    assert isinstance(capture.rows, list)
+    packed = dataclasses.replace(capture, rows=engine.Trace(capture.rows))
+    assert (harness.invariant_report(capture, sample_count=10).lines()
+            == harness.invariant_report(packed, sample_count=10).lines())
+
+
+def test_report_rebuilds_no_trace_record(elastic_capture, monkeypatch):
+    # the report reads the Trace's packed columns, never a row by index
+    expected = harness.invariant_report(elastic_capture, sample_count=10)
+
+    def refuse(*args):
+        raise AssertionError("a TraceRecord was rebuilt")
+
+    monkeypatch.setattr(engine, "_unpack", refuse)
+    with pytest.raises(AssertionError, match="rebuilt"):
+        elastic_capture.rows[1]
+    report = harness.invariant_report(elastic_capture, sample_count=10)
+    assert report.lines() == expected.lines()
+
+
 def test_invariant_report_without_iterates_is_skipped(elastic_mu1):
     config = engine.SolverConfig.for_problem(elastic_mu1)
     capture = harness.capture_run(elastic_mu1, config,
