@@ -1,10 +1,11 @@
 """Stopping criteria and closed-form iteration predictors.
 
-Every criterion is a cheap test (`check`) on the current iterate and its
-certificates.  `predicted_iterations` holds the matching worst-case
-predictor of each of the five variants: an explicit iteration count by which
-the criterion is guaranteed to fire, derived from the lower bound on the
-coefficient sum
+Every criterion is a cheap test on the current iterate and its
+certificates: `stop_test` binds its constants once per run, and `check`
+applies it to one `Certificates` record.  `predicted_iterations` holds the
+matching worst-case predictor of each of the five variants: an explicit
+iteration count by which the criterion is guaranteed to fire, derived from
+the lower bound on the coefficient sum
 
     A_k >= max(k^2 / 4, c^(2 (k - 1))) / (lf - mu_f),
     c = 1 + sqrt(mu / (lf - mu_f)) / 2.
@@ -18,13 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
+import numpy as np
+
+from .certificates import _SCREEN_SLACK, Certificates
 from .errors import ConfigError, NumericFailure
 from .problems import CompositeProblem, vector_norm
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .certificates import Certificates
+    from .engine import SolverConfig
 
 # variant -> names of its tolerances, in the order its factory takes them
 TOLERANCES = {"function_gap": ("eps_bar",), "stationarity": ("rho",),
@@ -106,35 +110,140 @@ def _tested(value: float, name: str) -> float:
     return value
 
 
-def check(criterion: Criterion, certs: "Certificates") -> bool:
+@dataclass(frozen=True, slots=True)
+class StopTest:
+    """One criterion's test with its constants bound, as `stop_test` builds it.
+
+    reads names the one certificate the test reads, as `Certificates` names
+    it: "phi_y", "stationarity" (u) or "pair" (v, eta); None without a
+    criterion, whose test reads y alone.  The test starts at first_k: 1
+    when it reads a residual, which needs a step, else 0.
+    holds(test, state, certificate) is the criterion's formula, on the
+    criterion's tolerances and phi*; it raises NumericFailure when the
+    quantity tested is NaN or infinite.  screen(test, state), stationarity's
+    alone, says whether the oracle-free bound lf_gap ||y - x_tilde_prev||
+    on ||u|| exceeds screen_bound = rho (1 + slack), which rules the state
+    out before u's gradient; None for the others.  The formulas are module
+    functions and the constants fields, so a run's test holds no closure.
+    """
+
+    criterion: Optional[Criterion]
+    reads: Optional[str]
+    first_k: int
+    holds: Callable
+    screen: Optional[Callable] = None
+    phi_star: Optional[float] = None
+    lf_gap: float = math.nan
+    screen_bound: float = math.nan
+
+    def check(self, certs: Certificates) -> bool:
+        """Whether the test holds at the state of a Certificates record.
+
+        The criterion is validated against the record's problem first.  A
+        stationarity test forms u only when `certs.rules_out_stationarity`
+        cannot rule the state out.
+        """
+        if self.criterion is not None:
+            self.criterion.validate(certs.problem)
+        if self.screen is not None and certs.rules_out_stationarity(
+                self.criterion.tol):
+            return False
+        return self.holds(self, certs.state, None if self.reads is None
+                          else getattr(certs, self.reads))
+
+    def reason(self, certs: Certificates) -> Optional[str]:
+        """The stop reason the test gives a Certificates record, or None.
+
+        None before first_k; "converged" when the test holds, and
+        "numeric_failure" when the quantity it tests is NaN or infinite.
+        """
+        if certs.state.k < self.first_k:
+            return None
+        try:
+            return "converged" if self.check(certs) else None
+        except NumericFailure:
+            return "numeric_failure"
+
+
+def _y_is_finite(test, state, _) -> bool:
+    """The test without a criterion: never holds, fails on a non-finite y."""
+    if not np.isfinite(state.y).all():
+        raise NumericFailure("y has an entry that is NaN or infinite")
+    return False
+
+
+def _gap_holds(test, state, phi_y) -> bool:
+    return _tested(phi_y - test.phi_star, "phi(y) gap") <= test.criterion.tol
+
+
+def _stationarity_holds(test, state, u) -> bool:
+    return _tested(u.norm, "||u||") <= test.criterion.tol
+
+
+def _stationarity_screen(test, state) -> bool:
+    # Certificates.rules_out_stationarity, with its constants bound
+    return (test.lf_gap * vector_norm(state.y - state.x_tilde_prev)
+            > test.screen_bound)
+
+
+def _absolute_holds(test, state, pair) -> bool:
+    norm, eta = _tested(pair.norm, "||v||"), _tested(pair.eta, "eta")
+    return norm <= test.criterion.tol and eta <= test.criterion.eta_tol
+
+
+def _pair_lhs(pair) -> float:
+    return _tested(pair.norm**2 + 2.0 * pair.eta, "||v||^2 + 2 eta")
+
+
+def _relative_holds(test, state, pair) -> bool:
+    lhs = _pair_lhs(pair)
+    dist = vector_norm(state.y - state.x0)
+    return lhs <= test.criterion.tol * dist**2
+
+
+def _alternate_relative_holds(test, state, pair) -> bool:
+    lhs = _pair_lhs(pair)
+    shifted = vector_norm(pair.v + state.y - state.x0)
+    return lhs <= test.criterion.tol * shifted**2
+
+
+# variant -> (the certificate its test reads, its formula)
+_FORMULAS = {"function_gap": ("phi_y", _gap_holds),
+             "stationarity": ("stationarity", _stationarity_holds),
+             "relative": ("pair", _relative_holds),
+             "alternate_relative": ("pair", _alternate_relative_holds),
+             "absolute": ("pair", _absolute_holds)}
+
+
+def stop_test(criterion: Optional[Criterion], problem: CompositeProblem,
+              config: "SolverConfig") -> StopTest:
+    """criterion's test on a run of config on problem, built once per run.
+
+    phi* is bound in, and for stationarity lf - lf_bar and rho (1 + slack)
+    too.  Nothing is validated here: `engine.init` and `StopTest.check`
+    validate the criterion against the problem.
+    """
+    if criterion is None:
+        return StopTest(None, None, 0, _y_is_finite)
+    reads, holds = _FORMULAS[criterion.variant]
+    first_k = 0 if reads == "phi_y" else 1
+    if reads == "stationarity":
+        return StopTest(criterion, reads, first_k, holds, _stationarity_screen,
+                        lf_gap=config.lf - problem.f.curvature,
+                        screen_bound=criterion.tol * (1.0 + _SCREEN_SLACK))
+    ref = problem.reference_optimum
+    return StopTest(criterion, reads, first_k, holds,
+                    phi_star=None if ref is None else ref.phi_star)
+
+
+def check(criterion: Criterion, certs: Certificates) -> bool:
     """Whether the criterion holds at the state of the certificate record.
 
-    A stationarity test forms u only when `certs.rules_out_stationarity`
-    cannot rule the state out.  Raises NumericFailure when the quantity
-    tested is NaN or infinite.
+    `stop_test(...).check(certs)`: a stationarity test forms u only when
+    `certs.rules_out_stationarity` cannot rule the state out.  Raises
+    NumericFailure when the quantity tested is NaN or infinite.
     """
-    state = certs.state
-    v = criterion.variant
-    if v == "function_gap":
-        gap = certs.gap
-        if gap is None:
-            criterion.validate(certs.problem)
-        return _tested(gap, "phi(y) gap") <= criterion.tol
-    if v == "stationarity":
-        if certs.rules_out_stationarity(criterion.tol):
-            return False
-        return _tested(certs.stationarity.norm, "||u||") <= criterion.tol
-    pair = certs.pair
-    if v == "absolute":
-        norm, eta = _tested(pair.norm, "||v||"), _tested(pair.eta, "eta")
-        return norm <= criterion.tol and eta <= criterion.eta_tol
-    lhs = _tested(pair.norm**2 + 2.0 * pair.eta, "||v||^2 + 2 eta")
-    if v == "relative":
-        dist = vector_norm(state.y - state.x0)
-        return lhs <= criterion.tol * dist**2
-    # alternate_relative
-    shifted = vector_norm(pair.v + state.y - state.x0)
-    return lhs <= criterion.tol * shifted**2
+    return stop_test(criterion, certs.problem, certs.state.config).check(certs)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from . import bounds as _bounds
 from . import certificates as _cert
 from .errors import (ConfigError, GrowthOverflowError, InvalidStartError,
                      NumericFailure)
-from .problems import REAL_FORMAT, CompositeProblem
+from .problems import REAL_FORMAT, CompositeProblem, eval_phi
 
 Array = np.ndarray
 
@@ -46,6 +46,13 @@ class SolverConfig:
     lf must strictly dominate the curvature bound of f; mu_f and mu_h are the
     strong-convexity moduli the solver is allowed to exploit and may be any
     values in [0, modulus of f] and [0, modulus of h].
+
+    mu = mu_f + mu_h and lam = 1 / (lf - mu_f), which every step reads, are
+    computed once, when the config is made (and again by
+    dataclasses.replace, which makes a new one).  They are plain attributes,
+    not fields, so repr and == see the fields alone.  A config that `init`
+    rejects is still made: lf == mu_f gives lam = inf, and a constant that
+    is not a number gives NaN for both.
     """
 
     lf: float
@@ -55,13 +62,15 @@ class SolverConfig:
     criterion: Optional["_bounds.Criterion"] = None
     trace_every: int = 1
 
-    @property
-    def mu(self) -> float:
-        return self.mu_f + self.mu_h
-
-    @property
-    def lam(self) -> float:
-        return 1.0 / (self.lf - self.mu_f)
+    def __post_init__(self):
+        try:
+            mu = self.mu_f + self.mu_h
+            lf_gap = self.lf - self.mu_f
+            lam = 1.0 / lf_gap if lf_gap else math.inf
+        except (TypeError, ValueError):
+            mu = lam = math.nan
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "lam", lam)
 
     @classmethod
     def for_problem(cls, problem: CompositeProblem, lf: Optional[float] = None,
@@ -186,7 +195,10 @@ class Trace(Sequence):
             self.append(record)
 
     def append(self, record: TraceRecord) -> None:
-        values = _row_values(record)
+        self._add(_row_values(record))
+
+    def _add(self, values: tuple) -> None:
+        """Append one row given as its ten values in field order."""
         mask = _none_mask(values)
         # fromlist adds the whole row or, on a bad field, nothing
         self._data.fromlist([0.0 if v is None else v for v in values] if mask
@@ -365,39 +377,47 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
     x_next += mu * a * y_next
     x_next += state.tau * state.x
     x_next /= tau_next
-    return IterateState(
-        k=state.k + 1,
-        config=config,
-        a_prev=a,
-        a_next=_next_coefficient(lam, tau_next, A_next),
-        A=A_next,
-        tau=tau_next,
-        x=x_next,
-        y=y_next,
-        x_tilde_prev=x_tilde,
-        grad_tilde_prev=g,
-        x0=state.x0,
-    )
+    # the fields in field order: k, config, a_prev, a_next, A, tau, x, y,
+    # x_tilde_prev, grad_tilde_prev, x0
+    return IterateState(state.k + 1, config, a, _next_coefficient(
+        lam, tau_next, A_next), A_next, tau_next, x_next, y_next, x_tilde, g,
+        state.x0)
+
+
+def _row(state: IterateState, phi_y: float, phi_star: Optional[float],
+         u: Optional[_cert.StationarityResidual],
+         pair: Optional[_cert.ResidualPair], started_ns: int) -> tuple:
+    """The ten values of a state's trace row, in field order.
+
+    The one place a row is formed.  Its a is state.a_next, the coefficient
+    the NEXT step takes (inf at a growth halt), so a single row checks
+    tau * (A + a) / a^2 = 1 / lam on its own.  gap is phi_y - phi_star, None
+    without a reference optimum; u and pair are the state's certificates,
+    None before the first step, whose norm_u, norm_v and eta_residual are
+    None too.  elapsed_ns counts from started_ns.
+    """
+    gap = None if phi_star is None else phi_y - phi_star
+    norm_u = norm_v = eta = None
+    if u is not None:
+        norm_u, norm_v, eta = u.norm, pair.norm, pair.eta
+    return (state.k, state.a_next, state.A, state.tau, phi_y, gap, norm_u,
+            norm_v, eta, time.perf_counter_ns() - started_ns)
 
 
 def trace_record(certs: _cert.Certificates, started_ns: int) -> TraceRecord:
     """The trace row of one state, elapsed_ns counted from started_ns.
 
-    Its a is state.a_next, the coefficient the NEXT step takes (inf at a
-    growth halt), so a single row checks tau * (A + a) / a^2 = 1 / lam on
-    its own.  Rows after k = 0 carry both certificates; gap is `certs.gap`,
-    None without a reference optimum.
+    `_row` on the record's pieces: rows after k = 0 carry both
+    certificates, and gap is phi_y - phi*, as `certs.gap`, None without a
+    reference optimum.
     """
-    state = certs.state
-    gap = certs.gap
-    norm_u = norm_v = eta = None
+    state, ref = certs.state, certs.problem.reference_optimum
+    phi_y = certs.phi_y
+    u = pair = None
     if state.k >= 1:
-        norm_u = certs.stationarity.norm
-        norm_v, eta = certs.pair.norm, certs.pair.eta
-    return TraceRecord(k=state.k, a=state.a_next, A=state.A, tau=state.tau,
-                       phi_y=certs.phi_y, gap=gap, norm_u=norm_u, norm_v=norm_v,
-                       eta_residual=eta,
-                       elapsed_ns=time.perf_counter_ns() - started_ns)
+        u, pair = certs.stationarity, certs.pair
+    return TraceRecord(*_row(state, phi_y, None if ref is None else ref.phi_star,
+                             u, pair, started_ns))
 
 
 def iterate(problem: CompositeProblem, config: SolverConfig,
@@ -422,61 +442,102 @@ def stop_reason(criterion: Optional["_bounds.Criterion"],
 
     "numeric_failure" when the phi_y of the row built for the record, if
     any, is NaN or infinite, at every k and whatever the criterion; else
-    when, without a criterion, an entry of y is, or the quantity the
-    criterion tests is.  "converged" when the criterion holds and None when
-    it does not.  The certificates u and (v, eta) start at k = 1, so at
-    k = 0 every criterion but function_gap gives None once the row passes.
+    the reason of `bounds.stop_test(criterion, ...)` for the record:
+    "numeric_failure" when, without a criterion, an entry of y is NaN or
+    infinite, or the quantity the criterion tests is; "converged" when the
+    criterion holds and None when it does not.  The certificates u and
+    (v, eta) start at k = 1, so at k = 0 every criterion but function_gap
+    gives None once the row passes.
     """
     if row is not None and not math.isfinite(row.phi_y):
         return "numeric_failure"
-    if criterion is None:
-        return None if np.isfinite(certs.state.y).all() else "numeric_failure"
-    if certs.state.k == 0 and criterion.variant != "function_gap":
-        return None
-    try:
-        return "converged" if _bounds.check(criterion, certs) else None
-    except NumericFailure:
-        return "numeric_failure"
+    return _bounds.stop_test(criterion, certs.problem,
+                             certs.state.config).reason(certs)
 
 
 def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult:
     """Take states from `iterate` until the criterion fires or a cap is reached.
 
-    Each state gets one Certificates record, whose pieces are computed only
-    when the criterion or the trace reads them; an untraced stationarity run
-    forms u only at states its oracle-free lower bound cannot rule out.
-    Every trace_every-th state appends its TraceRecord to the result's
-    Trace, and so does the final one; rows after the first carry both
-    certificates.  The row of the current state stays in a local, so the
-    run never reads a row back from the Trace.  One rule holds for every
-    row the run builds, row 0 and the final row included: a phi_y that is
-    NaN or infinite stops the run with "numeric_failure", whatever the
-    criterion and the spacing, so a non-finite phi(x0) ends it at k = 0.
-    `stop_reason` tests the criterion from k = 1 on, and at k = 0 too for
-    function_gap; a NaN or infinite quantity it tests stops the run the same
-    way.  A run without a criterion also stops so at the first y with a
-    non-finite entry.
+    Everything the run reads is bound once: the criterion's test
+    (`bounds.stop_test`), phi* and the two certificate functions, looked up
+    on the certificates module per run.  A state keeps no record: it costs
+    its step, the certificates its row and its test read, each formed at
+    most once, and its row's ten doubles, packed straight into the result's
+    Trace.  Every trace_every-th state gets a row, and so does the final
+    one; rows after the first carry both certificates.  An untraced
+    stationarity run forms u only at states its oracle-free screen cannot
+    rule out.  One rule holds for every row the run builds, row 0 and the
+    final row included: a phi_y that is NaN or infinite stops the run with
+    "numeric_failure", whatever the criterion and the spacing, so a
+    non-finite phi(x0) ends it at k = 0.  The test runs from its first_k
+    on (k = 1, or k = 0 for function_gap); a NaN or infinite quantity it
+    tests stops the run the same way.  A run without a criterion also stops
+    so at the first y with a non-finite entry.  The rows and the stop are
+    those of `trace_record` and `stop_reason` on each state's Certificates.
     """
     started_ns = time.perf_counter_ns()
-    criterion = config.criterion
+    test = _bounds.stop_test(config.criterion, problem, config)
+    reads, first_k, holds, screen = (test.reads, test.first_k, test.holds,
+                                     test.screen)
+    residual, residual_pair = _cert.stationarity_residual, _cert.residual_pair
+    ref = problem.reference_optimum
+    phi_star = None if ref is None else ref.phi_star
+    every = config.trace_every
     trace = Trace()
-    states = iterate(problem, config, x0)
+    add_row = trace._add
     # max(., 0) so that init runs, and rejects, a negative max_iter
-    for state in islice(states, max(config.max_iter, 0) + 1):
-        certs = _cert.Certificates(state, problem)
-        row = None
-        if state.k % config.trace_every == 0:
-            row = trace_record(certs, started_ns)
-            trace.append(row)
-        reason = stop_reason(criterion, certs, row)
-        if reason is not None:
+    for state in islice(iterate(problem, config, x0),
+                        max(config.max_iter, 0) + 1):
+        k = state.k
+        phi_y = u = pair = row = None
+        if k % every == 0:
+            phi_y = eval_phi(problem, state.y)
+            if k:
+                u, pair = residual(state, problem), residual_pair(state)
+            row = _row(state, phi_y, phi_star, u, pair, started_ns)
+            add_row(row)
+            if not math.isfinite(phi_y):
+                reason = "numeric_failure"
+                break
+        if k < first_k or (u is None and screen is not None
+                           and screen(test, state)):
+            continue
+        # the certificate the test reads, unless the row formed it
+        if reads == "stationarity":
+            if u is None:
+                u = residual(state, problem)
+            read = u
+        elif reads == "pair":
+            if pair is None:
+                pair = residual_pair(state)
+            read = pair
+        elif reads == "phi_y":
+            if phi_y is None:
+                phi_y = eval_phi(problem, state.y)
+            read = phi_y
+        else:
+            read = None
+        try:
+            if holds(test, state, read):
+                reason = "converged"
+                break
+        except NumericFailure:
+            reason = "numeric_failure"
             break
-    if reason is None:
+    else:
         reason = "max_iter" if state.k == config.max_iter else "growth_overflow"
     if row is None:
-        row = trace_record(certs, started_ns)
-        trace.append(row)
-        reason = stop_reason(None, certs, row) or reason
+        # the final row, with what the test formed
+        if phi_y is None:
+            phi_y = eval_phi(problem, state.y)
+        if k and u is None:
+            u = residual(state, problem)
+        if k and pair is None:
+            pair = residual_pair(state)
+        add_row(_row(state, phi_y, phi_star, u, pair, started_ns))
+        # the row test, then the test of a run without a criterion
+        if not (math.isfinite(phi_y) and np.isfinite(state.y).all()):
+            reason = "numeric_failure"
     return RunResult(state=state, reason=reason, trace=trace)
 
 

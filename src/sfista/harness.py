@@ -181,11 +181,16 @@ _PAIR = np.dtype((float, 2))
 
 
 def _pair_excess(norm_v, eta, bounds) -> Array:
-    """The larger excess of ||v|| and eta over their (v, eta) bounds."""
+    """The larger excess of ||v|| and eta over their (v, eta) bounds.
+
+    A NaN in either excess is the entry's excess, so the check fails on it.
+    """
     v_excess = _excess(norm_v, bounds[:, 0])
     eta_excess = _excess(eta, bounds[:, 1])
-    # max(v_excess, eta_excess) entry by entry, as Python's max takes it
-    return np.where(eta_excess > v_excess, eta_excess, v_excess)
+    # max(v_excess, eta_excess) entry by entry, as Python's max takes it,
+    # save that a NaN eta_excess wins too (a NaN v_excess already does)
+    return np.where((eta_excess > v_excess) | np.isnan(eta_excess),
+                    eta_excess, v_excess)
 
 
 def _squared_norm(v: Array) -> float:
@@ -437,12 +442,14 @@ def suite_criteria(problem: CompositeProblem, d0: float):
 def suite_rows(label: str, problem: CompositeProblem, criteria) -> list:
     """One BoundsRow per criterion, all tested on one pass of `engine.iterate`.
 
-    Each criterion goes through `engine.stop_reason`, with no row, until it
-    holds, its quantity is NaN or infinite, or k reaches its predicted
-    count.  On a finite objective, as every suite instance has, observed k
-    is where `engine.run` with that criterion and max_iter = predicted_k
-    stops "converged", else None.  The criteria share one Certificates
-    record per state, and the pass ends once none is still tested.
+    Each criterion's test is built once (`bounds.stop_test`) and gives each
+    state its `StopTest.reason`, as `engine.stop_reason` does with no row,
+    until it holds, its quantity is NaN or infinite, or k reaches its
+    predicted count.  On a finite objective, as every suite instance has,
+    observed k is where `engine.run` with that criterion and max_iter =
+    predicted_k stops "converged", else None.  The criteria share one
+    Certificates record per state, and the pass ends once none is still
+    tested.
     """
     x0 = np.zeros(problem.dimension)
     d0 = problem.reference_optimum.distance(x0)
@@ -453,12 +460,14 @@ def suite_rows(label: str, problem: CompositeProblem, criteria) -> list:
             criterion, config.lf, problem.f.curvature, config.mu_f, config.mu,
             d0=d0).predicted_k)
         criterion.validate(problem)
+    tests = [_bounds.stop_test(criterion, problem, config)
+             for criterion in criteria]
     observed = [None] * len(criteria)
     pending = list(range(len(criteria)))
     for state in islice(_engine.iterate(problem, config, x0), max(predicted) + 1):
         certs = _cert.Certificates(state, problem)
         for i in pending[:]:
-            reason = _engine.stop_reason(criteria[i], certs, None)
+            reason = tests[i].reason(certs)
             if reason == "converged":
                 observed[i] = state.k
             if reason is not None or state.k == predicted[i]:

@@ -31,6 +31,53 @@ def test_config_derived_quantities():
     assert config.mu == 1.25
 
 
+def test_config_derived_quantities_computed_once():
+    # stored on the instance when it is made, not recomputed per read
+    config = engine.SolverConfig(lf=3.0, mu_f=1.0, mu_h=0.25)
+    assert {"lam", "mu"} <= set(vars(config))
+    assert not hasattr(engine.SolverConfig, "lam")
+    assert not hasattr(engine.SolverConfig, "mu")
+    # replace makes a new config, which computes them anew
+    moved = dataclasses.replace(config, lf=5.0, mu_h=0.5)
+    assert moved.lam == 0.25 and moved.mu == 1.5
+    assert (config.lam, config.mu) == (0.5, 1.25)
+
+
+def test_config_repr_and_equality_see_the_fields_alone():
+    config = engine.SolverConfig(lf=3.0, mu_f=1.0, mu_h=0.25)
+    assert repr(config) == ("SolverConfig(lf=3.0, mu_f=1.0, mu_h=0.25, "
+                            "max_iter=10000, criterion=None, trace_every=1)")
+    assert [f.name for f in dataclasses.fields(config)] == [
+        "lf", "mu_f", "mu_h", "max_iter", "criterion", "trace_every"]
+    assert config == engine.SolverConfig(lf=3.0, mu_f=1.0, mu_h=0.25)
+    assert config != engine.SolverConfig(lf=3.0, mu_f=1.0)
+    assert hash(config) == hash(engine.SolverConfig(lf=3.0, mu_f=1.0,
+                                                    mu_h=0.25))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.lam = 1.0
+
+
+def test_config_that_init_rejects_is_still_made(quad1d):
+    # lf == mu_f has no lam; the config is made, and init rejects it with
+    # a ConfigError, not a ZeroDivisionError
+    for lf in (1.0, 0.0):
+        config = engine.SolverConfig(lf=lf, mu_f=lf)
+        assert config.lam == math.inf
+        with pytest.raises(ConfigError):
+            engine.init(quad1d, config, np.array([1.0]))
+    f = problems.SmoothOracle(value=lambda x: float(x @ x),
+                              grad=lambda x: 2 * x, mu=2.0, curvature=1.0)
+    steep = problems.CompositeProblem(f=f, h=problems.zero_function(),
+                                      dimension=1)
+    with pytest.raises(ConfigError, match="lf must strictly exceed mu_f"):
+        engine.init(steep, engine.SolverConfig(lf=1.5, mu_f=1.5), np.ones(1))
+    # non-finite and non-numeric constants are made too
+    assert math.isnan(engine.SolverConfig(lf=math.nan).lam)
+    assert engine.SolverConfig(lf=math.inf).lam == 0.0
+    odd = engine.SolverConfig(lf="2")
+    assert math.isnan(odd.lam) and math.isnan(odd.mu)
+
+
 def test_config_for_problem_defaults(lasso42):
     config = engine.SolverConfig.for_problem(lasso42)
     assert config.lf == 1.25 * lasso42.f.curvature
@@ -557,6 +604,116 @@ def test_sign_flips_keep_every_iterate_on_a_tall_design():
     assert np.array_equal(cols * moved.state.y, base.state.y)
     assert np.array_equal(cols * moved.state.x, base.state.x)
     assert [r.phi_y for r in moved.trace] == [r.phi_y for r in base.trace]
+
+
+# ---------------------------------------------------------------------------
+# run against the per-record API
+# ---------------------------------------------------------------------------
+
+def _run_by_records(problem, config, x0):
+    """(k, reason, rows) of `run`, rebuilt from one Certificates record per
+    state, `trace_record` and a loop of `stop_reason`."""
+    rows = []
+    for state in itertools.islice(engine.iterate(problem, config, x0),
+                                  config.max_iter + 1):
+        certs = certificates.Certificates(state, problem)
+        row = None
+        if state.k % config.trace_every == 0:
+            row = engine.trace_record(certs, time.perf_counter_ns())
+            rows.append(row)
+        reason = engine.stop_reason(config.criterion, certs, row)
+        if reason is not None:
+            break
+    else:
+        reason = ("max_iter" if state.k == config.max_iter
+                  else "growth_overflow")
+    if row is None:
+        row = engine.trace_record(certs, time.perf_counter_ns())
+        rows.append(row)
+        reason = engine.stop_reason(None, certs, row) or reason
+    return state.k, reason, rows
+
+
+Criterion = bounds.Criterion
+# a reference optimum and mu = 1: each criterion converges, and without one
+# the run goes to max_iter
+WITH_REFERENCE = [
+    (None, 300, "max_iter"),
+    (Criterion.function_gap(1e-8), 136, "converged"),
+    (Criterion.stationarity(1e-6), 205, "converged"),
+    (Criterion.relative(1e-6), 196, "converged"),
+    (Criterion.alternate_relative(1e-6), 196, "converged"),
+    (Criterion.absolute(1e-5, 1e-8), 267, "converged"),
+]
+# no reference optimum: no gap in any row, and no function_gap run
+WITHOUT_REFERENCE = [
+    (None, 300, "max_iter"),
+    (Criterion.stationarity(1e-3), 107, "converged"),
+    (Criterion.relative(1e-2), 20, "converged"),
+    (Criterion.alternate_relative(1e-2), 20, "converged"),
+    (Criterion.absolute(0.1, 0.1), 167, "converged"),
+]
+
+
+def _untimed(rows):
+    """_bits of each row, elapsed_ns set to 0."""
+    return [_bits(dataclasses.replace(r, elapsed_ns=0)) for r in rows]
+
+
+def _at(runs, k, reason):
+    """runs with every stop replaced by (k, reason)."""
+    return [(criterion, k, reason) for criterion, _, _ in runs]
+
+
+@pytest.mark.parametrize("trace_every", [1, 3])
+@pytest.mark.parametrize("fixture_name, runs", [
+    ("elastic_mu1", WITH_REFERENCE),
+    ("lasso_norm", WITHOUT_REFERENCE),
+    # phi(x0) is NaN: row 0 stops every run
+    ("nan_at_origin_net", _at(WITH_REFERENCE, 0, "numeric_failure")),
+    # the first step's gradient is NaN: every run stops at k = 1
+    ("nan_gradient_net", _at(WITHOUT_REFERENCE, 1, "numeric_failure")),
+])
+def test_run_rows_are_the_record_rows(request, fixture_name, runs,
+                                      trace_every):
+    # the run keeps no record per state, yet each of its rows equals
+    # trace_record's row of the same state bit for bit, elapsed_ns aside,
+    # and it stops where stop_reason first gives a reason; under
+    # trace_every = 3 most final rows fall off the spacing
+    problem = request.getfixturevalue(fixture_name)
+    x0 = np.zeros(problem.dimension)
+    for criterion, k, reason in runs:
+        config = engine.SolverConfig.for_problem(
+            problem, criterion=criterion, max_iter=300,
+            trace_every=trace_every)
+        result = engine.run(problem, config, x0)
+        assert (result.state.k, result.reason) == (k, reason), criterion
+        expected = _run_by_records(problem, config, x0)
+        assert expected[:2] == (k, reason)
+        assert [r.k for r in result.trace] == sorted(
+            {*range(0, k + 1, trace_every), k})
+        assert _untimed(result.trace) == _untimed(expected[2]), criterion
+
+
+def test_run_rows_are_the_record_rows_at_a_growth_halt(quad1d):
+    # the quad1d halt after 42 steps, which every criterion but function_gap
+    # and stationarity reaches; 8 and 42 are off a spacing of 5
+    runs = [(None, 42), (Criterion.function_gap(1e-100), 8),
+            (Criterion.stationarity(1e-100), 15),
+            (Criterion.relative(1e-300), 42),
+            (Criterion.alternate_relative(1e-300), 42),
+            (Criterion.absolute(1e-300, 1e-300), 42)]
+    for trace_every in (1, 5):
+        for criterion, k in runs:
+            config = engine.SolverConfig(lf=1.0 + 1e-7, mu_f=1.0,
+                                         max_iter=1000, criterion=criterion,
+                                         trace_every=trace_every)
+            result = engine.run(quad1d, config, np.array([1.0]))
+            reason = "growth_overflow" if k == 42 else "converged"
+            assert (result.state.k, result.reason) == (k, reason)
+            expected = _run_by_records(quad1d, config, np.array([1.0]))
+            assert expected[:2] == (k, reason)
+            assert _untimed(result.trace) == _untimed(expected[2])
 
 
 # ---------------------------------------------------------------------------

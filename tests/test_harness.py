@@ -226,6 +226,24 @@ def test_nan_residual_fails_min_norm_bound(elastic_capture):
     assert check.location == 3
 
 
+@pytest.mark.parametrize("field", ["eta_residual", "norm_v"])
+def test_nan_pair_fails_both_pair_bounds(elastic_mu1, field):
+    # a 100-step capture of the README net with row 4's eta (or ||v||) NaN:
+    # the larger of the two excesses keeps a NaN from either side
+    capture = harness.capture_run(elastic_mu1,
+                                  engine.SolverConfig.for_problem(elastic_mu1),
+                                  np.zeros(elastic_mu1.dimension), 100)
+    rows = list(capture.rows)
+    rows[4] = dataclasses.replace(rows[4], **{field: math.nan})
+    _, checks = _report_checks(
+        dataclasses.replace(capture, rows=engine.Trace(rows)), 0)
+    for name in ("pair_norm_bounds", "pair_absolute_bounds"):
+        check = checks[name]
+        assert not check.passed and math.isnan(check.worst)
+        assert check.location == 4
+        assert check.line().startswith(f"{name} = FAIL (worst nan")
+
+
 def test_gap_read_as_none_is_named():
     # rows captured without a reference hold no gap; a packed None reads
     # 0.0, which would pass function_gap_rate, so the report names it

@@ -316,3 +316,73 @@ def test_bounds_suite_steps_once_per_instance(step_calls):
         last[row.label] = max(last.get(row.label, 0), min(k, row.predicted_k))
     assert len(last) == 10
     assert len(step_calls) == sum(last.values()) == 513
+
+
+# ---------------------------------------------------------------------------
+# certificate calls per run
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def certificate_calls(monkeypatch):
+    """k of each state the two residuals were formed at, by residual name.
+
+    Patched where `engine.run` looks them up, on the certificates module,
+    once per run.
+    """
+    calls = {"stationarity_residual": [], "residual_pair": []}
+    real_residual = certificates.stationarity_residual
+    real_pair = certificates.residual_pair
+
+    def residual(state, problem):
+        calls["stationarity_residual"].append(state.k)
+        return real_residual(state, problem)
+
+    def pair(state):
+        calls["residual_pair"].append(state.k)
+        return real_pair(state)
+
+    monkeypatch.setattr(certificates, "stationarity_residual", residual)
+    monkeypatch.setattr(certificates, "residual_pair", pair)
+    return calls
+
+
+def test_traced_run_forms_each_residual_once_per_row(elastic_mu1,
+                                                     certificate_calls):
+    # every row after k = 0 holds both, and the test reads the row's u
+    k, _ = _run(elastic_mu1, bounds.Criterion.stationarity(1e-6),
+                trace_every=1)
+    assert k == 205
+    assert certificate_calls == {"stationarity_residual": list(range(1, k + 1)),
+                                 "residual_pair": list(range(1, k + 1))}
+
+
+@pytest.mark.parametrize("trace_every, formed_u", [(10000, 23), (3, 83)])
+def test_untraced_states_form_u_only_past_the_screen(
+        elastic_mu1, certificate_calls, trace_every, formed_u):
+    # u at each traced state and at the untraced states the screen cannot
+    # rule out (23 of them, the final one among them); the pair only at
+    # traced states and in the final row
+    k, _ = _run(elastic_mu1, bounds.Criterion.stationarity(1e-6),
+                trace_every)
+    assert k == 205
+    formed = certificate_calls["stationarity_residual"]
+    traced = list(range(trace_every, k, trace_every))
+    assert len(formed) == formed_u and len(set(formed)) == formed_u
+    assert set(traced) <= set(formed) and formed[-1] == k
+    assert certificate_calls["residual_pair"] == traced + [k]
+
+
+@pytest.mark.parametrize("criterion, k_stop, reads_pair", [
+    (bounds.Criterion.function_gap(1e-8), 136, False),
+    (bounds.Criterion.relative(1e-6), 196, True),
+    (bounds.Criterion.absolute(1e-5, 1e-8), 267, True),
+])
+def test_untraced_run_forms_only_what_its_test_reads(
+        elastic_mu1, certificate_calls, criterion, k_stop, reads_pair):
+    # the pair at every state a pair criterion tests, and both residuals
+    # once more only for the final row, which reuses the test's pair
+    k, _ = _run(elastic_mu1, criterion, trace_every=10000)
+    assert k == k_stop
+    assert certificate_calls["stationarity_residual"] == [k]
+    assert certificate_calls["residual_pair"] == (
+        list(range(1, k + 1)) if reads_pair else [k])
