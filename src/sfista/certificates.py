@@ -139,17 +139,20 @@ def lower_models(states: Sequence["IterateState"],
         yield state.k, (model := lower_model_update(model, state, problem))
 
 
-def stationarity_residual(state: "IterateState",
-                          problem: CompositeProblem) -> StationarityResidual:
+def stationarity_residual(state: "IterateState", problem: CompositeProblem,
+                          grad_y: Optional[Array] = None) -> StationarityResidual:
     """Composite subgradient at the current proximal point y.
 
     Defined for k >= 1 only, because it references the extrapolated point the
     last proximal step was taken from and the gradient the step took there.
+    grad_y, when given, is grad f(y), already formed; else f.grad forms it.
     """
     if state.k < 1 or state.x_tilde_prev is None or state.grad_tilde_prev is None:
         raise CertificateUndefinedError("stationarity residual needs at least one step")
+    if grad_y is None:
+        grad_y = problem.f.grad(state.y)
     # u = (grad f(y) - grad_tilde_prev) + lf (x_tilde_prev - y), in that order
-    u = problem.f.grad(state.y) - state.grad_tilde_prev
+    u = grad_y - state.grad_tilde_prev
     step = state.x_tilde_prev - state.y
     step *= state.config.lf
     u += step

@@ -28,7 +28,7 @@ from . import bounds as _bounds
 from . import certificates as _cert
 from .errors import (ConfigError, GrowthOverflowError, InvalidStartError,
                      NumericFailure)
-from .problems import REAL_FORMAT, CompositeProblem, eval_phi
+from .problems import REAL_FORMAT, CompositeProblem, eval_phi, eval_phi_and_grad
 
 Array = np.ndarray
 
@@ -459,27 +459,31 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     """Take states from `iterate` until the criterion fires or a cap is reached.
 
     Everything the run reads is bound once: the criterion's test
-    (`bounds.stop_test`), phi* and the two certificate functions, looked up
-    on the certificates module per run.  A state keeps no record: it costs
-    its step, the certificates its row and its test read, each formed at
-    most once, and its row's ten doubles, packed straight into the result's
-    Trace.  Every trace_every-th state gets a row, and so does the final
-    one; rows after the first carry both certificates.  An untraced
-    stationarity run forms u only at states its oracle-free screen cannot
-    rule out.  One rule holds for every row the run builds, row 0 and the
-    final row included: a phi_y that is NaN or infinite stops the run with
-    "numeric_failure", whatever the criterion and the spacing, so a
-    non-finite phi(x0) ends it at k = 0.  The test runs from its first_k
-    on (k = 1, or k = 0 for function_gap); a NaN or infinite quantity it
-    tests stops the run the same way.  A run without a criterion also stops
-    so at the first y with a non-finite entry.  The rows and the stop are
-    those of `trace_record` and `stop_reason` on each state's Certificates.
+    (`bounds.stop_test`), phi*, the two certificate functions, looked up on
+    the certificates module per run, and `problem.f.fused()`.  While that is
+    not None, each row after k = 0 takes phi(y) and the gradient its u needs
+    from one value_and_grad call; else from f.value and f.grad.  A state
+    keeps no record: it costs its step, the certificates its row and its
+    test read, each formed at most once, and its row's ten doubles, packed
+    straight into the result's Trace.  Every trace_every-th state gets a
+    row, and so does the final one; rows after the first carry both
+    certificates.  An untraced stationarity run forms u only at states its
+    oracle-free screen cannot rule out.  One rule holds for every row the
+    run builds, row 0 and the final row included: a phi_y that is NaN or
+    infinite stops the run with "numeric_failure", whatever the criterion
+    and the spacing, so a non-finite phi(x0) ends it at k = 0.  The test
+    runs from its first_k on (k = 1, or k = 0 for function_gap); a NaN or
+    infinite quantity it tests stops the run the same way.  A run without a
+    criterion also stops so at the first y with a non-finite entry.  The
+    rows and the stop are those of `trace_record` and `stop_reason` on each
+    state's Certificates.
     """
     started_ns = time.perf_counter_ns()
     test = _bounds.stop_test(config.criterion, problem, config)
     reads, first_k, holds, screen = (test.reads, test.first_k, test.holds,
                                      test.screen)
     residual, residual_pair = _cert.stationarity_residual, _cert.residual_pair
+    fused = problem.f.fused()
     ref = problem.reference_optimum
     phi_star = None if ref is None else ref.phi_star
     every = config.trace_every
@@ -491,9 +495,15 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
         k = state.k
         phi_y = u = pair = row = None
         if k % every == 0:
-            phi_y = eval_phi(problem, state.y)
+            if k and fused is not None:
+                phi_y, grad_y = eval_phi_and_grad(problem, state.y, fused)
+                u = residual(state, problem, grad_y)
+            else:
+                phi_y = eval_phi(problem, state.y)
+                if k:
+                    u = residual(state, problem)
             if k:
-                u, pair = residual(state, problem), residual_pair(state)
+                pair = residual_pair(state)
             row = _row(state, phi_y, phi_star, u, pair, started_ns)
             add_row(row)
             if not math.isfinite(phi_y):

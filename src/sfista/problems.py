@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -40,6 +41,9 @@ REFERENCE_MAX_ITER = 10**6
 
 RNG_NAME = "pcg64"
 
+# the smallest normal double; a sum of squares below it has lost digits
+_NORMAL_MIN = sys.float_info.min
+
 # kind -> {parameter: default}; a bool default marks a switch, any other a
 # real.  make_instance, the instance files and the CLI flags all read it.
 INSTANCE_PARAMS = {
@@ -56,12 +60,20 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def vector_norm(v: Array) -> float:
-    """Euclidean norm of a 1-D float64 array, bit for bit np.linalg.norm's.
+    """Euclidean norm of a 1-D float64 array.
 
-    np.linalg.norm also takes the square root of v.dot(v); this skips its
-    argument handling.
+    The square root of v.dot(v), as np.linalg.norm takes it, so the two
+    agree bit for bit while v.dot(v) is a normal double.  Below that, from
+    ||v|| of about 1.5e-154 down, the sum of squares loses digits and then
+    reads 0; a nonzero v whose v.dot(v) falls there is scaled by max |v|
+    first, so its norm keeps full precision and never reads 0.
     """
-    return math.sqrt(float(v.dot(v)))
+    sq = float(v.dot(v))
+    if sq < _NORMAL_MIN and v.any():
+        scale = float(np.abs(v).max())
+        v = v / scale
+        return scale * math.sqrt(float(v.dot(v)))
+    return math.sqrt(sq)
 
 
 @dataclass(frozen=True)
@@ -74,12 +86,39 @@ class SmoothOracle:
         mu: strong-convexity modulus of f (0 when merely convex).
         curvature: constant L such that f(x) <= f(z) + <f'(z), x - z>
             + (L/2) * ||x - z||^2 for all x, z.  Must satisfy curvature >= mu.
+        value_and_grad: optional x -> (value(x), grad(x)), both bit for bit
+            what the two calls return, from work they share.  The oracle
+            notes which value and grad it was given with (`_fused_with`),
+            and `fused` hands it out only while those are still this
+            oracle's: one rebuilt with another value or grad, as a counting
+            wrapper is, gets None and makes its two calls.
     """
 
     value: Callable[[Array], float]
     grad: Callable[[Array], Array]
     mu: float = 0.0
     curvature: float = 0.0
+    value_and_grad: Optional[Callable[[Array], tuple]] = None
+    # (value, grad, value_and_grad) when value_and_grad was set; carried
+    # along by dataclasses.replace
+    _fused_with: Optional[tuple] = field(default=None, repr=False,
+                                         compare=False)
+
+    def __post_init__(self):
+        fused_with = self._fused_with
+        if self.value_and_grad is not None and (
+                fused_with is None or fused_with[2] is not self.value_and_grad):
+            object.__setattr__(self, "_fused_with",
+                               (self.value, self.grad, self.value_and_grad))
+
+    def fused(self) -> Optional[Callable[[Array], tuple]]:
+        """value_and_grad, or None unless value and grad are still the
+        functions it was set with."""
+        fused_with = self._fused_with
+        if (self.value_and_grad is None or fused_with[0] is not self.value
+                or fused_with[1] is not self.grad):
+            return None
+        return self.value_and_grad
 
 
 @dataclass(frozen=True)
@@ -130,12 +169,31 @@ class CompositeProblem:
 
 def eval_phi(problem: CompositeProblem, x: Array) -> float:
     """Evaluate phi(x) = f(x) + h(x) as an extended real."""
+    x = _point(problem, x)
+    return _phi_given_h(problem, x, problem.h.value(x))
+
+
+def eval_phi_and_grad(problem: CompositeProblem, x: Array,
+                      value_and_grad: Callable[[Array], tuple]) -> tuple:
+    """(phi(x), grad f(x)), f's part from one value_and_grad(x) call.
+
+    value_and_grad is `problem.f.fused()`.  phi(x) is eval_phi's, bit for
+    bit, and the gradient f.grad's; f is evaluated even where h is +inf.
+    """
+    x = _point(problem, x)
+    hx = problem.h.value(x)
+    fx, gx = value_and_grad(x)
+    return (math.inf if hx == math.inf else float(fx) + float(hx)), gx
+
+
+def _point(problem: CompositeProblem, x: Array) -> Array:
+    """x as a float array, which must have shape (dimension,)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dimension,):
         raise ValueError(
             f"point has shape {x.shape}, expected ({problem.dimension},)"
         )
-    return _phi_given_h(problem, x, problem.h.value(x))
+    return x
 
 
 def _phi_given_h(problem: CompositeProblem, x: Array, hx: float) -> float:
@@ -154,7 +212,16 @@ def prox_soft_threshold(x: Array, weight: float, step: float) -> Array:
     x = np.asarray(x, dtype=float)
     if weight < 0 or step <= 0:
         raise ValueError("soft threshold needs weight >= 0 and step > 0")
-    return np.sign(x) * np.maximum(np.abs(x) - weight * step, 0.0)
+    if x.ndim == 0:
+        # the abs of a 0-d array is a scalar, which no out= takes
+        return np.sign(x) * np.maximum(np.abs(x) - weight * step, 0.0)
+    # sign(x) * max(|x| - weight step, 0) in place: the same operations on
+    # the same operands, sign(x) first as the left factor, so even a NaN
+    # keeps its bits (sign(-nan) * nan and nan * sign(-nan) differ)
+    out = np.abs(x)
+    out -= weight * step
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(np.sign(x), out, out=out)
 
 
 def prox_box(x: Array, lo, hi) -> Array:
@@ -238,7 +305,9 @@ def least_squares(A: Array, b: Array, ridge: float = 0.0,
     holds n^2 doubles (2 MB at n = 500), never more than A, and when
     `curvature` is omitted its top eigenvalue is the one `gram_top` would
     compute, bit for bit.  A wide design keeps the residual form A^T (A x -
-    b).  `value` is the residual form on every shape.
+    b), and its `value_and_grad` forms the residual once for both; a tall
+    one has no residual to share and no `value_and_grad`.  `value` is the
+    residual form on every shape.
 
     G x - c cancels terms of size about ||G||_2 ||x||, so its rounding error
     is a few u ||G||_2 ||x|| with u = 2^-53.  At x* of the 1000 x 500
@@ -260,21 +329,40 @@ def least_squares(A: Array, b: Array, ridge: float = 0.0,
     if curvature is None:
         top = top_eigenvalue(G) if tall else gram_top(A)
         curvature = (top + ridge) * CURVATURE_INFLATION
+    # ndarray.dot makes the BLAS call @ makes, bit for bit, with less
+    # dispatch; A.T is bound once
+    AT = A.T
 
-    def value(x):
-        r = A @ x - b
+    def value_at(r, x):
+        """f(x) from the residual r = A x - b."""
         out = 0.5 * float(r.dot(r))
         if ridge:
             out += 0.5 * ridge * float(x.dot(x))
         return out
 
-    def grad(x):
-        g = G @ x - c if tall else A.T @ (A @ x - b)
+    def with_ridge(g, x):
         if ridge:
-            g = g + ridge * x
+            g += ridge * x
         return g
 
-    return SmoothOracle(value=value, grad=grad, mu=ridge, curvature=float(curvature))
+    def value(x):
+        return value_at(A.dot(x) - b, x)
+
+    value_and_grad = None
+    if tall:
+        def grad(x):
+            return with_ridge(G.dot(x) - c, x)
+    else:
+        def grad(x):
+            return with_ridge(AT.dot(A.dot(x) - b), x)
+
+        def value_and_grad(x):
+            r = A.dot(x) - b
+            return value_at(r, x), with_ridge(AT.dot(r), x)
+
+    return SmoothOracle(value=value, grad=grad, mu=ridge,
+                        curvature=float(curvature),
+                        value_and_grad=value_and_grad)
 
 
 def quadratic(Q: Array, c: Array, mu: float = 0.0,
@@ -291,8 +379,8 @@ def quadratic(Q: Array, c: Array, mu: float = 0.0,
     if curvature is None:
         curvature = top_eigenvalue(Q) * CURVATURE_INFLATION
     return SmoothOracle(
-        value=lambda x: 0.5 * float(x.dot(Q @ x)) - float(c.dot(x)),
-        grad=lambda x: Q @ x - c,
+        value=lambda x: 0.5 * float(x.dot(Q.dot(x))) - float(c.dot(x)),
+        grad=lambda x: Q.dot(x) - c,
         mu=float(mu),
         curvature=float(curvature),
     )
@@ -303,6 +391,7 @@ def logistic_loss(A: Array, labels: Array, ridge: float = 0.0) -> SmoothOracle:
 
     The Hessian is dominated by A^T A / (4 m) + ridge * I, which supplies the
     curvature bound; the ridge supplies the strong-convexity modulus.
+    `value_and_grad` forms the margins once for both.
     """
     A = np.asarray(A, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -312,24 +401,36 @@ def logistic_loss(A: Array, labels: Array, ridge: float = 0.0) -> SmoothOracle:
     _require_finite("design A", A)
     _require_finite("labels", labels)
     curvature = (gram_top(A) / (4.0 * m) + ridge) * CURVATURE_INFLATION
+    AT = A.T
 
-    def value(x):
-        margins = labels * (A @ x)
+    def value_at(margins, x):
+        """f(x) from the margins labels * (A x)."""
         out = float(np.logaddexp(0.0, -margins).mean())
         if ridge:
             out += 0.5 * ridge * float(x.dot(x))
         return out
 
-    def grad(x):
-        margins = labels * (A @ x)
+    def grad_at(margins, x):
         # sigmoid(-margins), computed without overflow for large |margins|
         w = 0.5 * (1.0 - np.tanh(0.5 * margins))
-        g = -(A.T @ (labels * w)) / m
+        g = -(AT.dot(labels * w)) / m
         if ridge:
-            g = g + ridge * x
+            g += ridge * x
         return g
 
-    return SmoothOracle(value=value, grad=grad, mu=ridge, curvature=float(curvature))
+    def value(x):
+        return value_at(labels * A.dot(x), x)
+
+    def grad(x):
+        return grad_at(labels * A.dot(x), x)
+
+    def value_and_grad(x):
+        margins = labels * A.dot(x)
+        return value_at(margins, x), grad_at(margins, x)
+
+    return SmoothOracle(value=value, grad=grad, mu=ridge,
+                        curvature=float(curvature),
+                        value_and_grad=value_and_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,8 @@ def test_stationarity_sandwich(seed, m, n, reg, ridge, margin, steps):
     for _ in range(steps):
         state = engine.step(state, problem)
         certs = certificates.Certificates(state, problem)
-        d = float(np.linalg.norm(state.y - state.x_tilde_prev))
+        # vector_norm: below about 1.5e-154 np.linalg.norm loses digits
+        d = problems.vector_norm(state.y - state.x_tilde_prev)
         norm = certs.stationarity.norm
         noise = 1e-12 * (lf + 1.0) * (1.0 + float(np.linalg.norm(state.y))
                                       + float(np.linalg.norm(b)))

@@ -311,6 +311,21 @@ def test_run_until_stationarity(lasso_small):
     assert result.trace[-1].norm_u <= rho
 
 
+def test_tiny_stationarity_stops_alike_at_every_spacing(quad1d):
+    # ||u|| falls past 1e-162, where v.dot(v) underflows: the screen's lower
+    # bound and ||u|| must still agree, so no spacing of the rows moves the
+    # stop
+    ends = []
+    for every in (1, 5, 1000):
+        config = engine.SolverConfig(
+            lf=1.0 + 1e-7, mu_f=1.0, trace_every=every,
+            criterion=bounds.Criterion.stationarity(1e-300))
+        result = engine.run(quad1d, config, np.array([1.0]))
+        ends.append((result.state.k, result.reason))
+        assert result.trace[-1].norm_u > 0.0
+    assert ends == [ends[0]] * 3
+
+
 def test_run_function_gap_can_stop_at_start(quad1d):
     config = _quad_config(criterion=bounds.Criterion.function_gap(10.0))
     result = engine.run(quad1d, config, np.array([1.0]))

@@ -129,6 +129,64 @@ def test_traced_run_budget(elastic_mu1):
     assert counts["f.value"] == k + 1
 
 
+def _fused_calls(problem):
+    """The problem with a counter on f's value_and_grad, and the counter.
+
+    Set anew with f's own value and grad, so `f.fused()` hands it out.
+    """
+    calls = []
+    fused = problem.f.value_and_grad
+
+    def counted(x):
+        calls.append(x)
+        return fused(x)
+
+    f = dataclasses.replace(problem.f, value_and_grad=counted)
+    assert f.fused() is counted
+    return dataclasses.replace(problem, f=f), calls
+
+
+def _rows_but_elapsed(trace):
+    return [line.rsplit(",", 1)[0] for line in engine.trace_lines(trace)]
+
+
+@pytest.mark.parametrize("trace_every", [1, 4])
+def test_traced_rows_fuse_value_and_grad_unless_wrapped(lasso_small,
+                                                        trace_every):
+    # a raw wide lasso takes each traced row's phi(y) and grad f(y) from one
+    # value_and_grad call; wrapped in counters, value and grad are no longer
+    # the functions it was set with, so every row makes both calls; a
+    # value_and_grad set anew on the wrapped oracle takes one value and one
+    # grad call off per fused row; and the trace is the same bytes each way
+    raw, fused_calls = _fused_calls(lasso_small)
+    counted, counts = _counted(lasso_small)
+    recounted, refused_calls = _fused_calls(counted)
+    config = engine.SolverConfig.for_problem(
+        lasso_small, criterion=bounds.Criterion.stationarity(1e-6),
+        trace_every=trace_every)
+    x0 = np.zeros(lasso_small.dimension)
+    result = engine.run(raw, config, x0)
+    k = result.state.k
+    assert result.reason == "converged"
+    # once per row at k = trace_every, 2 trace_every, ..., <= k; a final
+    # row off that spacing makes its two calls
+    fused_rows = k // trace_every
+    assert len(fused_calls) == fused_rows
+    wrapped = engine.run(counted, config, x0)
+    wrapped_counts = dict(counts)
+    assert wrapped_counts["f.value"] == len(wrapped.trace)
+    counts.clear()
+    refused = engine.run(recounted, config, x0)
+    assert len(refused_calls) == fused_rows
+    assert counts == {**wrapped_counts,
+                      "f.value": wrapped_counts["f.value"] - fused_rows,
+                      "f.grad": wrapped_counts["f.grad"] - fused_rows}
+    assert len(fused_calls) == fused_rows  # neither wrapped run called it
+    rows = _rows_but_elapsed(result.trace)
+    assert _rows_but_elapsed(wrapped.trace) == rows
+    assert _rows_but_elapsed(refused.trace) == rows
+
+
 @pytest.mark.parametrize("trace_every", [1, 10000])
 def test_function_gap_run_budget(elastic_mu1, trace_every):
     # phi(y) once per state: the check and the trace row share it

@@ -38,6 +38,22 @@ def test_soft_threshold_rejects_bad_args():
         prox_soft_threshold(np.array([1.0]), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("weight, step", [(1.0, 1.0), (0.3, 0.5), (0.0, 2.0)])
+def test_soft_threshold_is_the_product_form_bit_for_bit(weight, step):
+    # built in place, it keeps the bytes of sign(x) * max(|x| - w t, 0):
+    # signed zeros, values below the threshold, infinities and NaNs of both
+    # signs included
+    tiny = 0.25 * weight * step
+    x = np.array([-0.0, 0.0, tiny, -tiny, 5e-324, -5e-324, 2.0, -2.0,
+                  math.inf, -math.inf, math.nan, -math.nan])
+    for point in (x, np.repeat(x, 17), x[5]):
+        want = np.sign(point) * np.maximum(np.abs(point) - weight * step, 0.0)
+        got = prox_soft_threshold(point, weight, step)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert prox_soft_threshold(x, weight, step) is not x
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: prox_scaled_quadratic(np.ones(2), -1.0, 1.0),
      "scaled quadratic needs alpha >= 0 and step > 0"),
@@ -210,10 +226,26 @@ def test_logistic_modulus_and_kind_errors():
 
 @pytest.mark.parametrize("size", [0, 1, 7, 200, 4096])
 def test_vector_norm_is_numpy_norm_bit_for_bit(size):
+    # while v.dot(v) is a normal double
     rng = np.random.default_rng(size)
-    for scale in (1e-300, 1e-8, 1.0, 1e150):
+    for scale in (1e-8, 1.0, 1e150):
         v = scale * rng.standard_normal(size)
         assert problems.vector_norm(v) == float(np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("size", [1, 7, 200, 4096])
+def test_vector_norm_keeps_tiny_norms(size):
+    # where v.dot(v) is subnormal or 0, np.linalg.norm loses digits or
+    # reads 0; the rescaled sum errs by a few size * u, u = 2^-53
+    rng = np.random.default_rng(size)
+    for scale in (1e-155, 1e-170, 1e-300, 1e-320):
+        v = scale * rng.standard_normal(size)
+        want = math.hypot(*v)
+        assert want > 0.0
+        assert problems.vector_norm(v) == pytest.approx(
+            want, rel=4 * size * 2.0**-53, abs=0.0)
+    assert problems.vector_norm(np.array([-0.0, 0.0])) == 0.0
+    assert problems.vector_norm(np.array([5e-324])) == 5e-324
 
 
 def test_power_iteration_matches_dense_spectrum():
@@ -436,6 +468,64 @@ def test_wide_oracles_ignore_earlier_calls(build):
                           (y, "grad")]:
         fresh = fresh_value if oracle == "value" else fresh_grad
         assert _same_bits(getattr(f, oracle)(point), fresh(point)), oracle
+
+
+def _bits_or_error(call, x):
+    """call(x), a (value, gradient) pair, as bytes, or what it raised."""
+    try:
+        value, grad = call(x)
+    except (AttributeError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    grad = np.asarray(grad)
+    return type(value), np.float64(value).tobytes(), grad.shape, grad.tobytes()
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.5])
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+def test_value_and_grad_is_value_then_grad_bit_for_bit(kind, ridge):
+    # the fused call returns what value and grad return, byte for byte, or
+    # raises what they raise, on the points the test above calls them at
+    A, b = _design(20, 30)
+    if kind == "least_squares":
+        f = problems.least_squares(A, b, ridge=ridge)
+    else:
+        f = problems.logistic_loss(A, np.where(b >= 0, 1.0, -1.0), ridge)
+    assert f.fused() is f.value_and_grad is not None
+    x = _rng(13).standard_normal(30)
+    points = [x, x.view(np.int64), x.reshape(30, 1), list(x),
+              _rng(14).standard_normal(30)]
+    for point in points:
+        assert _bits_or_error(f.value_and_grad, point) == _bits_or_error(
+            lambda p: (f.value(p), f.grad(p)), point)
+
+
+def test_value_and_grad_only_where_a_residual_is_shared():
+    # a tall design's gradient is G x - c, with no residual to share
+    A, b = _design(40, 30)
+    assert problems.least_squares(A, b).value_and_grad is None
+    assert problems.quadratic(A.T @ A, b[:30]).value_and_grad is None
+    assert problems.least_squares(A, b).fused() is None
+
+
+def test_fused_only_with_the_value_and_grad_it_was_set_with():
+    A, b = _design(20, 30)
+    f = problems.least_squares(A, b)
+    fused = f.value_and_grad
+    # other moduli keep it; another value or grad drops it
+    assert dataclasses.replace(f, mu=0.0, curvature=1e3).fused() is fused
+    assert dataclasses.replace(f, value=lambda x: f.value(x)).fused() is None
+    assert dataclasses.replace(f, grad=lambda x: f.grad(x)).fused() is None
+    # a value_and_grad set anew binds to the value and grad given with it
+    wrapped = dataclasses.replace(f, grad=lambda x: f.grad(x))
+    again = dataclasses.replace(wrapped, value_and_grad=lambda x: fused(x))
+    assert again.fused() is again.value_and_grad
+    made = problems.SmoothOracle(f.value, f.grad, value_and_grad=fused)
+    assert made.fused() is fused
+    assert problems.SmoothOracle(f.value, f.grad).fused() is None
+    # the binding is no field any comparison sees
+    assert made == problems.SmoothOracle(f.value, f.grad,
+                                         value_and_grad=fused)
+    assert "_fused_with" not in repr(made)
 
 
 @pytest.mark.parametrize("kind, params", [("lasso", {}),
