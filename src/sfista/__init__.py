@@ -12,11 +12,10 @@ criteria.
 from .bounds import (BoundReport, Criterion, abar_relative,
                      coefficient_sum_lower, growth_factor, log_plus_one,
                      predicted_iterations)
-from .certificates import (Certificates, LowerModel, ResidualPair,
-                           StationarityResidual, check_eps_subgradient,
-                           lower_model_gap, lower_model_violation,
-                           lower_models, residual_pair, sample_points,
-                           stationarity_residual)
+from .certificates import (LowerModel, ResidualPair, StationarityResidual,
+                           check_eps_subgradient, lower_model_gap,
+                           lower_model_violation, lower_models, residual_pair,
+                           sample_points, stationarity_residual)
 from .classic import (ClassicState, alpha_next, classic_init, classic_step,
                       equivalence_check, t_next)
 from .engine import (CoefficientSchedule, IterateState, RunResult,
@@ -37,8 +36,8 @@ from .problems import (CompositeProblem, InstanceSpec, ProxOracle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "BoundsRow", "CertificateUndefinedError", "Certificates",
-    "CheckResult", "ClassicState", "CoefficientSchedule", "CompositeProblem",
+    "BoundReport", "BoundsRow", "CertificateUndefinedError", "CheckResult",
+    "ClassicState", "CoefficientSchedule", "CompositeProblem",
     "ConfigError", "Criterion", "GrowthOverflowError", "InstanceSpec",
     "InvalidStartError", "IterateState", "LowerModel", "NumericFailure",
     "ProxOracle", "ReferenceOptimum", "ResidualPair", "RunCapture",

@@ -1,8 +1,10 @@
 """Stopping criteria and closed-form iteration predictors.
 
 Every criterion is a cheap test on the current iterate and its
-certificates: `stop_test` binds its constants once per run, and `check`
-applies it to one `Certificates` record.  `predicted_iterations` holds the
+certificates: `stop_test` validates the criterion and binds its constants
+once per run, `StopTest.apply` tests one state, forming the one certificate
+the test reads unless the caller holds it, and `check` builds and applies a
+test on a single state.  `predicted_iterations` holds the
 matching worst-case predictor of each of the five variants: an explicit
 iteration count by which the criterion is guaranteed to fire, derived from
 the lower bound on the coefficient sum
@@ -23,12 +25,12 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .certificates import _SCREEN_SLACK, Certificates
-from .errors import ConfigError, NumericFailure
-from .problems import CompositeProblem, vector_norm
+from . import certificates as _cert
+from .errors import CertificateUndefinedError, ConfigError, NumericFailure
+from .problems import CompositeProblem, eval_phi, vector_norm
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .engine import SolverConfig
+    from .engine import IterateState, SolverConfig
 
 # variant -> names of its tolerances, in the order its factory takes them
 TOLERANCES = {"function_gap": ("eps_bar",), "stationarity": ("rho",),
@@ -41,6 +43,11 @@ D0_VARIANTS = ("function_gap", "stationarity", "absolute")
 # Slop subtracted before ceil so closed forms that land exactly on an integer
 # are not bumped up by the last bit of rounding.
 _CEIL_SLOP = 1e-9
+
+# Relative margin by which the oracle-free lower bound on ||u|| must exceed
+# rho before a stationarity test skips forming u; it covers the rounding of
+# both the bound and the computed norm.
+_SCREEN_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,21 +121,22 @@ def _tested(value: float, name: str) -> float:
 class StopTest:
     """One criterion's test with its constants bound, as `stop_test` builds it.
 
-    reads names the one certificate the test reads, as `Certificates` names
-    it: "phi_y", "stationarity" (u) or "pair" (v, eta); None without a
-    criterion, whose test reads y alone.  The test starts at first_k: 1
-    when it reads a residual, which needs a step, else 0.
-    holds(test, state, certificate) is the criterion's formula, on the
-    criterion's tolerances and phi*; it raises NumericFailure when the
-    quantity tested is NaN or infinite.  screen(test, state), stationarity's
-    alone, says whether the oracle-free bound lf_gap ||y - x_tilde_prev||
-    on ||u|| exceeds screen_bound = rho (1 + slack), which rules the state
-    out before u's gradient; None for the others.  The formulas are module
-    functions and the constants fields, so a run's test holds no closure.
+    reads is the position of the one certificate the test reads in a
+    state's certificates [phi(y), u, (v, eta)], as `engine.row_certificates`
+    forms them: 0, 1 or 2; None without a criterion, whose test reads y
+    alone.  The test starts at first_k: 1 when it reads a residual, which
+    needs a step, else 0.  holds(test, state, certificate) is the
+    criterion's formula, on the criterion's tolerances and phi*; it raises
+    NumericFailure when the quantity tested is NaN or infinite.
+    screen(test, state), stationarity's alone, says whether the oracle-free
+    bound lf_gap ||y - x_tilde_prev|| on ||u|| exceeds screen_bound =
+    rho (1 + slack), which rules the state out before u's gradient; None for
+    the others.  The formulas are module functions and the constants
+    fields, so a run's test holds no closure.
     """
 
     criterion: Optional[Criterion]
-    reads: Optional[str]
+    reads: Optional[int]
     first_k: int
     holds: Callable
     screen: Optional[Callable] = None
@@ -136,33 +144,36 @@ class StopTest:
     lf_gap: float = math.nan
     screen_bound: float = math.nan
 
-    def check(self, certs: Certificates) -> bool:
-        """Whether the test holds at the state of a Certificates record.
+    def apply(self, state: "IterateState", problem: CompositeProblem,
+              held: list) -> bool:
+        """Whether the test holds at state.
 
-        The criterion is validated against the record's problem first.  A
-        stationarity test forms u only when `certs.rules_out_stationarity`
-        cannot rule the state out.
+        held is the state's certificates formed so far, [phi(y), u,
+        (v, eta)] with None for each one not formed.  False before first_k
+        and where the screen rules the state out; the screen runs only when
+        u is not held.  Else the certificate the test reads is formed into
+        its place in held, unless it is there already, and the formula
+        applied to it, so the caller keeps what the test formed even when
+        the formula raises NumericFailure.
         """
-        if self.criterion is not None:
-            self.criterion.validate(certs.problem)
-        if self.screen is not None and certs.rules_out_stationarity(
-                self.criterion.tol):
+        if state.k < self.first_k:
             return False
-        return self.holds(self, certs.state, None if self.reads is None
-                          else getattr(certs, self.reads))
-
-    def reason(self, certs: Certificates) -> Optional[str]:
-        """The stop reason the test gives a Certificates record, or None.
-
-        None before first_k; "converged" when the test holds, and
-        "numeric_failure" when the quantity it tests is NaN or infinite.
-        """
-        if certs.state.k < self.first_k:
-            return None
-        try:
-            return "converged" if self.check(certs) else None
-        except NumericFailure:
-            return "numeric_failure"
+        reads = self.reads
+        if reads is None:
+            return self.holds(self, state, None)
+        read = held[reads]
+        if read is None:
+            if self.screen is not None and self.screen(self, state):
+                return False
+            # the residuals are looked up on the certificates module here
+            if reads == 0:
+                read = eval_phi(problem, state.y)
+            elif reads == 1:
+                read = _cert.stationarity_residual(state, problem)
+            else:
+                read = _cert.residual_pair(state)
+            held[reads] = read
+        return self.holds(self, state, read)
 
 
 def _y_is_finite(test, state, _) -> bool:
@@ -181,7 +192,8 @@ def _stationarity_holds(test, state, u) -> bool:
 
 
 def _stationarity_screen(test, state) -> bool:
-    # Certificates.rules_out_stationarity, with its constants bound
+    # u = grad f(y) - grad f(x_tilde) + lf (x_tilde - y) and grad f is
+    # lf_bar-Lipschitz, so ||u|| >= (lf - lf_bar) ||y - x_tilde||
     return (test.lf_gap * vector_norm(state.y - state.x_tilde_prev)
             > test.screen_bound)
 
@@ -207,27 +219,29 @@ def _alternate_relative_holds(test, state, pair) -> bool:
     return lhs <= test.criterion.tol * shifted**2
 
 
-# variant -> (the certificate its test reads, its formula)
-_FORMULAS = {"function_gap": ("phi_y", _gap_holds),
-             "stationarity": ("stationarity", _stationarity_holds),
-             "relative": ("pair", _relative_holds),
-             "alternate_relative": ("pair", _alternate_relative_holds),
-             "absolute": ("pair", _absolute_holds)}
+# variant -> (the position of the certificate its test reads, its formula)
+_FORMULAS = {"function_gap": (0, _gap_holds),
+             "stationarity": (1, _stationarity_holds),
+             "relative": (2, _relative_holds),
+             "alternate_relative": (2, _alternate_relative_holds),
+             "absolute": (2, _absolute_holds)}
 
 
 def stop_test(criterion: Optional[Criterion], problem: CompositeProblem,
               config: "SolverConfig") -> StopTest:
     """criterion's test on a run of config on problem, built once per run.
 
+    The criterion is validated against the problem here, once: a
+    function_gap criterion without a reference optimum raises ConfigError.
     phi* is bound in, and for stationarity lf - lf_bar and rho (1 + slack)
-    too.  Nothing is validated here: `engine.init` and `StopTest.check`
-    validate the criterion against the problem.
+    too.
     """
     if criterion is None:
         return StopTest(None, None, 0, _y_is_finite)
+    criterion.validate(problem)
     reads, holds = _FORMULAS[criterion.variant]
-    first_k = 0 if reads == "phi_y" else 1
-    if reads == "stationarity":
+    first_k = 0 if reads == 0 else 1
+    if criterion.variant == "stationarity":
         return StopTest(criterion, reads, first_k, holds, _stationarity_screen,
                         lf_gap=config.lf - problem.f.curvature,
                         screen_bound=criterion.tol * (1.0 + _SCREEN_SLACK))
@@ -236,14 +250,21 @@ def stop_test(criterion: Optional[Criterion], problem: CompositeProblem,
                     phi_star=None if ref is None else ref.phi_star)
 
 
-def check(criterion: Criterion, certs: Certificates) -> bool:
-    """Whether the criterion holds at the state of the certificate record.
+def check(criterion: Criterion, state: "IterateState",
+          problem: CompositeProblem) -> bool:
+    """Whether the criterion holds at state, a state of a run on problem.
 
-    `stop_test(...).check(certs)`: a stationarity test forms u only when
-    `certs.rules_out_stationarity` cannot rule the state out.  Raises
-    NumericFailure when the quantity tested is NaN or infinite.
+    `stop_test(criterion, problem, state.config).apply` on a state with no
+    certificate formed yet: a stationarity test forms u only when its screen
+    cannot rule the state out.  Raises ConfigError for function_gap without
+    a reference optimum, CertificateUndefinedError before the test's
+    first_k, and NumericFailure when the quantity tested is NaN or infinite.
     """
-    return stop_test(criterion, certs.problem, certs.state.config).check(certs)
+    test = stop_test(criterion, problem, state.config)
+    if state.k < test.first_k:
+        raise CertificateUndefinedError(
+            f"the {criterion.variant} test needs at least one step")
+    return test.apply(state, problem, [None, None, None])
 
 
 @dataclass(frozen=True)

@@ -17,23 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import CertificateUndefinedError
-from .problems import CompositeProblem, _phi_given_h, eval_phi, vector_norm
+from .problems import CompositeProblem, _phi_given_h, vector_norm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import IterateState
 
 Array = np.ndarray
-
-# Relative margin by which the oracle-free lower bound on ||u|| must exceed
-# rho before a stationarity test skips forming u; it covers the rounding of
-# both the bound and the computed norm.
-_SCREEN_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -177,56 +171,6 @@ def residual_pair(state: "IterateState") -> ResidualPair:
     eta = ((float(dist0.dot(dist0)) - state.tau * float(diff_xy.dot(diff_xy)))
            / (2.0 * state.A))
     return ResidualPair(v=v, eta=eta)
-
-
-@dataclass(eq=False)
-class Certificates:
-    """phi(y), the stationarity residual and the residual pair of one state.
-
-    Each piece is computed the first time it is read and kept; the residuals
-    raise CertificateUndefinedError before the first step.
-    `stationarity_lower` bounds ||u|| from below without an oracle call, so
-    `rules_out_stationarity` can rule a state out before u's gradient.
-    """
-
-    state: "IterateState"
-    problem: CompositeProblem
-
-    @cached_property
-    def phi_y(self) -> float:
-        return eval_phi(self.problem, self.state.y)
-
-    @property
-    def gap(self) -> Optional[float]:
-        """phi(y) - phi*, or None when the problem has no reference optimum."""
-        ref = self.problem.reference_optimum
-        return None if ref is None else self.phi_y - ref.phi_star
-
-    @cached_property
-    def stationarity(self) -> StationarityResidual:
-        return stationarity_residual(self.state, self.problem)
-
-    @cached_property
-    def stationarity_lower(self) -> float:
-        """(lf - lf_bar) ||y - x_tilde_prev||, a lower bound on ||u||.
-
-        u = grad f(y) - grad f(x_tilde) + lf (x_tilde - y) and grad f is
-        lf_bar-Lipschitz, so ||u|| >= (lf - lf_bar) ||y - x_tilde||.
-        """
-        state = self.state
-        if state.x_tilde_prev is None:
-            raise CertificateUndefinedError("stationarity bound needs at least one step")
-        dist = vector_norm(state.y - state.x_tilde_prev)
-        return (state.config.lf - self.problem.f.curvature) * dist
-
-    def rules_out_stationarity(self, rho: float) -> bool:
-        """||u|| > rho by `stationarity_lower` alone; False once u is held."""
-        return ("stationarity" not in vars(self)
-                and self.stationarity_lower > rho * (1.0 + _SCREEN_SLACK))
-
-    @cached_property
-    def pair(self) -> ResidualPair:
-        return residual_pair(self.state)
 
 
 def sample_points(state: "IterateState", problem: CompositeProblem, count: int,

@@ -384,40 +384,52 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
         state.x0)
 
 
-def _row(state: IterateState, phi_y: float, phi_star: Optional[float],
-         u: Optional[_cert.StationarityResidual],
-         pair: Optional[_cert.ResidualPair], started_ns: int) -> tuple:
+def row_certificates(state: IterateState, problem: CompositeProblem,
+                     fused, held: Optional[list] = None) -> list:
+    """[phi(y), u, (v, eta)] of state: the certificates of its trace row.
+
+    The one place a row's certificates are formed.  u and the pair are None
+    at k = 0, before the first step.  held, when given, is such a list with
+    None for each certificate not yet formed, as `StopTest.apply` leaves it:
+    the rest are kept, not formed again.  fused is `problem.f.fused()`:
+    while it is not None, phi(y) and the gradient u needs come from one
+    value_and_grad call when neither is held; else from f.value and f.grad.
+    The residuals are looked up on the certificates module at each call.
+    """
+    phi_y, u, pair = held or (None, None, None)
+    if not state.k:
+        return [eval_phi(problem, state.y) if phi_y is None else phi_y,
+                None, None]
+    if phi_y is None and u is None and fused is not None:
+        phi_y, grad_y = eval_phi_and_grad(problem, state.y, fused)
+        u = _cert.stationarity_residual(state, problem, grad_y)
+    if phi_y is None:
+        phi_y = eval_phi(problem, state.y)
+    if u is None:
+        u = _cert.stationarity_residual(state, problem)
+    if pair is None:
+        pair = _cert.residual_pair(state)
+    return [phi_y, u, pair]
+
+
+def _row(state: IterateState, certs: list, phi_star: Optional[float],
+         started_ns: int) -> tuple:
     """The ten values of a state's trace row, in field order.
 
-    The one place a row is formed.  Its a is state.a_next, the coefficient
-    the NEXT step takes (inf at a growth halt), so a single row checks
-    tau * (A + a) / a^2 = 1 / lam on its own.  gap is phi_y - phi_star, None
-    without a reference optimum; u and pair are the state's certificates,
-    None before the first step, whose norm_u, norm_v and eta_residual are
-    None too.  elapsed_ns counts from started_ns.
+    certs is the state's `row_certificates`.  The row's a is state.a_next,
+    the coefficient the NEXT step takes (inf at a growth halt), so a single
+    row checks tau * (A + a) / a^2 = 1 / lam on its own.  gap is
+    phi_y - phi_star, None without a reference optimum; norm_u, norm_v and
+    eta_residual are None before the first step.  elapsed_ns counts from
+    started_ns.
     """
+    phi_y, u, pair = certs
     gap = None if phi_star is None else phi_y - phi_star
     norm_u = norm_v = eta = None
     if u is not None:
         norm_u, norm_v, eta = u.norm, pair.norm, pair.eta
     return (state.k, state.a_next, state.A, state.tau, phi_y, gap, norm_u,
             norm_v, eta, time.perf_counter_ns() - started_ns)
-
-
-def trace_record(certs: _cert.Certificates, started_ns: int) -> TraceRecord:
-    """The trace row of one state, elapsed_ns counted from started_ns.
-
-    `_row` on the record's pieces: rows after k = 0 carry both
-    certificates, and gap is phi_y - phi*, as `certs.gap`, None without a
-    reference optimum.
-    """
-    state, ref = certs.state, certs.problem.reference_optimum
-    phi_y = certs.phi_y
-    u = pair = None
-    if state.k >= 1:
-        u, pair = certs.stationarity, certs.pair
-    return TraceRecord(*_row(state, phi_y, None if ref is None else ref.phi_star,
-                             u, pair, started_ns))
 
 
 def iterate(problem: CompositeProblem, config: SolverConfig,
@@ -435,54 +447,30 @@ def iterate(problem: CompositeProblem, config: SolverConfig,
         yield state
 
 
-def stop_reason(criterion: Optional["_bounds.Criterion"],
-                certs: _cert.Certificates,
-                row: Optional[TraceRecord]) -> Optional[str]:
-    """Stop reason the criterion gives this record, or None.
-
-    "numeric_failure" when the phi_y of the row built for the record, if
-    any, is NaN or infinite, at every k and whatever the criterion; else
-    the reason of `bounds.stop_test(criterion, ...)` for the record:
-    "numeric_failure" when, without a criterion, an entry of y is NaN or
-    infinite, or the quantity the criterion tests is; "converged" when the
-    criterion holds and None when it does not.  The certificates u and
-    (v, eta) start at k = 1, so at k = 0 every criterion but function_gap
-    gives None once the row passes.
-    """
-    if row is not None and not math.isfinite(row.phi_y):
-        return "numeric_failure"
-    return _bounds.stop_test(criterion, certs.problem,
-                             certs.state.config).reason(certs)
-
-
 def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult:
     """Take states from `iterate` until the criterion fires or a cap is reached.
 
     Everything the run reads is bound once: the criterion's test
-    (`bounds.stop_test`), phi*, the two certificate functions, looked up on
-    the certificates module per run, and `problem.f.fused()`.  While that is
-    not None, each row after k = 0 takes phi(y) and the gradient its u needs
-    from one value_and_grad call; else from f.value and f.grad.  A state
-    keeps no record: it costs its step, the certificates its row and its
-    test read, each formed at most once, and its row's ten doubles, packed
-    straight into the result's Trace.  Every trace_every-th state gets a
-    row, and so does the final one; rows after the first carry both
-    certificates.  An untraced stationarity run forms u only at states its
-    oracle-free screen cannot rule out.  One rule holds for every row the
-    run builds, row 0 and the final row included: a phi_y that is NaN or
-    infinite stops the run with "numeric_failure", whatever the criterion
-    and the spacing, so a non-finite phi(x0) ends it at k = 0.  The test
-    runs from its first_k on (k = 1, or k = 0 for function_gap); a NaN or
-    infinite quantity it tests stops the run the same way.  A run without a
-    criterion also stops so at the first y with a non-finite entry.  The
-    rows and the stop are those of `trace_record` and `stop_reason` on each
-    state's Certificates.
+    (`bounds.stop_test`, which validates the criterion), phi* and
+    `problem.f.fused()`.  A state keeps no record: it costs its step, the
+    certificates its row and its test read, each formed at most once, and
+    its row's ten doubles, packed straight into the result's Trace.  Every
+    trace_every-th state gets a row, and so does the final one; a row's
+    certificates are `row_certificates`', and rows after the first carry
+    both residuals.  Each state from the test's first_k on (k = 1, or k = 0
+    for function_gap) is tested by `StopTest.apply` on what its row
+    formed; an untraced stationarity run forms u only at states its
+    oracle-free screen cannot rule out, and the final row keeps what the
+    test formed.  One rule holds for every row the run builds, row 0 and
+    the final row included: a phi_y that is NaN or infinite stops the run
+    with "numeric_failure", whatever the criterion and the spacing, so a
+    non-finite phi(x0) ends it at k = 0.  A NaN or infinite quantity the
+    test reads stops the run the same way, and so does, in a run without a
+    criterion, the first y with a non-finite entry.
     """
     started_ns = time.perf_counter_ns()
     test = _bounds.stop_test(config.criterion, problem, config)
-    reads, first_k, holds, screen = (test.reads, test.first_k, test.holds,
-                                     test.screen)
-    residual, residual_pair = _cert.stationarity_residual, _cert.residual_pair
+    apply, first_k, screen = test.apply, test.first_k, test.screen
     fused = problem.f.fused()
     ref = problem.reference_optimum
     phi_star = None if ref is None else ref.phi_star
@@ -493,42 +481,23 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     for state in islice(iterate(problem, config, x0),
                         max(config.max_iter, 0) + 1):
         k = state.k
-        phi_y = u = pair = row = None
+        held = None
         if k % every == 0:
-            if k and fused is not None:
-                phi_y, grad_y = eval_phi_and_grad(problem, state.y, fused)
-                u = residual(state, problem, grad_y)
-            else:
-                phi_y = eval_phi(problem, state.y)
-                if k:
-                    u = residual(state, problem)
-            if k:
-                pair = residual_pair(state)
-            row = _row(state, phi_y, phi_star, u, pair, started_ns)
-            add_row(row)
-            if not math.isfinite(phi_y):
+            held = row_certificates(state, problem, fused)
+            add_row(_row(state, held, phi_star, started_ns))
+            if not math.isfinite(held[0]):
                 reason = "numeric_failure"
                 break
-        if k < first_k or (u is None and screen is not None
-                           and screen(test, state)):
+        # first_k and the screen, which apply also tests, ahead of the
+        # call, so a state they rule out costs no call
+        if k < first_k:
             continue
-        # the certificate the test reads, unless the row formed it
-        if reads == "stationarity":
-            if u is None:
-                u = residual(state, problem)
-            read = u
-        elif reads == "pair":
-            if pair is None:
-                pair = residual_pair(state)
-            read = pair
-        elif reads == "phi_y":
-            if phi_y is None:
-                phi_y = eval_phi(problem, state.y)
-            read = phi_y
-        else:
-            read = None
+        if held is None:
+            if screen is not None and screen(test, state):
+                continue
+            held = [None, None, None]
         try:
-            if holds(test, state, read):
+            if apply(state, problem, held):
                 reason = "converged"
                 break
         except NumericFailure:
@@ -536,17 +505,12 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
             break
     else:
         reason = "max_iter" if state.k == config.max_iter else "growth_overflow"
-    if row is None:
+    if k % every:
         # the final row, with what the test formed
-        if phi_y is None:
-            phi_y = eval_phi(problem, state.y)
-        if k and u is None:
-            u = residual(state, problem)
-        if k and pair is None:
-            pair = residual_pair(state)
-        add_row(_row(state, phi_y, phi_star, u, pair, started_ns))
+        held = row_certificates(state, problem, fused, held)
+        add_row(_row(state, held, phi_star, started_ns))
         # the row test, then the test of a run without a criterion
-        if not (math.isfinite(phi_y) and np.isfinite(state.y).all()):
+        if not (math.isfinite(held[0]) and np.isfinite(state.y).all()):
             reason = "numeric_failure"
     return RunResult(state=state, reason=reason, trace=trace)
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import certificates as _cert
 from . import engine as _engine
-from .errors import ConfigError
+from .errors import ConfigError, NumericFailure
 from .problems import CompositeProblem, make_instance, vector_norm
 
 Array = np.ndarray
@@ -51,10 +51,11 @@ SAMPLE_SEED = 2718  # of the sample points the minorant checks draw
 class RunCapture:
     """Every state of a recorded run and its trace row.
 
-    rows holds the engine.trace_record of each state, as run traces it, in
-    an `engine.Trace`, 80 B a row, as `engine.run` keeps its rows.
-    `invariant_report` reads each row field it checks once, as a column of
-    the packed doubles, and tests each check over all its iterates.
+    rows holds each state's row, the one `engine.run` traces for it at
+    trace_every = 1, in an `engine.Trace`, 80 B a row, as `engine.run`
+    keeps its rows.  `invariant_report` reads each row field it checks
+    once, as a column of the packed doubles, and tests each check over all
+    its iterates.
     """
 
     problem: CompositeProblem
@@ -81,7 +82,8 @@ def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
 
     Fewer states when the coefficient growth halts the run first, which
     `overflowed` marks.  Each state's row is built as the state is taken,
-    as `engine.run` builds it at trace_every = 1, and appended to a Trace,
+    from `engine.row_certificates`, as `engine.run` builds it at
+    trace_every = 1, and its ten doubles are packed straight into a Trace,
     so `write_trace(path, capture.rows)` writes what `solve --trace` would.
     No lower model is folded here: `lower_models(capture.states, problem)`
     folds it.  A negative `iters` raises ConfigError.
@@ -89,11 +91,15 @@ def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
     if iters < 0:
         raise ConfigError(f"step count {iters} must be nonnegative")
     started_ns = time.perf_counter_ns()
+    fused = problem.f.fused()
+    ref = problem.reference_optimum
+    phi_star = None if ref is None else ref.phi_star
     states, rows = [], _engine.Trace()
     for state in islice(_engine.iterate(problem, config, x0), iters + 1):
         states.append(state)
-        rows.append(_engine.trace_record(_cert.Certificates(state, problem),
-                                         started_ns))
+        rows._add(_engine._row(
+            state, _engine.row_certificates(state, problem, fused), phi_star,
+            started_ns))
     return RunCapture(problem=problem, config=config, states=states, rows=rows,
                       overflowed=len(states) <= iters)
 
@@ -442,35 +448,36 @@ def suite_criteria(problem: CompositeProblem, d0: float):
 def suite_rows(label: str, problem: CompositeProblem, criteria) -> list:
     """One BoundsRow per criterion, all tested on one pass of `engine.iterate`.
 
-    Each criterion's test is built once (`bounds.stop_test`) and gives each
-    state its `StopTest.reason`, as `engine.stop_reason` does with no row,
-    until it holds, its quantity is NaN or infinite, or k reaches its
-    predicted count.  On a finite objective, as every suite instance has,
-    observed k is where `engine.run` with that criterion and max_iter =
-    predicted_k stops "converged", else None.  The criteria share one
-    Certificates record per state, and the pass ends once none is still
-    tested.
+    Each criterion's test is built once (`bounds.stop_test`, which
+    validates it) and applied to each state (`StopTest.apply`) until it
+    holds, its quantity is NaN or infinite, or k reaches its predicted
+    count.  On a finite objective, as every suite instance has, observed k
+    is where `engine.run` with that criterion and max_iter = predicted_k
+    stops "converged", else None.  The criteria still tested at a state
+    share its certificates, each formed by the first test that reads it,
+    and the pass ends once none is still tested.
     """
     x0 = np.zeros(problem.dimension)
     d0 = problem.reference_optimum.distance(x0)
     config = _engine.SolverConfig.for_problem(problem)
-    predicted = []
+    predicted, tests = [], []
     for criterion in criteria:
         predicted.append(_bounds.predicted_iterations(
             criterion, config.lf, problem.f.curvature, config.mu_f, config.mu,
             d0=d0).predicted_k)
-        criterion.validate(problem)
-    tests = [_bounds.stop_test(criterion, problem, config)
-             for criterion in criteria]
+        tests.append(_bounds.stop_test(criterion, problem, config))
     observed = [None] * len(criteria)
     pending = list(range(len(criteria)))
     for state in islice(_engine.iterate(problem, config, x0), max(predicted) + 1):
-        certs = _cert.Certificates(state, problem)
+        held = [None, None, None]
         for i in pending[:]:
-            reason = tests[i].reason(certs)
-            if reason == "converged":
-                observed[i] = state.k
-            if reason is not None or state.k == predicted[i]:
+            try:
+                stopped = tests[i].apply(state, problem, held)
+                if stopped:
+                    observed[i] = state.k
+            except NumericFailure:
+                stopped = True
+            if stopped or state.k == predicted[i]:
                 pending.remove(i)
         if not pending:
             break

@@ -52,39 +52,87 @@ def test_criterion_validate_needs_reference(quad1d):
     Criterion.stationarity(1.0).validate(problem)  # fine without reference
 
 
+def _counting(problem):
+    """problem whose f.value and f.grad append their name to a list, and it."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+    f = dataclasses.replace(problem.f, value=counted("f.value", problem.f.value),
+                            grad=counted("f.grad", problem.f.grad))
+    return dataclasses.replace(problem, f=f), calls
+
+
 def test_check_function_gap(quad1d):
     # phi(y_1) = 0.125, phi* = 0
     state = _one_step(quad1d)
-    certs = certificates.Certificates(state, quad1d)
-    assert bounds.check(Criterion.function_gap(0.2), certs)
-    assert not bounds.check(Criterion.function_gap(0.1), certs)
+    assert bounds.check(Criterion.function_gap(0.2), state, quad1d)
+    assert not bounds.check(Criterion.function_gap(0.1), state, quad1d)
     bare = type(quad1d)(f=quad1d.f, h=quad1d.h, dimension=1,
                         reference_optimum=None)
     with pytest.raises(ConfigError):
-        bounds.check(Criterion.function_gap(0.2),
-                     certificates.Certificates(state, bare))
+        bounds.check(Criterion.function_gap(0.2), state, bare)
 
 
 def test_check_stationarity(quad1d):
     # ||u_1|| = 0.5
     state = _one_step(quad1d)
-    certs = certificates.Certificates(state, quad1d)
-    assert bounds.check(Criterion.stationarity(0.6), certs)
-    assert not bounds.check(Criterion.stationarity(0.4), certs)
+    assert bounds.check(Criterion.stationarity(0.6), state, quad1d)
+    assert not bounds.check(Criterion.stationarity(0.4), state, quad1d)
 
 
 def test_check_stationarity_screen(quad1d):
     # the step bound (lf - lf_bar) ||y_1 - x_tilde_0|| = (2 - 1) * 0.5 is
     # tight here, and rules rho = 0.4 out without forming u
-    certs = certificates.Certificates(_one_step(quad1d), quad1d)
-    assert certs.stationarity_lower == 0.5
-    assert not bounds.check(Criterion.stationarity(0.4), certs)
-    assert "stationarity" not in vars(certs)
-    # a record that already holds u is tested on u, with no bound
-    held = certificates.Certificates(_one_step(quad1d), quad1d)
-    assert held.stationarity.norm == 0.5
-    assert not bounds.check(Criterion.stationarity(0.4), held)
-    assert "stationarity_lower" not in vars(held)
+    state = _one_step(quad1d)
+    problem, calls = _counting(quad1d)
+    assert not bounds.check(Criterion.stationarity(0.4), state, problem)
+    assert calls == []
+    assert bounds.check(Criterion.stationarity(0.6), state, problem)
+    assert calls == ["f.grad"]
+
+
+def test_apply_tests_a_held_u_with_no_screen(quad1d):
+    # a state whose u is held is tested on u: the screen is never run
+    state = _one_step(quad1d)
+
+    def refuse(test, state):
+        raise AssertionError("screened a state whose u is held")
+
+    test = dataclasses.replace(
+        bounds.stop_test(Criterion.stationarity(0.4), quad1d, state.config),
+        screen=refuse)
+    u = certificates.stationarity_residual(state, quad1d)
+    assert u.norm == 0.5
+    held = [None, u, None]
+    assert not test.apply(state, quad1d, held)
+    assert held == [None, u, None]
+    with pytest.raises(AssertionError, match="screened"):
+        test.apply(state, quad1d, [None, None, None])
+
+
+def test_stop_test_validates_the_criterion_once(quad1d, monkeypatch):
+    bare = type(quad1d)(f=quad1d.f, h=quad1d.h, dimension=1,
+                        reference_optimum=None)
+    config = engine.SolverConfig(lf=2.0)
+    with pytest.raises(ConfigError, match="reference optimum"):
+        bounds.stop_test(Criterion.function_gap(1.0), bare, config)
+    validated = []
+    real = Criterion.validate
+    monkeypatch.setattr(Criterion, "validate",
+                        lambda self, problem: validated.append(self)
+                        or real(self, problem))
+    criterion = Criterion.stationarity(1e-6)
+    test = bounds.stop_test(criterion, quad1d, config)
+    state = engine.init(quad1d, config, np.array([1.0]))
+    validated.clear()
+    for _ in range(5):
+        state = engine.step(state, quad1d)
+        test.apply(state, quad1d, [None, None, None])
+    assert validated == []
 
 
 def test_check_nan_raises(quad1d):
@@ -93,16 +141,15 @@ def test_check_nan_raises(quad1d):
                       Criterion.relative(1.0), Criterion.alternate_relative(1.0),
                       Criterion.absolute(1.0, 1.0)):
         with pytest.raises(NumericFailure, match="NaN"):
-            bounds.check(criterion, certificates.Certificates(state, quad1d))
+            bounds.check(criterion, state, quad1d)
 
 
 @pytest.mark.parametrize("value", [-math.inf, math.inf])
 def test_check_infinite_gap_raises(quad1d, value):
     problem = dataclasses.replace(quad1d, f=dataclasses.replace(
         quad1d.f, value=lambda x: value))
-    certs = certificates.Certificates(_one_step(quad1d), problem)
     with pytest.raises(NumericFailure, match="not finite"):
-        bounds.check(Criterion.function_gap(1.0), certs)
+        bounds.check(Criterion.function_gap(1.0), _one_step(quad1d), problem)
 
 
 def test_check_infinite_stationarity_norm_raises(quad1d):
@@ -111,33 +158,51 @@ def test_check_infinite_stationarity_norm_raises(quad1d):
     state = _one_step(quad1d)
     problem = dataclasses.replace(quad1d, f=dataclasses.replace(
         quad1d.f, grad=lambda x: np.full_like(x, math.inf)))
-    certs = certificates.Certificates(state, problem)
     with pytest.raises(NumericFailure, match="not finite"):
-        bounds.check(Criterion.stationarity(1.0), certs)
-    assert certs.stationarity.norm == math.inf
+        bounds.check(Criterion.stationarity(1.0), state, problem)
+    # apply leaves the u it formed in held, though its formula raised
+    test = bounds.stop_test(Criterion.stationarity(1.0), problem, state.config)
+    held = [None, None, None]
+    with pytest.raises(NumericFailure, match="not finite"):
+        test.apply(state, problem, held)
+    assert held[1].norm == math.inf
 
 
 def test_check_residual_criteria(quad1d):
     # v_1 = 1, eta_1 = 1/4: lhs = 1.5; ||y - x0||^2 = ||v + y - x0||^2 = 1/4
     state = _one_step(quad1d)
-    certs = certificates.Certificates(state, quad1d)
-    assert bounds.check(Criterion.relative(7.0), certs)
-    assert not bounds.check(Criterion.relative(5.0), certs)
-    assert bounds.check(Criterion.alternate_relative(7.0), certs)
-    assert not bounds.check(Criterion.alternate_relative(5.0), certs)
-    assert bounds.check(Criterion.absolute(1.5, 0.3), certs)
-    assert not bounds.check(Criterion.absolute(0.5, 0.3), certs)
-    assert not bounds.check(Criterion.absolute(1.5, 0.2), certs)
+    assert bounds.check(Criterion.relative(7.0), state, quad1d)
+    assert not bounds.check(Criterion.relative(5.0), state, quad1d)
+    assert bounds.check(Criterion.alternate_relative(7.0), state, quad1d)
+    assert not bounds.check(Criterion.alternate_relative(5.0), state, quad1d)
+    assert bounds.check(Criterion.absolute(1.5, 0.3), state, quad1d)
+    assert not bounds.check(Criterion.absolute(0.5, 0.3), state, quad1d)
+    assert not bounds.check(Criterion.absolute(1.5, 0.2), state, quad1d)
 
 
 def test_check_requires_certificates(quad1d):
     # before the first step neither residual exists
     state = engine.init(quad1d, engine.SolverConfig(lf=2.0), np.array([1.0]))
-    certs = certificates.Certificates(state, quad1d)
     with pytest.raises(CertificateUndefinedError):
-        bounds.check(Criterion.stationarity(1.0), certs)
+        bounds.check(Criterion.stationarity(1.0), state, quad1d)
     with pytest.raises(CertificateUndefinedError):
-        bounds.check(Criterion.relative(1.0), certs)
+        bounds.check(Criterion.relative(1.0), state, quad1d)
+
+
+def test_apply_at_start_only_for_function_gap(quad1d):
+    # at k = 0 the residuals are undefined; only the gap test reads the
+    # start, and no test without a criterion holds
+    state = engine.init(quad1d, engine.SolverConfig(lf=2.0), np.array([1.0]))
+    loose = [Criterion.stationarity(10.0), Criterion.relative(10.0),
+             Criterion.alternate_relative(10.0), Criterion.absolute(10.0, 10.0),
+             None]
+    for criterion in loose:
+        held = [None, None, None]
+        test = bounds.stop_test(criterion, quad1d, state.config)
+        assert not test.apply(state, quad1d, held)
+        assert held == [None, None, None]
+    test = bounds.stop_test(Criterion.function_gap(10.0), quad1d, state.config)
+    assert test.apply(state, quad1d, [None, None, None])
 
 
 # ---------------------------------------------------------------------------

@@ -88,15 +88,19 @@ def test_stationarity_screen_is_sound(kind, margin):
         problem, lf=margin * problem.f.curvature)
     capture = harness.capture_run(problem, config, np.zeros(problem.dimension),
                                   1000)
+    test = bounds.stop_test(bounds.Criterion.stationarity(rho), problem,
+                            config)
     screened = 0
     for k in range(1, capture.iterations + 1):
-        certs = certificates.Certificates(capture.states[k], problem)
+        state = capture.states[k]
         norm = capture.rows[k].norm_u
-        assert certs.stationarity_lower <= norm * (1 + 1e-12)
-        if not bounds.check(bounds.Criterion.stationarity(rho), certs):
-            if "stationarity" not in vars(certs):
-                screened += 1
-                assert norm > rho
+        lower = (config.lf - problem.f.curvature) * problems.vector_norm(
+            state.y - state.x_tilde_prev)
+        assert lower <= norm * (1 + 1e-12)
+        held = [None, None, None]
+        if not test.apply(state, problem, held) and held[1] is None:
+            screened += 1
+            assert norm > rho
     if margin == 1.25:
         assert screened > 0
     assert min(row.norm_u for row in capture.rows[1:]) <= rho  # crosses rho
@@ -106,6 +110,8 @@ def test_residuals_match_expressions_bit_for_bit(elastic_mu1, elastic_capture):
     # the in-place forms keep the operations of the one-line expressions,
     # and the norms are np.linalg.norm's
     config = elastic_capture.config
+    screen = bounds.stop_test(bounds.Criterion.stationarity(1.0), elastic_mu1,
+                              config)
     for state in elastic_capture.states[1:400:37]:
         u = (elastic_mu1.f.grad(state.y) - state.grad_tilde_prev
              + config.lf * (state.x_tilde_prev - state.y))
@@ -119,7 +125,9 @@ def test_residuals_match_expressions_bit_for_bit(elastic_mu1, elastic_capture):
         dist0, diff = state.x0 - state.y, state.y - state.x
         assert pair.eta == ((float(dist0 @ dist0) - state.tau * float(diff @ diff))
                             / (2.0 * state.A))
-        lower = certificates.Certificates(state, elastic_mu1).stationarity_lower
+        # the stationarity screen's bound on ||u||
+        lower = screen.lf_gap * problems.vector_norm(
+            state.y - state.x_tilde_prev)
         assert lower == ((config.lf - elastic_mu1.f.curvature)
                          * float(np.linalg.norm(state.y - state.x_tilde_prev)))
 
@@ -145,17 +153,18 @@ def test_stationarity_sandwich(seed, m, n, reg, ridge, margin, steps):
         f=problems.least_squares(A, b, ridge=ridge, curvature=lf_bar),
         h=problems.l1_norm(reg), dimension=n)
     lf = lf_bar * (1.0 + margin)
-    state = engine.init(problem, engine.SolverConfig(lf=lf, mu_f=ridge),
-                        rng.standard_normal(n))
+    config = engine.SolverConfig(lf=lf, mu_f=ridge)
+    state = engine.init(problem, config, rng.standard_normal(n))
+    # the stationarity screen's bound is this lower side
+    assert bounds.stop_test(bounds.Criterion.stationarity(1.0), problem,
+                            config).lf_gap == lf - lf_bar
     for _ in range(steps):
         state = engine.step(state, problem)
-        certs = certificates.Certificates(state, problem)
         # vector_norm: below about 1.5e-154 np.linalg.norm loses digits
         d = problems.vector_norm(state.y - state.x_tilde_prev)
-        norm = certs.stationarity.norm
+        norm = certificates.stationarity_residual(state, problem).norm
         noise = 1e-12 * (lf + 1.0) * (1.0 + float(np.linalg.norm(state.y))
                                       + float(np.linalg.norm(b)))
-        assert certs.stationarity_lower == (lf - lf_bar) * d
         assert (lf - lf_bar) * d <= norm * (1 + 1e-9) + noise
         assert norm <= (lf + lf_bar) * d * (1 + 1e-9) + noise
 
@@ -356,7 +365,7 @@ def test_eps_subgradient_reads_infinite_values(quad1d):
 
 
 # ---------------------------------------------------------------------------
-# the certificate record's own rules
+# a row's gap and the stationarity screen
 # ---------------------------------------------------------------------------
 
 def test_gap_is_each_traced_rows_gap(lasso_small, lasso_norm):
@@ -365,14 +374,13 @@ def test_gap_is_each_traced_rows_gap(lasso_small, lasso_norm):
                                   np.zeros(lasso_small.dimension), 20)
     phi_star = lasso_small.reference_optimum.phi_star
     for state, row in zip(capture.states, capture.rows):
-        certs = certificates.Certificates(state, lasso_small)
-        assert certs.gap == row.gap == certs.phi_y - phi_star
-    # no reference optimum: no gap, and phi(y) is not read for it
-    state = engine.init(lasso_norm, engine.SolverConfig.for_problem(lasso_norm),
-                        np.zeros(lasso_norm.dimension))
-    certs = certificates.Certificates(state, lasso_norm)
-    assert certs.gap is None
-    assert "phi_y" not in vars(certs)
+        assert row.gap == eval_phi(lasso_small, state.y) - phi_star
+        assert row.gap == row.phi_y - phi_star
+    # no reference optimum: no gap in any row
+    capture = harness.capture_run(
+        lasso_norm, engine.SolverConfig.for_problem(lasso_norm),
+        np.zeros(lasso_norm.dimension), 5)
+    assert [row.gap for row in capture.rows] == [None] * 6
 
 
 def _counting(problem, calls):
@@ -394,12 +402,15 @@ def test_rules_out_stationarity_calls_no_oracle(quad1d):
     problem = _counting(quad1d, calls)
     state = _one_step(quad1d)
     # ||u_1|| = 0.5 = (lf - lf_bar) ||y_1 - x_tilde_0||, a tight bound
-    certs = certificates.Certificates(state, problem)
-    assert certs.rules_out_stationarity(0.4)
-    assert not certs.rules_out_stationarity(0.5)
+    tests = {rho: bounds.stop_test(bounds.Criterion.stationarity(rho), problem,
+                                   state.config) for rho in (0.4, 0.5)}
+    assert tests[0.4].screen(tests[0.4], state)
+    assert not tests[0.5].screen(tests[0.5], state)
     assert calls == []
-    # once u is held its norm is read instead: never ruled out
-    assert certs.stationarity.norm == 0.5
+    # once u is held its norm is read instead: the screen is not run
+    held = [None, None, None]
+    assert tests[0.5].apply(state, problem, held)
+    assert held[1].norm == 0.5
     assert calls == ["f.grad"]
-    assert not certs.rules_out_stationarity(0.4)
+    assert not tests[0.4].apply(state, problem, held)
     assert calls == ["f.grad"]

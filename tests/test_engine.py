@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from sfista import bounds, certificates, engine, harness, problems
-from sfista.errors import ConfigError, GrowthOverflowError, InvalidStartError
+from sfista.errors import (ConfigError, GrowthOverflowError, InvalidStartError,
+                           NumericFailure)
 
 
 def _quad_config(lf=2.0, **kwargs):
@@ -335,31 +336,35 @@ def test_run_function_gap_can_stop_at_start(quad1d):
 
 def test_stop_reason_at_start_only_for_function_gap(quad1d):
     # at k = 0 the residuals are undefined; only the gap test reads the start
-    certs = certificates.Certificates(
-        engine.init(quad1d, _quad_config(), np.array([1.0])), quad1d)
     loose = [bounds.Criterion.stationarity(10.0), bounds.Criterion.relative(10.0),
              bounds.Criterion.alternate_relative(10.0),
              bounds.Criterion.absolute(10.0, 10.0), None]
-    assert [engine.stop_reason(c, certs, None) for c in loose] == [None] * 5
-    assert engine.stop_reason(bounds.Criterion.function_gap(10.0), certs,
-                              None) == "converged"
+    for criterion in loose + [bounds.Criterion.function_gap(10.0)]:
+        config = _quad_config(criterion=criterion, max_iter=0)
+        result = engine.run(quad1d, config, np.array([1.0]))
+        assert result.state.k == 0
+        assert result.reason == ("max_iter" if criterion in loose
+                                 else "converged")
 
 
 def test_stop_reason_tests_the_objective_of_row_zero(quad1d):
-    # the k = 0 exemption covers the certificates, not the row's phi_y
-    certs = certificates.Certificates(
-        engine.init(quad1d, _quad_config(), np.array([1.0])), quad1d)
-    row = engine.trace_record(certs, time.perf_counter_ns())
+    # the k = 0 exemption covers the certificates, not the row's phi_y:
+    # a non-finite phi(x0) stops every run there, traced or not
     criteria = [None, bounds.Criterion.function_gap(10.0),
                 bounds.Criterion.stationarity(10.0),
                 bounds.Criterion.relative(10.0),
                 bounds.Criterion.alternate_relative(10.0),
                 bounds.Criterion.absolute(10.0, 10.0)]
     for value in NON_FINITE:
-        bad = dataclasses.replace(row, phi_y=value)
-        assert [engine.stop_reason(c, certs, bad) for c in criteria] == [
-            "numeric_failure"] * 6
-    assert engine.stop_reason(None, certs, row) is None
+        f = dataclasses.replace(quad1d.f, value=lambda x, value=value: value)
+        bad = dataclasses.replace(quad1d, f=f)
+        for criterion, every in itertools.product(criteria, (1, 1000)):
+            config = _quad_config(criterion=criterion, max_iter=5,
+                                  trace_every=every)
+            result = engine.run(bad, config, np.array([1.0]))
+            assert (result.state.k, result.reason) == (0, "numeric_failure")
+    config = _quad_config(max_iter=0)
+    assert engine.run(quad1d, config, np.array([1.0])).reason == "max_iter"
 
 
 def test_iterate_yields_init_then_each_step(elastic_mu1):
@@ -395,9 +400,9 @@ def test_states_carry_the_coefficient_their_next_step_takes(quad1d):
     a = bits([s.a_next for s in states[:-1]])
     assert a == bits([s.a_prev for s in states[1:]])
     assert states[-1].a_next == math.inf
-    row = engine.trace_record(certificates.Certificates(states[-1], quad1d),
-                              time.perf_counter_ns())
-    assert row.a == math.inf
+    capture = harness.capture_run(quad1d, engine.SolverConfig(lf=lf, mu_f=1.0),
+                                  np.array([1.0]), 100)
+    assert capture.overflowed and capture.rows[-1].a == math.inf
     sched = engine.coefficient_schedule(lf, 1.0, 0.0, 10**4)
     assert sched.overflowed
     assert bits(sched.a) == a
@@ -622,30 +627,56 @@ def test_sign_flips_keep_every_iterate_on_a_tall_design():
 
 
 # ---------------------------------------------------------------------------
-# run against the per-record API
+# run against an eager reference
 # ---------------------------------------------------------------------------
 
-def _run_by_records(problem, config, x0):
-    """(k, reason, rows) of `run`, rebuilt from one Certificates record per
-    state, `trace_record` and a loop of `stop_reason`."""
+def _run_eagerly(problem, config, x0):
+    """(k, reason, rows) of `run`, rebuilt eagerly.
+
+    phi(y), u and (v, eta) are formed at every state straight from the
+    problem and the certificates module, each row is built here, and the
+    criterion's formula is applied to them with no screen, so `run`'s
+    screen, its lazy forming and its row former are checked against code
+    that shares none of them.
+    """
+    ref = problem.reference_optimum
+    test = bounds.stop_test(config.criterion, problem, config)
     rows = []
     for state in itertools.islice(engine.iterate(problem, config, x0),
                                   config.max_iter + 1):
-        certs = certificates.Certificates(state, problem)
-        row = None
-        if state.k % config.trace_every == 0:
-            row = engine.trace_record(certs, time.perf_counter_ns())
+        k = state.k
+        phi_y = problems.eval_phi(problem, state.y)
+        u = pair = None
+        if k:
+            u = certificates.stationarity_residual(state, problem)
+            pair = certificates.residual_pair(state)
+        row = engine.TraceRecord(
+            k, state.a_next, state.A, state.tau, phi_y,
+            None if ref is None else phi_y - ref.phi_star,
+            None if u is None else u.norm, None if pair is None else pair.norm,
+            None if pair is None else pair.eta, 0)
+        traced = k % config.trace_every == 0
+        if traced:
             rows.append(row)
-        reason = engine.stop_reason(config.criterion, certs, row)
+        reason = None
+        if traced and not math.isfinite(phi_y):
+            reason = "numeric_failure"
+        elif k >= test.first_k:
+            read = None if test.reads is None else (phi_y, u, pair)[test.reads]
+            try:
+                if test.holds(test, state, read):
+                    reason = "converged"
+            except NumericFailure:
+                reason = "numeric_failure"
         if reason is not None:
             break
     else:
         reason = ("max_iter" if state.k == config.max_iter
                   else "growth_overflow")
-    if row is None:
-        row = engine.trace_record(certs, time.perf_counter_ns())
+    if not traced:
         rows.append(row)
-        reason = engine.stop_reason(None, certs, row) or reason
+        if not (math.isfinite(phi_y) and np.isfinite(state.y).all()):
+            reason = "numeric_failure"
     return state.k, reason, rows
 
 
@@ -691,10 +722,11 @@ def _at(runs, k, reason):
 ])
 def test_run_rows_are_the_record_rows(request, fixture_name, runs,
                                       trace_every):
-    # the run keeps no record per state, yet each of its rows equals
-    # trace_record's row of the same state bit for bit, elapsed_ns aside,
-    # and it stops where stop_reason first gives a reason; under
-    # trace_every = 3 most final rows fall off the spacing
+    # the run keeps no record per state and forms only what its rows and
+    # test read, yet each of its rows equals the eager reference's row of
+    # the same state bit for bit, elapsed_ns aside, and it stops where the
+    # reference first gives a reason; under trace_every = 3 most final
+    # rows fall off the spacing
     problem = request.getfixturevalue(fixture_name)
     x0 = np.zeros(problem.dimension)
     for criterion, k, reason in runs:
@@ -703,7 +735,7 @@ def test_run_rows_are_the_record_rows(request, fixture_name, runs,
             trace_every=trace_every)
         result = engine.run(problem, config, x0)
         assert (result.state.k, result.reason) == (k, reason), criterion
-        expected = _run_by_records(problem, config, x0)
+        expected = _run_eagerly(problem, config, x0)
         assert expected[:2] == (k, reason)
         assert [r.k for r in result.trace] == sorted(
             {*range(0, k + 1, trace_every), k})
@@ -726,7 +758,7 @@ def test_run_rows_are_the_record_rows_at_a_growth_halt(quad1d):
             result = engine.run(quad1d, config, np.array([1.0]))
             reason = "growth_overflow" if k == 42 else "converged"
             assert (result.state.k, result.reason) == (k, reason)
-            expected = _run_by_records(quad1d, config, np.array([1.0]))
+            expected = _run_eagerly(quad1d, config, np.array([1.0]))
             assert expected[:2] == (k, reason)
             assert _untimed(result.trace) == _untimed(expected[2])
 
@@ -736,10 +768,14 @@ def test_run_rows_are_the_record_rows_at_a_growth_halt(quad1d):
 # ---------------------------------------------------------------------------
 
 def _recorded_rows(problem, config, x0, count):
-    """trace_record of the first `count` states, as the records run builds."""
+    """The rows of the first `count` states as records, as run forms them."""
     started_ns = time.perf_counter_ns()
-    return [engine.trace_record(certificates.Certificates(state, problem),
-                                started_ns)
+    ref = problem.reference_optimum
+    phi_star = None if ref is None else ref.phi_star
+    fused = problem.f.fused()
+    return [engine.TraceRecord(*engine._row(
+        state, engine.row_certificates(state, problem, fused), phi_star,
+        started_ns))
             for state in itertools.islice(engine.iterate(problem, config, x0),
                                           count)]
 

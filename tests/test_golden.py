@@ -3,9 +3,10 @@
 A refactor that leaves the arithmetic alone leaves these SHA-256 digests
 alone: they cover the final x and y of the two conftest captures, the trace
 text of a stationarity run and of the README quick start's `sfista solve
---trace` with the elapsed_ns column dropped, and the report lines of an
-invariant sweep.  Those lines round `worst` to four digits, so every
-check's full-precision value is pinned too.  A change that
+--trace` with the elapsed_ns column dropped, the report lines of an
+invariant sweep, and the stdout of `sfista verify bounds --seed-base 0`.
+The report lines round `worst` to four digits, so every check's
+full-precision value is pinned too.  A change that
 moves any iterate by one bit fails here, and so does one that moves the
 deviation the classical equivalence check reports.  One more digest pins
 the iteration predictor on a grid of constants: each point's predicted_k,
@@ -57,6 +58,9 @@ GOLDEN = {
     "elastic_trace": "2707a98d46c62456976bff63b6ae88ceaac5d7d4f908e94f7c4445ab58c72121",
     "elastic_report": "de30f6d606bc023e7277d6521504c58048b220bdec1562a66d794e430838ec6f",
     "readme_trace": "221a1886573bff5a1348d0c5045e76d85c735fa59664904ea858cf3ecc456f35",
+    # stdout of `sfista verify bounds --seed-base 0`, the same under one and
+    # two BLAS threads
+    "verify_bounds": "fa083cfd1497ad63d7a3469c77b86f0214fc2f9d25ee8d9d6f900b89a75ce4bf",
 }
 
 # format_real of the worst deviation equivalence_check reports on lasso_norm
@@ -320,6 +324,13 @@ def test_equivalence_deviation_matches_golden(golden_lasso_norm):
     worst = classic.equivalence_check(
         golden_lasso_norm, np.zeros(golden_lasso_norm.dimension), lf, 100)
     assert problems.format_real(worst) == GOLDEN_EQUIVALENCE
+
+
+def test_verify_bounds_output_matches_golden(capsys):
+    # every criterion's observed and predicted count on the ten instances
+    assert cli.main(["verify", "bounds", "--seed-base", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN["verify_bounds"]
 
 
 # every predictor on a grid of constants, invalid values included: five

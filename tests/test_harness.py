@@ -91,18 +91,18 @@ def test_capture_builds_each_row_before_the_next_step(monkeypatch,
     # as in engine.run, row k is built before step k + 1 starts, so its
     # elapsed_ns counts only the steps that reached state k
     events = []
-    step, trace_record = engine.step, engine.trace_record
+    step, row_certificates = engine.step, engine.row_certificates
 
     def logged_step(state, problem):
         events.append(("step", state.k))
         return step(state, problem)
 
-    def logged_row(certs, started_ns):
-        events.append(("row", certs.state.k))
-        return trace_record(certs, started_ns)
+    def logged_row(state, problem, fused):
+        events.append(("row", state.k))
+        return row_certificates(state, problem, fused)
 
     monkeypatch.setattr(engine, "step", logged_step)
-    monkeypatch.setattr(engine, "trace_record", logged_row)
+    monkeypatch.setattr(engine, "row_certificates", logged_row)
     harness.capture_run(lasso_small, engine.SolverConfig.for_problem(lasso_small),
                         np.zeros(lasso_small.dimension), 3)
     assert events == [("row", 0), ("step", 0), ("row", 1), ("step", 1),

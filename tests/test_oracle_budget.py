@@ -55,26 +55,32 @@ def test_step_budget(elastic_mu1):
 
 
 def test_certificates_computed_once_on_demand(elastic_mu1):
-    # each piece is computed when first read and kept in the record's
-    # __dict__, which the stationarity screen tests; the pair needs no
-    # oracle at all
+    # a state's tests share one list of its certificates: each test forms
+    # the one it reads, when first read, into its place, and a later test
+    # that reads it forms nothing; the pair needs no oracle at all
     problem, counts = _counted(elastic_mu1)
     state = engine.init(problem, engine.SolverConfig.for_problem(problem),
                         np.zeros(problem.dimension))
-    certs = certificates.Certificates(engine.step(state, problem), problem)
+    state = engine.step(state, problem)
     counts.clear()
-    pieces = ("pair", "stationarity_lower", "stationarity", "phi_y")
-    assert not set(pieces) & set(vars(certs))
-    assert certs.pair is certs.pair
-    assert certs.stationarity_lower == certs.stationarity_lower
-    assert counts == {}
-    assert set(pieces) & set(vars(certs)) == {"pair", "stationarity_lower"}
-    assert certs.stationarity is certs.stationarity
-    assert counts == {"f.grad": 1}
-    assert "stationarity" in vars(certs) and "phi_y" not in vars(certs)
-    assert certs.phi_y == certs.phi_y
-    assert counts == {"f.grad": 1, "f.value": 1, "h.value": 1}
-    assert set(pieces) <= set(vars(certs))
+    held = [None, None, None]
+    loose = [bounds.Criterion.relative(1e9), bounds.Criterion.absolute(1e9, 1e9),
+             bounds.Criterion.stationarity(1e9),
+             bounds.Criterion.function_gap(1e9)]
+    expected = [{}, {}, {"f.grad": 1},
+                {"f.grad": 1, "f.value": 1, "h.value": 1}]
+    formed = []
+    for criterion, budget in zip(loose, expected):
+        test = bounds.stop_test(criterion, problem, state.config)
+        assert test.apply(state, problem, held)
+        assert counts == budget
+        formed.append(held[test.reads])
+    assert formed[0] is formed[1] is held[2]
+    assert formed[2] is held[1] and formed[3] == held[0]
+    for criterion in loose:
+        bounds.stop_test(criterion, problem, state.config).apply(
+            state, problem, held)
+    assert counts == expected[-1]
 
 
 def test_lower_model_update_budget(elastic_mu1):
@@ -385,15 +391,15 @@ def certificate_calls(monkeypatch):
     """k of each state the two residuals were formed at, by residual name.
 
     Patched where `engine.run` looks them up, on the certificates module,
-    once per run.
+    once per run; a gradient at y, when given, is passed on.
     """
     calls = {"stationarity_residual": [], "residual_pair": []}
     real_residual = certificates.stationarity_residual
     real_pair = certificates.residual_pair
 
-    def residual(state, problem):
+    def residual(state, problem, *grad_y):
         calls["stationarity_residual"].append(state.k)
-        return real_residual(state, problem)
+        return real_residual(state, problem, *grad_y)
 
     def pair(state):
         calls["residual_pair"].append(state.k)
@@ -444,3 +450,19 @@ def test_untraced_run_forms_only_what_its_test_reads(
     assert certificate_calls["stationarity_residual"] == [k]
     assert certificate_calls["residual_pair"] == (
         list(range(1, k + 1)) if reads_pair else [k])
+
+
+def test_suite_and_capture_form_each_certificate_as_recorded(
+        lasso42, certificate_calls):
+    # verify bounds at seed base 0 forms u only where a stationarity test
+    # is past its screen and the pair at every state a pair criterion
+    # tests; a capture forms both once per state after k = 0
+    harness.bounds_suite(0)
+    assert {name: len(ks) for name, ks in certificate_calls.items()} == {
+        "stationarity_residual": 76, "residual_pair": 399}
+    for ks in certificate_calls.values():
+        ks.clear()
+    harness.capture_run(lasso42, engine.SolverConfig.for_problem(lasso42),
+                        np.zeros(lasso42.dimension), 300)
+    assert certificate_calls == {"stationarity_residual": list(range(1, 301)),
+                                 "residual_pair": list(range(1, 301))}
