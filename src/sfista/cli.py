@@ -13,7 +13,8 @@ configuration or flags, or an output path that cannot be written (checked
 before the reference solve and the run), 3 verification failure, 4 a NaN or
 infinite phi(y_k) in any row the run builds (row 0, each traced row and the
 final row), whatever the criterion, or a NaN or infinite quantity the
-criterion tests; without a criterion, also a non-finite entry of y_k.
+criterion tests, or a non-finite entry of the final y_k, at any
+--trace-every; without a criterion, also of any y_k.
 """
 
 from __future__ import annotations

@@ -133,8 +133,6 @@ _INT_FIELDS = tuple(j for j, f in enumerate(fields(TraceRecord))
                    if f.type in (int, "int"))
 # doubles a packed row takes: the fields, with a None as 0.0
 _ROW = len(fields(TraceRecord))
-# each field's position in a packed row
-_FIELD_INDEX = {f.name: j for j, f in enumerate(fields(TraceRecord))}
 _PACKED_ROW = struct.Struct(f"{_ROW}d")
 
 
@@ -181,8 +179,7 @@ class Trace(Sequence):
     Reading a row, by index or by iterating, bisects the run starts for its
     mask and rebuilds its TraceRecord field for field; a slice is a list of
     them.  A Trace equals a Trace or a list that holds the same records.
-    `trace_lines` prints each run's rows straight from their packed doubles,
-    and `harness.invariant_report` reads one field of every row at once.
+    `trace_lines` prints each run's rows straight from their packed doubles.
     """
 
     __slots__ = ("_data", "_run_starts", "_run_masks")
@@ -217,27 +214,6 @@ class Trace(Sequence):
         start = rows * _ROW
         mask = self._run_masks[bisect_right(self._run_starts, rows) - 1]
         return _unpack(self._data[start:start + _ROW].tolist(), mask)
-
-    def _column(self, name: str) -> Array:
-        """Field `name` of every row: a view of the packed doubles, no copy.
-
-        A None reads 0.0 there, which `_first_none` tells apart.  The Trace
-        cannot grow while the view is alive.
-        """
-        return np.frombuffer(self._data)[_FIELD_INDEX[name]::_ROW]
-
-    def _first_none(self, name: str, start: int) -> Optional[int]:
-        """The first row from start on whose field `name` is None, or None.
-
-        Read from the run masks alone: no row is unpacked.
-        """
-        bit = 1 << _FIELD_INDEX[name]
-        ends = [*self._run_starts[1:], len(self)]
-        for run_start, end, mask in zip(self._run_starts, ends,
-                                        self._run_masks):
-            if mask & bit and end > start:
-                return max(run_start, start)
-        return None
 
     def __eq__(self, other):
         if isinstance(other, (Trace, list)):
@@ -388,13 +364,15 @@ def row_certificates(state: IterateState, problem: CompositeProblem,
                      fused, held: Optional[list] = None) -> list:
     """[phi(y), u, (v, eta)] of state: the certificates of its trace row.
 
-    The one place a row's certificates are formed.  u and the pair are None
-    at k = 0, before the first step.  held, when given, is such a list with
-    None for each certificate not yet formed, as `StopTest.apply` leaves it:
-    the rest are kept, not formed again.  fused is `problem.f.fused()`:
-    while it is not None, phi(y) and the gradient u needs come from one
-    value_and_grad call when neither is held; else from f.value and f.grad.
-    The residuals are looked up on the certificates module at each call.
+    The one place a state's full set of certificates is formed: `run`'s
+    trace rows and `harness.invariant_report`, once per state, call it.  u
+    and the pair are None at k = 0, before the first step.  held, when
+    given, is such a list with None for each certificate not yet formed, as
+    `StopTest.apply` leaves it: the rest are kept, not formed again.  fused
+    is `problem.f.fused()`: while it is not None, phi(y) and the gradient u
+    needs come from one value_and_grad call when neither is held; else from
+    f.value and f.grad.  The residuals are looked up on the certificates
+    module at each call.
     """
     phi_y, u, pair = held or (None, None, None)
     if not state.k:
@@ -466,7 +444,9 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     with "numeric_failure", whatever the criterion and the spacing, so a
     non-finite phi(x0) ends it at k = 0.  A NaN or infinite quantity the
     test reads stops the run the same way, and so does, in a run without a
-    criterion, the first y with a non-finite entry.
+    criterion, the first y with a non-finite entry.  The final state's y is
+    tested in every run, so a run that ends on a y with a non-finite entry
+    ends with "numeric_failure" at any spacing.
     """
     started_ns = time.perf_counter_ns()
     test = _bounds.stop_test(config.criterion, problem, config)
@@ -509,9 +489,9 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
         # the final row, with what the test formed
         held = row_certificates(state, problem, fused, held)
         add_row(_row(state, held, phi_star, started_ns))
-        # the row test, then the test of a run without a criterion
-        if not (math.isfinite(held[0]) and np.isfinite(state.y).all()):
-            reason = "numeric_failure"
+    # the final row's test, and the last y's, spaced or not
+    if not (math.isfinite(held[0]) and np.isfinite(state.y).all()):
+        reason = "numeric_failure"
     return RunResult(state=state, reason=reason, trace=trace)
 
 

@@ -1,22 +1,21 @@
 """Verification harness: recorded runs, invariant sweeps, and trace files.
 
-`capture_run` keeps every state `engine.iterate` yields and its trace row,
-the rows in an `engine.Trace` as a run keeps them, which the invariant
-sweep and the test suite interrogate.  `invariant_report` evaluates the
-identities and a priori bounds the method guarantees on a recorded run,
-each over all its iterates in one array pass, folding the lower model as
-far as its sampled checks reach, and reports the worst violation of each.
-`bounds_suite` measures observed criterion-firing iterations against the
-closed-form predictors on a seeded instance family, with one pass of
-`engine.iterate` per instance tested against every criterion at once.
-`format_trace` and `write_trace` put the provenance lines and the header
-over `engine.trace_lines`.
+`capture_run` keeps every state `engine.iterate` yields, which the
+invariant sweep and the test suite interrogate.  `invariant_report`
+evaluates the identities and a priori bounds the method guarantees on a
+recorded run: one pass over its states forms each state's certificates
+once, and each check runs over all its iterates in one array pass, folding
+the lower model as far as its sampled checks reach; it reports the worst
+violation of each.  `bounds_suite` measures observed criterion-firing
+iterations against the closed-form predictors on a seeded instance family,
+with one pass of `engine.iterate` per instance tested against every
+criterion at once.  `format_trace` and `write_trace` put the provenance
+lines and the header over `engine.trace_lines`.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, islice
 from typing import Optional
@@ -49,19 +48,17 @@ SAMPLE_SEED = 2718  # of the sample points the minorant checks draw
 
 @dataclass
 class RunCapture:
-    """Every state of a recorded run and its trace row.
+    """The states of a recorded run, as `engine.iterate` yields them.
 
-    rows holds each state's row, the one `engine.run` traces for it at
-    trace_every = 1, in an `engine.Trace`, 80 B a row, as `engine.run`
-    keeps its rows.  `invariant_report` reads each row field it checks
-    once, as a column of the packed doubles, and tests each check over all
-    its iterates.
+    A capture forms no certificate: `invariant_report` forms each state's
+    once, as it checks them.  The trace rows of these states are those of
+    `engine.run(problem, dataclasses.replace(config, criterion=None,
+    max_iter=capture.iterations, trace_every=1), x0).trace`.
     """
 
     problem: CompositeProblem
     config: _engine.SolverConfig
     states: list
-    rows: _engine.Trace
     overflowed: bool = False
 
     @property
@@ -78,29 +75,17 @@ class RunCapture:
 
 def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
                 x0: Array, iters: int) -> RunCapture:
-    """The first `iters + 1` states of `engine.iterate` and their rows.
+    """The first `iters + 1` states of `engine.iterate`.
 
     Fewer states when the coefficient growth halts the run first, which
-    `overflowed` marks.  Each state's row is built as the state is taken,
-    from `engine.row_certificates`, as `engine.run` builds it at
-    trace_every = 1, and its ten doubles are packed straight into a Trace,
-    so `write_trace(path, capture.rows)` writes what `solve --trace` would.
-    No lower model is folded here: `lower_models(capture.states, problem)`
-    folds it.  A negative `iters` raises ConfigError.
+    `overflowed` marks.  Each state costs its step alone: no certificate,
+    trace row or lower model is formed here (`lower_models(capture.states,
+    problem)` folds the model).  A negative `iters` raises ConfigError.
     """
     if iters < 0:
         raise ConfigError(f"step count {iters} must be nonnegative")
-    started_ns = time.perf_counter_ns()
-    fused = problem.f.fused()
-    ref = problem.reference_optimum
-    phi_star = None if ref is None else ref.phi_star
-    states, rows = [], _engine.Trace()
-    for state in islice(_engine.iterate(problem, config, x0), iters + 1):
-        states.append(state)
-        rows._add(_engine._row(
-            state, _engine.row_certificates(state, problem, fused), phi_star,
-            started_ns))
-    return RunCapture(problem=problem, config=config, states=states, rows=rows,
+    states = list(islice(_engine.iterate(problem, config, x0), iters + 1))
+    return RunCapture(problem=problem, config=config, states=states,
                       overflowed=len(states) <= iters)
 
 
@@ -203,23 +188,26 @@ def _squared_norm(v: Array) -> float:
     return float(v.dot(v))
 
 
-def _row_columns(rows, names, K: int) -> dict:
-    """Rows 1 .. K of each named TraceRecord field, as float64 arrays.
+# a state's phi(y), ||u||, ||v||, eta and certificate-identity left side
+_STATE_CERTS = np.dtype((float, 5))
 
-    A Trace's rows are read in place, a column at a time, and no
-    TraceRecord is rebuilt; a list of records is packed once first.  A
-    packed None reads 0.0, so a None among those rows is a ValueError that
-    names the field and the first k that holds it.
+
+def _state_certificates(states, problem: CompositeProblem, n_cert: int):
+    """The scalars of each state's certificates, a state at a time.
+
+    Each state's [phi(y), u, (v, eta)] is formed once, by
+    `engine.row_certificates`, as `engine.run` forms a trace row's, and
+    only its scalars are kept: phi(y), ||u||, ||v||, eta, and, for the
+    first n_cert states, ||A v + y - x0||^2 / tau + 2 A eta (NaN past them).
     """
-    if not isinstance(rows, _engine.Trace):
-        rows = _engine.Trace(rows)
-    missing = [(k, name) for name in names
-               if (k := rows._first_none(name, 1)) is not None and k <= K]
-    if missing:
-        k, name = min(missing, key=lambda found: found[0])
-        raise ValueError(f"the invariant report reads {name}, which the row "
-                         f"of k = {k} holds as None")
-    return {name: rows._column(name)[1:K + 1] for name in names}
+    fused = problem.f.fused()
+    for k, st in enumerate(states, 1):
+        phi_y, u, pair = _engine.row_certificates(st, problem, fused)
+        lhs = math.nan
+        if k <= n_cert:
+            shifted = st.A * pair.v + st.y - st.x0
+            lhs = _squared_norm(shifted) / st.tau + 2.0 * st.A * pair.eta
+        yield phi_y, u.norm, pair.norm, pair.eta, lhs
 
 
 def invariant_report(capture: RunCapture,
@@ -227,14 +215,16 @@ def invariant_report(capture: RunCapture,
     """Evaluate every identity and bound the method guarantees on a run.
 
     Each check keeps the worst of its values over the iterates it looks at.
-    The rows' fields are read once, a column each, and every check is one
-    array expression over all its iterates; the bounds module's scalar
-    bounds and the vector norms are taken per iterate.  A check behind a
-    rounding-noise gate keeps the iterates before the first one past it,
-    and its note says `checked N of K`.  A check left with no iterate, or a
-    sampled check with no samples, is `skipped` and stays out of `overall`.
-    A negative sample_count raises ConfigError; a None in a row field a
-    check reads raises ValueError.
+    One pass over the states forms each state's certificates [phi(y), u,
+    (v, eta)] once (`_state_certificates`), and the checks read their
+    scalars as columns; every check is one array expression over all its
+    iterates; the bounds module's scalar bounds and the vector norms are
+    taken per iterate.  The gap is phi(y) - phi* of the capture's problem,
+    so a reference optimum attached after the capture serves.  A check
+    behind a rounding-noise gate keeps the iterates before the first one
+    past it, and its note says `checked N of K`.  A check left with no
+    iterate, or a sampled check with no samples, is `skipped` and stays
+    out of `overall`.  A negative sample_count raises ConfigError.
     """
     if sample_count < 0:
         raise ConfigError(f"sample count {sample_count} must be nonnegative")
@@ -244,21 +234,20 @@ def invariant_report(capture: RunCapture,
     lf_bar = problem.f.curvature
     ref = problem.reference_optimum
     # one entry per iterate k = 1 .. K, at index k - 1; tau_prev is tau_{k-1}
-    rows = _row_columns(capture.rows, ["phi_y", "norm_u", "norm_v",
-                                       "eta_residual"]
-                        + (["gap"] if ref is not None else []), K)
-    norm_u, norm_v, eta = rows["norm_u"], rows["norm_v"], rows["eta_residual"]
     a = np.fromiter((st.a_prev for st in states[1:]), float, K)
     A = np.fromiter((st.A for st in states[1:]), float, K)
     tau_all = np.fromiter((st.tau for st in states), float, K + 1)
     tau, tau_prev = tau_all[1:], tau_all[:-1]
     ks = range(1, K + 1)
     n_cert = _kept(tau > CERT_TAU_LIMIT)
+    phi_y, norm_u, norm_v, eta, cert_lhs = np.fromiter(
+        _state_certificates(states[1:], problem, n_cert), _STATE_CERTS, K).T
 
     # sampled model checks at the log-spaced iterates the tau gate keeps, a
-    # prefix since tau grows with k; taken before the per-state arrays below
-    # exist, so the samples set the report's peak memory on their own; the
-    # lower model is folded up to the last sampled k, and not without samples
+    # prefix since tau grows with k; taken before the other per-state arrays
+    # below exist, so the samples set the report's peak memory on their
+    # own; the lower model is folded up to the last sampled k, and not
+    # without samples
     sample_ks = [k for k in checkpoints(K) if k <= n_cert]
     sampled_at = sample_ks if sample_count else []
     sample_note = f"{sample_count} samples at k in {sample_ks}"
@@ -266,7 +255,7 @@ def invariant_report(capture: RunCapture,
     models = _cert.lower_models(states, problem)
     sampled = []
     for k in sampled_at:
-        st, phi = states[k], float(rows["phi_y"][k - 1])
+        st, phi = states[k], float(phi_y[k - 1])
         model = next(model for j, model in models if j == k)
         pair = _cert.residual_pair(st)
         tol = MODEL_TOL_SCALE * (1.0 + abs(phi))
@@ -285,14 +274,6 @@ def invariant_report(capture: RunCapture,
     move_sq = np.fromiter((_squared_norm(st.y - st.x_tilde_prev)
                            for st in states[1:]), float, K)
     dist_y = np.sqrt(dist_sq)
-
-    def identity_lhs(st):
-        pair = _cert.residual_pair(st)
-        shifted = st.A * pair.v + st.y - st.x0
-        return _squared_norm(shifted) / st.tau + 2.0 * st.A * pair.eta
-
-    cert_lhs = np.fromiter(map(identity_lhs, states[1:n_cert + 1]), float,
-                           n_cert)
     # the bounds module's bounds, and every power of a float, are taken per
     # iterate with Python's **: numpy squares an array by x * x, which is
     # not always pow(x, 2) to the last bit
@@ -323,8 +304,8 @@ def invariant_report(capture: RunCapture,
         ]
 
         if ref is not None:
-            gap = rows["gap"]
             d0, phi_star = capture.d0(), ref.phi_star
+            gap = phi_y - phi_star
             c = _bounds.growth_factor(lf, mu_f, mu)
             slack = RATE_SLACK_SCALE * (1.0 + abs(phi_star))
             rate = np.fromiter((min(4.0 / k**2, c ** (2.0 * (1.0 - k)))
@@ -383,7 +364,7 @@ def invariant_report(capture: RunCapture,
                           * (1.0 + INEQ_REL_SLACK) - 1e-12 * lf, 0.0, ks),
             # ||A v + y - x0||^2 / tau + 2 A eta = ||y - x0||^2
             _gated("certificate_identity",
-                   np.abs(cert_lhs - dist_sq[:n_cert])
+                   np.abs(cert_lhs[:n_cert] - dist_sq[:n_cert])
                    / np.fmax(1.0, dist_sq[:n_cert]),
                    CERT_IDENTITY_TOL, n_cert, K),
             # eta_k >= 0 up to rounding

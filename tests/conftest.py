@@ -26,6 +26,25 @@ def lasso42_capture(lasso42):
     return harness.capture_run(lasso42, config, x0, 2000)
 
 
+def _run_rows(capture):
+    """The trace rows of a capture's states: `engine.run` at trace_every = 1."""
+    config = dataclasses.replace(capture.config, criterion=None,
+                                 max_iter=capture.iterations, trace_every=1)
+    return engine.run(capture.problem, config, capture.states[0].x0).trace
+
+
+@pytest.fixture(scope="session")
+def run_rows():
+    """The function that gives a capture's trace rows, as `engine.run` forms
+    them at trace_every = 1 with the capture's config and step count."""
+    return _run_rows
+
+
+@pytest.fixture(scope="session")
+def lasso42_rows(lasso42_capture):
+    return _run_rows(lasso42_capture)
+
+
 @pytest.fixture(scope="session")
 def lasso42_models(lasso42, lasso42_capture):
     """The lower models Gamma_k of lasso42_capture at k in 1, 5, 10, 50, 100."""
@@ -45,6 +64,11 @@ def elastic_capture(elastic_mu1):
     config = engine.SolverConfig.for_problem(elastic_mu1)
     x0 = np.zeros(elastic_mu1.dimension)
     return harness.capture_run(elastic_mu1, config, x0, 800)
+
+
+@pytest.fixture(scope="session")
+def elastic_rows(elastic_capture):
+    return _run_rows(elastic_capture)
 
 
 @pytest.fixture(scope="session")

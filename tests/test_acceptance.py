@@ -22,11 +22,12 @@ def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def test_acceptance_01_sublinear_rate(capsys, lasso42, lasso42_capture):
+def test_acceptance_01_sublinear_rate(capsys, lasso42, lasso42_capture,
+                                      lasso42_rows):
     cap = lasso42_capture
     lf, mu_f = cap.config.lf, cap.config.mu_f
     d0 = cap.d0()
-    gaps = [row.gap for row in cap.rows]
+    gaps = [row.gap for row in lasso42_rows]
     slack = 1e-9 * (1.0 + abs(lasso42.reference_optimum.phi_star))
     worst = max(gaps[k] - 2.0 * (lf - mu_f) * d0**2 / k**2
                 for k in range(1, 2001))
@@ -41,12 +42,13 @@ def test_acceptance_01_sublinear_rate(capsys, lasso42, lasso42_capture):
     assert elapsed < 10.0, f"2000 iterations took {elapsed:.1f} s"
 
 
-def test_acceptance_02_geometric_rate(capsys, elastic_mu1, elastic_capture):
+def test_acceptance_02_geometric_rate(capsys, elastic_mu1, elastic_capture,
+                                      elastic_rows):
     cap = elastic_capture
     lf, mu_f, mu = cap.config.lf, cap.config.mu_f, cap.config.mu
     assert mu == 1.0
     d0 = cap.d0()
-    gaps = np.array([row.gap for row in cap.rows])
+    gaps = np.array([row.gap for row in elastic_rows])
     slack = 1e-9 * (1.0 + abs(elastic_mu1.reference_optimum.phi_star))
     c = bounds.growth_factor(lf, mu_f, mu)
     below = np.nonzero(gaps[1:] < 1e-12)[0]
@@ -106,7 +108,8 @@ def test_acceptance_04_step_identities(capsys, lasso42_capture,
 
 
 def test_acceptance_05_certificate_identity(capsys, lasso42_capture,
-                                            elastic_capture):
+                                            elastic_capture, lasso42_rows,
+                                            elastic_rows):
     worst = -math.inf
     for cap in (lasso42_capture, elastic_capture):
         for k in (1, 10, 100, 1000):
@@ -118,9 +121,9 @@ def test_acceptance_05_certificate_identity(capsys, lasso42_capture,
             lhs = float(shifted @ shifted) / st.tau + 2.0 * st.A * pair.eta
             rhs = float((st.y - st.x0) @ (st.y - st.x0))
             worst = max(worst, abs(lhs - rhs) / max(1.0, rhs))
-    eta_floor = min(cap.rows[k].eta_residual
-                    for cap in (lasso42_capture, elastic_capture)
-                    for k in range(1, cap.iterations + 1))
+    eta_floor = min(row.eta_residual
+                    for rows in (lasso42_rows, elastic_rows)
+                    for row in rows[1:])
     ok = worst <= 1e-8 and eta_floor >= -1e-12
     _report(capsys, 5, "certificate_identity", ok)
     assert worst <= 1e-8, f"worst relative identity error {worst:.3e}"
@@ -128,13 +131,13 @@ def test_acceptance_05_certificate_identity(capsys, lasso42_capture,
 
 
 def test_acceptance_06_eps_subgradient(capsys, lasso42, lasso42_capture,
-                                       lasso42_models):
+                                       lasso42_rows, lasso42_models):
     rng = _rng(606)
     worst_eps = worst_minor = -math.inf
     for k in (1, 10, 100):
         st = lasso42_capture.states[k]
         pair = certificates.residual_pair(st)
-        phi_y = lasso42_capture.rows[k].phi_y
+        phi_y = lasso42_rows[k].phi_y
         tol = 1e-8 * (1.0 + abs(phi_y))
         samples, phi_at = certificates.sample_points(st, lasso42, 1000, rng)
         worst_eps = max(worst_eps, certificates.check_eps_subgradient(
@@ -147,26 +150,27 @@ def test_acceptance_06_eps_subgradient(capsys, lasso42, lasso42_capture,
     assert worst_minor <= 0.0, f"minorant exceeded phi by {worst_minor:.3e}"
 
 
-def _min_norm_worst(capture):
+def _min_norm_worst(capture, rows):
     lf = capture.config.lf
     lf_bar = capture.problem.f.curvature
     d0 = capture.d0()
     running, best, worst = 0.0, math.inf, -math.inf
     for k in range(1, capture.iterations + 1):
         running += capture.states[k].A
-        best = min(best, capture.rows[k].norm_u ** 2)
+        best = min(best, rows[k].norm_u ** 2)
         rhs = 8.0 * lf**2 * d0**2 / ((lf - lf_bar) * running)
         worst = max(worst, best - rhs * (1.0 + 1e-9))
     return worst
 
 
-def test_acceptance_07_min_norm_bound(capsys, lasso42_capture):
+def test_acceptance_07_min_norm_bound(capsys, lasso42_capture, lasso42_rows,
+                                      run_rows):
     other = problems.make_instance("lasso", 7, 100, 200, reg=0.1)
     other_capture = harness.capture_run(
         other, engine.SolverConfig.for_problem(other),
         np.zeros(other.dimension), 2000)
-    worst = max(_min_norm_worst(lasso42_capture),
-                _min_norm_worst(other_capture))
+    worst = max(_min_norm_worst(lasso42_capture, lasso42_rows),
+                _min_norm_worst(other_capture, run_rows(other_capture)))
     ok = worst <= 0.0
     _report(capsys, 7, "stationarity_min_norm_bound", ok)
     assert worst <= 0.0, f"bound exceeded by {worst:.3e}"

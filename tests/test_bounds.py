@@ -631,12 +631,13 @@ def test_relative_threshold_is_finite_for_any_tolerance():
 @pytest.mark.parametrize("fixture_name", ["lasso42_capture", "elastic_capture"])
 def test_relative_threshold_first_crossing(request, fixture_name):
     capture = request.getfixturevalue(fixture_name)
+    rows = request.getfixturevalue(fixture_name.replace("_capture", "_rows"))
     sigma_tilde = 0.1
     abar = bounds.abar_relative(capture.config.mu, sigma_tilde)
     crossing = next(k for k in range(1, capture.iterations + 1)
                     if capture.states[k].A >= abar)
     state = capture.states[crossing]
-    row = capture.rows[crossing]
+    row = rows[crossing]
     lhs = row.norm_v**2 + 2.0 * row.eta_residual
     dist2 = float((state.y - state.x0) @ (state.y - state.x0))
     assert lhs <= sigma_tilde * dist2 * (1.0 + 1e-9) + 1e-12

@@ -67,18 +67,18 @@ def test_residual_lies_in_l1_subdifferential(lasso42, lasso42_capture):
                 assert abs(wi - reg * np.sign(yi)) <= 1e-9
 
 
-def test_residual_envelope(lasso42_capture):
+def test_residual_envelope(lasso42_capture, lasso42_rows):
     # ||u_k|| <= 2 lf ||y_k - x_tilde_{k-1}||
     lf = lasso42_capture.config.lf
     for k in range(1, lasso42_capture.iterations + 1):
         state = lasso42_capture.states[k]
         gap = float(np.linalg.norm(state.y - state.x_tilde_prev))
-        assert lasso42_capture.rows[k].norm_u <= 2.0 * lf * gap * (1 + 1e-9) + 1e-12 * lf
+        assert lasso42_rows[k].norm_u <= 2.0 * lf * gap * (1 + 1e-9) + 1e-12 * lf
 
 
 @pytest.mark.parametrize("kind", problems.INSTANCE_KINDS)
 @pytest.mark.parametrize("margin", [1.25, 1.0 + 1e-6])
-def test_stationarity_screen_is_sound(kind, margin):
+def test_stationarity_screen_is_sound(run_rows, kind, margin):
     # (lf - lf_bar) ||y - x_tilde|| never exceeds ||u||, so a state the
     # screen rules out really has ||u|| > rho; lf just above lf_bar makes the
     # bound weak, 1.25 lf_bar makes it rule out most states
@@ -88,12 +88,13 @@ def test_stationarity_screen_is_sound(kind, margin):
         problem, lf=margin * problem.f.curvature)
     capture = harness.capture_run(problem, config, np.zeros(problem.dimension),
                                   1000)
+    rows = run_rows(capture)
     test = bounds.stop_test(bounds.Criterion.stationarity(rho), problem,
                             config)
     screened = 0
     for k in range(1, capture.iterations + 1):
         state = capture.states[k]
-        norm = capture.rows[k].norm_u
+        norm = rows[k].norm_u
         lower = (config.lf - problem.f.curvature) * problems.vector_norm(
             state.y - state.x_tilde_prev)
         assert lower <= norm * (1 + 1e-12)
@@ -103,7 +104,7 @@ def test_stationarity_screen_is_sound(kind, margin):
             assert norm > rho
     if margin == 1.25:
         assert screened > 0
-    assert min(row.norm_u for row in capture.rows[1:]) <= rho  # crosses rho
+    assert min(row.norm_u for row in rows[1:]) <= rho  # crosses rho
 
 
 def test_residuals_match_expressions_bit_for_bit(elastic_mu1, elastic_capture):
@@ -261,23 +262,24 @@ def test_model_curvature_never_drifts(elastic_mu1, elastic_capture):
     assert model.weight == final.A
 
 
-def test_model_minorizes_objective(lasso42, lasso42_capture, lasso42_models):
+def test_model_minorizes_objective(lasso42, lasso42_capture, lasso42_rows,
+                                   lasso42_models):
     rng = _rng(7)
     for k in (1, 10, 100):
         state = lasso42_capture.states[k]
-        tol = 1e-8 * (1.0 + abs(lasso42_capture.rows[k].phi_y))
+        tol = 1e-8 * (1.0 + abs(lasso42_rows[k].phi_y))
         samples, phi_at = certificates.sample_points(state, lasso42, 100, rng)
         assert certificates.lower_model_gap(
             [lasso42_models[k](x) for x in samples], phi_at) <= tol
 
 
 def test_model_dominates_recursion_bound(lasso42, lasso42_capture,
-                                         lasso42_models):
+                                         lasso42_rows, lasso42_models):
     # Gamma_k(x) >= phi(y_k) + (tau ||x_k - x||^2 - ||x0 - x||^2) / (2 A_k)
     rng = _rng(8)
     for k in (5, 50):
         state = lasso42_capture.states[k]
-        phi_y = lasso42_capture.rows[k].phi_y
+        phi_y = lasso42_rows[k].phi_y
         tol = 1e-8 * (1.0 + abs(phi_y))
         samples, _ = certificates.sample_points(state, lasso42, 50, rng)
         for x in samples:
@@ -290,33 +292,34 @@ def test_model_dominates_recursion_bound(lasso42, lasso42_capture,
 # approximate subgradient inequality
 # ---------------------------------------------------------------------------
 
-def test_eps_subgradient_at_center_is_minus_eta(lasso42, lasso42_capture):
+def test_eps_subgradient_at_center_is_minus_eta(lasso42, lasso42_capture,
+                                                lasso42_rows):
     state = lasso42_capture.states[10]
     pair = certificates.residual_pair(state)
-    phi_y = lasso42_capture.rows[10].phi_y
+    phi_y = lasso42_rows[10].phi_y
     worst = certificates.check_eps_subgradient(pair, state, phi_y,
                                                state.y[None, :], [phi_y])
     np.testing.assert_allclose(worst, -pair.eta, atol=1e-12)
     assert worst <= 0.0
 
 
-def test_eps_subgradient_sampled(lasso42, lasso42_capture):
+def test_eps_subgradient_sampled(lasso42, lasso42_capture, lasso42_rows):
     rng = _rng(9)
     state = lasso42_capture.states[100]
     pair = certificates.residual_pair(state)
-    phi_y = lasso42_capture.rows[100].phi_y
+    phi_y = lasso42_rows[100].phi_y
     tol = 1e-8 * (1.0 + abs(phi_y))
     samples, phi_at = certificates.sample_points(state, lasso42, 200, rng)
     assert certificates.check_eps_subgradient(pair, state, phi_y, samples,
                                               phi_at) <= tol
 
 
-def test_model_subgradient_inequality(lasso42, lasso42_capture,
+def test_model_subgradient_inequality(lasso42, lasso42_capture, lasso42_rows,
                                       lasso42_models):
     rng = _rng(10)
     state = lasso42_capture.states[100]
     pair = certificates.residual_pair(state)
-    phi_y = lasso42_capture.rows[100].phi_y
+    phi_y = lasso42_rows[100].phi_y
     tol = 1e-8 * (1.0 + abs(phi_y))
     samples, _ = certificates.sample_points(state, lasso42, 200, rng)
     assert certificates.lower_model_violation(
@@ -368,19 +371,19 @@ def test_eps_subgradient_reads_infinite_values(quad1d):
 # a row's gap and the stationarity screen
 # ---------------------------------------------------------------------------
 
-def test_gap_is_each_traced_rows_gap(lasso_small, lasso_norm):
+def test_gap_is_each_traced_rows_gap(lasso_small, lasso_norm, run_rows):
     config = engine.SolverConfig.for_problem(lasso_small)
     capture = harness.capture_run(lasso_small, config,
                                   np.zeros(lasso_small.dimension), 20)
     phi_star = lasso_small.reference_optimum.phi_star
-    for state, row in zip(capture.states, capture.rows):
+    for state, row in zip(capture.states, run_rows(capture), strict=True):
         assert row.gap == eval_phi(lasso_small, state.y) - phi_star
         assert row.gap == row.phi_y - phi_star
     # no reference optimum: no gap in any row
     capture = harness.capture_run(
         lasso_norm, engine.SolverConfig.for_problem(lasso_norm),
         np.zeros(lasso_norm.dimension), 5)
-    assert [row.gap for row in capture.rows] == [None] * 6
+    assert [row.gap for row in run_rows(capture)] == [None] * 6
 
 
 def _counting(problem, calls):

@@ -388,7 +388,7 @@ def test_iterate_ends_at_growth_overflow(quad1d):
         engine.step(states[-1], quad1d)
 
 
-def test_states_carry_the_coefficient_their_next_step_takes(quad1d):
+def test_states_carry_the_coefficient_their_next_step_takes(quad1d, run_rows):
     # the quad1d halt: 42 steps, then a coefficient sum past the limit; each
     # state's a_next is the next state's a_prev, bit for bit, and the
     # schedule run in isolation gives the same a, A and tau
@@ -402,7 +402,7 @@ def test_states_carry_the_coefficient_their_next_step_takes(quad1d):
     assert states[-1].a_next == math.inf
     capture = harness.capture_run(quad1d, engine.SolverConfig(lf=lf, mu_f=1.0),
                                   np.array([1.0]), 100)
-    assert capture.overflowed and capture.rows[-1].a == math.inf
+    assert capture.overflowed and run_rows(capture)[-1].a == math.inf
     sched = engine.coefficient_schedule(lf, 1.0, 0.0, 10**4)
     assert sched.overflowed
     assert bits(sched.a) == a
@@ -541,6 +541,27 @@ def test_run_without_criterion_tests_final_objective_at_overflow(quad1d):
         np.testing.assert_equal(result.trace[-1].phi_y, value)
 
 
+@pytest.mark.parametrize("trace_every", [1, 1000])
+def test_run_tests_the_last_y_at_every_spacing(trace_every):
+    # f.value ignores the NaN of y and f.grad is NaN everywhere: after one
+    # step y is all NaN while phi(y) = 0 = phi*, so function_gap holds at
+    # k = 1; the last y is tested whether or not its row is traced
+    f = problems.SmoothOracle(value=lambda x: float(np.sum(np.nan_to_num(x))),
+                              grad=lambda x: np.full_like(x, math.nan),
+                              curvature=1.0)
+    problem = problems.CompositeProblem(
+        f=f, h=problems.zero_function(), dimension=3,
+        reference_optimum=problems.ReferenceOptimum(0.0, np.zeros(3)))
+    config = engine.SolverConfig(
+        lf=2.0, max_iter=5, trace_every=trace_every,
+        criterion=bounds.Criterion.function_gap(1e-3))
+    result = engine.run(problem, config, np.ones(3))
+    assert (result.reason, result.state.k) == ("numeric_failure", 1)
+    assert np.isnan(result.state.y).all()
+    assert _run_eagerly(problem, config, np.ones(3))[:2] == (
+        1, "numeric_failure")
+
+
 def test_states_and_records_have_no_instance_dict(quad1d):
     result = engine.run(quad1d, _quad_config(max_iter=3), np.array([1.0]))
     for obj in (result.state, result.trace[-1]):
@@ -675,8 +696,9 @@ def _run_eagerly(problem, config, x0):
                   else "growth_overflow")
     if not traced:
         rows.append(row)
-        if not (math.isfinite(phi_y) and np.isfinite(state.y).all()):
-            reason = "numeric_failure"
+    # the final row's objective and the last y, at any spacing
+    if not (math.isfinite(phi_y) and np.isfinite(state.y).all()):
+        reason = "numeric_failure"
     return state.k, reason, rows
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sfista import bounds, engine, harness, problems
+from sfista import bounds, certificates, engine, harness, problems
 from sfista.errors import ConfigError
 
 
@@ -15,34 +15,29 @@ from sfista.errors import ConfigError
 # capture_run
 # ---------------------------------------------------------------------------
 
-def test_capture_structure(elastic_capture):
+def test_capture_structure(elastic_capture, elastic_rows):
     cap = elastic_capture
     assert cap.iterations == 800
     assert len(cap.states) == 801
-    assert len(cap.rows) == 801 and cap.rows[0].norm_v is None
-    assert cap.rows[0].norm_u is None
-    assert [row.k for row in cap.rows] == list(range(801))
+    assert len(elastic_rows) == 801 and elastic_rows[0].norm_v is None
+    assert elastic_rows[0].norm_u is None
+    assert [row.k for row in elastic_rows] == list(range(801))
     assert not cap.overflowed
     ks = [s.k for s in cap.states]
     assert ks == list(range(801))
 
 
-def test_capture_rows_are_a_trace(elastic_capture):
-    # a capture keeps its rows packed, as a run keeps its trace
-    assert isinstance(elastic_capture.rows, engine.Trace)
-
-
-def test_capture_gaps_and_d0(elastic_capture, elastic_mu1):
-    gaps = [row.gap for row in elastic_capture.rows]
+def test_capture_gaps_and_d0(elastic_capture, elastic_rows, elastic_mu1):
+    gaps = [row.gap for row in elastic_rows]
     assert gaps[0] >= gaps[-1] >= -1e-9
     ref = elastic_mu1.reference_optimum
     assert elastic_capture.d0() == float(np.linalg.norm(ref.x_star))
 
 
-def test_capture_without_reference_refuses_gap_queries(lasso_norm):
+def test_capture_without_reference_refuses_gap_queries(lasso_norm, run_rows):
     config = engine.SolverConfig.for_problem(lasso_norm)
     cap = harness.capture_run(lasso_norm, config, np.zeros(lasso_norm.dimension), 3)
-    assert all(row.gap is None for row in cap.rows)
+    assert all(row.gap is None for row in run_rows(cap))
     with pytest.raises(ValueError):
         cap.d0()
 
@@ -69,44 +64,6 @@ def test_capture_rejects_negative_step_count(monkeypatch, quad1d):
         harness.capture_run(quad1d, engine.SolverConfig(lf=2.0),
                             np.array([1.0]), -1)
     assert steps == []
-
-
-@pytest.mark.parametrize("fixture_name", ["lasso_small", "elastic_mu1"])
-def test_capture_rows_are_the_run_trace(request, fixture_name):
-    # mu = 0 on the lasso, mu = 1 on the elastic net
-    problem = request.getfixturevalue(fixture_name)
-    x0, iters = np.zeros(problem.dimension), 60
-    cap = harness.capture_run(problem, engine.SolverConfig.for_problem(problem),
-                              x0, iters)
-    config = engine.SolverConfig.for_problem(problem, max_iter=iters,
-                                             trace_every=1)
-    trace = engine.run(problem, config, x0).trace
-    untimed = lambda rows: [dataclasses.replace(r, elapsed_ns=0) for r in rows]
-    assert len(cap.rows) == iters + 1
-    assert untimed(cap.rows) == untimed(trace)
-
-
-def test_capture_builds_each_row_before_the_next_step(monkeypatch,
-                                                      lasso_small):
-    # as in engine.run, row k is built before step k + 1 starts, so its
-    # elapsed_ns counts only the steps that reached state k
-    events = []
-    step, row_certificates = engine.step, engine.row_certificates
-
-    def logged_step(state, problem):
-        events.append(("step", state.k))
-        return step(state, problem)
-
-    def logged_row(state, problem, fused):
-        events.append(("row", state.k))
-        return row_certificates(state, problem, fused)
-
-    monkeypatch.setattr(engine, "step", logged_step)
-    monkeypatch.setattr(engine, "row_certificates", logged_row)
-    harness.capture_run(lasso_small, engine.SolverConfig.for_problem(lasso_small),
-                        np.zeros(lasso_small.dimension), 3)
-    assert events == [("row", 0), ("step", 0), ("row", 1), ("step", 1),
-                      ("row", 2), ("step", 2), ("row", 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -215,28 +172,44 @@ def test_minus_inf_at_the_samples_fails_the_sampled_checks(
     assert not report.overall and report.lines()[-1] == "overall = FAIL"
 
 
-def test_nan_residual_fails_min_norm_bound(elastic_capture):
-    # the running least ||u_i||^2 keeps a NaN row; min would drop it
-    rows = list(elastic_capture.rows)
-    rows[3] = dataclasses.replace(rows[3], norm_u=math.nan)
-    _, checks = _report_checks(dataclasses.replace(elastic_capture, rows=rows),
-                               0)
+def test_nan_residual_fails_min_norm_bound(elastic_capture, monkeypatch):
+    # the running least ||u_i||^2 keeps a NaN ||u_3||; min would drop it
+    residual = certificates.stationarity_residual
+
+    def nan_at_3(state, problem, *grad_y):
+        u = residual(state, problem, *grad_y)
+        return dataclasses.replace(u, norm=math.nan) if state.k == 3 else u
+
+    monkeypatch.setattr(certificates, "stationarity_residual", nan_at_3)
+    _, checks = _report_checks(elastic_capture, 0)
     check = checks["min_norm_bound"]
     assert not check.passed and math.isnan(check.worst)
     assert check.location == 3
 
 
+# a pair whose eta, or whose v and so ||v||, is NaN
+_NAN_PAIR = {
+    "eta_residual": lambda pair: dataclasses.replace(pair, eta=math.nan),
+    "norm_v": lambda pair: dataclasses.replace(
+        pair, v=np.full_like(pair.v, math.nan)),
+}
+
+
 @pytest.mark.parametrize("field", ["eta_residual", "norm_v"])
-def test_nan_pair_fails_both_pair_bounds(elastic_mu1, field):
-    # a 100-step capture of the README net with row 4's eta (or ||v||) NaN:
-    # the larger of the two excesses keeps a NaN from either side
+def test_nan_pair_fails_both_pair_bounds(elastic_mu1, monkeypatch, field):
+    # a 100-step capture of the README net with eta_4 (or ||v_4||) NaN: the
+    # larger of the two excesses keeps a NaN from either side
     capture = harness.capture_run(elastic_mu1,
                                   engine.SolverConfig.for_problem(elastic_mu1),
                                   np.zeros(elastic_mu1.dimension), 100)
-    rows = list(capture.rows)
-    rows[4] = dataclasses.replace(rows[4], **{field: math.nan})
-    _, checks = _report_checks(
-        dataclasses.replace(capture, rows=engine.Trace(rows)), 0)
+    pair_of = certificates.residual_pair
+
+    def nan_at_4(state):
+        pair = pair_of(state)
+        return _NAN_PAIR[field](pair) if state.k == 4 else pair
+
+    monkeypatch.setattr(certificates, "residual_pair", nan_at_4)
+    _, checks = _report_checks(capture, 0)
     for name in ("pair_norm_bounds", "pair_absolute_bounds"):
         check = checks[name]
         assert not check.passed and math.isnan(check.worst)
@@ -244,51 +217,23 @@ def test_nan_pair_fails_both_pair_bounds(elastic_mu1, field):
         assert check.line().startswith(f"{name} = FAIL (worst nan")
 
 
-def test_gap_read_as_none_is_named():
-    # rows captured without a reference hold no gap; a packed None reads
-    # 0.0, which would pass function_gap_rate, so the report names it
+def test_report_reads_a_reference_attached_after_the_capture(elastic_mu1):
+    # a capture holds states alone, so the README net captured without a
+    # reference optimum and given one later reports what a capture taken
+    # with it reports, the gap checks included
     p = problems.make_instance("elastic_net", 7, 30, 50, reg=0.05, ridge=1.0,
                                with_reference=False)
     capture = harness.capture_run(p, engine.SolverConfig.for_problem(p),
                                   np.zeros(p.dimension), 20)
     capture = dataclasses.replace(capture,
                                   problem=problems.attach_reference(p))
-    with pytest.raises(ValueError, match=r"reads gap, .* k = 1 holds as None"):
-        harness.invariant_report(capture, sample_count=5)
-
-
-def test_norm_u_read_as_none_is_named(elastic_capture):
-    rows = list(elastic_capture.rows[:31])
-    rows[5] = dataclasses.replace(rows[5], norm_u=None)
-    capture = dataclasses.replace(elastic_capture,
-                                  states=elastic_capture.states[:31], rows=rows)
-    with pytest.raises(ValueError,
-                       match=r"reads norm_u, .* k = 5 holds as None"):
-        harness.invariant_report(capture, sample_count=0)
-
-
-def test_report_on_list_rows_matches_trace_rows(elastic_capture):
-    capture = dataclasses.replace(elastic_capture,
-                                  states=elastic_capture.states[:301],
-                                  rows=elastic_capture.rows[:301])
-    assert isinstance(capture.rows, list)
-    packed = dataclasses.replace(capture, rows=engine.Trace(capture.rows))
-    assert (harness.invariant_report(capture, sample_count=10).lines()
-            == harness.invariant_report(packed, sample_count=10).lines())
-
-
-def test_report_rebuilds_no_trace_record(elastic_capture, monkeypatch):
-    # the report reads the Trace's packed columns, never a row by index
-    expected = harness.invariant_report(elastic_capture, sample_count=10)
-
-    def refuse(*args):
-        raise AssertionError("a TraceRecord was rebuilt")
-
-    monkeypatch.setattr(engine, "_unpack", refuse)
-    with pytest.raises(AssertionError, match="rebuilt"):
-        elastic_capture.rows[1]
-    report = harness.invariant_report(elastic_capture, sample_count=10)
-    assert report.lines() == expected.lines()
+    expected = harness.capture_run(
+        elastic_mu1, engine.SolverConfig.for_problem(elastic_mu1),
+        np.zeros(elastic_mu1.dimension), 20)
+    lines = harness.invariant_report(capture, sample_count=5).lines()
+    assert lines == harness.invariant_report(expected, sample_count=5).lines()
+    assert any(line.startswith("function_gap_rate = pass") for line in lines)
+    assert lines[-1] == "overall = pass"
 
 
 def test_invariant_report_without_iterates_is_skipped(elastic_mu1):

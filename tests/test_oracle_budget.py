@@ -1,4 +1,4 @@
-"""Exact oracle-call budgets of a step, a certificate record and a run.
+"""Exact oracle-call budgets of a step, a state's certificates and a run.
 
 Counting wrappers sit on a problem's four oracles (f.value, f.grad, h.value,
 h.prox).  The counts are deterministic, so a change that brings a second
@@ -283,11 +283,12 @@ def test_lower_models_update_once_per_state(elastic_mu1, monkeypatch):
 # the invariant sweep
 # ---------------------------------------------------------------------------
 
-def test_invariant_sweep_budget(elastic_mu1, monkeypatch):
-    # the capture evaluates phi once per row and folds no model; the report
-    # folds the model up to its last sampled k and evaluates phi and the
-    # model once per sample (every sample lies in dom h, so its domain test
-    # is the h inside phi), and the three checks work on those values alone
+def test_invariant_sweep_budget(elastic_mu1, monkeypatch, certificate_calls):
+    # the capture makes its steps' calls alone; the report forms each
+    # state's certificates once, folds the model up to its last sampled k
+    # and evaluates phi and the model once per sample (every sample lies in
+    # dom h, so its domain test is the h inside phi), and the three checks
+    # work on those values alone
     problem, counts = _counted(elastic_mu1)
     updates = []
     model_calls = []
@@ -318,18 +319,28 @@ def test_invariant_sweep_budget(elastic_mu1, monkeypatch):
                             oracle_free(getattr(certificates, name)))
     capture = harness.capture_run(problem, engine.SolverConfig.for_problem(problem),
                                   np.zeros(problem.dimension), 30)
-    assert counts["f.value"] == 31 and updates == []
+    # 30 steps and init's h(x0)
+    assert counts == {"f.grad": 30, "h.prox": 30, "h.value": 1}
+    assert updates == [] and certificate_calls == {
+        "stationarity_residual": [], "residual_pair": []}
 
+    # phi(y) and the gradient u needs at each state after k = 0, unfused
+    # on the counted oracle, and each residual once
     counts.clear()
     harness.invariant_report(capture, sample_count=0)
-    assert counts == {} and updates == [] and model_calls == []
+    assert counts == {"f.value": 30, "h.value": 30, "f.grad": 30}
+    assert updates == [] and model_calls == []
+    assert certificate_calls == {"stationarity_residual": list(range(1, 31)),
+                                 "residual_pair": list(range(1, 31))}
 
+    counts.clear()
     report = harness.invariant_report(capture, sample_count=5)
     assert {c.note for c in report.checks if c.name == "eps_subgradient"} == {
         "5 samples at k in [1, 2, 5, 10, 20, 30]"}
     assert updates == list(range(1, 31))
-    assert counts["f.value"] == 30 + 6 * 5
-    assert counts["h.value"] == 30 + 6 * 5
+    # the states' phi(y), the 30 model folds and the 6 * 5 samples
+    assert counts["f.value"] == 30 + 30 + 6 * 5
+    assert counts["h.value"] == 30 + 30 + 6 * 5
     # 5 calls on each sampled k's model, told apart by its weight A_k
     weights = [capture.states[k].A for k in (1, 2, 5, 10, 20, 30)]
     assert model_calls == [w for w in weights for _ in range(5)]
@@ -456,13 +467,18 @@ def test_suite_and_capture_form_each_certificate_as_recorded(
         lasso42, certificate_calls):
     # verify bounds at seed base 0 forms u only where a stationarity test
     # is past its screen and the pair at every state a pair criterion
-    # tests; a capture forms both once per state after k = 0
+    # tests; a capture forms neither, and its report without samples forms
+    # both once per state after k = 0
     harness.bounds_suite(0)
     assert {name: len(ks) for name, ks in certificate_calls.items()} == {
         "stationarity_residual": 76, "residual_pair": 399}
     for ks in certificate_calls.values():
         ks.clear()
-    harness.capture_run(lasso42, engine.SolverConfig.for_problem(lasso42),
-                        np.zeros(lasso42.dimension), 300)
+    capture = harness.capture_run(lasso42,
+                                  engine.SolverConfig.for_problem(lasso42),
+                                  np.zeros(lasso42.dimension), 300)
+    assert certificate_calls == {"stationarity_residual": [],
+                                 "residual_pair": []}
+    harness.invariant_report(capture, sample_count=0)
     assert certificate_calls == {"stationarity_residual": list(range(1, 301)),
                                  "residual_pair": list(range(1, 301))}
