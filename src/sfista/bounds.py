@@ -203,6 +203,36 @@ def _absolute_holds(test, state, pair) -> bool:
     return norm <= test.criterion.tol and eta <= test.criterion.eta_tol
 
 
+def square(x: float) -> float:
+    """x**2 as Python's float ** takes it, or inf past the largest double.
+
+    ** raises OverflowError where its result would pass the largest
+    double; this gives inf there, as float * does, and ** to the last bit
+    everywhere else.
+    """
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def scaled_square(c: float, x: float, y: float) -> float:
+    """c x^2 y^2, for a positive c, as c * x**2 * y**2 takes it wherever
+    that is finite.
+
+    Where x**2 passes the largest double while y**2 underflows, that form
+    reads inf * 0 = NaN (or ** raises); c (x y)^2 is taken there instead,
+    so a c of modest size gives inf only where the value overflows.
+    """
+    try:
+        value = c * x**2 * y**2
+    except OverflowError:
+        value = math.nan
+    if math.isfinite(value) or not (math.isfinite(x) and math.isfinite(y)):
+        return value
+    return c * square(x * y)
+
+
 def _pair_lhs(pair) -> float:
     return _tested(pair.norm**2 + 2.0 * pair.eta, "||v||^2 + 2 eta")
 
@@ -476,7 +506,7 @@ def pair_norm_bounds(a_sum: float, tau: float, dist_y_x0: float):
     if a_sum <= 0:
         raise ConfigError("pair bounds need a positive coefficient sum")
     v_bound = (1.0 + math.sqrt(tau)) * dist_y_x0 / a_sum
-    eta_bound = dist_y_x0**2 / (2.0 * a_sum)
+    eta_bound = square(dist_y_x0) / (2.0 * a_sum)
     return v_bound, eta_bound
 
 
@@ -486,5 +516,5 @@ def pair_absolute_bounds(a_sum: float, mu: float, d0: float):
         raise ConfigError("absolute pair bounds need mu > 0 and a positive A")
     inflate = 1.0 + 2.0 / (a_sum * mu)
     v_bound = (2.0 / a_sum) * (2.0 + math.sqrt(mu * a_sum)) * inflate * d0
-    eta_bound = (2.0 / a_sum) * inflate**2 * d0**2
+    eta_bound = scaled_square(2.0 / a_sum, inflate, d0)
     return v_bound, eta_bound

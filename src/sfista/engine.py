@@ -32,8 +32,8 @@ from .problems import REAL_FORMAT, CompositeProblem, eval_phi, eval_phi_and_grad
 
 Array = np.ndarray
 
-# Halting threshold for the coefficient sum; beyond this the geometric growth
-# would overflow double precision a few iterations later.
+# Halting threshold for the coefficient sum and tau; beyond this the geometric
+# growth would overflow double precision a few iterations later.
 OVERFLOW_LIMIT = 1e300
 
 DEFAULT_CURVATURE_MARGIN = 1.25
@@ -94,8 +94,8 @@ class IterateState:
     from and grad_tilde_prev the gradient of f there (both None before the
     first step); a_prev is the coefficient that advanced the state to k, and
     a_next the one the step from k takes, inf once that step's coefficient
-    sum would pass OVERFLOW_LIMIT.  config is the SolverConfig the run was
-    started with.
+    sum or tau would pass OVERFLOW_LIMIT.  config is the SolverConfig the
+    run was started with.
     """
 
     k: int
@@ -136,7 +136,7 @@ _ROW = len(fields(TraceRecord))
 _PACKED_ROW = struct.Struct(f"{_ROW}d")
 
 
-def _none_mask(values: tuple) -> int:
+def _none_mask(values: Sequence) -> int:
     """The bit mask of the fields, given in field order, that are None."""
     if None not in values:
         return 0
@@ -192,14 +192,15 @@ class Trace(Sequence):
             self.append(record)
 
     def append(self, record: TraceRecord) -> None:
-        self._add(_row_values(record))
+        self._add(list(_row_values(record)))
 
-    def _add(self, values: tuple) -> None:
-        """Append one row given as its ten values in field order."""
+    def _add(self, values: list) -> None:
+        """Append one row given as a list of its ten values in field order;
+        a row with no None is packed as given."""
         mask = _none_mask(values)
         # fromlist adds the whole row or, on a bad field, nothing
         self._data.fromlist([0.0 if v is None else v for v in values] if mask
-                            else list(values))
+                            else values)
         if not self._run_masks or self._run_masks[-1] != mask:
             self._run_starts.append(len(self) - 1)
             self._run_masks.append(mask)
@@ -297,7 +298,7 @@ def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateS
         k=0,
         config=config,
         a_prev=None,
-        a_next=_next_coefficient(config.lam, 1.0, 0.0),
+        a_next=_next_coefficient(config.lam, config.mu, 1.0, 0.0),
         A=0.0,
         tau=1.0,
         x=x0,
@@ -308,16 +309,21 @@ def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateS
     )
 
 
-def _next_coefficient(lam: float, tau: float, A: float) -> float:
+def _next_coefficient(lam: float, mu: float, tau: float, A: float) -> float:
     """The coefficient a of the step from a state with tau and A, or inf.
 
     a solves a^2 / (lam * tau) - a - A = 0; the root formula is factored so
     nothing overflows before A itself approaches the halting limit.  inf
-    marks a step whose coefficient sum A + a would pass OVERFLOW_LIMIT.
+    marks a step whose coefficient sum A + a, or whose tau = 1 + mu (A + a),
+    would pass OVERFLOW_LIMIT: a mu far above 1 takes tau past the largest
+    double while A is still small.
     """
     lt = lam * tau
     a = 0.5 * lt * (1.0 + math.sqrt(1.0 + 4.0 * A / lt))
-    return math.inf if A + a > OVERFLOW_LIMIT else a
+    A_next = A + a
+    if A_next > OVERFLOW_LIMIT or 1.0 + mu * A_next > OVERFLOW_LIMIT:
+        return math.inf
+    return a
 
 
 def step(state: IterateState, problem: CompositeProblem) -> IterateState:
@@ -330,13 +336,26 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
     operations of x_tilde = (A y + a x) / A_next and
     x_next = ((a / lam)(y_next - x_tilde) + mu a y_next + tau x) / tau_next,
     operands and order included, so the iterates are the same bit for bit.
+
+    At mu = +0.0 (`certificates.plain_fista`) the step is plain FISTA (the
+    paper's Section 3): tau stays 1, and
+    x_next = x + (a / lam)(y_next - x_tilde), three vector operations in
+    place of seven.  The bits are the same: 1.0 * x and / 1.0 are exact,
+    and the dropped term (0 a) y_next is a zero with y_next's sign.  Adding
+    it changes t = (a / lam)(y_next - x_tilde) only where t is -0.0 and the
+    zero is +0.0; but a / lam >= 1, so t is -0.0 only where y_next - x_tilde
+    is, that is where y_next is -0.0, and there the zero is -0.0 too.  The
+    one difference is at an infinite entry of y_next, where the dropped term
+    is NaN: x_next is +-inf (or NaN) there in place of NaN, and the run ends
+    "numeric_failure" either way.
     """
     config = state.config
     lf, lam, mu = config.lf, config.lam, config.mu
     a = state.a_next
     if a == math.inf:
         raise GrowthOverflowError(
-            f"coefficient sum would exceed {OVERFLOW_LIMIT:g} (geometric growth)"
+            f"coefficient sum or tau would exceed {OVERFLOW_LIMIT:g} "
+            "(geometric growth)"
         )
     A_next = state.A + a
     tau_next = 1.0 + mu * A_next
@@ -350,14 +369,17 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
     y_next = problem.h.prox(x_tilde - g / lf, 1.0 / lf)
     x_next = y_next - x_tilde
     x_next *= a / lam
-    x_next += mu * a * y_next
-    x_next += state.tau * state.x
-    x_next /= tau_next
+    if _cert.plain_fista(mu):
+        x_next += state.x
+    else:
+        x_next += mu * a * y_next
+        x_next += state.tau * state.x
+        x_next /= tau_next
     # the fields in field order: k, config, a_prev, a_next, A, tau, x, y,
     # x_tilde_prev, grad_tilde_prev, x0
     return IterateState(state.k + 1, config, a, _next_coefficient(
-        lam, tau_next, A_next), A_next, tau_next, x_next, y_next, x_tilde, g,
-        state.x0)
+        lam, mu, tau_next, A_next), A_next, tau_next, x_next, y_next, x_tilde,
+        g, state.x0)
 
 
 def row_certificates(state: IterateState, problem: CompositeProblem,
@@ -391,7 +413,7 @@ def row_certificates(state: IterateState, problem: CompositeProblem,
 
 
 def _row(state: IterateState, certs: list, phi_star: Optional[float],
-         started_ns: int) -> tuple:
+         started_ns: int) -> list:
     """The ten values of a state's trace row, in field order.
 
     certs is the state's `row_certificates`.  The row's a is state.a_next,
@@ -406,8 +428,8 @@ def _row(state: IterateState, certs: list, phi_star: Optional[float],
     norm_u = norm_v = eta = None
     if u is not None:
         norm_u, norm_v, eta = u.norm, pair.norm, pair.eta
-    return (state.k, state.a_next, state.A, state.tau, phi_y, gap, norm_u,
-            norm_v, eta, time.perf_counter_ns() - started_ns)
+    return [state.k, state.a_next, state.A, state.tau, phi_y, gap, norm_u,
+            norm_v, eta, time.perf_counter_ns() - started_ns]
 
 
 def iterate(problem: CompositeProblem, config: SolverConfig,
@@ -520,7 +542,7 @@ def coefficient_schedule(lf: float, mu_f: float, mu_h: float,
     A_list = [0.0]
     tau_list = [1.0]
     for _ in range(k_max):
-        a = _next_coefficient(lam, tau_list[-1], A_list[-1])
+        a = _next_coefficient(lam, mu, tau_list[-1], A_list[-1])
         if a == math.inf:
             break
         a_list.append(a)

@@ -26,7 +26,7 @@ from . import bounds as _bounds
 from . import certificates as _cert
 from . import engine as _engine
 from .errors import ConfigError, NumericFailure
-from .problems import CompositeProblem, make_instance, vector_norm
+from .problems import _NORMAL_MIN, CompositeProblem, make_instance, vector_norm
 
 Array = np.ndarray
 
@@ -192,13 +192,15 @@ def _squared_norm(v: Array) -> float:
 _STATE_CERTS = np.dtype((float, 5))
 
 
-def _state_certificates(states, problem: CompositeProblem, n_cert: int):
+def _state_certificates(states, problem: CompositeProblem, n_cert: int,
+                        pairs: dict):
     """The scalars of each state's certificates, a state at a time.
 
     Each state's [phi(y), u, (v, eta)] is formed once, by
     `engine.row_certificates`, as `engine.run` forms a trace row's, and
     only its scalars are kept: phi(y), ||u||, ||v||, eta, and, for the
     first n_cert states, ||A v + y - x0||^2 / tau + 2 A eta (NaN past them).
+    The pair of each k that pairs has as a key is kept too, as its value.
     """
     fused = problem.f.fused()
     for k, st in enumerate(states, 1):
@@ -207,6 +209,8 @@ def _state_certificates(states, problem: CompositeProblem, n_cert: int):
         if k <= n_cert:
             shifted = st.A * pair.v + st.y - st.x0
             lhs = _squared_norm(shifted) / st.tau + 2.0 * st.A * pair.eta
+        if k in pairs:
+            pairs[k] = pair
         yield phi_y, u.norm, pair.norm, pair.eta, lhs
 
 
@@ -217,7 +221,8 @@ def invariant_report(capture: RunCapture,
     Each check keeps the worst of its values over the iterates it looks at.
     One pass over the states forms each state's certificates [phi(y), u,
     (v, eta)] once (`_state_certificates`), and the checks read their
-    scalars as columns; every check is one array expression over all its
+    scalars as columns, the sampled checks the pairs the pass kept at
+    their iterates; every other check is one array expression over all its
     iterates; the bounds module's scalar bounds and the vector norms are
     taken per iterate.  The gap is phi(y) - phi* of the capture's problem,
     so a reference optimum attached after the capture serves.  A check
@@ -240,16 +245,19 @@ def invariant_report(capture: RunCapture,
     tau, tau_prev = tau_all[1:], tau_all[:-1]
     ks = range(1, K + 1)
     n_cert = _kept(tau > CERT_TAU_LIMIT)
-    phi_y, norm_u, norm_v, eta, cert_lhs = np.fromiter(
-        _state_certificates(states[1:], problem, n_cert), _STATE_CERTS, K).T
-
     # sampled model checks at the log-spaced iterates the tau gate keeps, a
-    # prefix since tau grows with k; taken before the other per-state arrays
-    # below exist, so the samples set the report's peak memory on their
-    # own; the lower model is folded up to the last sampled k, and not
-    # without samples
+    # prefix since tau grows with k; the pass keeps the pair it forms at
+    # each, at most 13
     sample_ks = [k for k in checkpoints(K) if k <= n_cert]
     sampled_at = sample_ks if sample_count else []
+    pairs = dict.fromkeys(sampled_at)
+    phi_y, norm_u, norm_v, eta, cert_lhs = np.fromiter(
+        _state_certificates(states[1:], problem, n_cert, pairs),
+        _STATE_CERTS, K).T
+
+    # taken before the other per-state arrays below exist, so the samples
+    # set the report's peak memory on their own; the lower model is folded
+    # up to the last sampled k, and not without samples
     sample_note = f"{sample_count} samples at k in {sample_ks}"
     rng = np.random.Generator(np.random.PCG64(SAMPLE_SEED))
     models = _cert.lower_models(states, problem)
@@ -257,7 +265,7 @@ def invariant_report(capture: RunCapture,
     for k in sampled_at:
         st, phi = states[k], float(phi_y[k - 1])
         model = next(model for j, model in models if j == k)
-        pair = _cert.residual_pair(st)
+        pair = pairs.pop(k)
         tol = MODEL_TOL_SCALE * (1.0 + abs(phi))
         samples, phi_at = _cert.sample_points(st, problem, sample_count, rng)
         model_at = [model(x) for x in samples]
@@ -265,6 +273,7 @@ def invariant_report(capture: RunCapture,
             _cert.lower_model_gap(model_at, phi_at),
             _cert.lower_model_violation(pair, st, phi, samples, model_at),
             _cert.check_eps_subgradient(pair, st, phi, samples, phi_at))])
+    del pairs
     minorizes, model_subgradient, eps_subgradient = (
         np.array(sampled).reshape(-1, 3).T)
 
@@ -274,9 +283,16 @@ def invariant_report(capture: RunCapture,
     move_sq = np.fromiter((_squared_norm(st.y - st.x_tilde_prev)
                            for st in states[1:]), float, K)
     dist_y = np.sqrt(dist_sq)
+    # a squared distance below the smallest normal double has lost its
+    # digits (iterates near 1e-300 under a huge modulus): take those
+    # distances from vector_norm, which rescales
+    for i in np.flatnonzero(dist_sq < _NORMAL_MIN):
+        dist_y[i] = vector_norm(states[i + 1].y - states[i + 1].x0)
     # the bounds module's bounds, and every power of a float, are taken per
     # iterate with Python's **: numpy squares an array by x * x, which is
-    # not always pow(x, 2) to the last bit
+    # not always pow(x, 2) to the last bit; a square of a constant, which
+    # can pass the largest double, is `bounds.square` or
+    # `bounds.scaled_square`, which keep ** wherever it gives a finite value
     lower = np.fromiter((_bounds.coefficient_sum_lower(k, lf, mu_f, mu)
                          for k in ks), float, K)
     pair_norm = np.fromiter(
@@ -317,9 +333,10 @@ def invariant_report(capture: RunCapture,
             moved = np.fromiter(accumulate(map(float, A * move_sq)), float, K)
             best_sq = np.minimum.accumulate(
                 np.fromiter((u ** 2 for u in map(float, norm_u)), float, K))
-            min_norm_rhs = 8.0 * lf**2 * d0**2 / ((lf - lf_bar) * np.fromiter(
-                accumulate(st.A for st in states[1:]), float, K))
-            floor = (1e-9 * lf * (1.0 + d0)) ** 2
+            min_norm_rhs = _bounds.scaled_square(8.0, lf, d0) / (
+                (lf - lf_bar) * np.fromiter(
+                    accumulate(st.A for st in states[1:]), float, K))
+            floor = _bounds.square(1e-9 * lf * (1.0 + d0))
             dist_x = np.fromiter((vector_norm(st.x - st.x0)
                                   for st in states[1:]), float, K)
             checks += [

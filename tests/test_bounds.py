@@ -665,3 +665,50 @@ def test_pair_bound_helpers():
         bounds.pair_norm_bounds(0.0, 1.0, 1.0)
     with pytest.raises(ConfigError):
         bounds.pair_absolute_bounds(2.0, 0.0, 1.0)
+    # a square past the largest double reads inf, where ** raised
+    assert bounds.pair_norm_bounds(1.0, 1.0, 1e200)[1] == math.inf
+    assert bounds.pair_absolute_bounds(1e-300, 1.0, 1.0) == (math.inf,
+                                                             math.inf)
+    # inflate**2 overflows while d0**2 underflows: finite, not inf * 0
+    v_bound, eta_bound = bounds.pair_absolute_bounds(1.0, 1e-300, 1e-300)
+    assert eta_bound == pytest.approx(8.0, rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=st.floats(allow_nan=False))
+@example(x=-0.0)
+@example(x=1.3407807929942596e154)  # the largest double whose ** is finite
+@example(x=1.3407807929942597e154)
+def test_square_is_pow_or_inf(x):
+    try:
+        expected = x**2
+    except OverflowError:
+        expected = math.inf
+    assert bounds.square(x) == expected
+    assert math.copysign(1.0, bounds.square(x)) == 1.0
+    assert math.isnan(bounds.square(math.nan))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c=st.floats(1e-3, 1e3), x=st.floats(allow_nan=False),
+       y=st.floats(allow_nan=False))
+@example(c=8.0, x=1.2500000012500003e300, y=3.256731702242779e-301)
+@example(c=2.0, x=1e200, y=1e-200)
+@example(c=1.0, x=1e200, y=1e200)
+def test_scaled_square_is_pow_or_the_product_squared(c, x, y):
+    # c * x**2 * y**2 to the last bit wherever that is finite; where x**2
+    # overflows and y**2 underflows, c (x y)^2, never inf * 0 = NaN
+    try:
+        expected = c * x**2 * y**2
+    except OverflowError:
+        expected = math.nan
+    got = bounds.scaled_square(c, x, y)
+    if math.isfinite(expected):
+        assert got == expected
+    elif math.isfinite(x) and math.isfinite(y):
+        assert got == c * bounds.square(x * y)
+        assert not math.isnan(got)
+    else:
+        np.testing.assert_equal(got, expected)
+    assert bounds.scaled_square(8.0, 1.25e300, 3.3e-301) == 8.0 * (
+        1.25e300 * 3.3e-301) ** 2

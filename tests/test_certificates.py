@@ -204,6 +204,30 @@ def test_pair_mu_zero_form(lasso42_capture):
     np.testing.assert_allclose(pair.eta, eta, rtol=1e-14)
 
 
+def test_mu_zero_pair_is_the_pull_alone_bit_for_bit(lasso42_capture):
+    # at mu = 0 v is formed as (x0 - x) / A alone; the general form adds
+    # mu (y - x) = 0 (y - x), which changes no entry but a zero's sign
+    for state in lasso42_capture.states[1:]:
+        pair = certificates.residual_pair(state)
+        pull = (state.x0 - state.x) / state.A
+        assert pair.v.tobytes() == pull.tobytes()
+        general = state.config.mu * (state.y - state.x) + pull
+        assert np.array_equal(pair.v, general)
+        assert pair.norm == problems.vector_norm(general)
+        dist0, diff = state.x0 - state.y, state.y - state.x
+        assert pair.eta == ((float(dist0 @ dist0)
+                             - state.tau * float(diff @ diff))
+                            / (2.0 * state.A))
+
+
+def test_plain_fista_is_mu_plus_zero_alone():
+    # step and residual_pair drop the mu terms on this one test
+    assert certificates.plain_fista(0.0)
+    assert not certificates.plain_fista(-0.0)
+    assert not certificates.plain_fista(5e-324)
+    assert not certificates.plain_fista(1.0)
+
+
 def test_pair_identity_on_iterates(lasso42_capture):
     # ||A v + y - x0||^2 / tau + 2 A eta = ||y - x0||^2
     for k in (1, 10, 100):

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfista import bounds, certificates, engine, harness, problems
 from sfista.errors import (ConfigError, GrowthOverflowError, InvalidStartError,
@@ -276,6 +278,60 @@ def test_alternate_y_expression_mu_zero(lasso42_capture):
         blended = (states[k].A * states[k].y + nxt.a_prev * nxt.x) / nxt.A
         scale = max(1.0, float(np.linalg.norm(nxt.y)))
         assert float(np.linalg.norm(nxt.y - blended)) <= 1e-10 * scale
+
+
+def _general_x_next(state, nxt):
+    """The x of nxt, the step from state, by the general update's seven
+    operations in their order:
+    ((a / lam)(y_next - x_tilde) + mu a y_next + tau x) / tau_next."""
+    config, a = state.config, nxt.a_prev
+    x = nxt.y - nxt.x_tilde_prev
+    x *= a / config.lam
+    x += config.mu * a * nxt.y
+    x += state.tau * state.x
+    x /= nxt.tau
+    return x
+
+
+def test_mu_zero_step_is_the_general_update_bit_for_bit(lasso42_capture):
+    # at mu = 0 step forms x + (a / lam)(y_next - x_tilde) alone
+    states = lasso42_capture.states
+    assert states[0].config.mu == 0.0
+    for state, nxt in zip(states, states[1:]):
+        assert nxt.tau == 1.0
+        assert nxt.x.tobytes() == _general_x_next(state, nxt).tobytes()
+
+
+# signed zeros, both signs of a subnormal and some finite reals
+_SIGNED = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.75,
+                           -3.5, 1e300, -1e300])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=st.lists(_SIGNED, min_size=8, max_size=8),
+       y=st.lists(_SIGNED, min_size=8, max_size=8),
+       y_next=st.lists(_SIGNED, min_size=8, max_size=8),
+       A=st.sampled_from([0.0, 0.5, 3.0]), mu=st.sampled_from([0.0, -0.0]))
+def test_mu_zero_step_keeps_the_sign_of_every_zero(x, y, y_next, A, mu):
+    # f has a zero gradient, so the prox is handed x_tilde itself, and the
+    # prox returns y_next whatever it is handed: x, y and y_next set every
+    # sign the update sees, x_tilde = +0.0 where x = -0.0 and y = +0.0
+    # included.  mu = -0.0 (both moduli -0.0) takes the general form.
+    f = problems.SmoothOracle(value=lambda v: 0.0,
+                              grad=lambda v: np.zeros_like(v), curvature=0.0)
+    h = problems.ProxOracle(value=lambda v: 0.0,
+                            prox=lambda v, t: np.array(y_next))
+    problem = problems.CompositeProblem(f=f, h=h, dimension=8)
+    config = engine.SolverConfig(lf=2.0, mu_f=mu, mu_h=mu)
+    state = engine.IterateState(
+        k=1, config=config, a_prev=0.5,
+        a_next=engine._next_coefficient(config.lam, config.mu, 1.0, A), A=A,
+        tau=1.0, x=np.array(x), y=np.array(y), x_tilde_prev=None,
+        grad_tilde_prev=None, x0=np.zeros(8))
+    with np.errstate(over="ignore", invalid="ignore"):
+        nxt = engine.step(state, problem)
+        general = _general_x_next(state, nxt)
+    assert nxt.x.tobytes() == general.tobytes()
 
 
 def test_step_keeps_iterates_in_domain():

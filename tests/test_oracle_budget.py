@@ -334,9 +334,14 @@ def test_invariant_sweep_budget(elastic_mu1, monkeypatch, certificate_calls):
                                  "residual_pair": list(range(1, 31))}
 
     counts.clear()
+    for ks in certificate_calls.values():
+        ks.clear()
     report = harness.invariant_report(capture, sample_count=5)
     assert {c.note for c in report.checks if c.name == "eps_subgradient"} == {
         "5 samples at k in [1, 2, 5, 10, 20, 30]"}
+    # the sampled checks read the pairs the one pass formed
+    assert certificate_calls == {"stationarity_residual": list(range(1, 31)),
+                                 "residual_pair": list(range(1, 31))}
     assert updates == list(range(1, 31))
     # the states' phi(y), the 30 model folds and the 6 * 5 samples
     assert counts["f.value"] == 30 + 30 + 6 * 5
