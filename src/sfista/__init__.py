@@ -24,7 +24,8 @@ from .engine import (CoefficientSchedule, IterateState, RunResult,
 from .errors import (CertificateUndefinedError, ConfigError,
                      GrowthOverflowError, InvalidStartError, NumericFailure)
 from .harness import (BoundsRow, CheckResult, RunCapture, VerificationReport,
-                      bounds_suite, capture_run, invariant_report, write_trace)
+                      bounds_suite, capture_run, invariant_report,
+                      invariant_sweep, write_trace)
 from .problems import (CompositeProblem, InstanceSpec, ProxOracle,
                        ReferenceOptimum, SmoothOracle, box_indicator, eval_phi,
                        l1_norm, least_squares, load_instance, logistic_loss,
@@ -46,7 +47,8 @@ __all__ = [
     "alpha_next", "bounds_suite", "box_indicator", "capture_run",
     "check_eps_subgradient", "classic_init", "classic_step",
     "coefficient_schedule", "coefficient_sum_lower", "equivalence_check",
-    "eval_phi", "growth_factor", "init", "invariant_report", "iterate",
+    "eval_phi", "growth_factor", "init", "invariant_report",
+    "invariant_sweep", "iterate",
     "l1_norm", "least_squares", "load_instance", "log_plus_one",
     "logistic_loss", "lower_model_gap", "lower_model_violation",
     "lower_models", "make_instance", "power_iteration", "predicted_iterations",

@@ -8,9 +8,10 @@ Three objects are computable from a solver state without extra assumptions:
   shifted objective phi - (mu/2) ||. - y||^2 at y, and
 * an aggregated quadratic lower model of phi, one scalar, one vector and a
   fixed Hessian multiple of the identity, folded over a recorded run by
-  `lower_models` (the solver itself never builds it).  The sampled checks
-  work on values and call no oracle: `sample_points` gives phi at each
-  point, a +inf phi (off dom h) never sets a worst, and a -inf or NaN fails.
+  `lower_models`, or a state at a time by `lower_model_update` (the solver
+  itself never builds it).  The sampled checks work on values and call no
+  oracle: `sample_points` gives phi at each point, a +inf phi (off dom h)
+  never sets a worst, and a -inf or NaN fails.
 """
 
 from __future__ import annotations

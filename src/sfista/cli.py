@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -267,12 +268,12 @@ def cmd_verify_invariants(args) -> int:
         raise ConfigError(f"step count {args.iters} must be nonnegative")
     problem, config, x0 = build_problem(args)
     problem = attach_reference(problem)
-    capture = _harness.capture_run(problem, config, x0, args.iters)
+    report = _harness.invariant_sweep(problem, config, islice(
+        _engine.iterate(problem, config, x0), args.iters + 1), args.samples)
     _emit(instance_recipe(problem, constants=False) + constant_meta(config)
-          + [("iterations", str(capture.iterations))])
-    if capture.overflowed:
+          + [("iterations", str(report.iterations))])
+    if report.iterations < args.iters:
         print("halted = growth_overflow")
-    report = _harness.invariant_report(capture, sample_count=args.samples)
     for line in report.lines():
         print(line)
     return 0 if report.overall else 3

@@ -387,7 +387,7 @@ def row_certificates(state: IterateState, problem: CompositeProblem,
     """[phi(y), u, (v, eta)] of state: the certificates of its trace row.
 
     The one place a state's full set of certificates is formed: `run`'s
-    trace rows and `harness.invariant_report`, once per state, call it.  u
+    trace rows and `harness.invariant_sweep`, once per state, call it.  u
     and the pair are None at k = 0, before the first step.  held, when
     given, is such a list with None for each certificate not yet formed, as
     `StopTest.apply` leaves it: the rest are kept, not formed again.  fused

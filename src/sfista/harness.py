@@ -1,21 +1,24 @@
 """Verification harness: recorded runs, invariant sweeps, and trace files.
 
-`capture_run` keeps every state `engine.iterate` yields, which the
-invariant sweep and the test suite interrogate.  `invariant_report`
-evaluates the identities and a priori bounds the method guarantees on a
-recorded run: one pass over its states forms each state's certificates
-once, and each check runs over all its iterates in one array pass, folding
-the lower model as far as its sampled checks reach; it reports the worst
-violation of each.  `bounds_suite` measures observed criterion-firing
-iterations against the closed-form predictors on a seeded instance family,
-with one pass of `engine.iterate` per instance tested against every
-criterion at once.  `format_trace` and `write_trace` put the provenance
-lines and the header over `engine.trace_lines`.
+`capture_run` keeps every state `engine.iterate` yields, which the test
+suite interrogates.  `invariant_sweep` evaluates the identities and a
+priori bounds the method guarantees on any stream of a run's states,
+reading each state once as it passes and keeping only the latest: it forms
+each state's certificates once and keeps a dozen scalars of it, folds the
+lower model and takes the sampled checks on the way, then runs each check
+over all its iterates in one array pass on those scalars, and reports the
+worst violation of each.  `invariant_report` sweeps a capture's states.
+`bounds_suite` measures observed criterion-firing iterations against the
+closed-form predictors on a seeded instance family, with one pass of
+`engine.iterate` per instance tested against every criterion at once.
+`format_trace` and `write_trace` put the provenance lines and the header
+over `engine.trace_lines`.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, islice
 from typing import Optional
@@ -89,11 +92,12 @@ def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
                       overflowed=len(states) <= iters)
 
 
+_CHECKPOINTS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000)
+
+
 def checkpoints(k_max: int) -> list:
     """Log-spaced iterate indices 1 .. k_max for sampled checks."""
-    return sorted({min(k_max, k) for k in
-                   (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000)
-                   if k_max >= 1})
+    return sorted({min(k_max, k) for k in _CHECKPOINTS if k_max >= 1})
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,11 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    """Check results; `overall` holds when some check ran and none failed."""
+    """Check results over `iterations` iterates; `overall` holds when some
+    check ran and none failed."""
 
     checks: list = field(default_factory=list)
+    iterations: int = 0
 
     @property
     def overall(self) -> bool:
@@ -188,117 +194,108 @@ def _squared_norm(v: Array) -> float:
     return float(v.dot(v))
 
 
-# a state's phi(y), ||u||, ||v||, eta and certificate-identity left side
-_STATE_CERTS = np.dtype((float, 5))
-
-
-def _state_certificates(states, problem: CompositeProblem, n_cert: int,
-                        pairs: dict):
-    """The scalars of each state's certificates, a state at a time.
-
-    Each state's [phi(y), u, (v, eta)] is formed once, by
-    `engine.row_certificates`, as `engine.run` forms a trace row's, and
-    only its scalars are kept: phi(y), ||u||, ||v||, eta, and, for the
-    first n_cert states, ||A v + y - x0||^2 / tau + 2 A eta (NaN past them).
-    The pair of each k that pairs has as a key is kept too, as its value.
-    """
-    fused = problem.f.fused()
-    for k, st in enumerate(states, 1):
-        phi_y, u, pair = _engine.row_certificates(st, problem, fused)
-        lhs = math.nan
-        if k <= n_cert:
-            shifted = st.A * pair.v + st.y - st.x0
-            lhs = _squared_norm(shifted) / st.tau + 2.0 * st.A * pair.eta
-        if k in pairs:
-            pairs[k] = pair
-        yield phi_y, u.norm, pair.norm, pair.eta, lhs
+def _per_iterate(bound, *columns, dtype=float) -> Array:
+    """bound of the columns' entries as Python floats, an iterate at a time."""
+    return np.fromiter(map(bound, *(map(float, c) for c in columns)), dtype,
+                       len(columns[0]))
 
 
 def invariant_report(capture: RunCapture,
                      sample_count: int = 200) -> VerificationReport:
+    """`invariant_sweep` over the capture's states."""
+    return invariant_sweep(capture.problem, capture.config, capture.states,
+                           sample_count)
+
+
+def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
+                    states, sample_count: int = 200) -> VerificationReport:
     """Evaluate every identity and bound the method guarantees on a run.
 
-    Each check keeps the worst of its values over the iterates it looks at.
-    One pass over the states forms each state's certificates [phi(y), u,
-    (v, eta)] once (`_state_certificates`), and the checks read their
-    scalars as columns, the sampled checks the pairs the pass kept at
-    their iterates; every other check is one array expression over all its
-    iterates; the bounds module's scalar bounds and the vector norms are
-    taken per iterate.  The gap is phi(y) - phi* of the capture's problem,
-    so a reference optimum attached after the capture serves.  A check
-    behind a rounding-noise gate keeps the iterates before the first one
-    past it, and its note says `checked N of K`.  A check left with no
-    iterate, or a sampled check with no samples, is `skipped` and stays
-    out of `overall`.  A negative sample_count raises ConfigError.
+    states is any iterable of a run's states from init's on, as
+    `engine.iterate` yields them; each is read once, as it passes, and only
+    the latest is kept.  Each state's certificates [phi(y), u, (v, eta)]
+    are formed once (`engine.row_certificates`), and the scalars the checks
+    read go into packed columns.  While tau is within its gate, and only
+    with samples, the pass folds the lower model and takes the sampled
+    checks at each checkpoint; every other check is then one array
+    expression over the columns, with the bounds module's bounds taken per
+    iterate.  Each check keeps the worst of its values; the gap is phi(y) -
+    phi* of the problem given.  A check behind a rounding-noise gate keeps
+    the iterates before the first one past it, its note `checked N of K`.
+    A check left with no iterate, or a sampled check with no samples, is
+    `skipped` and stays out of `overall`.  A negative sample_count raises
+    ConfigError.
     """
     if sample_count < 0:
         raise ConfigError(f"sample count {sample_count} must be nonnegative")
-    problem, config, states = capture.problem, capture.config, capture.states
-    K = capture.iterations
     lf, mu_f, mu, lam = config.lf, config.mu_f, config.mu, config.lam
     lf_bar = problem.f.curvature
     ref = problem.reference_optimum
-    # one entry per iterate k = 1 .. K, at index k - 1; tau_prev is tau_{k-1}
-    a = np.fromiter((st.a_prev for st in states[1:]), float, K)
-    A = np.fromiter((st.A for st in states[1:]), float, K)
-    tau_all = np.fromiter((st.tau for st in states), float, K + 1)
-    tau, tau_prev = tau_all[1:], tau_all[:-1]
-    ks = range(1, K + 1)
-    n_cert = _kept(tau > CERT_TAU_LIMIT)
-    # sampled model checks at the log-spaced iterates the tau gate keeps, a
-    # prefix since tau grows with k; the pass keeps the pair it forms at
-    # each, at most 13
-    sample_ks = [k for k in checkpoints(K) if k <= n_cert]
-    sampled_at = sample_ks if sample_count else []
-    pairs = dict.fromkeys(sampled_at)
-    phi_y, norm_u, norm_v, eta, cert_lhs = np.fromiter(
-        _state_certificates(states[1:], problem, n_cert, pairs),
-        _STATE_CERTS, K).T
-
-    # taken before the other per-state arrays below exist, so the samples
-    # set the report's peak memory on their own; the lower model is folded
-    # up to the last sampled k, and not without samples
-    sample_note = f"{sample_count} samples at k in {sample_ks}"
+    fused = problem.f.fused()
     rng = np.random.Generator(np.random.PCG64(SAMPLE_SEED))
-    models = _cert.lower_models(states, problem)
-    sampled = []
-    for k in sampled_at:
-        st, phi = states[k], float(phi_y[k - 1])
-        model = next(model for j, model in models if j == k)
-        pair = pairs.pop(k)
+
+    def sampled_checks(st, model, pair, phi):
         tol = MODEL_TOL_SCALE * (1.0 + abs(phi))
         samples, phi_at = _cert.sample_points(st, problem, sample_count, rng)
         model_at = [model(x) for x in samples]
-        sampled.append([value - tol for value in (
+        return [value - tol for value in (
             _cert.lower_model_gap(model_at, phi_at),
             _cert.lower_model_violation(pair, st, phi, samples, model_at),
-            _cert.check_eps_subgradient(pair, st, phi, samples, phi_at))])
-    del pairs
+            _cert.check_eps_subgradient(pair, st, phi, samples, phi_at))]
+
+    states = iter(states)
+    st = next(states)
+    x0, tau_0 = st.x0, st.tau
+    cols = array("d")
+    # n_cert: the states before the first whose tau is past the gate, a
+    # prefix, since tau grows with k
+    n_cert, model, sampled = 0, None, []
+    for st in states:
+        k = st.k
+        phi, u, pair = _engine.row_certificates(st, problem, fused)
+        to_y = st.y - x0
+        dist_sq = _squared_norm(to_y)
+        lhs = math.nan
+        if n_cert == k - 1 and not st.tau > CERT_TAU_LIMIT:
+            n_cert = k
+            shifted = st.A * pair.v + st.y - x0
+            lhs = _squared_norm(shifted) / st.tau + 2.0 * st.A * pair.eta
+            if sample_count and k <= _CHECKPOINTS[-1]:
+                model = _cert.lower_model_update(model, st, problem)
+                if k in _CHECKPOINTS:
+                    sampled.append(sampled_checks(st, model, pair, phi))
+        cols.extend((
+            st.a_prev, st.A, st.tau, phi, u.norm, pair.norm,
+            pair.eta, lhs, dist_sq, _squared_norm(st.y - st.x_tilde_prev),
+            # a square below the smallest normal double has lost its digits
+            # (iterates near 1e-300 at a huge modulus): vector_norm rescales
+            vector_norm(to_y) if dist_sq < _NORMAL_MIN else math.sqrt(dist_sq),
+            vector_norm(st.x - x0)))
+    K = st.k
+    # the sampled checks' log-spaced iterates the tau gate keeps; the last,
+    # K, is known only now, when the latest state, model and pair are its
+    sample_ks = [k for k in checkpoints(K) if k <= n_cert]
+    if sample_count and sample_ks[-1:] == [K] and K not in _CHECKPOINTS:
+        sampled.append(sampled_checks(st, model, pair, phi))
+    sampled_at = sample_ks if sample_count else []
+    sample_note = f"{sample_count} samples at k in {sample_ks}"
     minorizes, model_subgradient, eps_subgradient = (
         np.array(sampled).reshape(-1, 3).T)
+    # one entry per iterate k = 1 .. K, at index k - 1
+    (a, A, tau, phi_y, norm_u, norm_v, eta, cert_lhs, dist_sq, move_sq,
+     dist_y, dist_x) = np.frombuffer(cols).reshape(-1, 12).T
+    ks = range(1, K + 1)
 
-    # ||y_k - x0||^2 and ||y_k - x_tilde_{k-1}||^2, formed once per state
-    dist_sq = np.fromiter((_squared_norm(st.y - st.x0) for st in states[1:]),
-                          float, K)
-    move_sq = np.fromiter((_squared_norm(st.y - st.x_tilde_prev)
-                           for st in states[1:]), float, K)
-    dist_y = np.sqrt(dist_sq)
-    # a squared distance below the smallest normal double has lost its
-    # digits (iterates near 1e-300 under a huge modulus): take those
-    # distances from vector_norm, which rescales
-    for i in np.flatnonzero(dist_sq < _NORMAL_MIN):
-        dist_y[i] = vector_norm(states[i + 1].y - states[i + 1].x0)
     # the bounds module's bounds, and every power of a float, are taken per
     # iterate with Python's **: numpy squares an array by x * x, which is
     # not always pow(x, 2) to the last bit; a square of a constant, which
     # can pass the largest double, is `bounds.square` or
-    # `bounds.scaled_square`, which keep ** wherever it gives a finite value
+    # `bounds.scaled_square`, which keep ** wherever it gives a finite value.
+    # An array a single check reads is formed inside it, and one that two
+    # read is deleted after them, so each is freed before the next check's
+    # are formed.
     lower = np.fromiter((_bounds.coefficient_sum_lower(k, lf, mu_f, mu)
                          for k in ks), float, K)
-    pair_norm = np.fromiter(
-        (_bounds.pair_norm_bounds(st.A, st.tau, dist)
-         for st, dist in zip(states[1:n_cert + 1], map(float, dist_y))),
-        _PAIR, n_cert)
 
     # as with Python floats, an overflow or an invalid operation gives an
     # inf or a NaN, which the check then reports as its worst
@@ -307,9 +304,9 @@ def invariant_report(capture: RunCapture,
             # coefficient recursion tau_{k-1} A_k / a_{k-1}^2 = lf - mu_f, as
             # a ratio of ratios: tau, A and a all reach ~1e300 under geometric
             # growth, so tau * A would overflow
-            _worst_result("coefficient_identity",
-                          np.abs((tau_prev / a) * (A / a) - 1.0 / lam) * lam,
-                          IDENTITY_TOL, ks),
+            _worst_result("coefficient_identity", np.abs(
+                (np.append(tau_0, tau[:-1]) / a) * (A / a) - 1.0 / lam) * lam,
+                IDENTITY_TOL, ks),
             # tau_k = 1 + mu A_k
             _worst_result("tau_identity",
                           np.abs(tau - (1.0 + mu * A)) / np.fmax(1.0, tau),
@@ -318,60 +315,58 @@ def invariant_report(capture: RunCapture,
             _worst_result("coefficient_sum_lower", (lower - A) / lower,
                           COEFF_LOWER_TOL, ks),
         ]
+        del lower
 
         if ref is not None:
-            d0, phi_star = capture.d0(), ref.phi_star
+            d0, phi_star = ref.distance(x0), ref.phi_star
             gap = phi_y - phi_star
             c = _bounds.growth_factor(lf, mu_f, mu)
             slack = RATE_SLACK_SCALE * (1.0 + abs(phi_star))
-            rate = np.fromiter((min(4.0 / k**2, c ** (2.0 * (1.0 - k)))
-                                for k in ks), float, K)
-            # at index k - 1: the sum over i = 1 .. k of
-            # A_i ||y_i - x_tilde_{i-1}||^2, summed in order, the least
-            # ||u_i||^2 (np.minimum keeps a NaN, which min would drop), and
-            # the min-norm bound, which divides by the sum of A_i
-            moved = np.fromiter(accumulate(map(float, A * move_sq)), float, K)
-            best_sq = np.minimum.accumulate(
-                np.fromiter((u ** 2 for u in map(float, norm_u)), float, K))
+            # the min-norm bound divides by the sum of A_i, summed in order
             min_norm_rhs = _bounds.scaled_square(8.0, lf, d0) / (
                 (lf - lf_bar) * np.fromiter(
-                    accumulate(st.A for st in states[1:]), float, K))
+                    accumulate(map(float, A)), float, K))
             floor = _bounds.square(1e-9 * lf * (1.0 + d0))
-            dist_x = np.fromiter((vector_norm(st.x - st.x0)
-                                  for st in states[1:]), float, K)
             checks += [
                 # phi(y_k) - phi* <= (lf - mu_f) d0^2 / 2 * min(4/k^2, c^(2(1-k)))
-                _worst_result("function_gap_rate",
-                              gap - 0.5 * (lf - mu_f) * d0**2 * rate - slack,
-                              0.0, ks),
+                _worst_result("function_gap_rate", gap - 0.5 * (lf - mu_f)
+                              * d0**2 * np.fromiter(
+                                  (min(4.0 / k**2, c ** (2.0 * (1.0 - k)))
+                                   for k in ks), float, K) - slack, 0.0, ks),
                 # (lf - lf_bar)/2 sum A_i ||y_i - x_tilde_{i-1}||^2
                 #     <= d0^2 - A_k (phi(y_k) - phi*),
-                # less the A_k term's share of the objective's evaluation noise
+                # less the A_k term's share of the objective's evaluation
+                # noise; the sum is taken in order
                 _gated("movement_bound",
-                       0.5 * (lf - lf_bar) * moved - (d0**2 - A * gap)
-                       - slack * (1.0 + d0**2)
+                       0.5 * (lf - lf_bar) * np.fromiter(
+                           accumulate(map(float, A * move_sq)), float, K)
+                       - (d0**2 - A * gap) - slack * (1.0 + d0**2)
                        - A * 1e-13 * (1.0 + abs(phi_star)),
                        0.0, _kept(A > MOVEMENT_A_LIMIT), K),
-                # min_i ||u_i||^2 <= 8 lf^2 d0^2 / ((lf - lf_bar) sum A_i)
-                _gated("min_norm_bound",
-                       best_sq - min_norm_rhs * (1.0 + INEQ_REL_SLACK),
+                # min_i ||u_i||^2 <= 8 lf^2 d0^2 / ((lf - lf_bar) sum A_i),
+                # the running least by np.minimum, which keeps a NaN that
+                # min would drop
+                _gated("min_norm_bound", np.minimum.accumulate(
+                    _per_iterate(_bounds.square, norm_u))
+                       - min_norm_rhs * (1.0 + INEQ_REL_SLACK),
                        0.0, _kept(min_norm_rhs < floor), K),
                 # ||x_k - x0|| <= (1/sqrt(tau_k) + 1) d0
-                _worst_result("distance_x_bound", _excess(dist_x, np.fromiter(
-                    (_bounds.distance_bound_x(st.tau, d0)
-                     for st in states[1:]), float, K)), 0.0, ks),
+                _worst_result("distance_x_bound", _excess(
+                    dist_x, _per_iterate(
+                        lambda t: _bounds.distance_bound_x(t, d0), tau)),
+                    0.0, ks),
             ]
+            del gap, min_norm_rhs
             if mu > 0:
                 checks += [
                     _worst_result("distance_y_bound", _excess(
-                        dist_y, np.fromiter(
-                            (_bounds.distance_bound_y(st.A, mu, d0)
-                             for st in states[1:]), float, K)), 0.0, ks),
+                        dist_y, _per_iterate(
+                            lambda s: _bounds.distance_bound_y(s, mu, d0), A)),
+                        0.0, ks),
                     _gated("pair_absolute_bounds", _pair_excess(
-                        norm_v[:n_cert], eta[:n_cert], np.fromiter(
-                            (_bounds.pair_absolute_bounds(st.A, mu, d0)
-                             for st in states[1:n_cert + 1]), _PAIR, n_cert)),
-                        0.0, n_cert, K),
+                        norm_v[:n_cert], eta[:n_cert], _per_iterate(
+                            lambda s: _bounds.pair_absolute_bounds(s, mu, d0),
+                            A[:n_cert], dtype=_PAIR)), 0.0, n_cert, K),
                 ]
 
         checks += [
@@ -388,7 +383,9 @@ def invariant_report(capture: RunCapture,
             _worst_result("eta_nonnegative", -eta, -ETA_FLOOR, ks),
             # ||v_k|| and eta_k against their ||y_k - x0|| envelopes
             _gated("pair_norm_bounds", _pair_excess(
-                norm_v[:n_cert], eta[:n_cert], pair_norm), 0.0, n_cert, K),
+                norm_v[:n_cert], eta[:n_cert], _per_iterate(
+                    _bounds.pair_norm_bounds, A[:n_cert], tau[:n_cert],
+                    dist_y[:n_cert], dtype=_PAIR)), 0.0, n_cert, K),
             _worst_result("lower_model_minorizes", minorizes, 0.0,
                           sampled_at, sample_note),
             _worst_result("model_subgradient", model_subgradient, 0.0,
@@ -396,7 +393,7 @@ def invariant_report(capture: RunCapture,
             _worst_result("eps_subgradient", eps_subgradient, 0.0,
                           sampled_at, sample_note),
         ]
-    return VerificationReport(checks)
+    return VerificationReport(checks, K)
 
 
 # ---------------------------------------------------------------------------

@@ -657,10 +657,11 @@ def make_instance(kind: str, seed: int, m: int, n: int,
     defaults in INSTANCE_PARAMS; a seed, m or n that is not an int (a bool
     included), a negative seed, an unknown parameter, a switch that is not
     True or False, or a real that is a bool, no number, NaN or infinite, is
-    a ValueError raised before any data is drawn.  The returned problem
-    carries its generation recipe in `spec`, every default included, and,
-    unless `with_reference=False`, its optimal value in `reference_optimum`
-    (`attach_reference` adds it later).
+    a ValueError raised before any data is drawn.  Data whose phi is not
+    finite at prox_h(0) are a ValueError too, raised once they are drawn.
+    The returned problem carries its generation recipe in `spec`, every
+    default included, and, unless `with_reference=False`, its optimal value
+    in `reference_optimum` (`attach_reference` adds it later).
     """
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}; expected one of {INSTANCE_KINDS}")
@@ -690,6 +691,14 @@ def make_instance(kind: str, seed: int, m: int, n: int,
     f, h, data = _BUILDERS[kind](p, _rng(seed), m, n)
     spec = InstanceSpec(kind=kind, seed=seed, m=m, n=n, params=p, data=data)
     problem = CompositeProblem(f=f, h=h, dimension=n, spec=spec)
+    # data near the largest double (a noise or box bound of 1e300) make phi
+    # overflow at prox_h(0), where the CLI starts; it is evaluated with no
+    # overflow warning, and such an instance is refused before any solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_start = eval_phi(problem, h.prox(np.zeros(n), 1.0))
+    if not math.isfinite(phi_start):
+        raise ValueError(f"phi(prox_h(0)) = {phi_start:g} is not finite: the "
+                         "instance's data overflow double precision")
     return attach_reference(problem) if with_reference else problem
 
 

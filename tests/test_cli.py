@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: flags, outputs, files, exit codes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -523,6 +525,60 @@ def test_verify_invariants_growth_halt(capsys):
     assert "iterations = 869" in out
     assert "halted = growth_overflow" in out
     assert out[-1] == "overall = pass"
+
+
+# the flags of the CI's `verify invariants` commands: a strongly convex
+# net, the defaults (the README lasso), an indicator h, a logistic f, a
+# growth halt, and a huge modulus whose first iterates sit near 1e-301
+CI_SWEEPS = [
+    ["--problem", "elastic_net", "--seed", "7", "--m", "30", "--n", "50",
+     "--reg", "0.05", "--ridge", "1", "--iters", "300", "--samples", "50"],
+    [],
+    ["--problem", "box_qp", "--seed", "3", "--m", "20", "--n", "20",
+     "--iters", "200", "--samples", "30"],
+    ["--problem", "logistic_l2", "--seed", "4", "--m", "60", "--n", "40",
+     "--iters", "200", "--samples", "30"],
+    ["--problem", "box_qp", "--diag", "--m", "2", "--n", "2", "--iters",
+     "2000", "--samples", "10"],
+    ["--problem", "elastic_net", "--seed", "1", "--m", "2", "--n", "8",
+     "--ridge", "1e300", "--iters", "1", "--samples", "0"],
+]
+
+
+@pytest.mark.parametrize("flags", CI_SWEEPS)
+def test_verify_invariants_reports_what_a_capture_reports(capsys, flags):
+    # the command streams its states through the sweep; a capture of the
+    # same run keeps them, and its report has the same lines
+    code = cli.main(["verify", "invariants", *flags])
+    out, _ = _lines(capsys)
+    args = cli.build_parser().parse_args(["verify", "invariants", *flags])
+    problem, config, x0 = cli.build_problem(args)
+    capture = harness.capture_run(problems.attach_reference(problem), config,
+                                  x0, args.iters)
+    lines = harness.invariant_report(capture, args.samples).lines()
+    assert out[-len(lines):] == lines
+    assert f"iterations = {capture.iterations}" in out
+    assert ("halted = growth_overflow" in out) == capture.overflowed
+    assert code == 0 and lines[-1] == "overall = pass"
+
+
+def test_verify_invariants_memory_does_not_grow_with_the_steps(capsys):
+    # the sweep keeps a dozen doubles of each state and no state: 4000
+    # steps on a 20x30 lasso peaked at 7.4 MB while the command kept them.
+    # The first call imports what the command imports, which the second
+    # call's peak leaves out.
+    argv = ["verify", "invariants", "--m", "20", "--n", "30", "--iters",
+            "4000", "--samples", "0"]
+    cli.main(argv)
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, _ = _lines(capsys)
+    assert code == 0 and out[-1] == "overall = pass"
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("argv", [

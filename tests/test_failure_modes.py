@@ -10,7 +10,8 @@ numeric_failure, and so does every cell of a prox whose y has an infinite
 entry, in the step's mu = 0 form and in its general form alike.  A huge
 strong-convexity modulus ends a run at the growth halt with finite
 iterates, and its invariant report is made, with no OverflowError and no
-NaN.
+NaN.  Data whose objective overflows where the CLI starts are refused
+before any solve.
 """
 
 import dataclasses
@@ -209,3 +210,24 @@ def test_invariant_report_on_a_huge_modulus_is_made(cli_serves, capsys,
     assert [line for line in lines if line.startswith("pair_norm_bounds")
             ] == ["pair_norm_bounds = pass (worst -1.000e-12, limit 0.000e+00,"
                   " k = 1, checked 1 of 1)"]
+
+
+# a noise of 1e300 makes 0.5 ||b||^2 overflow at the lasso's start x0 = 0; a
+# box at 1e300 puts box_qp's start there, where x^T Q x overflows.  These
+# warned of an overflow in vector_norm's dot, and the solve then exited 2
+# naming a residual of inf.
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "lasso", "--m", "4", "--n", "6", "--noise", "1e300"],
+    ["verify", "invariants", "--problem", "box_qp", "--m", "4", "--n", "3",
+     "--lo", "1e300", "--hi", "1e300", "--iters", "1", "--samples", "3"],
+    ["make-instance", "--problem", "lasso", "--m", "4", "--n", "6",
+     "--noise", "1e300", "--out"],
+])
+def test_data_that_overflow_at_the_start_are_refused(capsys, tmp_path, argv):
+    if argv[-1] == "--out":
+        argv = argv + [str(tmp_path / "inst.txt")]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not list(tmp_path.iterdir())
+    assert err == ("error: phi(prox_h(0)) = inf is not finite: the "
+                   "instance's data overflow double precision\n")
