@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
 Array = np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StationarityResidual:
     """u in grad f(y) + subdiff h(y) together with its norm."""
 
@@ -39,7 +39,7 @@ class StationarityResidual:
     norm: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ResidualPair:
     """v and eta >= 0 with v an eta-subgradient of phi - (mu/2)||. - y||^2 at y."""
 

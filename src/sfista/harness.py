@@ -4,10 +4,10 @@
 suite interrogates.  `invariant_sweep` evaluates the identities and a
 priori bounds the method guarantees on any stream of a run's states,
 reading each state once as it passes and keeping only the latest: it forms
-each state's certificates once and keeps a dozen scalars of it, folds the
-lower model and takes the sampled checks on the way, then runs each check
-over all its iterates in one array pass on those scalars, and reports the
-worst violation of each.  `invariant_report` sweeps a capture's states.
+each state's certificates once, folds each check's value there into that
+check's worst violation, and folds the lower model and takes the sampled
+checks on the way, so its memory does not grow with the states.
+`invariant_report` sweeps a capture's states.
 `bounds_suite` measures observed criterion-firing iterations against the
 closed-form predictors on a seeded instance family, with one pass of
 `engine.iterate` per instance tested against every criterion at once.
@@ -18,9 +18,8 @@ over `engine.trace_lines`.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -141,31 +140,41 @@ class VerificationReport:
         return [c.line() for c in self.checks] + [f"overall = {status}"]
 
 
-def _worst_result(name, values, limit, ks, note=""):
-    """The check's result at the worst of values, taken at the iterates ks.
+class _Worst:
+    """One check's fold: the worst of the values fed to it, and its k.
 
-    The worst is the first largest value, or the first NaN, where np.argmax
-    finds it.
+    The worst is the first NaN, else the first largest value, the entry
+    np.argmax picks over the values in the order they came; `count` is how
+    many came.
     """
-    if not len(values):
-        return CheckResult(name=name, passed=True, worst=-math.inf, limit=limit,
-                           note=note or "no applicable iterates", skipped=True)
-    idx = int(np.argmax(values))
-    worst = float(values[idx])
-    return CheckResult(name=name, passed=worst <= limit, worst=worst,
-                       limit=limit, location=ks[idx], note=note)
 
+    __slots__ = ("name", "limit", "worst", "at", "count")
 
-def _kept(past: Array) -> int:
-    """How many iterates a gate keeps: those before the first past it."""
-    hits = np.flatnonzero(past)
-    return int(hits[0]) if hits.size else len(past)
+    def __init__(self, name: str, limit: float = 0.0):
+        self.name, self.limit = name, limit
+        self.worst, self.at, self.count = -math.inf, None, 0
 
+    def add(self, value: float, k: int) -> None:
+        worst = self.worst
+        if value > worst or not self.count or (value != value
+                                                and worst == worst):
+            self.worst, self.at = value, k
+        self.count += 1
 
-def _gated(name, values, limit, kept, K):
-    """The result over the first `kept` of the K iterates, and its note."""
-    return _worst_result(name, values[:kept], limit, range(1, kept + 1),
-                         f"checked {kept} of {K}")
+    def result(self, note: str = "") -> CheckResult:
+        """The check's result; `skipped` when no value came."""
+        if not self.count:
+            return CheckResult(name=self.name, passed=True, worst=-math.inf,
+                               limit=self.limit, skipped=True,
+                               note=note or "no applicable iterates")
+        return CheckResult(name=self.name, passed=self.worst <= self.limit,
+                           worst=self.worst, limit=self.limit,
+                           location=self.at, note=note)
+
+    def gated(self, K: int) -> CheckResult:
+        """The result of a check behind a rounding-noise gate, which kept
+        the iterates before the first one past it."""
+        return self.result(f"checked {self.count} of {K}")
 
 
 def _excess(value, bound):
@@ -173,31 +182,20 @@ def _excess(value, bound):
     return value - bound * (1.0 + INEQ_REL_SLACK) - 1e-12
 
 
-# a (v, eta) bound pair, one row of a two-column array
-_PAIR = np.dtype((float, 2))
-
-
-def _pair_excess(norm_v, eta, bounds) -> Array:
+def _pair_excess(norm_v, eta, bounds):
     """The larger excess of ||v|| and eta over their (v, eta) bounds.
 
-    A NaN in either excess is the entry's excess, so the check fails on it.
+    A NaN in either excess is the excess, so the check fails on it, where
+    Python's max would drop a NaN second argument.
     """
-    v_excess = _excess(norm_v, bounds[:, 0])
-    eta_excess = _excess(eta, bounds[:, 1])
-    # max(v_excess, eta_excess) entry by entry, as Python's max takes it,
-    # save that a NaN eta_excess wins too (a NaN v_excess already does)
-    return np.where((eta_excess > v_excess) | np.isnan(eta_excess),
-                    eta_excess, v_excess)
+    v_excess = _excess(norm_v, bounds[0])
+    eta_excess = _excess(eta, bounds[1])
+    return (eta_excess if eta_excess > v_excess or eta_excess != eta_excess
+            else v_excess)
 
 
 def _squared_norm(v: Array) -> float:
     return float(v.dot(v))
-
-
-def _per_iterate(bound, *columns, dtype=float) -> Array:
-    """bound of the columns' entries as Python floats, an iterate at a time."""
-    return np.fromiter(map(bound, *(map(float, c) for c in columns)), dtype,
-                       len(columns[0]))
 
 
 def invariant_report(capture: RunCapture,
@@ -214,17 +212,16 @@ def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
     states is any iterable of a run's states from init's on, as
     `engine.iterate` yields them; each is read once, as it passes, and only
     the latest is kept.  Each state's certificates [phi(y), u, (v, eta)]
-    are formed once (`engine.row_certificates`), and the scalars the checks
-    read go into packed columns.  While tau is within its gate, and only
-    with samples, the pass folds the lower model and takes the sampled
-    checks at each checkpoint; every other check is then one array
-    expression over the columns, with the bounds module's bounds taken per
-    iterate.  Each check keeps the worst of its values; the gap is phi(y) -
-    phi* of the problem given.  A check behind a rounding-noise gate keeps
-    the iterates before the first one past it, its note `checked N of K`.
-    A check left with no iterate, or a sampled check with no samples, is
-    `skipped` and stays out of `overall`.  A negative sample_count raises
-    ConfigError.
+    are formed once (`engine.row_certificates`), and each check's value at
+    the state, on Python floats, is folded into that check's worst and its
+    k right away, so the sweep's memory does not grow with the states.
+    While tau is within its gate, and only with samples, the pass folds the
+    lower model and takes the sampled checks at each checkpoint.  The gap
+    is phi(y) - phi* of the problem given.  A check behind a rounding-noise
+    gate reads the iterates before the first one past it, its note
+    `checked N of K`.  A check left with no iterate, or a sampled check
+    with no samples, is `skipped` and stays out of `overall`.  A negative
+    sample_count raises ConfigError.
     """
     if sample_count < 0:
         raise ConfigError(f"sample count {sample_count} must be nonnegative")
@@ -233,167 +230,154 @@ def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
     ref = problem.reference_optimum
     fused = problem.f.fused()
     rng = np.random.Generator(np.random.PCG64(SAMPLE_SEED))
+    sampled = [_Worst("lower_model_minorizes"), _Worst("model_subgradient"),
+               _Worst("eps_subgradient")]
 
-    def sampled_checks(st, model, pair, phi):
+    def sampled_checks(k, st, model, pair, phi):
         tol = MODEL_TOL_SCALE * (1.0 + abs(phi))
         samples, phi_at = _cert.sample_points(st, problem, sample_count, rng)
         model_at = [model(x) for x in samples]
-        return [value - tol for value in (
-            _cert.lower_model_gap(model_at, phi_at),
-            _cert.lower_model_violation(pair, st, phi, samples, model_at),
-            _cert.check_eps_subgradient(pair, st, phi, samples, phi_at))]
+        for check, value in zip(sampled, (
+                _cert.lower_model_gap(model_at, phi_at),
+                _cert.lower_model_violation(pair, st, phi, samples, model_at),
+                _cert.check_eps_subgradient(pair, st, phi, samples, phi_at))):
+            check.add(value - tol, k)
 
+    # one fold per check, in report order
+    coefficient_identity = _Worst("coefficient_identity", IDENTITY_TOL)
+    tau_identity = _Worst("tau_identity", IDENTITY_TOL)
+    coefficient_sum_lower = _Worst("coefficient_sum_lower", COEFF_LOWER_TOL)
+    function_gap_rate = _Worst("function_gap_rate")
+    movement_bound = _Worst("movement_bound")
+    min_norm_bound = _Worst("min_norm_bound")
+    distance_x_bound = _Worst("distance_x_bound")
+    distance_y_bound = _Worst("distance_y_bound")
+    pair_absolute_bounds = _Worst("pair_absolute_bounds")
+    residual_envelope = _Worst("residual_envelope")
+    certificate_identity = _Worst("certificate_identity", CERT_IDENTITY_TOL)
+    eta_nonnegative = _Worst("eta_nonnegative", -ETA_FLOOR)
+    pair_norm_bounds = _Worst("pair_norm_bounds")
+
+    # per-sweep constants, each with the operands and order of the check's
+    # whole expression
+    inv_lam, two_lf, lf_noise = 1.0 / lam, 2.0 * lf, 1e-12 * lf
+    rel_slack = 1.0 + INEQ_REL_SLACK
     states = iter(states)
     st = next(states)
-    x0, tau_0 = st.x0, st.tau
-    cols = array("d")
-    # n_cert: the states before the first whose tau is past the gate, a
-    # prefix, since tau grows with k
-    n_cert, model, sampled = 0, None, []
+    x0, tau_prev = st.x0, st.tau
+    if ref is not None:
+        d0, phi_star = ref.distance(x0), ref.phi_star
+        c = _bounds.growth_factor(lf, mu_f, mu)
+        slack = RATE_SLACK_SCALE * (1.0 + abs(phi_star))
+        d0_sq, phi_noise = d0**2, 1.0 + abs(phi_star)
+        gap_scale = 0.5 * (lf - mu_f) * d0_sq
+        half_curv_gap, move_slack = 0.5 * (lf - lf_bar), slack * (1.0 + d0_sq)
+        # the divisor (lf - lf_bar) sum A_i is about 2^-53 at least, never
+        # 0.0: init keeps lf > lf_bar, so lf - lf_bar is 2^-53 lf or more (or
+        # the least subnormal, where 1 / lf passes 2^1022), and
+        # sum A_i >= A_1 = lam = 1 / (lf - mu_f) >= 1 / lf
+        norm_top, curv_gap = _bounds.scaled_square(8.0, lf, d0), lf - lf_bar
+        floor = _bounds.square(1e-9 * lf * (1.0 + d0))
+    # the rounding-noise gates, each shut for good at the first iterate
+    # past it
+    cert_open = move_open = norm_open = True
+    moved = a_sum = -0.0  # -0.0 + x is x, to the sign of a zero
+    least_sq = math.inf  # min_i ||u_i||^2, keeping a NaN as np.minimum does
+    model = None
     for st in states:
-        k = st.k
+        k, a, A, tau = st.k, st.a_prev, st.A, st.tau
         phi, u, pair = _engine.row_certificates(st, problem, fused)
+        norm_u, eta = u.norm, pair.eta
         to_y = st.y - x0
         dist_sq = _squared_norm(to_y)
-        lhs = math.nan
-        if n_cert == k - 1 and not st.tau > CERT_TAU_LIMIT:
-            n_cert = k
-            shifted = st.A * pair.v + st.y - x0
-            lhs = _squared_norm(shifted) / st.tau + 2.0 * st.A * pair.eta
+        move_sq = _squared_norm(st.y - st.x_tilde_prev)
+        # a square below the smallest normal double has lost its digits
+        # (iterates near 1e-300 at a huge modulus): vector_norm rescales
+        dist_y = vector_norm(to_y) if dist_sq < _NORMAL_MIN else math.sqrt(
+            dist_sq)
+        # coefficient recursion tau_{k-1} A_k / a_{k-1}^2 = lf - mu_f, as a
+        # ratio of ratios: tau, A and a all reach ~1e300 under geometric
+        # growth, so tau * A would overflow
+        coefficient_identity.add(
+            abs((tau_prev / a) * (A / a) - inv_lam) * lam, k)
+        tau_prev = tau
+        # tau_k = 1 + mu A_k
+        tau_identity.add(abs(tau - (1.0 + mu * A)) / max(1.0, tau), k)
+        # A_k >= max(k^2/4, c^(2(k-1))) / (lf - mu_f)
+        lower = _bounds.coefficient_sum_lower(k, lf, mu_f, mu)
+        coefficient_sum_lower.add((lower - A) / lower, k)
+        cert_open = cert_open and not tau > CERT_TAU_LIMIT
+        if cert_open:
+            norm_v = pair.norm
+        if ref is not None:
+            gap = phi - phi_star
+            # phi(y_k) - phi* <= (lf - mu_f) d0^2 / 2 * min(4/k^2, c^(2(1-k)))
+            function_gap_rate.add(gap - gap_scale * min(
+                4.0 / k**2, c ** (2.0 * (1.0 - k))) - slack, k)
+            # (lf - lf_bar)/2 sum A_i ||y_i - x_tilde_{i-1}||^2
+            #     <= d0^2 - A_k (phi(y_k) - phi*),
+            # less the A_k term's share of the objective's evaluation noise
+            move_open = move_open and not A > MOVEMENT_A_LIMIT
+            if move_open:
+                moved += A * move_sq
+                movement_bound.add(half_curv_gap * moved - (d0_sq - A * gap)
+                                   - move_slack - A * 1e-13 * phi_noise, k)
+            # min_i ||u_i||^2 <= 8 lf^2 d0^2 / ((lf - lf_bar) sum A_i)
+            if norm_open:
+                a_sum += A
+                rhs = norm_top / (curv_gap * a_sum)
+                norm_open = not rhs < floor
+            if norm_open:
+                sq = _bounds.square(norm_u)
+                if sq < least_sq or sq != sq:
+                    least_sq = sq
+                min_norm_bound.add(least_sq - rhs * rel_slack, k)
+            # ||x_k - x0|| <= (1/sqrt(tau_k) + 1) d0
+            distance_x_bound.add(_excess(vector_norm(st.x - x0),
+                                         _bounds.distance_bound_x(tau, d0)), k)
+            if mu > 0:
+                distance_y_bound.add(_excess(
+                    dist_y, _bounds.distance_bound_y(A, mu, d0)), k)
+                if cert_open:
+                    pair_absolute_bounds.add(_pair_excess(
+                        norm_v, eta, _bounds.pair_absolute_bounds(A, mu, d0)),
+                        k)
+        # ||u_k|| <= 2 lf ||y_k - x_tilde_{k-1}||
+        residual_envelope.add(norm_u - two_lf * math.sqrt(move_sq) * rel_slack
+                              - lf_noise, k)
+        # eta_k >= 0 up to rounding
+        eta_nonnegative.add(-eta, k)
+        if cert_open:
+            # ||A v + y - x0||^2 / tau + 2 A eta = ||y - x0||^2
+            shifted = A * pair.v + st.y - x0
+            lhs = _squared_norm(shifted) / tau + 2.0 * A * eta
+            certificate_identity.add(abs(lhs - dist_sq) / max(1.0, dist_sq),
+                                     k)
+            # ||v_k|| and eta_k against their ||y_k - x0|| envelopes
+            pair_norm_bounds.add(_pair_excess(
+                norm_v, eta, _bounds.pair_norm_bounds(A, tau, dist_y)), k)
             if sample_count and k <= _CHECKPOINTS[-1]:
                 model = _cert.lower_model_update(model, st, problem)
                 if k in _CHECKPOINTS:
-                    sampled.append(sampled_checks(st, model, pair, phi))
-        cols.extend((
-            st.a_prev, st.A, st.tau, phi, u.norm, pair.norm,
-            pair.eta, lhs, dist_sq, _squared_norm(st.y - st.x_tilde_prev),
-            # a square below the smallest normal double has lost its digits
-            # (iterates near 1e-300 at a huge modulus): vector_norm rescales
-            vector_norm(to_y) if dist_sq < _NORMAL_MIN else math.sqrt(dist_sq),
-            vector_norm(st.x - x0)))
+                    sampled_checks(k, st, model, pair, phi)
     K = st.k
     # the sampled checks' log-spaced iterates the tau gate keeps; the last,
     # K, is known only now, when the latest state, model and pair are its
-    sample_ks = [k for k in checkpoints(K) if k <= n_cert]
+    sample_ks = [k for k in checkpoints(K) if k <= certificate_identity.count]
     if sample_count and sample_ks[-1:] == [K] and K not in _CHECKPOINTS:
-        sampled.append(sampled_checks(st, model, pair, phi))
-    sampled_at = sample_ks if sample_count else []
+        sampled_checks(K, st, model, pair, phi)
+    checks = [coefficient_identity.result(), tau_identity.result(),
+              coefficient_sum_lower.result()]
+    if ref is not None:
+        checks += [function_gap_rate.result(), movement_bound.gated(K),
+                   min_norm_bound.gated(K), distance_x_bound.result()]
+        if mu > 0:
+            checks += [distance_y_bound.result(), pair_absolute_bounds.gated(K)]
+    checks += [residual_envelope.result(), certificate_identity.gated(K),
+               eta_nonnegative.result(), pair_norm_bounds.gated(K)]
     sample_note = f"{sample_count} samples at k in {sample_ks}"
-    minorizes, model_subgradient, eps_subgradient = (
-        np.array(sampled).reshape(-1, 3).T)
-    # one entry per iterate k = 1 .. K, at index k - 1
-    (a, A, tau, phi_y, norm_u, norm_v, eta, cert_lhs, dist_sq, move_sq,
-     dist_y, dist_x) = np.frombuffer(cols).reshape(-1, 12).T
-    ks = range(1, K + 1)
-
-    # the bounds module's bounds, and every power of a float, are taken per
-    # iterate with Python's **: numpy squares an array by x * x, which is
-    # not always pow(x, 2) to the last bit; a square of a constant, which
-    # can pass the largest double, is `bounds.square` or
-    # `bounds.scaled_square`, which keep ** wherever it gives a finite value.
-    # An array a single check reads is formed inside it, and one that two
-    # read is deleted after them, so each is freed before the next check's
-    # are formed.
-    lower = np.fromiter((_bounds.coefficient_sum_lower(k, lf, mu_f, mu)
-                         for k in ks), float, K)
-
-    # as with Python floats, an overflow or an invalid operation gives an
-    # inf or a NaN, which the check then reports as its worst
-    with np.errstate(over="ignore", invalid="ignore"):
-        checks = [
-            # coefficient recursion tau_{k-1} A_k / a_{k-1}^2 = lf - mu_f, as
-            # a ratio of ratios: tau, A and a all reach ~1e300 under geometric
-            # growth, so tau * A would overflow
-            _worst_result("coefficient_identity", np.abs(
-                (np.append(tau_0, tau[:-1]) / a) * (A / a) - 1.0 / lam) * lam,
-                IDENTITY_TOL, ks),
-            # tau_k = 1 + mu A_k
-            _worst_result("tau_identity",
-                          np.abs(tau - (1.0 + mu * A)) / np.fmax(1.0, tau),
-                          IDENTITY_TOL, ks),
-            # A_k >= max(k^2/4, c^(2(k-1))) / (lf - mu_f)
-            _worst_result("coefficient_sum_lower", (lower - A) / lower,
-                          COEFF_LOWER_TOL, ks),
-        ]
-        del lower
-
-        if ref is not None:
-            d0, phi_star = ref.distance(x0), ref.phi_star
-            gap = phi_y - phi_star
-            c = _bounds.growth_factor(lf, mu_f, mu)
-            slack = RATE_SLACK_SCALE * (1.0 + abs(phi_star))
-            # the min-norm bound divides by the sum of A_i, summed in order
-            min_norm_rhs = _bounds.scaled_square(8.0, lf, d0) / (
-                (lf - lf_bar) * np.fromiter(
-                    accumulate(map(float, A)), float, K))
-            floor = _bounds.square(1e-9 * lf * (1.0 + d0))
-            checks += [
-                # phi(y_k) - phi* <= (lf - mu_f) d0^2 / 2 * min(4/k^2, c^(2(1-k)))
-                _worst_result("function_gap_rate", gap - 0.5 * (lf - mu_f)
-                              * d0**2 * np.fromiter(
-                                  (min(4.0 / k**2, c ** (2.0 * (1.0 - k)))
-                                   for k in ks), float, K) - slack, 0.0, ks),
-                # (lf - lf_bar)/2 sum A_i ||y_i - x_tilde_{i-1}||^2
-                #     <= d0^2 - A_k (phi(y_k) - phi*),
-                # less the A_k term's share of the objective's evaluation
-                # noise; the sum is taken in order
-                _gated("movement_bound",
-                       0.5 * (lf - lf_bar) * np.fromiter(
-                           accumulate(map(float, A * move_sq)), float, K)
-                       - (d0**2 - A * gap) - slack * (1.0 + d0**2)
-                       - A * 1e-13 * (1.0 + abs(phi_star)),
-                       0.0, _kept(A > MOVEMENT_A_LIMIT), K),
-                # min_i ||u_i||^2 <= 8 lf^2 d0^2 / ((lf - lf_bar) sum A_i),
-                # the running least by np.minimum, which keeps a NaN that
-                # min would drop
-                _gated("min_norm_bound", np.minimum.accumulate(
-                    _per_iterate(_bounds.square, norm_u))
-                       - min_norm_rhs * (1.0 + INEQ_REL_SLACK),
-                       0.0, _kept(min_norm_rhs < floor), K),
-                # ||x_k - x0|| <= (1/sqrt(tau_k) + 1) d0
-                _worst_result("distance_x_bound", _excess(
-                    dist_x, _per_iterate(
-                        lambda t: _bounds.distance_bound_x(t, d0), tau)),
-                    0.0, ks),
-            ]
-            del gap, min_norm_rhs
-            if mu > 0:
-                checks += [
-                    _worst_result("distance_y_bound", _excess(
-                        dist_y, _per_iterate(
-                            lambda s: _bounds.distance_bound_y(s, mu, d0), A)),
-                        0.0, ks),
-                    _gated("pair_absolute_bounds", _pair_excess(
-                        norm_v[:n_cert], eta[:n_cert], _per_iterate(
-                            lambda s: _bounds.pair_absolute_bounds(s, mu, d0),
-                            A[:n_cert], dtype=_PAIR)), 0.0, n_cert, K),
-                ]
-
-        checks += [
-            # ||u_k|| <= 2 lf ||y_k - x_tilde_{k-1}||
-            _worst_result("residual_envelope",
-                          norm_u - 2.0 * lf * np.sqrt(move_sq)
-                          * (1.0 + INEQ_REL_SLACK) - 1e-12 * lf, 0.0, ks),
-            # ||A v + y - x0||^2 / tau + 2 A eta = ||y - x0||^2
-            _gated("certificate_identity",
-                   np.abs(cert_lhs[:n_cert] - dist_sq[:n_cert])
-                   / np.fmax(1.0, dist_sq[:n_cert]),
-                   CERT_IDENTITY_TOL, n_cert, K),
-            # eta_k >= 0 up to rounding
-            _worst_result("eta_nonnegative", -eta, -ETA_FLOOR, ks),
-            # ||v_k|| and eta_k against their ||y_k - x0|| envelopes
-            _gated("pair_norm_bounds", _pair_excess(
-                norm_v[:n_cert], eta[:n_cert], _per_iterate(
-                    _bounds.pair_norm_bounds, A[:n_cert], tau[:n_cert],
-                    dist_y[:n_cert], dtype=_PAIR)), 0.0, n_cert, K),
-            _worst_result("lower_model_minorizes", minorizes, 0.0,
-                          sampled_at, sample_note),
-            _worst_result("model_subgradient", model_subgradient, 0.0,
-                          sampled_at, sample_note),
-            _worst_result("eps_subgradient", eps_subgradient, 0.0,
-                          sampled_at, sample_note),
-        ]
-    return VerificationReport(checks, K)
+    return VerificationReport(
+        checks + [check.result(sample_note) for check in sampled], K)
 
 
 # ---------------------------------------------------------------------------

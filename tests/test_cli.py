@@ -563,10 +563,10 @@ def test_verify_invariants_reports_what_a_capture_reports(capsys, flags):
 
 
 def test_verify_invariants_memory_does_not_grow_with_the_steps(capsys):
-    # the sweep keeps a dozen doubles of each state and no state: 4000
-    # steps on a 20x30 lasso peaked at 7.4 MB while the command kept them.
-    # The first call imports what the command imports, which the second
-    # call's peak leaves out.
+    # the sweep folds each check as the states pass and keeps no state:
+    # 4000 steps on a 20x30 lasso peaked at 7.4 MB while the command kept
+    # them.  The first call imports what the command imports, which the
+    # second call's peak leaves out.
     argv = ["verify", "invariants", "--m", "20", "--n", "30", "--iters",
             "4000", "--samples", "0"]
     cli.main(argv)
@@ -579,6 +579,29 @@ def test_verify_invariants_memory_does_not_grow_with_the_steps(capsys):
     out, _ = _lines(capsys)
     assert code == 0 and out[-1] == "overall = pass"
     assert peak < 2 * 2**20
+
+
+def _invariants_peak(iters):
+    """The tracemalloc peak of `verify invariants` on a 20x30 lasso."""
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", "invariants", "--m", "20", "--n", "30",
+                         "--iters", str(iters), "--samples", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_verify_invariants_peak_is_the_same_at_four_times_the_steps(capsys):
+    # no per-iterate data: 6000 more steps must add under 64 KiB to the
+    # peak, where 96 B an iterate would add over 560 KiB.  A first call
+    # imports what the command imports, which the measured calls leave out.
+    cli.main(["verify", "invariants", "--m", "2", "--n", "2", "--iters", "1"])
+    short, long = _invariants_peak(2000), _invariants_peak(8000)
+    capsys.readouterr()
+    assert abs(long - short) < 64 * 2**10, (short, long)
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfista import bounds, certificates, engine, harness, problems
 from sfista.errors import ConfigError
@@ -78,10 +81,28 @@ def test_checkpoints_are_log_spaced():
 
 
 def test_worst_result_on_empty_input():
-    result = harness._worst_result("anything", [], 1.0, [])
+    result = harness._Worst("anything", 1.0).result()
     assert result.passed and result.skipped
     assert result.note == "no applicable iterates"
     assert result.line() == "anything = skipped (no applicable iterates)"
+
+
+# ties of equal values, zeros of both signs, infinities and NaNs
+_FOLDED = st.lists(st.floats() | st.sampled_from(
+    [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0]),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=_FOLDED)
+def test_worst_fold_picks_what_argmax_picks(values):
+    # the first NaN, else the first largest value, with its bits
+    fold = harness._Worst("anything")
+    for k, value in enumerate(values, 1):
+        fold.add(value, k)
+    idx = int(np.argmax(values))
+    assert fold.at == idx + 1 and fold.count == len(values)
+    assert struct.pack("d", fold.worst) == struct.pack("d", values[idx])
 
 
 def test_invariant_report_plain_convexity(lasso42_capture):
