@@ -481,12 +481,16 @@ def _closed_form(criterion: Criterion, lf: float, lf_bar: float, mu_f: float,
 
 def coefficient_sum_lower(k: int, lf: float, mu_f: float, mu: float) -> float:
     """Proven lower bound on the coefficient sum after k steps."""
-    c = growth_factor(lf, mu_f, mu)
+    return _sum_lower(k, growth_factor(lf, mu_f, mu), lf - mu_f)
+
+
+def _sum_lower(k: int, c: float, lf_gap: float) -> float:
+    """coefficient_sum_lower on a run's checked c and lf_gap = lf - mu_f."""
     if k < 1:
         return 0.0
     poly = k * k / 4.0
     geo = c ** (2.0 * (k - 1.0))
-    return max(poly, geo) / (lf - mu_f)
+    return max(poly, geo) / lf_gap
 
 
 def distance_bound_x(tau: float, d0: float) -> float:

@@ -154,40 +154,29 @@ def stationarity_residual(state: "IterateState", problem: CompositeProblem,
     return StationarityResidual(u=u, norm=vector_norm(u))
 
 
-def plain_fista(mu: float) -> bool:
-    """Whether the total modulus mu is +0.0, where S-FISTA is plain FISTA.
-
-    There tau stays 1 (the paper's Section 3), and `engine.step` and
-    `residual_pair` drop the terms mu multiplies.  At mu = -0.0 (both moduli
-    -0.0, which `init` accepts) a dropped zero would have the other sign, so
-    both keep the general form.
-    """
-    return mu == 0.0 and math.copysign(1.0, mu) > 0.0
-
-
 def residual_pair(state: "IterateState") -> ResidualPair:
     """Approximate-subgradient pair (v, eta) at the current y.
 
     v = mu (y - x) + (x0 - x) / A and
     eta = (||x0 - y||^2 - tau ||x - y||^2) / (2 A); eta >= 0 up to rounding.
-    At mu = +0.0 (`plain_fista`) v is formed as (x0 - x) / A alone.  The
-    general form would add 0 (y - x) to it: where y - x is finite, a zero,
-    which can flip only the sign of a zero entry of v, so ||v|| and eta are
-    the same.  Where y - x is not finite that term is NaN: eta is NaN in
-    either form, and ||v|| reads inf where x is infinite (as `step` leaves
-    it at an infinite entry of y) in place of the general form's NaN.
+    Where state.config.plain_fista holds (mu = +0.0) v is formed as
+    (x0 - x) / A alone.  The general form would add 0 (y - x) to it: where
+    y - x is finite, a zero, which can flip only the sign of a zero entry
+    of v, so ||v|| and eta are the same.  Where y - x is not finite that
+    term is NaN: eta is NaN in either form, and ||v|| reads inf where x is
+    infinite (as `step` leaves it at an infinite entry of y) in place of
+    the general form's NaN.
     """
     if state.k < 1:
         raise CertificateUndefinedError("residual pair needs at least one step")
     diff_xy = state.y - state.x
-    mu = state.config.mu
     pull = state.x0 - state.x
     pull /= state.A
-    if plain_fista(mu):
+    if state.config.plain_fista:
         v = pull
     else:
         # v = mu (y - x) + (x0 - x) / A, in that order
-        v = mu * diff_xy
+        v = state.config.mu * diff_xy
         v += pull
     dist0 = state.x0 - state.y
     eta = ((float(dist0.dot(dist0)) - state.tau * float(diff_xy.dot(diff_xy)))

@@ -47,12 +47,14 @@ class SolverConfig:
     strong-convexity moduli the solver is allowed to exploit and may be any
     values in [0, modulus of f] and [0, modulus of h].
 
-    mu = mu_f + mu_h and lam = 1 / (lf - mu_f), which every step reads, are
-    computed once, when the config is made (and again by
-    dataclasses.replace, which makes a new one).  They are plain attributes,
-    not fields, so repr and == see the fields alone.  A config that `init`
-    rejects is still made: lf == mu_f gives lam = inf, and a constant that
-    is not a number gives NaN for both.
+    mu = mu_f + mu_h, lam = 1 / (lf - mu_f) and plain_fista, which every
+    step reads, are decided once, when the config is made (and again by
+    dataclasses.replace).  plain_fista holds at mu = +0.0 alone, where
+    S-FISTA is plain FISTA (the paper's Section 3); mu = -0.0 keeps the
+    general form, whose dropped zero would have the other sign.  They are
+    plain attributes, not fields, so repr and == see the fields alone.  A
+    config that `init` rejects is still made: lf == mu_f gives lam = inf,
+    and a constant that is not a number gives NaN for mu and lam.
     """
 
     lf: float
@@ -67,10 +69,13 @@ class SolverConfig:
             mu = self.mu_f + self.mu_h
             lf_gap = self.lf - self.mu_f
             lam = 1.0 / lf_gap if lf_gap else math.inf
+            plain = mu == 0.0 and math.copysign(1.0, mu) > 0.0
         except (TypeError, ValueError):
             mu = lam = math.nan
+            plain = False
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "plain_fista", plain)
 
     @classmethod
     def for_problem(cls, problem: CompositeProblem, lf: Optional[float] = None,
@@ -337,9 +342,8 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
     x_next = ((a / lam)(y_next - x_tilde) + mu a y_next + tau x) / tau_next,
     operands and order included, so the iterates are the same bit for bit.
 
-    At mu = +0.0 (`certificates.plain_fista`) the step is plain FISTA (the
-    paper's Section 3): tau stays 1, and
-    x_next = x + (a / lam)(y_next - x_tilde), three vector operations in
+    Where config.plain_fista holds the step is plain FISTA: tau stays 1,
+    and x_next = x + (a / lam)(y_next - x_tilde), three vector operations in
     place of seven.  The bits are the same: 1.0 * x and / 1.0 are exact,
     and the dropped term (0 a) y_next is a zero with y_next's sign.  Adding
     it changes t = (a / lam)(y_next - x_tilde) only where t is -0.0 and the
@@ -369,7 +373,7 @@ def step(state: IterateState, problem: CompositeProblem) -> IterateState:
     y_next = problem.h.prox(x_tilde - g / lf, 1.0 / lf)
     x_next = y_next - x_tilde
     x_next *= a / lam
-    if _cert.plain_fista(mu):
+    if config.plain_fista:
         x_next += state.x
     else:
         x_next += mu * a * y_next
@@ -458,13 +462,14 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     trace_every-th state gets a row, and so does the final one; a row's
     certificates are `row_certificates`', and rows after the first carry
     both residuals.  Each state from the test's first_k on (k = 1, or k = 0
-    for function_gap) is tested by `StopTest.apply` on what its row
-    formed; an untraced stationarity run forms u only at states its
-    oracle-free screen cannot rule out, and the final row keeps what the
-    test formed.  One rule holds for every row the run builds, row 0 and
-    the final row included: a phi_y that is NaN or infinite stops the run
-    with "numeric_failure", whatever the criterion and the spacing, so a
-    non-finite phi(x0) ends it at k = 0.  A NaN or infinite quantity the
+    for function_gap) is tested by `StopTest.apply`: a traced one on what
+    its row formed, an untraced stationarity state only where the
+    oracle-free screen cannot rule it out, so u is formed only there.  The
+    final row keeps what the final state's test formed.  One rule holds
+    for every row the run builds, row 0 and the final row included: a
+    phi_y that is NaN or infinite stops the run with "numeric_failure",
+    whatever the criterion and the spacing, so a non-finite phi(x0) ends
+    it at k = 0.  A NaN or infinite quantity the
     test reads stops the run the same way, and so does, in a run without a
     criterion, the first y with a non-finite entry.  The final state's y is
     tested in every run, so a run that ends on a y with a non-finite entry
@@ -483,20 +488,18 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     for state in islice(iterate(problem, config, x0),
                         max(config.max_iter, 0) + 1):
         k = state.k
-        held = None
         if k % every == 0:
             held = row_certificates(state, problem, fused)
             add_row(_row(state, held, phi_star, started_ns))
             if not math.isfinite(held[0]):
                 reason = "numeric_failure"
                 break
-        # first_k and the screen, which apply also tests, ahead of the
-        # call, so a state they rule out costs no call
-        if k < first_k:
+        # an untraced state meets first_k and the screen, which apply also
+        # tests, ahead of the call, so a state they rule out costs no call
+        elif k < first_k or screen is not None and screen(test, state):
+            held = None
             continue
-        if held is None:
-            if screen is not None and screen(test, state):
-                continue
+        else:
             held = [None, None, None]
         try:
             if apply(state, problem, held):
@@ -534,10 +537,13 @@ class CoefficientSchedule:
 
 def coefficient_schedule(lf: float, mu_f: float, mu_h: float,
                          k_max: int) -> CoefficientSchedule:
-    """k_max steps from A = 0; ConfigError on constants no predictor takes."""
-    _bounds._validate_constants(lf, mu_f, mu_f + mu_h)
-    lam = 1.0 / (lf - mu_f)
-    mu = mu_f + mu_h
+    """k_max steps from A = 0 on SolverConfig(lf, mu_f, mu_h)'s lam and mu;
+    ConfigError on a negative k_max or constants no predictor takes."""
+    if k_max < 0:
+        raise ConfigError(f"step count {k_max} must be nonnegative")
+    config = SolverConfig(lf, mu_f, mu_h)
+    lam, mu = config.lam, config.mu
+    _bounds._validate_constants(lf, mu_f, mu)
     a_list: list[float] = []
     A_list = [0.0]
     tau_list = [1.0]

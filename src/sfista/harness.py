@@ -211,10 +211,12 @@ def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
 
     states is any iterable of a run's states from init's on, as
     `engine.iterate` yields them; each is read once, as it passes, and only
-    the latest is kept.  Each state's certificates [phi(y), u, (v, eta)]
-    are formed once (`engine.row_certificates`), and each check's value at
-    the state, on Python floats, is folded into that check's worst and its
-    k right away, so the sweep's memory does not grow with the states.
+    the latest is kept; an empty stream, or one that starts after init's
+    state, raises ConfigError.  c and lf - mu_f are bound once per sweep.
+    Each state's certificates [phi(y), u, (v, eta)] are formed once
+    (`engine.row_certificates`), and each check's value at the state, on
+    Python floats, is folded into that check's worst and its k right away,
+    so the sweep's memory does not grow with the states.
     While tau is within its gate, and only with samples, the pass folds the
     lower model and takes the sampled checks at each checkpoint.  The gap
     is phi(y) - phi* of the problem given.  A check behind a rounding-noise
@@ -225,6 +227,12 @@ def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
     """
     if sample_count < 0:
         raise ConfigError(f"sample count {sample_count} must be nonnegative")
+    states = iter(states)
+    st = next(states, None)
+    if st is None:
+        raise ConfigError("no states to sweep: they start at init's, k = 0")
+    if st.k != 0:
+        raise ConfigError(f"the states start at k = {st.k}, not at init's")
     lf, mu_f, mu, lam = config.lf, config.mu_f, config.mu, config.lam
     lf_bar = problem.f.curvature
     ref = problem.reference_optimum
@@ -262,15 +270,13 @@ def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
     # whole expression
     inv_lam, two_lf, lf_noise = 1.0 / lam, 2.0 * lf, 1e-12 * lf
     rel_slack = 1.0 + INEQ_REL_SLACK
-    states = iter(states)
-    st = next(states)
+    c, lf_gap = _bounds.growth_factor(lf, mu_f, mu), lf - mu_f
     x0, tau_prev = st.x0, st.tau
     if ref is not None:
         d0, phi_star = ref.distance(x0), ref.phi_star
-        c = _bounds.growth_factor(lf, mu_f, mu)
         slack = RATE_SLACK_SCALE * (1.0 + abs(phi_star))
         d0_sq, phi_noise = d0**2, 1.0 + abs(phi_star)
-        gap_scale = 0.5 * (lf - mu_f) * d0_sq
+        gap_scale = 0.5 * lf_gap * d0_sq
         half_curv_gap, move_slack = 0.5 * (lf - lf_bar), slack * (1.0 + d0_sq)
         # the divisor (lf - lf_bar) sum A_i is about 2^-53 at least, never
         # 0.0: init keeps lf > lf_bar, so lf - lf_bar is 2^-53 lf or more (or
@@ -304,7 +310,7 @@ def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
         # tau_k = 1 + mu A_k
         tau_identity.add(abs(tau - (1.0 + mu * A)) / max(1.0, tau), k)
         # A_k >= max(k^2/4, c^(2(k-1))) / (lf - mu_f)
-        lower = _bounds.coefficient_sum_lower(k, lf, mu_f, mu)
+        lower = _bounds._sum_lower(k, c, lf_gap)
         coefficient_sum_lower.add((lower - A) / lower, k)
         cert_open = cert_open and not tau > CERT_TAU_LIMIT
         if cert_open:

@@ -168,8 +168,11 @@ class CompositeProblem:
 
 
 def eval_phi(problem: CompositeProblem, x: Array) -> float:
-    """Evaluate phi(x) = f(x) + h(x) as an extended real."""
-    x = _point(problem, x)
+    """phi(x) = f(x) + h(x), an extended real, at x of shape (dimension,)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.dimension,):
+        raise ValueError(f"point has shape {x.shape}, expected "
+                         f"({problem.dimension},)")
     return _phi_given_h(problem, x, problem.h.value(x))
 
 
@@ -179,21 +182,11 @@ def eval_phi_and_grad(problem: CompositeProblem, x: Array,
 
     value_and_grad is `problem.f.fused()`.  phi(x) is eval_phi's, bit for
     bit, and the gradient f.grad's; f is evaluated even where h is +inf.
+    x is a run's iterate, whose shape `init` fixed: it is not checked.
     """
-    x = _point(problem, x)
     hx = problem.h.value(x)
     fx, gx = value_and_grad(x)
     return (math.inf if hx == math.inf else float(fx) + float(hx)), gx
-
-
-def _point(problem: CompositeProblem, x: Array) -> Array:
-    """x as a float array, which must have shape (dimension,)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.dimension,):
-        raise ValueError(
-            f"point has shape {x.shape}, expected ({problem.dimension},)"
-        )
-    return x
 
 
 def _phi_given_h(problem: CompositeProblem, x: Array, hx: float) -> float:

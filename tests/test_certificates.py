@@ -221,11 +221,23 @@ def test_mu_zero_pair_is_the_pull_alone_bit_for_bit(lasso42_capture):
 
 
 def test_plain_fista_is_mu_plus_zero_alone():
-    # step and residual_pair drop the mu terms on this one test
-    assert certificates.plain_fista(0.0)
-    assert not certificates.plain_fista(-0.0)
-    assert not certificates.plain_fista(5e-324)
-    assert not certificates.plain_fista(1.0)
+    # step and residual_pair drop the mu terms where the config says so: at
+    # mu = +0.0 alone
+    config = engine.SolverConfig(lf=2.0)
+    assert config.plain_fista
+    assert not engine.SolverConfig(lf=2.0, mu_f=-0.0, mu_h=-0.0).plain_fista
+    for mu_f, mu_h in [(5e-324, 0.0), (0.0, 5e-324), (1.0, 0.0), (0.0, 1.0)]:
+        assert not engine.SolverConfig(lf=2.0, mu_f=mu_f,
+                                       mu_h=mu_h).plain_fista
+    assert not engine.SolverConfig(lf=2.0, mu_f=math.nan).plain_fista
+    assert not engine.SolverConfig(lf=2.0, mu_h=math.nan).plain_fista
+    # derived, as mu and lam are: no field, and replace recomputes it
+    assert "plain_fista" not in {f.name for f in dataclasses.fields(config)}
+    assert "plain_fista" not in repr(config)
+    assert config == engine.SolverConfig(lf=2.0)
+    assert not dataclasses.replace(config, mu_h=1.0).plain_fista
+    assert dataclasses.replace(
+        engine.SolverConfig(lf=2.0, mu_f=1.0), mu_f=0.0).plain_fista
 
 
 def test_pair_identity_on_iterates(lasso42_capture):

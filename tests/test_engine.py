@@ -241,6 +241,14 @@ def test_schedule_rejects_impossible_constants(lf, mu_f, mu_h):
         engine.coefficient_schedule(lf, mu_f, mu_h, 5)
 
 
+def test_schedule_rejects_a_negative_step_count():
+    # the rule and message of capture_run and equivalence_check
+    with pytest.raises(ConfigError, match="step count -1 must be nonnegative"):
+        engine.coefficient_schedule(2.0, 0.0, 0.0, -1)
+    empty = engine.coefficient_schedule(2.0, 0.0, 0.0, 0)
+    assert empty.a.size == 0 and not empty.overflowed
+
+
 # ---------------------------------------------------------------------------
 # single steps
 # ---------------------------------------------------------------------------
@@ -649,6 +657,25 @@ def test_final_row_independent_of_trace_spacing(elastic_mu1):
         finals.append(dataclasses.replace(result.trace[-1], elapsed_ns=0))
     assert finals[1].k == 205 and finals[1].norm_v is not None
     assert finals[0] == finals[1]
+
+
+@pytest.mark.parametrize("trace_every", [1, 7, 1000])
+def test_final_row_holds_the_final_state_certificates(trace_every):
+    # the final row is formed at the final state, from its own certificates
+    # or those its test formed, never from an earlier state's
+    problem = problems.make_instance("lasso", 3, 20, 30, with_reference=False)
+    config = engine.SolverConfig.for_problem(
+        problem, criterion=bounds.Criterion.stationarity(1e-12),
+        max_iter=100, trace_every=trace_every)
+    result = engine.run(problem, config, np.zeros(problem.dimension))
+    state, final = result.state, result.trace[-1]
+    assert result.reason == "max_iter" and final.k == state.k == 100
+    pair = certificates.residual_pair(state)
+    got = (final.phi_y, final.norm_u, final.norm_v, final.eta_residual)
+    expected = (problems.eval_phi(problem, state.y),
+                certificates.stationarity_residual(state, problem).norm,
+                pair.norm, pair.eta)
+    assert struct.pack("4d", *got) == struct.pack("4d", *expected)
 
 
 def test_trace_records_are_monotone(lasso_small):

@@ -1,6 +1,7 @@
 """Recorded runs, invariant sweeps, predictor rows, and trace formatting."""
 
 import dataclasses
+import itertools
 import math
 import struct
 import tracemalloc
@@ -131,6 +132,26 @@ def test_invariant_report_strongly_convex(elastic_capture):
 def test_invariant_report_rejects_negative_sample_count(elastic_capture):
     with pytest.raises(ConfigError, match="sample count -1 must be nonnegative"):
         harness.invariant_report(elastic_capture, sample_count=-1)
+
+
+def test_invariant_sweep_refuses_an_empty_stream(elastic_mu1):
+    config = engine.SolverConfig.for_problem(elastic_mu1)
+    for states in ([], iter(())):
+        with pytest.raises(ConfigError, match="no states to sweep"):
+            harness.invariant_sweep(elastic_mu1, config, states, 0)
+
+
+@pytest.mark.parametrize("start", [1, 3, 50])
+def test_invariant_sweep_refuses_a_stream_after_init(elastic_capture, start):
+    # the sums and the lower model start at init's state, so a stream cut
+    # after it cannot be swept as if it started there
+    problem, config = elastic_capture.problem, elastic_capture.config
+    streams = (elastic_capture.states[start:],
+               itertools.islice(engine.iterate(
+                   problem, config, np.zeros(problem.dimension)), start, 300))
+    for states in streams:
+        with pytest.raises(ConfigError, match=f"start at k = {start},"):
+            harness.invariant_sweep(problem, config, states, 50)
 
 
 def test_invariant_report_without_samples_skips(elastic_capture):
