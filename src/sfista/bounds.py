@@ -1,10 +1,10 @@
 """Stopping criteria and closed-form iteration predictors.
 
 Every criterion is a cheap test on the current iterate and its
-certificates: `stop_test` validates the criterion and binds its constants
-once per run, `StopTest.apply` tests one state, forming the one certificate
-the test reads unless the caller holds it, and `check` builds and applies a
-test on a single state.  `predicted_iterations` holds the
+certificates: `stop_test` validates the criterion once per run and returns
+its test, a function of one state that forms the one certificate it reads
+unless the caller holds it, and `check` builds and applies a test on a
+single state.  `predicted_iterations` holds the
 matching worst-case predictor of each of the five variants: an explicit
 iteration count by which the criterion is guaranteed to fire, derived from
 the lower bound on the coefficient sum
@@ -117,92 +117,6 @@ def _tested(value: float, name: str) -> float:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class StopTest:
-    """One criterion's test with its constants bound, as `stop_test` builds it.
-
-    reads is the position of the one certificate the test reads in a
-    state's certificates [phi(y), u, (v, eta)], as `engine.row_certificates`
-    forms them: 0, 1 or 2; None without a criterion, whose test reads y
-    alone.  The test starts at first_k: 1 when it reads a residual, which
-    needs a step, else 0.  holds(test, state, certificate) is the
-    criterion's formula, on the criterion's tolerances and phi*; it raises
-    NumericFailure when the quantity tested is NaN or infinite.
-    screen(test, state), stationarity's alone, says whether the oracle-free
-    bound lf_gap ||y - x_tilde_prev|| on ||u|| exceeds screen_bound =
-    rho (1 + slack), which rules the state out before u's gradient; None for
-    the others.  The formulas are module functions and the constants
-    fields, so a run's test holds no closure.
-    """
-
-    criterion: Optional[Criterion]
-    reads: Optional[int]
-    first_k: int
-    holds: Callable
-    screen: Optional[Callable] = None
-    phi_star: Optional[float] = None
-    lf_gap: float = math.nan
-    screen_bound: float = math.nan
-
-    def apply(self, state: "IterateState", problem: CompositeProblem,
-              held: list) -> bool:
-        """Whether the test holds at state.
-
-        held is the state's certificates formed so far, [phi(y), u,
-        (v, eta)] with None for each one not formed.  False before first_k
-        and where the screen rules the state out; the screen runs only when
-        u is not held.  Else the certificate the test reads is formed into
-        its place in held, unless it is there already, and the formula
-        applied to it, so the caller keeps what the test formed even when
-        the formula raises NumericFailure.
-        """
-        if state.k < self.first_k:
-            return False
-        reads = self.reads
-        if reads is None:
-            return self.holds(self, state, None)
-        read = held[reads]
-        if read is None:
-            if self.screen is not None and self.screen(self, state):
-                return False
-            # the residuals are looked up on the certificates module here
-            if reads == 0:
-                read = eval_phi(problem, state.y)
-            elif reads == 1:
-                read = _cert.stationarity_residual(state, problem)
-            else:
-                read = _cert.residual_pair(state)
-            held[reads] = read
-        return self.holds(self, state, read)
-
-
-def _y_is_finite(test, state, _) -> bool:
-    """The test without a criterion: never holds, fails on a non-finite y."""
-    if not np.isfinite(state.y).all():
-        raise NumericFailure("y has an entry that is NaN or infinite")
-    return False
-
-
-def _gap_holds(test, state, phi_y) -> bool:
-    return _tested(phi_y - test.phi_star, "phi(y) gap") <= test.criterion.tol
-
-
-def _stationarity_holds(test, state, u) -> bool:
-    return _tested(u.norm, "||u||") <= test.criterion.tol
-
-
-def _stationarity_screen(test, state) -> bool:
-    # u = grad f(y) - grad f(x_tilde) + lf (x_tilde - y) and grad f is
-    # lf_bar-Lipschitz, so ||u|| >= (lf - lf_bar) ||y - x_tilde||
-    return (test.lf_gap * vector_norm(state.y - state.x_tilde_prev)
-            > test.screen_bound)
-
-
-def _absolute_holds(test, state, pair) -> bool:
-    norm, eta = _tested(pair.norm, "||v||"), _tested(pair.eta, "eta")
-    return norm <= test.criterion.tol and eta <= test.criterion.eta_tol
-
-
 def square(x: float) -> float:
     """x**2 as Python's float ** takes it, or inf past the largest double.
 
@@ -233,68 +147,94 @@ def scaled_square(c: float, x: float, y: float) -> float:
     return c * square(x * y)
 
 
-def _pair_lhs(pair) -> float:
-    return _tested(pair.norm**2 + 2.0 * pair.eta, "||v||^2 + 2 eta")
-
-
-def _relative_holds(test, state, pair) -> bool:
-    lhs = _pair_lhs(pair)
-    dist = vector_norm(state.y - state.x0)
-    return lhs <= test.criterion.tol * dist**2
-
-
-def _alternate_relative_holds(test, state, pair) -> bool:
-    lhs = _pair_lhs(pair)
-    shifted = vector_norm(pair.v + state.y - state.x0)
-    return lhs <= test.criterion.tol * shifted**2
-
-
-# variant -> (the position of the certificate its test reads, its formula)
-_FORMULAS = {"function_gap": (0, _gap_holds),
-             "stationarity": (1, _stationarity_holds),
-             "relative": (2, _relative_holds),
-             "alternate_relative": (2, _alternate_relative_holds),
-             "absolute": (2, _absolute_holds)}
-
-
 def stop_test(criterion: Optional[Criterion], problem: CompositeProblem,
-              config: "SolverConfig") -> StopTest:
+              config: "SolverConfig") -> Callable[["IterateState", list], bool]:
     """criterion's test on a run of config on problem, built once per run.
 
     The criterion is validated against the problem here, once: a
     function_gap criterion without a reference optimum raises ConfigError.
-    phi* is bound in, and for stationarity lf - lf_bar and rho (1 + slack)
-    too.
+    The test, test(state, held), says whether the criterion holds at a
+    state of the run.  held is the state's certificates formed so far,
+    [phi(y), u, (v, eta)] with None for each one not formed, as
+    `engine.row_certificates` forms them.  The test forms the one
+    certificate it reads into its place in held, unless it is there
+    already, so the caller keeps it even when the test raises
+    NumericFailure, as it does when the quantity tested is NaN or
+    infinite.  A test that reads a residual is False at k = 0, before the
+    first step.  The stationarity test, when u is not held, first tries the
+    oracle-free bound (lf - lf_bar) ||y - x_tilde_prev|| on ||u||, and is
+    False where it exceeds rho (1 + slack).  Without a criterion the test
+    never holds, and fails on a y with an entry that is NaN or infinite.
+    The residuals are looked up on the certificates module at each call.
     """
     if criterion is None:
-        return StopTest(None, None, 0, _y_is_finite)
+        def test(state, held):
+            if not np.isfinite(state.y).all():
+                raise NumericFailure("y has an entry that is NaN or infinite")
+            return False
+        return test
     criterion.validate(problem)
-    reads, holds = _FORMULAS[criterion.variant]
-    first_k = 0 if reads == 0 else 1
-    if criterion.variant == "stationarity":
-        return StopTest(criterion, reads, first_k, holds, _stationarity_screen,
-                        lf_gap=config.lf - problem.f.curvature,
-                        screen_bound=criterion.tol * (1.0 + _SCREEN_SLACK))
-    ref = problem.reference_optimum
-    return StopTest(criterion, reads, first_k, holds,
-                    phi_star=None if ref is None else ref.phi_star)
+    variant, tol, eta_tol = criterion.variant, criterion.tol, criterion.eta_tol
+    if variant == "function_gap":
+        phi_star = problem.reference_optimum.phi_star
+
+        def test(state, held):
+            phi_y = held[0]
+            if phi_y is None:
+                phi_y = held[0] = eval_phi(problem, state.y)
+            return _tested(phi_y - phi_star, "phi(y) gap") <= tol
+        return test
+    if variant == "stationarity":
+        lf_gap = config.lf - problem.f.curvature
+        screen_bound = tol * (1.0 + _SCREEN_SLACK)
+
+        def test(state, held):
+            if not state.k:
+                return False
+            u = held[1]
+            if u is None:
+                # u = grad f(y) - grad f(x_tilde) + lf (x_tilde - y) and
+                # grad f is lf_bar-Lipschitz, so
+                # ||u|| >= (lf - lf_bar) ||y - x_tilde||
+                if (lf_gap * vector_norm(state.y - state.x_tilde_prev)
+                        > screen_bound):
+                    return False
+                u = held[1] = _cert.stationarity_residual(state, problem)
+            return _tested(u.norm, "||u||") <= tol
+        return test
+
+    def test(state, held):
+        if not state.k:
+            return False
+        pair = held[2]
+        if pair is None:
+            pair = held[2] = _cert.residual_pair(state)
+        if variant == "absolute":
+            norm, eta = _tested(pair.norm, "||v||"), _tested(pair.eta, "eta")
+            return norm <= tol and eta <= eta_tol
+        lhs = _tested(pair.norm**2 + 2.0 * pair.eta, "||v||^2 + 2 eta")
+        if variant == "relative":
+            return lhs <= tol * vector_norm(state.y - state.x0)**2
+        return lhs <= tol * vector_norm(pair.v + state.y - state.x0)**2
+    return test
 
 
 def check(criterion: Criterion, state: "IterateState",
           problem: CompositeProblem) -> bool:
     """Whether the criterion holds at state, a state of a run on problem.
 
-    `stop_test(criterion, problem, state.config).apply` on a state with no
+    `stop_test(criterion, problem, state.config)` on a state with no
     certificate formed yet: a stationarity test forms u only when its screen
     cannot rule the state out.  Raises ConfigError for function_gap without
-    a reference optimum, CertificateUndefinedError before the test's
-    first_k, and NumericFailure when the quantity tested is NaN or infinite.
+    a reference optimum, CertificateUndefinedError for the other criteria
+    at k = 0, and NumericFailure when the quantity tested is NaN or
+    infinite.
     """
     test = stop_test(criterion, problem, state.config)
-    if state.k < test.first_k:
+    if not state.k and criterion.variant != "function_gap":
         raise CertificateUndefinedError(
             f"the {criterion.variant} test needs at least one step")
-    return test.apply(state, problem, [None, None, None])
+    return test(state, [None, None, None])
 
 
 @dataclass(frozen=True)

@@ -394,10 +394,10 @@ def row_certificates(state: IterateState, problem: CompositeProblem,
     trace rows and `harness.invariant_sweep`, once per state, call it.  u
     and the pair are None at k = 0, before the first step.  held, when
     given, is such a list with None for each certificate not yet formed, as
-    `StopTest.apply` leaves it: the rest are kept, not formed again.  fused
-    is `problem.f.fused()`: while it is not None, phi(y) and the gradient u
-    needs come from one value_and_grad call when neither is held; else from
-    f.value and f.grad.  The residuals are looked up on the certificates
+    a `bounds.stop_test` test leaves it: the rest are kept, not formed
+    again.  fused is `problem.f.fused()`: while it is not None, phi(y) and
+    the gradient u needs come from one value_and_grad call when neither is
+    held; else from f.value and f.grad.  The residuals are looked up on the certificates
     module at each call.
     """
     phi_y, u, pair = held or (None, None, None)
@@ -461,12 +461,12 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     its row's ten doubles, packed straight into the result's Trace.  Every
     trace_every-th state gets a row, and so does the final one; a row's
     certificates are `row_certificates`', and rows after the first carry
-    both residuals.  Each state from the test's first_k on (k = 1, or k = 0
-    for function_gap) is tested by `StopTest.apply`: a traced one on what
-    its row formed, an untraced stationarity state only where the
-    oracle-free screen cannot rule it out, so u is formed only there.  The
-    final row keeps what the final state's test formed.  One rule holds
-    for every row the run builds, row 0 and the final row included: a
+    both residuals.  Every state is tested by one call of the test: a
+    traced one on what its row formed, an untraced one on nothing, so the
+    test forms what it reads (an untraced stationarity state forms u only
+    where the test's oracle-free screen cannot rule it out).  The final row
+    keeps what the final state's test formed.  One rule holds for every
+    row the run builds, row 0 and the final row included: a
     phi_y that is NaN or infinite stops the run with "numeric_failure",
     whatever the criterion and the spacing, so a non-finite phi(x0) ends
     it at k = 0.  A NaN or infinite quantity the
@@ -477,7 +477,6 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     """
     started_ns = time.perf_counter_ns()
     test = _bounds.stop_test(config.criterion, problem, config)
-    apply, first_k, screen = test.apply, test.first_k, test.screen
     fused = problem.f.fused()
     ref = problem.reference_optimum
     phi_star = None if ref is None else ref.phi_star
@@ -494,15 +493,10 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
             if not math.isfinite(held[0]):
                 reason = "numeric_failure"
                 break
-        # an untraced state meets first_k and the screen, which apply also
-        # tests, ahead of the call, so a state they rule out costs no call
-        elif k < first_k or screen is not None and screen(test, state):
-            held = None
-            continue
         else:
             held = [None, None, None]
         try:
-            if apply(state, problem, held):
+            if test(state, held):
                 reason = "converged"
                 break
         except NumericFailure:

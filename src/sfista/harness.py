@@ -434,7 +434,7 @@ def suite_rows(label: str, problem: CompositeProblem, criteria) -> list:
     """One BoundsRow per criterion, all tested on one pass of `engine.iterate`.
 
     Each criterion's test is built once (`bounds.stop_test`, which
-    validates it) and applied to each state (`StopTest.apply`) until it
+    validates it) and called on each state, test(state, held), until it
     holds, its quantity is NaN or infinite, or k reaches its predicted
     count.  On a finite objective, as every suite instance has, observed k
     is where `engine.run` with that criterion and max_iter = predicted_k
@@ -457,7 +457,7 @@ def suite_rows(label: str, problem: CompositeProblem, criteria) -> list:
         held = [None, None, None]
         for i in pending[:]:
             try:
-                stopped = tests[i].apply(state, problem, held)
+                stopped = tests[i](state, held)
                 if stopped:
                     observed[i] = state.k
             except NumericFailure:

@@ -95,23 +95,23 @@ def test_check_stationarity_screen(quad1d):
     assert calls == ["f.grad"]
 
 
-def test_apply_tests_a_held_u_with_no_screen(quad1d):
-    # a state whose u is held is tested on u: the screen is never run
+def test_apply_tests_a_held_u_with_no_screen(quad1d, monkeypatch):
+    # a state whose u is held is tested on u: the screen, the test's one
+    # vector_norm, is never run
     state = _one_step(quad1d)
 
-    def refuse(test, state):
+    def refuse(v):
         raise AssertionError("screened a state whose u is held")
 
-    test = dataclasses.replace(
-        bounds.stop_test(Criterion.stationarity(0.4), quad1d, state.config),
-        screen=refuse)
+    test = bounds.stop_test(Criterion.stationarity(0.4), quad1d, state.config)
+    monkeypatch.setattr(bounds, "vector_norm", refuse)
     u = certificates.stationarity_residual(state, quad1d)
     assert u.norm == 0.5
     held = [None, u, None]
-    assert not test.apply(state, quad1d, held)
+    assert not test(state, held)
     assert held == [None, u, None]
     with pytest.raises(AssertionError, match="screened"):
-        test.apply(state, quad1d, [None, None, None])
+        test(state, [None, None, None])
 
 
 def test_stop_test_validates_the_criterion_once(quad1d, monkeypatch):
@@ -131,7 +131,7 @@ def test_stop_test_validates_the_criterion_once(quad1d, monkeypatch):
     validated.clear()
     for _ in range(5):
         state = engine.step(state, quad1d)
-        test.apply(state, quad1d, [None, None, None])
+        test(state, [None, None, None])
     assert validated == []
 
 
@@ -160,11 +160,11 @@ def test_check_infinite_stationarity_norm_raises(quad1d):
         quad1d.f, grad=lambda x: np.full_like(x, math.inf)))
     with pytest.raises(NumericFailure, match="not finite"):
         bounds.check(Criterion.stationarity(1.0), state, problem)
-    # apply leaves the u it formed in held, though its formula raised
+    # the test leaves the u it formed in held, though its formula raised
     test = bounds.stop_test(Criterion.stationarity(1.0), problem, state.config)
     held = [None, None, None]
     with pytest.raises(NumericFailure, match="not finite"):
-        test.apply(state, problem, held)
+        test(state, held)
     assert held[1].norm == math.inf
 
 
@@ -199,10 +199,10 @@ def test_apply_at_start_only_for_function_gap(quad1d):
     for criterion in loose:
         held = [None, None, None]
         test = bounds.stop_test(criterion, quad1d, state.config)
-        assert not test.apply(state, quad1d, held)
+        assert not test(state, held)
         assert held == [None, None, None]
     test = bounds.stop_test(Criterion.function_gap(10.0), quad1d, state.config)
-    assert test.apply(state, quad1d, [None, None, None])
+    assert test(state, [None, None, None])
 
 
 # ---------------------------------------------------------------------------

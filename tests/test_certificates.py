@@ -99,7 +99,7 @@ def test_stationarity_screen_is_sound(run_rows, kind, margin):
             state.y - state.x_tilde_prev)
         assert lower <= norm * (1 + 1e-12)
         held = [None, None, None]
-        if not test.apply(state, problem, held) and held[1] is None:
+        if not test(state, held) and held[1] is None:
             screened += 1
             assert norm > rho
     if margin == 1.25:
@@ -107,12 +107,26 @@ def test_stationarity_screen_is_sound(run_rows, kind, margin):
     assert min(row.norm_u for row in rows[1:]) <= rho  # crosses rho
 
 
+def _rules_out(problem, config, state, rho):
+    """Whether the stationarity test at rho rules state out, forming no u."""
+    held = [None, None, None]
+    test = bounds.stop_test(bounds.Criterion.stationarity(rho), problem, config)
+    return not test(state, held) and held[1] is None
+
+
+def _assert_screen_bound(problem, config, state, lower):
+    """The screen rules state out for rho just below lower, its bound on
+    ||u||, and not at lower itself, where its slack keeps u; checked where
+    lower is far above the subnormals, whose products the slack can't move."""
+    if lower > 1e-300:
+        assert _rules_out(problem, config, state, lower * (1.0 - 1e-6))
+        assert not _rules_out(problem, config, state, lower)
+
+
 def test_residuals_match_expressions_bit_for_bit(elastic_mu1, elastic_capture):
     # the in-place forms keep the operations of the one-line expressions,
     # and the norms are np.linalg.norm's
     config = elastic_capture.config
-    screen = bounds.stop_test(bounds.Criterion.stationarity(1.0), elastic_mu1,
-                              config)
     for state in elastic_capture.states[1:400:37]:
         u = (elastic_mu1.f.grad(state.y) - state.grad_tilde_prev
              + config.lf * (state.x_tilde_prev - state.y))
@@ -126,11 +140,12 @@ def test_residuals_match_expressions_bit_for_bit(elastic_mu1, elastic_capture):
         dist0, diff = state.x0 - state.y, state.y - state.x
         assert pair.eta == ((float(dist0 @ dist0) - state.tau * float(diff @ diff))
                             / (2.0 * state.A))
-        # the stationarity screen's bound on ||u||
-        lower = screen.lf_gap * problems.vector_norm(
+        # the stationarity screen's bound on ||u||, and the screen on it
+        lower = (config.lf - elastic_mu1.f.curvature) * problems.vector_norm(
             state.y - state.x_tilde_prev)
         assert lower == ((config.lf - elastic_mu1.f.curvature)
                          * float(np.linalg.norm(state.y - state.x_tilde_prev)))
+        _assert_screen_bound(elastic_mu1, config, state, lower)
 
 
 @settings(max_examples=60, deadline=None,
@@ -156,13 +171,12 @@ def test_stationarity_sandwich(seed, m, n, reg, ridge, margin, steps):
     lf = lf_bar * (1.0 + margin)
     config = engine.SolverConfig(lf=lf, mu_f=ridge)
     state = engine.init(problem, config, rng.standard_normal(n))
-    # the stationarity screen's bound is this lower side
-    assert bounds.stop_test(bounds.Criterion.stationarity(1.0), problem,
-                            config).lf_gap == lf - lf_bar
     for _ in range(steps):
         state = engine.step(state, problem)
         # vector_norm: below about 1.5e-154 np.linalg.norm loses digits
         d = problems.vector_norm(state.y - state.x_tilde_prev)
+        # the stationarity screen's bound is this lower side
+        _assert_screen_bound(problem, config, state, (lf - lf_bar) * d)
         norm = certificates.stationarity_residual(state, problem).norm
         noise = 1e-12 * (lf + 1.0) * (1.0 + float(np.linalg.norm(state.y))
                                       + float(np.linalg.norm(b)))
@@ -443,13 +457,14 @@ def test_rules_out_stationarity_calls_no_oracle(quad1d):
     # ||u_1|| = 0.5 = (lf - lf_bar) ||y_1 - x_tilde_0||, a tight bound
     tests = {rho: bounds.stop_test(bounds.Criterion.stationarity(rho), problem,
                                    state.config) for rho in (0.4, 0.5)}
-    assert tests[0.4].screen(tests[0.4], state)
-    assert not tests[0.5].screen(tests[0.5], state)
-    assert calls == []
-    # once u is held its norm is read instead: the screen is not run
     held = [None, None, None]
-    assert tests[0.5].apply(state, problem, held)
+    assert not tests[0.4](state, held)
+    assert held == [None, None, None]
+    assert calls == []
+    # past the screen u is formed into held
+    assert tests[0.5](state, held)
     assert held[1].norm == 0.5
     assert calls == ["f.grad"]
-    assert not tests[0.4].apply(state, problem, held)
+    # once u is held its norm is read instead
+    assert not tests[0.4](state, held)
     assert calls == ["f.grad"]

@@ -739,9 +739,9 @@ def _run_eagerly(problem, config, x0):
 
     phi(y), u and (v, eta) are formed at every state straight from the
     problem and the certificates module, each row is built here, and the
-    criterion's formula is applied to them with no screen, so `run`'s
-    screen, its lazy forming and its row former are checked against code
-    that shares none of them.
+    criterion's test is handed all three, so it forms nothing and, with u
+    held, runs no screen: `run`'s screen, its lazy forming and its row
+    former are checked against code that shares none of them.
     """
     ref = problem.reference_optimum
     test = bounds.stop_test(config.criterion, problem, config)
@@ -765,10 +765,9 @@ def _run_eagerly(problem, config, x0):
         reason = None
         if traced and not math.isfinite(phi_y):
             reason = "numeric_failure"
-        elif k >= test.first_k:
-            read = None if test.reads is None else (phi_y, u, pair)[test.reads]
+        else:
             try:
-                if test.holds(test, state, read):
+                if test(state, [phi_y, u, pair]):
                     reason = "converged"
             except NumericFailure:
                 reason = "numeric_failure"

@@ -4,7 +4,8 @@ A refactor that leaves the arithmetic alone leaves these SHA-256 digests
 alone: they cover the final x and y of the two conftest captures, the trace
 text of a stationarity run and of the README quick start's `sfista solve
 --trace` with the elapsed_ns column dropped, the report lines of an
-invariant sweep, and the stdout of `sfista verify bounds --seed-base 0`.
+invariant sweep, the stdout of `sfista verify bounds --seed-base 0`, and
+that of `sfista solve` on the README net with each of the five criteria.
 The report lines round `worst` to four digits, so every check's
 full-precision value is pinned too.  A change that
 moves any iterate by one bit fails here, and so does one that moves the
@@ -61,6 +62,24 @@ GOLDEN = {
     # stdout of `sfista verify bounds --seed-base 0`, the same under one and
     # two BLAS threads
     "verify_bounds": "fa083cfd1497ad63d7a3469c77b86f0214fc2f9d25ee8d9d6f900b89a75ce4bf",
+}
+
+# stdout of `sfista solve` on the README net (elastic_net, seed 7, 30x50,
+# reg 0.05, ridge 1) with each criterion, untraced: the stop and the final
+# row; the same under one and two BLAS threads
+SOLVE_NET = ["--problem", "elastic_net", "--seed", "7", "--m", "30",
+             "--n", "50", "--reg", "0.05", "--ridge", "1"]
+GOLDEN_SOLVE = {
+    ("function_gap", "--eps-bar", "1e-8"):
+        "fc147b8aa8d8799a21106552bd541b70aa40b4590aa1298c6cbf2f7fb3d4b23a",
+    ("stationarity", "--rho", "1e-6"):
+        "1f16ca56cfaea3d9e5775a2d78d617ee76bdcd981b3b9b90e109f5e1f06c7ee4",
+    ("relative", "--sigma-tilde", "1e-6"):
+        "2599990af27ee8c1ab7e8759a29542efb9946cd79965249c1fc7e7b6d6b403be",
+    ("alternate_relative", "--sigma", "1e-6"):
+        "c721f8308854e3b59ef9eed1255394f19a9890386e7c7a31910daee042f1e030",
+    ("absolute", "--eps", "1e-5", "--eta-tol", "1e-8"):
+        "7b1a27ba6bbfa41349cf1df0d9b21aeeaf1b7db11d6f094e41e9097a99fd1610",
 }
 
 # format_real of the worst deviation equivalence_check reports on lasso_norm
@@ -331,6 +350,16 @@ def test_verify_bounds_output_matches_golden(capsys):
     assert cli.main(["verify", "bounds", "--seed-base", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN["verify_bounds"]
+
+
+@pytest.mark.parametrize("criterion", GOLDEN_SOLVE, ids=lambda c: c[0])
+def test_solve_output_matches_golden(criterion, capsys):
+    # run's own stop with each criterion, where the test meets every state
+    variant, *tolerances = criterion
+    assert cli.main(["solve", *SOLVE_NET, "--criterion", variant,
+                     *tolerances]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SOLVE[criterion]
 
 
 # every predictor on a grid of constants, invalid values included: five

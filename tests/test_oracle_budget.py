@@ -69,17 +69,18 @@ def test_certificates_computed_once_on_demand(elastic_mu1):
              bounds.Criterion.function_gap(1e9)]
     expected = [{}, {}, {"f.grad": 1},
                 {"f.grad": 1, "f.value": 1, "h.value": 1}]
+    # where each test's certificate sits in held: the pair, u, phi(y)
+    reads = [2, 2, 1, 0]
     formed = []
-    for criterion, budget in zip(loose, expected):
+    for criterion, budget, read in zip(loose, expected, reads):
         test = bounds.stop_test(criterion, problem, state.config)
-        assert test.apply(state, problem, held)
+        assert test(state, held)
         assert counts == budget
-        formed.append(held[test.reads])
+        formed.append(held[read])
     assert formed[0] is formed[1] is held[2]
     assert formed[2] is held[1] and formed[3] == held[0]
     for criterion in loose:
-        bounds.stop_test(criterion, problem, state.config).apply(
-            state, problem, held)
+        bounds.stop_test(criterion, problem, state.config)(state, held)
     assert counts == expected[-1]
 
 
@@ -124,6 +125,26 @@ def test_untraced_run_budget(elastic_mu1):
     assert counts["f.grad"] == k + 23
     assert counts["h.prox"] == k
     assert counts["f.value"] == 2
+
+
+def test_untraced_run_screens_each_state_once(elastic_mu1, monkeypatch):
+    # the screen's one vector_norm at each state from k = 1 on: a state it
+    # cannot rule out is not screened again before u is formed
+    calls = []
+    real_norm = bounds.vector_norm
+
+    def counted(v):
+        calls.append(v.size)
+        return real_norm(v)
+
+    monkeypatch.setattr(bounds, "vector_norm", counted)
+    problem = dataclasses.replace(elastic_mu1, reference_optimum=None)
+    config = engine.SolverConfig.for_problem(
+        problem, criterion=bounds.Criterion.stationarity(1e-6),
+        trace_every=10000)
+    result = engine.run(problem, config, np.zeros(problem.dimension))
+    assert (result.reason, result.state.k) == ("converged", 205)
+    assert len(calls) == result.state.k
 
 
 def test_traced_run_budget(elastic_mu1):
