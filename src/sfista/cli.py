@@ -14,7 +14,8 @@ before the reference solve and the run), 3 verification failure, 4 a NaN or
 infinite phi(y_k) in any row the run builds (row 0, each traced row and the
 final row), whatever the criterion, or a NaN or infinite quantity the
 criterion tests, or a non-finite entry of the final y_k, at any
---trace-every; without a criterion, also of any y_k.
+--trace-every; without a criterion, also of any y_k; 141 standard output
+closed by its reader (a broken pipe), with no traceback.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from itertools import islice
 from typing import Optional
@@ -389,15 +391,28 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (ConfigError, NumericFailure, ValueError, OSError) as exc:
-        # a broken stdout pipe names no file and is not a flag error
+        # a broken stdout pipe names no file and is not a flag error:
+        # run_main ends it with _EXIT_BROKEN_PIPE
         if isinstance(exc, OSError) and exc.filename is None:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+# the code a shell reports for a process that SIGPIPE ends, 128 + 13
+_EXIT_BROKEN_PIPE = 141
+
+
 def run_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        # flush here, so that a reader that has gone raises inside the try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit raises no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -14,11 +14,10 @@ import math
 import struct
 import time
 from array import array
-from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, starmap
 from operator import attrgetter
 from typing import Iterator, Optional
 
@@ -136,9 +135,11 @@ class TraceRecord:
 _row_values = attrgetter(*(f.name for f in fields(TraceRecord)))
 _INT_FIELDS = tuple(j for j, f in enumerate(fields(TraceRecord))
                    if f.type in (int, "int"))
-# doubles a packed row takes: the fields, with a None as 0.0
 _ROW = len(fields(TraceRecord))
-_PACKED_ROW = struct.Struct(f"{_ROW}d")
+# the doubles a Trace stores a row: A, phi_y, norm_u, norm_v, eta_residual
+# and elapsed_ns
+_STORED = 6
+_STORED_ROW = struct.Struct(f"{_STORED}d")
 
 
 def _none_mask(values: Sequence) -> int:
@@ -148,24 +149,13 @@ def _none_mask(values: Sequence) -> int:
     return sum(1 << j for j, v in enumerate(values) if v is None)
 
 
-def _unpack(values: list, mask: int) -> TraceRecord:
-    """The TraceRecord of one packed row, given as a list of its doubles."""
-    for j in _INT_FIELDS:
-        values[j] = int(values[j])
-    if mask:
-        for j in range(_ROW):
-            if mask >> j & 1:
-                values[j] = None
-    return TraceRecord(*values)
-
-
 @lru_cache(maxsize=None)
 def _line_format(mask: int) -> str:
     """The %-format of the trace line of a row with this None mask.
 
     An int field prints with %d, as str prints an int; a real one with
     %.17g, as format_real does; a None field with %.0s, which prints
-    nothing, whether it is given as None or as a packed 0.0.
+    nothing.
     """
     return ",".join(
         "%.0s" if mask >> j & 1
@@ -174,96 +164,92 @@ def _line_format(mask: int) -> str:
 
 
 class Trace(Sequence):
-    """Trace rows packed as doubles in one array, 80 B a row.
+    """The trace rows of one `run`, six doubles a row: 48 B.
 
-    A row is the ten TraceRecord fields in field order, a None stored as
-    0.0.  Which fields are None is kept once per run of consecutive rows
-    that share it, as the run's first row index and bit mask, 10 B a run;
-    `run`'s trace has at most two runs, its k = 0 row and the rest.  k and
-    elapsed_ns are exact while below 2**53.
-    Reading a row, by index or by iterating, bisects the run starts for its
-    mask and rebuilds its TraceRecord field for field; a slice is a list of
-    them.  A Trace equals a Trace or a list that holds the same records.
-    `trace_lines` prints each run's rows straight from their packed doubles.
+    A row stores what the run cannot form again: A, phi_y, norm_u, norm_v,
+    eta_residual and elapsed_ns (exact below 2**53).  Row 0 is the k = 0
+    state's, whose three certificate slots hold 0.0 and read back as None.
+    The other four fields are formed when a row is read, by the expressions
+    the run forms them with, so they carry the run's bits: k is
+    min(i * trace_every, the final row's k), tau = 1 + mu A, a is
+    `_next_coefficient(lam, mu, tau, A)`, the coefficient the NEXT step
+    takes (inf at a growth halt), and gap = phi_y - phi*, None without a
+    reference optimum.  So a single row checks tau (A + a) / a^2 = 1 / lam
+    on its own.  Reading a row, by index (negative too) or by iterating,
+    builds its TraceRecord; a slice is a list of them.
     """
 
-    __slots__ = ("_data", "_run_starts", "_run_masks")
+    __slots__ = ("_data", "_lam", "_mu", "_every", "_phi_star", "_last_k")
 
-    def __init__(self, records=()):
+    def __init__(self, config: SolverConfig, phi_star: Optional[float]):
         self._data = array("d")
-        self._run_starts = array("q")
-        self._run_masks = array("H")
-        for record in records:
-            self.append(record)
+        self._lam, self._mu = config.lam, config.mu
+        self._every = config.trace_every
+        self._phi_star = phi_star
+        self._last_k = 0
 
-    def append(self, record: TraceRecord) -> None:
-        self._add(list(_row_values(record)))
-
-    def _add(self, values: list) -> None:
-        """Append one row given as a list of its ten values in field order;
-        a row with no None is packed as given."""
-        mask = _none_mask(values)
+    def _add(self, state: IterateState, certs: list, started_ns: int) -> None:
+        """Store state's row; certs is its `row_certificates`, and
+        elapsed_ns counts from started_ns."""
+        phi_y, u, pair = certs
+        norms = (0.0, 0.0, 0.0) if u is None else (u.norm, pair.norm, pair.eta)
         # fromlist adds the whole row or, on a bad field, nothing
-        self._data.fromlist([0.0 if v is None else v for v in values] if mask
-                            else values)
-        if not self._run_masks or self._run_masks[-1] != mask:
-            self._run_starts.append(len(self) - 1)
-            self._run_masks.append(mask)
+        self._data.fromlist([state.A, phi_y, *norms,
+                             time.perf_counter_ns() - started_ns])
+        self._last_k = state.k
+
+    def _values(self, rows: range) -> Iterator[tuple]:
+        """The ten values of each row in rows, in field order."""
+        lam, mu, every, last_k = self._lam, self._mu, self._every, self._last_k
+        phi_star, data = self._phi_star, self._data
+        unpack, size = _STORED_ROW.unpack_from, _STORED_ROW.size
+        for i in rows:
+            A, phi_y, norm_u, norm_v, eta, elapsed = unpack(data, size * i)
+            tau = 1.0 + mu * A
+            gap = None if phi_star is None else phi_y - phi_star
+            if not i:
+                norm_u = norm_v = eta = None
+            yield (min(i * every, last_k), _next_coefficient(lam, mu, tau, A),
+                   A, tau, phi_y, gap, norm_u, norm_v, eta, int(elapsed))
 
     def __len__(self) -> int:
-        return len(self._data) // _ROW
+        return len(self._data) // _STORED
 
     def __getitem__(self, index):
         rows = range(len(self))[index]
         if isinstance(rows, range):
-            return [self[i] for i in rows]
-        start = rows * _ROW
-        mask = self._run_masks[bisect_right(self._run_starts, rows) - 1]
-        return _unpack(self._data[start:start + _ROW].tolist(), mask)
+            return list(starmap(TraceRecord, self._values(rows)))
+        return TraceRecord(*next(self._values((rows,))))
 
-    def __eq__(self, other):
-        if isinstance(other, (Trace, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Trace({list(self)!r})"
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return starmap(TraceRecord, self._values(range(len(self))))
 
 
 def trace_lines(records) -> Iterator[str]:
     """Each record's trace line, one at a time, ending in a newline.
 
     The fields comma-delimited in field order: an int as an integer, a real
-    as format_real prints it, a None as nothing.  A Trace picks the line
-    format once per run of rows sharing a None mask and prints that run's
-    rows straight from their packed doubles, with no TraceRecord rebuilt;
-    any other iterable prints from each record's own fields, a record at a
-    time, with no Trace built for it.
+    as format_real prints it, a None as nothing.  A Trace gives each row's
+    ten values with no TraceRecord built; any other iterable of records
+    gives each record's own fields, a record at a time.
     """
-    if not isinstance(records, Trace):
-        for record in records:
-            values = _row_values(record)
-            yield _line_format(_none_mask(values)) % values
-        return
-    rows = _PACKED_ROW.iter_unpack(records._data)
-    ends = [*records._run_starts[1:], len(records)]
-    for start, end, mask in zip(records._run_starts, ends, records._run_masks):
-        line = _line_format(mask)
-        for row in islice(rows, end - start):
-            yield line % row
+    rows = (records._values(range(len(records))) if isinstance(records, Trace)
+            else map(_row_values, records))
+    for values in rows:
+        yield _line_format(_none_mask(values)) % values
 
 
 @dataclass
 class RunResult:
     """Final state, stop reason and trace rows of one `run`.
 
-    state.k is the iteration count.  trace is a Trace: a sequence of
-    TraceRecords kept packed as doubles and rebuilt on access.
+    state.k is the iteration count.  trace is the run's Trace: a sequence
+    of TraceRecords, each built when read from its row's six stored doubles.
     """
 
     state: IterateState
     reason: str  # "converged" | "max_iter" | "growth_overflow" | "numeric_failure"
-    trace: Trace = field(default_factory=Trace)
+    trace: Trace
 
 
 def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateState:
@@ -284,7 +270,8 @@ def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateS
     _bounds._validate_constants(config.lf, config.mu_f, config.mu)
     if config.max_iter < 0:
         raise ConfigError("max_iter must be nonnegative")
-    if config.trace_every < 1:
+    # an int: a Trace forms each row's k as a multiple of it
+    if not (isinstance(config.trace_every, int) and config.trace_every >= 1):
         raise ConfigError("trace_every must be a positive integer")
     if config.criterion is not None:
         config.criterion.validate(problem)
@@ -416,26 +403,6 @@ def row_certificates(state: IterateState, problem: CompositeProblem,
     return [phi_y, u, pair]
 
 
-def _row(state: IterateState, certs: list, phi_star: Optional[float],
-         started_ns: int) -> list:
-    """The ten values of a state's trace row, in field order.
-
-    certs is the state's `row_certificates`.  The row's a is state.a_next,
-    the coefficient the NEXT step takes (inf at a growth halt), so a single
-    row checks tau * (A + a) / a^2 = 1 / lam on its own.  gap is
-    phi_y - phi_star, None without a reference optimum; norm_u, norm_v and
-    eta_residual are None before the first step.  elapsed_ns counts from
-    started_ns.
-    """
-    phi_y, u, pair = certs
-    gap = None if phi_star is None else phi_y - phi_star
-    norm_u = norm_v = eta = None
-    if u is not None:
-        norm_u, norm_v, eta = u.norm, pair.norm, pair.eta
-    return [state.k, state.a_next, state.A, state.tau, phi_y, gap, norm_u,
-            norm_v, eta, time.perf_counter_ns() - started_ns]
-
-
 def iterate(problem: CompositeProblem, config: SolverConfig,
             x0: Array) -> Iterator[IterateState]:
     """Yield init's state, then each step's, until the growth halts.
@@ -458,7 +425,8 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     (`bounds.stop_test`, which validates the criterion), phi* and
     `problem.f.fused()`.  A state keeps no record: it costs its step, the
     certificates its row and its test read, each formed at most once, and
-    its row's ten doubles, packed straight into the result's Trace.  Every
+    its row's six doubles, stored straight into the result's Trace, which
+    the run hands lam, mu, trace_every and phi* to form the rest.  Every
     trace_every-th state gets a row, and so does the final one; a row's
     certificates are `row_certificates`', and rows after the first carry
     both residuals.  Every state is tested by one call of the test: a
@@ -481,7 +449,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     ref = problem.reference_optimum
     phi_star = None if ref is None else ref.phi_star
     every = config.trace_every
-    trace = Trace()
+    trace = Trace(config, phi_star)
     add_row = trace._add
     # max(., 0) so that init runs, and rejects, a negative max_iter
     for state in islice(iterate(problem, config, x0),
@@ -489,7 +457,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
         k = state.k
         if k % every == 0:
             held = row_certificates(state, problem, fused)
-            add_row(_row(state, held, phi_star, started_ns))
+            add_row(state, held, started_ns)
             if not math.isfinite(held[0]):
                 reason = "numeric_failure"
                 break
@@ -507,7 +475,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     if k % every:
         # the final row, with what the test formed
         held = row_certificates(state, problem, fused, held)
-        add_row(_row(state, held, phi_star, started_ns))
+        add_row(state, held, started_ns)
     # the final row's test, and the last y's, spaced or not
     if not (math.isfinite(held[0]) and np.isfinite(state.y).all()):
         reason = "numeric_failure"

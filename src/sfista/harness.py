@@ -504,7 +504,9 @@ def _trace_lines(records, meta: Optional[dict]):
 def format_trace(records, meta: Optional[dict] = None) -> str:
     """Comma-delimited trace with `# key = value` provenance lines on top.
 
-    The same lines, byte for byte, that `write_trace` writes.
+    records is a run's `engine.Trace` or a list of TraceRecords; a Trace
+    prints as the list of its records does.  The same lines, byte for byte,
+    that `write_trace` writes.
     """
     return "".join(_trace_lines(records, meta))
 
@@ -512,10 +514,11 @@ def format_trace(records, meta: Optional[dict] = None) -> str:
 def write_trace(path, records, meta: Optional[dict] = None) -> None:
     """Write `format_trace(records, meta)` to path, one row at a time.
 
-    records is an `engine.Trace` or any iterable of TraceRecords, whose
-    lines `engine.trace_lines` prints one row at a time; the file's bytes
-    equal that text's.  Neither the whole text nor a list of its lines is
-    ever built.
+    records is a run's `engine.Trace`, whose rows `engine.trace_lines`
+    prints from their stored and formed values, or any iterable of
+    TraceRecords, printed a record at a time; the file's bytes equal
+    `format_trace`'s text.  Neither the whole text nor a list of its lines
+    is ever built.
     """
     with open(path, "w") as out:
         out.writelines(_trace_lines(records, meta))

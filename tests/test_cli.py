@@ -1,6 +1,10 @@
 """End-to-end command-line behavior: flags, outputs, files, exit codes."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -808,3 +812,31 @@ def test_traces_are_bit_reproducible(tmp_path, capsys):
     assert cli.main(argv + ["--trace", str(second)]) == 0
     capsys.readouterr()
     assert _strip_timing(first.read_text()) == _strip_timing(second.read_text())
+
+
+# ---------------------------------------------------------------------------
+# a closed standard output
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, codes", [
+    # 2000 trace rows, about 320 kB: far more than a pipe holds, so the
+    # writes after the reader has gone fail
+    (["solve", *SMALL, "--max-iter", "2000", "--trace", "/dev/stdout"],
+     {141}),
+    # a report that may fit in the pipe before the reader goes
+    (["verify", "bounds"], {0, 141}),
+], ids=["solve-trace", "verify-bounds"])
+def test_a_closed_pipe_ends_without_a_traceback(argv, codes):
+    # the reader takes one line and closes the pipe: the command ends with
+    # the code a shell gives SIGPIPE, never 1 (the iteration cap), and
+    # prints nothing on standard error
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from sfista.cli import run_main; run_main()",
+         *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode in codes
+    assert err == b""

@@ -4,7 +4,6 @@ import dataclasses
 import itertools
 import math
 import struct
-import time
 import tracemalloc
 
 import numpy as np
@@ -126,8 +125,9 @@ def test_init_validation(quad1d):
         engine.init(quad1d, _quad_config(mu_f=-0.1), x0)
     with pytest.raises(ConfigError):
         engine.init(quad1d, _quad_config(max_iter=-1), x0)
-    with pytest.raises(ConfigError):
-        engine.init(quad1d, _quad_config(trace_every=0), x0)
+    for every in (0, 2.5, 2.0):
+        with pytest.raises(ConfigError, match="trace_every must be a positive"):
+            engine.init(quad1d, _quad_config(trace_every=every), x0)
     with pytest.raises(ValueError):
         engine.init(quad1d, _quad_config(), np.zeros(2))
     # mu_f within the modulus of f but not below lf: lam = 1 / (lf - mu_f)
@@ -868,21 +868,8 @@ def test_run_rows_are_the_record_rows_at_a_growth_halt(quad1d):
 
 
 # ---------------------------------------------------------------------------
-# packed trace
+# trace rows
 # ---------------------------------------------------------------------------
-
-def _recorded_rows(problem, config, x0, count):
-    """The rows of the first `count` states as records, as run forms them."""
-    started_ns = time.perf_counter_ns()
-    ref = problem.reference_optimum
-    phi_star = None if ref is None else ref.phi_star
-    fused = problem.f.fused()
-    return [engine.TraceRecord(*engine._row(
-        state, engine.row_certificates(state, problem, fused), phi_star,
-        started_ns))
-            for state in itertools.islice(engine.iterate(problem, config, x0),
-                                          count)]
-
 
 def _bits(record):
     """Each field's bytes as a double, None kept, and the int fields' types."""
@@ -891,110 +878,114 @@ def _bits(record):
             type(record.k), type(record.elapsed_ns))
 
 
-def _odd_record():
-    return engine.TraceRecord(k=3, a=math.inf, A=-0.0, tau=1.0, phi_y=math.nan,
-                              gap=-0.0, norm_u=0.0, norm_v=1e-300,
-                              eta_residual=-1.5e308, elapsed_ns=0)
+def _state_rows(problem, config, x0, last_k):
+    """The rows of a run that ends at last_k, each formed from the state
+    `iterate` yields: its own k, a_next, A and tau, its `row_certificates`
+    and phi*; elapsed_ns is 0."""
+    ref = problem.reference_optimum
+    phi_star = None if ref is None else ref.phi_star
+    fused = problem.f.fused()
+    rows = []
+    for state in itertools.islice(engine.iterate(problem, config, x0),
+                                  last_k + 1):
+        if state.k % config.trace_every and state.k != last_k:
+            continue
+        phi_y, u, pair = engine.row_certificates(state, problem, fused)
+        rows.append(engine.TraceRecord(
+            state.k, state.a_next, state.A, state.tau, phi_y,
+            None if phi_star is None else phi_y - phi_star,
+            None if u is None else u.norm, None if pair is None else pair.norm,
+            None if pair is None else pair.eta, 0))
+    return rows
 
 
-def test_trace_round_trips_every_kind_of_row(quad1d, lasso_small, lasso_norm,
-                                             nan_value_net):
-    zeros = lambda problem: np.zeros(problem.dimension)
-    # the k = 0 row has no certificates; later rows hold both
-    complete = _recorded_rows(lasso_small, engine.SolverConfig.for_problem(
-        lasso_small), zeros(lasso_small), 4)
-    assert complete[0].norm_u is None and complete[1].norm_u is not None
-    # no reference optimum: gap is None on every row
-    no_reference = _recorded_rows(lasso_norm, engine.SolverConfig.for_problem(
-        lasso_norm), zeros(lasso_norm), 3)
-    assert all(r.gap is None for r in no_reference)
-    # the last state's next coefficient overflows: a = inf
-    overflow = _recorded_rows(quad1d, engine.SolverConfig(
-        lf=1.0 + 1e-7, mu_f=1.0), np.array([1.0]), 1000)
-    assert overflow[-1].a == math.inf
-    # f.value returns NaN: phi_y is NaN
-    nan = _recorded_rows(nan_value_net, engine.SolverConfig.for_problem(
-        nan_value_net), zeros(nan_value_net), 2)
-    assert math.isnan(nan[-1].phi_y)
-    longest = dataclasses.replace(complete[-1], elapsed_ns=2**53 - 1)
-    records = (complete + no_reference + overflow + nan
-               + [_odd_record(), longest])
-    trace = engine.Trace()
-    for record in records:
-        trace.append(record)
-    assert len(trace) == len(records)
-    assert [_bits(r) for r in trace] == [_bits(r) for r in records]
-    assert trace[-1].elapsed_ns == 2**53 - 1
+def _box_halt():
+    # the 2x2 diagonal box_qp, whose coefficients overflow at k = 869
+    return problems.make_instance("box_qp", 3, 2, 2, diag=True)
 
 
-def test_trace_is_a_sequence_of_records(lasso_small):
-    records = _recorded_rows(lasso_small, engine.SolverConfig.for_problem(
-        lasso_small), np.zeros(lasso_small.dimension), 5) + [_odd_record()]
-    trace = engine.Trace(records)
-    # a rebuilt NaN is a new float, and a record holding one equals no
-    # other: the odd record is compared by its bits, and plain leaves it out
-    plain = records[:-1]
-    assert len(trace) == 6 and len(engine.Trace()) == 0
-    assert trace[0] == records[0] and trace[-2] == records[-2]
-    assert _bits(trace[-1]) == _bits(records[-1])
-    assert _bits(trace[-6]) == _bits(records[0])
-    assert trace[1:3] == records[1:3] and trace[-3::-2] == records[3::-2]
-    assert isinstance(trace[1:3], list) and trace[7:] == []
-    for index in (6, -7, 100):
+def _logistic():
+    return problems.make_instance("logistic_l2", 4, 60, 40)
+
+
+@pytest.mark.parametrize("make, every, rho, stop", [
+    # max_iter ends the lasso off the spacing of 7
+    ("lasso42", 1, 1e-6, (300, "max_iter")),
+    ("lasso42", 7, 1e-6, (300, "max_iter")),
+    ("elastic_mu1", 1, 1e-6, (205, "converged")),
+    ("elastic_mu1", 13, 1e-6, (205, "converged")),
+    # the last row's a is inf
+    (_box_halt, 1, None, (869, "growth_overflow")),
+    # no reference: gap None on every row
+    ("lasso_norm", 3, 1e-3, (107, "converged")),
+    (_logistic, 3, None, (793, "growth_overflow")),
+    # phi_y NaN on row 0, the one row
+    ("nan_value_net", 1, 1e-6, (0, "numeric_failure")),
+], ids=["lasso-1", "lasso-7", "net-1", "net-13", "box-halt", "no-reference",
+        "logistic-3", "nan-value"])
+def test_trace_rows_are_formed_from_the_states(request, make, every, rho,
+                                               stop):
+    # a Trace stores A, phi_y, the certificates and elapsed_ns, and forms k,
+    # a, tau and gap when a row is read: each equals the state's own bit
+    # for bit, and so does the rest of the row
+    problem = request.getfixturevalue(make) if isinstance(make, str) \
+        else make()
+    config = engine.SolverConfig.for_problem(
+        problem, max_iter=300 if rho else 2000, trace_every=every,
+        criterion=rho and bounds.Criterion.stationarity(rho))
+    x0 = np.zeros(problem.dimension)
+    result = engine.run(problem, config, x0)
+    assert (result.state.k, result.reason) == stop
+    trace = result.trace
+    assert _untimed(trace) == _untimed(
+        _state_rows(problem, config, x0, result.state.k))
+    # the k = 0 row reads its certificates back as None, later rows hold both
+    assert trace[0].norm_u is trace[0].norm_v is trace[0].eta_residual is None
+    assert all(r.norm_u is not None and r.eta_residual is not None
+               for r in trace[1:])
+    assert (trace[-1].a == math.inf) == (result.reason == "growth_overflow")
+    assert all((r.gap is None) == (problem.reference_optimum is None)
+               for r in trace)
+    assert math.isnan(trace[-1].phi_y) == (make == "nan_value_net")
+    assert harness.format_trace(trace) == harness.format_trace(list(trace))
+
+
+def test_trace_is_read_by_index_and_slice(lasso_small):
+    # rows k = 0, 3, ..., 18 and the final row, k = 20
+    config = engine.SolverConfig.for_problem(lasso_small, max_iter=20,
+                                             trace_every=3)
+    trace = engine.run(lasso_small, config,
+                       np.zeros(lasso_small.dimension)).trace
+    records = list(trace)
+    assert len(trace) == 8 and [r.k for r in records] == [*range(0, 19, 3), 20]
+    for index in (0, 1, 7, -1, -2, -8):
+        assert trace[index] == records[index]
+    assert trace[1:3] == records[1:3] and trace[-3::-2] == records[-3::-2]
+    assert trace[::-1] == records[::-1] and trace[8:] == []
+    assert isinstance(trace[1:3], list)
+    for index in (8, -9, 100):
         with pytest.raises(IndexError):
             trace[index]
-    assert harness.format_trace(trace) == harness.format_trace(records)
-    packed = engine.Trace(plain)
-    assert packed == plain and packed == engine.Trace(plain)
-    assert packed != plain[:-1] and packed != tuple(plain)
 
 
-def _row_with_none_mask(k, mask):
-    """A record whose fields in the bit mask are None; k sets the others."""
-    values = dict(k=k, a=0.5 + k, A=k / 3.0, tau=1.0 + k, phi_y=-k / 7.0,
-                  gap=1e-300 * k, norm_u=math.pi, norm_v=math.e * k,
-                  eta_residual=-0.0, elapsed_ns=10**9 + k)
-    return engine.TraceRecord(**{
-        name: None if mask >> j & 1 else value
-        for j, (name, value) in enumerate(values.items())})
-
-
-def test_trace_with_a_new_none_mask_on_every_row():
-    # consecutive masks differ by 37 mod 1024, so every row is a run of its
-    # own, and each read below crosses runs
-    records = [_row_with_none_mask(k, 37 * k % 1024) for k in range(300)]
-    trace = engine.Trace(records)
-    assert len(trace) == 300 and trace == records
-    for index in (0, 1, 150, 299, -1, -2, -151, -300):
-        assert trace[index] == records[index]
-    assert trace[-5:-1] == records[-5:-1] and trace[::-7] == records[::-7]
-    assert trace[298:1:-3] == records[298:1:-3]
-    with pytest.raises(IndexError):
-        trace[-301]
-    assert harness.format_trace(trace) == harness.format_trace(records)
-
-
-@pytest.mark.parametrize("masks, limit", [
-    ((0,), 84),  # complete rows, one run: the row's ten doubles
-    ((0, 32), 94),  # gap None on every other row: ten more bytes a run
-], ids=["one-run", "a-run-a-row"])
-def test_trace_holds_80_bytes_a_row_and_10_a_run(masks, limit):
-    # the limits leave 4 B a row for the arrays' growth slack
-    records = [_row_with_none_mask(1, mask) for mask in masks]
-    tracemalloc.start()
-    try:
-        trace = engine.Trace()
-        for k in range(10_000):
-            trace.append(records[k % len(records)])
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(trace) == 10_000
-    assert held < limit * len(trace)
+def test_trace_keeps_elapsed_ns_exact_to_2_53(monkeypatch, lasso_small):
+    # elapsed_ns is stored as a double: every int below 2**53 reads back
+    # as the same int
+    ticks = itertools.chain([0], itertools.repeat(2**53 - 1))
+    config = engine.SolverConfig.for_problem(lasso_small, max_iter=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine.time, "perf_counter_ns", lambda: next(ticks))
+        trace = engine.run(lasso_small, config,
+                           np.zeros(lasso_small.dimension)).trace
+    assert [r.elapsed_ns for r in trace] == [2**53 - 1] * 4
+    assert {type(r.elapsed_ns) for r in trace} == {int}
+    assert harness.format_trace(trace).endswith(",9007199254740991\n")
 
 
 def test_traced_run_keeps_under_128_bytes_a_row(lasso42):
-    # a row packs into 80 B; a list of TraceRecords took about 360 B a row
+    # a row stores six doubles, 48 B, and the whole run peaks under 72 B a
+    # row; ten packed doubles peaked at 94.5 B, a list of TraceRecords at
+    # about 360 B
     config = engine.SolverConfig.for_problem(
         lasso42, max_iter=2000, criterion=bounds.Criterion.stationarity(1e-6))
     x0 = np.zeros(lasso42.dimension)
@@ -1006,4 +997,4 @@ def test_traced_run_keeps_under_128_bytes_a_row(lasso42):
     finally:
         tracemalloc.stop()
     assert len(result.trace) == 2001
-    assert peak < 128 * len(result.trace)
+    assert peak < 72 * len(result.trace)
