@@ -15,7 +15,9 @@ infinite phi(y_k) in any row the run builds (row 0, each traced row and the
 final row), whatever the criterion, or a NaN or infinite quantity the
 criterion tests, or a non-finite entry of the final y_k, at any
 --trace-every; without a criterion, also of any y_k; 141 standard output
-closed by its reader (a broken pipe), with no traceback.
+closed by its reader (a broken pipe), with no traceback; 130 interrupted
+(SIGINT), with one line on standard error and no traceback, where a solve
+removes a trace file it created that is still empty.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import dataclasses
 import math
 import os
 import sys
-from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -176,6 +177,7 @@ def cmd_solve(args) -> int:
                                         trace_every=args.trace_every)
     # after every flag check, so a rejected solve creates no file, and
     # before the reference solve and the run; "a" keeps an old trace
+    created = args.trace is not None and not os.path.lexists(args.trace)
     if args.trace is not None:
         open(args.trace, "a").close()
     # without a trace file only the final row is read; the criterion joins
@@ -184,14 +186,22 @@ def cmd_solve(args) -> int:
                    else max(1, args.max_iter))
     config = dataclasses.replace(config, criterion=criterion,
                                  trace_every=trace_every)
-    problem = attach_reference(problem)
-    result = _engine.run(problem, config, x0)
-    # the summary's head lines, which the trace file repeats as metadata
-    head = (instance_recipe(problem, constants=False) + constant_meta(config)
-            + criterion_meta(criterion))
-    if args.trace is not None:
-        meta = dict(head + [("trace_every", str(config.trace_every))])
-        _harness.write_trace(args.trace, result.trace, meta)
+    try:
+        problem = attach_reference(problem)
+        result = _engine.run(problem, config, x0)
+        # the summary's head lines, which the trace file repeats as metadata
+        head = (instance_recipe(problem, constants=False)
+                + constant_meta(config) + criterion_meta(criterion))
+        if args.trace is not None:
+            meta = dict(head + [("trace_every", str(config.trace_every))])
+            _harness.write_trace(args.trace, result.trace, meta)
+    except BaseException:
+        # an interrupted or failed solve leaves no empty file of its own
+        # making behind; a file that was there before is left as it is
+        if (created and os.path.isfile(args.trace)
+                and not os.path.getsize(args.trace)):
+            os.remove(args.trace)
+        raise
 
     final = result.trace[-1]
     _emit(head)
@@ -270,11 +280,11 @@ def cmd_verify_invariants(args) -> int:
         raise ConfigError(f"step count {args.iters} must be nonnegative")
     problem, config, x0 = build_problem(args)
     problem = attach_reference(problem)
-    report = _harness.invariant_sweep(problem, config, islice(
-        _engine.iterate(problem, config, x0), args.iters + 1), args.samples)
+    capture = _harness.capture_run(problem, config, x0, args.iters)
+    report = _harness.invariant_report(capture, args.samples)
     _emit(instance_recipe(problem, constants=False) + constant_meta(config)
           + [("iterations", str(report.iterations))])
-    if report.iterations < args.iters:
+    if capture.overflowed:
         print("halted = growth_overflow")
     for line in report.lines():
         print(line)
@@ -399,8 +409,10 @@ def main(argv=None) -> int:
         return 2
 
 
-# the code a shell reports for a process that SIGPIPE ends, 128 + 13
+# the codes a shell reports for a process that SIGPIPE ends, 128 + 13,
+# and for one that SIGINT ends, 128 + 2
 _EXIT_BROKEN_PIPE = 141
+_EXIT_INTERRUPTED = 130
 
 
 def run_main() -> None:
@@ -412,6 +424,9 @@ def run_main() -> None:
         # point stdout at devnull, so that the flush at exit raises no more
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = _EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        code = _EXIT_INTERRUPTED
     raise SystemExit(code)
 
 

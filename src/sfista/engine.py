@@ -497,6 +497,21 @@ class CoefficientSchedule:
     overflowed: bool
 
 
+def _coefficients(config: SolverConfig) -> Iterator[tuple]:
+    """(a, A, tau) of each step from init's A = 0 and tau = 1, by the
+    scalar recursion `step` runs on config's lam and mu, operations and
+    order included: a = `_next_coefficient(lam, mu, tau, A)`, then A + a
+    and 1 + mu (A + a).  It ends where a is inf, at the growth halt that
+    ends `iterate`."""
+    lam, mu, A = config.lam, config.mu, 0.0
+    a = _next_coefficient(lam, mu, 1.0, A)
+    while a < math.inf:
+        A += a
+        tau = 1.0 + mu * A
+        yield a, A, tau
+        a = _next_coefficient(lam, mu, tau, A)
+
+
 def coefficient_schedule(lf: float, mu_f: float, mu_h: float,
                          k_max: int) -> CoefficientSchedule:
     """k_max steps from A = 0 on SolverConfig(lf, mu_f, mu_h)'s lam and mu;
@@ -504,18 +519,9 @@ def coefficient_schedule(lf: float, mu_f: float, mu_h: float,
     if k_max < 0:
         raise ConfigError(f"step count {k_max} must be nonnegative")
     config = SolverConfig(lf, mu_f, mu_h)
-    lam, mu = config.lam, config.mu
-    _bounds._validate_constants(lf, mu_f, mu)
-    a_list: list[float] = []
-    A_list = [0.0]
-    tau_list = [1.0]
-    for _ in range(k_max):
-        a = _next_coefficient(lam, mu, tau_list[-1], A_list[-1])
-        if a == math.inf:
-            break
-        a_list.append(a)
-        A_list.append(A_list[-1] + a)
-        tau_list.append(1.0 + mu * A_list[-1])
-    return CoefficientSchedule(a=np.array(a_list), A=np.array(A_list),
-                               tau=np.array(tau_list),
-                               overflowed=len(a_list) < k_max)
+    _bounds._validate_constants(lf, mu_f, config.mu)
+    steps = list(islice(_coefficients(config), k_max))
+    a, A, tau = zip(*steps) if steps else ((), (), ())
+    return CoefficientSchedule(a=np.array(a, dtype=float),
+                               A=np.array((0.0, *A)), tau=np.array((1.0, *tau)),
+                               overflowed=len(steps) < k_max)

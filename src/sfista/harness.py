@@ -1,13 +1,11 @@
 """Verification harness: recorded runs, invariant sweeps, and trace files.
 
-`capture_run` keeps every state `engine.iterate` yields, which the test
-suite interrogates.  `invariant_sweep` evaluates the identities and a
-priori bounds the method guarantees on any stream of a run's states,
-reading each state once as it passes and keeping only the latest: it forms
-each state's certificates once, folds each check's value there into that
-check's worst violation, and folds the lower model and takes the sampled
-checks on the way, so its memory does not grow with the states.
-`invariant_report` sweeps a capture's states.
+`capture_run` records a run as a recipe that keeps no state: each replay
+steps the run anew, and `capture.states`, one replay's list, is kept once
+read.  `invariant_sweep` checks the identities and a priori bounds the
+method guarantees on any stream of a run's states, folding each check as
+the states pass, so its memory does not grow with them; `invariant_report`
+sweeps a replay of a capture.
 `bounds_suite` measures observed criterion-firing iterations against the
 closed-form predictors on a seeded instance family, with one pass of
 `engine.iterate` per instance tested against every criterion at once.
@@ -19,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import islice
 from typing import Optional
 
@@ -50,45 +49,53 @@ SAMPLE_SEED = 2718  # of the sample points the minorant checks draw
 
 @dataclass
 class RunCapture:
-    """The states of a recorded run, as `engine.iterate` yields them.
+    """A recorded run as a recipe: problem, config, x0 and step count.
 
-    A capture forms no certificate: `invariant_report` forms each state's
-    once, as it checks them.  The trace rows of these states are those of
-    `engine.run(problem, dataclasses.replace(config, criterion=None,
-    max_iter=capture.iterations, trace_every=1), x0).trace`.
+    It keeps its own copy of x0 and no per-step value.  `stream()` replays
+    the run, stepping as each state is drawn; `states`, one replay's list,
+    is built when first read and then kept.  A replay reads the problem's
+    arrays as they are when it runs, so mutating them after `capture_run`
+    changes later replays; else replays agree bit for bit.  Its trace rows
+    are `engine.run`'s at trace_every = 1, with its config and step count.
     """
 
     problem: CompositeProblem
     config: _engine.SolverConfig
-    states: list
-    overflowed: bool = False
+    x0: Array
+    iterations: int
+    overflowed: bool
 
-    @property
-    def iterations(self) -> int:
-        return len(self.states) - 1
+    def stream(self):
+        """The states k = 0 .. iterations of a fresh replay, one at a time."""
+        return islice(_engine.iterate(self.problem, self.config, self.x0),
+                      self.iterations + 1)
+
+    @cached_property
+    def states(self) -> list:
+        return list(self.stream())
 
     def d0(self) -> float:
         """||x0 - x*|| by `ReferenceOptimum.distance`; ValueError without one."""
         ref = self.problem.reference_optimum
         if ref is None:
             raise ValueError("d0 needs a problem with a reference optimum")
-        return ref.distance(self.states[0].x0)
+        return ref.distance(self.x0)
 
 
 def capture_run(problem: CompositeProblem, config: _engine.SolverConfig,
                 x0: Array, iters: int) -> RunCapture:
-    """The first `iters + 1` states of `engine.iterate`.
+    """A capture of the first `iters + 1` states of `engine.iterate`.
 
-    Fewer states when the coefficient growth halts the run first, which
-    `overflowed` marks.  Each state costs its step alone: no certificate,
-    trace row or lower model is formed here (`lower_models(capture.states,
-    problem)` folds the model).  A negative `iters` raises ConfigError.
+    init runs here, so each error it raises comes at this call, as does a
+    ConfigError for a negative `iters`.  No step is taken: the steps are
+    counted on the coefficient recursion `iterate` halts on, fewer than
+    `iters` when the growth halts the run first, which `overflowed` marks.
     """
     if iters < 0:
         raise ConfigError(f"step count {iters} must be nonnegative")
-    states = list(islice(_engine.iterate(problem, config, x0), iters + 1))
-    return RunCapture(problem=problem, config=config, states=states,
-                      overflowed=len(states) <= iters)
+    x0 = _engine.init(problem, config, x0).x0
+    steps = sum(1 for _ in islice(_engine._coefficients(config), iters))
+    return RunCapture(problem, config, x0, steps, steps < iters)
 
 
 _CHECKPOINTS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000)
@@ -194,14 +201,11 @@ def _pair_excess(norm_v, eta, bounds):
             else v_excess)
 
 
-def _squared_norm(v: Array) -> float:
-    return float(v.dot(v))
-
-
 def invariant_report(capture: RunCapture,
                      sample_count: int = 200) -> VerificationReport:
-    """`invariant_sweep` over the capture's states."""
-    return invariant_sweep(capture.problem, capture.config, capture.states,
+    """`invariant_sweep` over a replay of the capture; `capture.states` is
+    neither read nor built."""
+    return invariant_sweep(capture.problem, capture.config, capture.stream(),
                            sample_count)
 
 
@@ -212,18 +216,17 @@ def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
     states is any iterable of a run's states from init's on, as
     `engine.iterate` yields them; each is read once, as it passes, and only
     the latest is kept; an empty stream, or one that starts after init's
-    state, raises ConfigError.  c and lf - mu_f are bound once per sweep.
-    Each state's certificates [phi(y), u, (v, eta)] are formed once
-    (`engine.row_certificates`), and each check's value at the state, on
-    Python floats, is folded into that check's worst and its k right away,
-    so the sweep's memory does not grow with the states.
-    While tau is within its gate, and only with samples, the pass folds the
-    lower model and takes the sampled checks at each checkpoint.  The gap
-    is phi(y) - phi* of the problem given.  A check behind a rounding-noise
-    gate reads the iterates before the first one past it, its note
-    `checked N of K`.  A check left with no iterate, or a sampled check
-    with no samples, is `skipped` and stays out of `overall`.  A negative
-    sample_count raises ConfigError.
+    state, raises ConfigError.  Each state's certificates [phi(y), u,
+    (v, eta)] are formed once (`engine.row_certificates`), and each check's
+    value at the state, on Python floats, is folded into that check's worst
+    and its k right away, so the sweep's memory does not grow with the
+    states.  While tau is within its gate, and only with samples, the pass
+    folds the lower model and takes the sampled checks at each checkpoint.
+    The gap is phi(y) - phi* of the problem given.  A check behind a
+    rounding-noise gate reads the iterates before the first one past it,
+    its note `checked N of K`.  A check left with no iterate, or a sampled
+    check with no samples, is `skipped` and stays out of `overall`.  A
+    negative sample_count raises ConfigError.
     """
     if sample_count < 0:
         raise ConfigError(f"sample count {sample_count} must be nonnegative")
@@ -294,9 +297,9 @@ def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
         k, a, A, tau = st.k, st.a_prev, st.A, st.tau
         phi, u, pair = _engine.row_certificates(st, problem, fused)
         norm_u, eta = u.norm, pair.eta
-        to_y = st.y - x0
-        dist_sq = _squared_norm(to_y)
-        move_sq = _squared_norm(st.y - st.x_tilde_prev)
+        to_y, from_tilde = st.y - x0, st.y - st.x_tilde_prev
+        dist_sq = float(to_y.dot(to_y))
+        move_sq = float(from_tilde.dot(from_tilde))
         # a square below the smallest normal double has lost its digits
         # (iterates near 1e-300 at a huge modulus): vector_norm rescales
         dist_y = vector_norm(to_y) if dist_sq < _NORMAL_MIN else math.sqrt(
@@ -356,7 +359,7 @@ def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
         if cert_open:
             # ||A v + y - x0||^2 / tau + 2 A eta = ||y - x0||^2
             shifted = A * pair.v + st.y - x0
-            lhs = _squared_norm(shifted) / tau + 2.0 * A * eta
+            lhs = float(shifted.dot(shifted)) / tau + 2.0 * A * eta
             certificate_identity.add(abs(lhs - dist_sq) / max(1.0, dist_sq),
                                      k)
             # ||v_k|| and eta_k against their ||y_k - x0|| envelopes
@@ -514,11 +517,8 @@ def format_trace(records, meta: Optional[dict] = None) -> str:
 def write_trace(path, records, meta: Optional[dict] = None) -> None:
     """Write `format_trace(records, meta)` to path, one row at a time.
 
-    records is a run's `engine.Trace`, whose rows `engine.trace_lines`
-    prints from their stored and formed values, or any iterable of
-    TraceRecords, printed a record at a time; the file's bytes equal
-    `format_trace`'s text.  Neither the whole text nor a list of its lines
-    is ever built.
+    records is a run's `engine.Trace` or any iterable of TraceRecords.
+    Neither the whole text nor a list of its lines is ever built.
     """
     with open(path, "w") as out:
         out.writelines(_trace_lines(records, meta))

@@ -1,8 +1,11 @@
 """End-to-end command-line behavior: flags, outputs, files, exit codes."""
 
+import itertools
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -551,18 +554,20 @@ CI_SWEEPS = [
 
 @pytest.mark.parametrize("flags", CI_SWEEPS)
 def test_verify_invariants_reports_what_a_capture_reports(capsys, flags):
-    # the command streams its states through the sweep; a capture of the
-    # same run keeps them, and its report has the same lines
+    # the command sweeps a capture's replay; the sweep of a fresh iterate
+    # over the same run has the same lines and halts where it does
     code = cli.main(["verify", "invariants", *flags])
     out, _ = _lines(capsys)
     args = cli.build_parser().parse_args(["verify", "invariants", *flags])
     problem, config, x0 = cli.build_problem(args)
-    capture = harness.capture_run(problems.attach_reference(problem), config,
-                                  x0, args.iters)
-    lines = harness.invariant_report(capture, args.samples).lines()
+    problem = problems.attach_reference(problem)
+    report = harness.invariant_sweep(problem, config, itertools.islice(
+        engine.iterate(problem, config, x0), args.iters + 1), args.samples)
+    lines = report.lines()
     assert out[-len(lines):] == lines
-    assert f"iterations = {capture.iterations}" in out
-    assert ("halted = growth_overflow" in out) == capture.overflowed
+    assert f"iterations = {report.iterations}" in out
+    assert (("halted = growth_overflow" in out)
+            == (report.iterations < args.iters))
     assert code == 0 and lines[-1] == "overall = pass"
 
 
@@ -840,3 +845,58 @@ def test_a_closed_pipe_ends_without_a_traceback(argv, codes):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode in codes
     assert err == b""
+
+
+# ---------------------------------------------------------------------------
+# an interrupted solve
+# ---------------------------------------------------------------------------
+
+README_SOLVE = ["solve", "--problem", "lasso", "--seed", "42", "--m", "100",
+                "--n", "200", "--reg", "0.1", "--criterion", "stationarity",
+                "--rho", "1e-6"]
+
+
+def test_an_interrupted_solve_exits_130_and_leaves_no_trace_file(tmp_path):
+    # SIGINT once the trace file exists, during the reference solve or the
+    # run, before any row is written: one line on standard error, no
+    # traceback, the code a shell gives SIGINT, and the empty file the
+    # solve created is gone
+    path = tmp_path / "run.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from sfista.cli import run_main; run_main()",
+         *README_SOLVE, "--trace", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    deadline = time.monotonic() + 60
+    while not path.exists():
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.005)
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 130
+    assert out == b"" and err == b"interrupted\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("before", [None, "", "old trace\n"],
+                         ids=["new", "empty", "old"])
+def test_an_interrupted_solve_removes_only_the_empty_file_it_made(
+        monkeypatch, capsys, tmp_path, before):
+    # a file that was there before the solve, empty or not, is left as it
+    # was; one the solve created and wrote nothing in is removed
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(engine, "run", interrupted)
+    path = tmp_path / "run.csv"
+    if before is not None:
+        path.write_text(before)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["solve", "--problem", "lasso", *SMALL, "--trace",
+                  str(path)])
+    assert capsys.readouterr().out == ""
+    if before is None:
+        assert not path.exists()
+    else:
+        assert path.read_text() == before

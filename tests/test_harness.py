@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfista import bounds, certificates, engine, harness, problems
-from sfista.errors import ConfigError
+from sfista.errors import ConfigError, InvalidStartError
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,76 @@ def test_capture_rejects_negative_step_count(monkeypatch, quad1d):
         harness.capture_run(quad1d, engine.SolverConfig(lf=2.0),
                             np.array([1.0]), -1)
     assert steps == []
+
+
+def _bits(state):
+    """The bytes of a state's arrays and coefficients, None as None."""
+    arrays = (state.x, state.y, state.x_tilde_prev, state.grad_tilde_prev)
+    return (state.k, struct.pack("3d", state.A, state.tau, state.a_next),
+            *(None if v is None else v.tobytes() for v in arrays))
+
+
+def _eager(problem, config, x0, iters):
+    """The first iters + 1 states of engine.iterate, as a list."""
+    return list(itertools.islice(engine.iterate(problem, config, x0),
+                                 iters + 1))
+
+
+def test_replayed_states_are_the_eager_states(lasso42_capture):
+    # a capture keeps no state: its states are a replay, bit for bit the
+    # states a fresh engine.iterate yields
+    cap = lasso42_capture
+    eager = itertools.islice(engine.iterate(cap.problem, cap.config,
+                                            np.zeros(cap.problem.dimension)),
+                             cap.iterations + 1)
+    for replayed, state in zip(cap.states, eager, strict=True):
+        assert _bits(replayed) == _bits(state)
+
+
+def test_replay_through_a_growth_halt_counts_as_iterate_does(quad1d):
+    # the count comes from the coefficient recursion alone, and it halts
+    # where iterate halts
+    config = engine.SolverConfig(lf=1.0 + 1e-7, mu_f=1.0)
+    cap = harness.capture_run(quad1d, config, np.array([1.0]), 500)
+    eager = _eager(quad1d, config, np.array([1.0]), 500)
+    assert cap.iterations == len(eager) - 1 < 500
+    assert cap.overflowed and eager[-1].a_next == math.inf
+    assert [_bits(s) for s in cap.states] == [_bits(s) for s in eager]
+
+
+def test_capture_keeps_its_own_start(elastic_mu1):
+    x0 = np.zeros(elastic_mu1.dimension)
+    config = engine.SolverConfig.for_problem(elastic_mu1)
+    cap = harness.capture_run(elastic_mu1, config, x0, 20)
+    expected = _eager(elastic_mu1, config, x0.copy(), 20)
+    d0 = cap.d0()
+    x0 += 1.0
+    assert [_bits(s) for s in cap.states] == [_bits(s) for s in expected]
+    assert cap.d0() == d0
+
+
+@pytest.mark.parametrize("x0, config, error", [
+    ([math.nan], engine.SolverConfig(lf=2.0), InvalidStartError),
+    ([1.0], engine.SolverConfig(lf=1.0), ConfigError),
+], ids=["nan-start", "lf-at-curvature"])
+def test_capture_validates_at_the_call(monkeypatch, quad1d, x0, config, error):
+    # init runs in capture_run, so its errors come at the call, stepless
+    monkeypatch.setattr(engine, "step", None)
+    with pytest.raises(error):
+        harness.capture_run(quad1d, config, np.array(x0), 10)
+
+
+def test_report_sweeps_a_replay_and_keeps_no_state(elastic_mu1):
+    # the report reads the capture's replay as a stream: its lines are the
+    # sweep's over a fresh iterate, and the capture builds no state list
+    config = engine.SolverConfig.for_problem(elastic_mu1)
+    x0 = np.zeros(elastic_mu1.dimension)
+    cap = harness.capture_run(elastic_mu1, config, x0, 100)
+    lines = harness.invariant_report(cap, sample_count=20).lines()
+    assert "states" not in vars(cap)
+    streamed = harness.invariant_sweep(elastic_mu1, config, itertools.islice(
+        engine.iterate(elastic_mu1, config, x0), 101), 20)
+    assert lines == streamed.lines() and lines[-1] == "overall = pass"
 
 
 # ---------------------------------------------------------------------------

@@ -268,11 +268,20 @@ def test_run_steps_once_per_iteration_to_overflow(quad1d, step_calls):
 
 
 def test_capture_run_steps_iters_times(elastic_mu1, step_calls):
-    config = engine.SolverConfig.for_problem(elastic_mu1)
-    capture = harness.capture_run(elastic_mu1, config,
-                                  np.zeros(elastic_mu1.dimension), 30)
+    # capture_run counts its steps on the coefficient recursion and takes
+    # none: it costs init's h(x0) alone.  The first read of `states`
+    # replays the run, one step per state after init's, and a second read
+    # takes the kept list
+    problem, counts = _counted(elastic_mu1)
+    config = engine.SolverConfig.for_problem(problem)
+    capture = harness.capture_run(problem, config,
+                                  np.zeros(problem.dimension), 30)
     assert capture.iterations == 30
+    assert step_calls == [] and counts == {"h.value": 1}
+    for _ in range(2):
+        assert len(capture.states) == 31
     assert step_calls == list(range(30))
+    assert counts == {"h.value": 2, "f.grad": 30, "h.prox": 30}
 
 
 def test_equivalence_check_steps_k_max_times(lasso_norm, step_calls):
@@ -304,12 +313,13 @@ def test_lower_models_update_once_per_state(elastic_mu1, monkeypatch):
 # the invariant sweep
 # ---------------------------------------------------------------------------
 
-def test_invariant_sweep_budget(elastic_mu1, monkeypatch, certificate_calls):
-    # the capture makes its steps' calls alone; the report forms each
-    # state's certificates once, folds the model up to its last sampled k
-    # and evaluates phi and the model once per sample (every sample lies in
-    # dom h, so its domain test is the h inside phi), and the three checks
-    # work on those values alone
+def test_invariant_sweep_budget(elastic_mu1, monkeypatch, certificate_calls,
+                                step_calls):
+    # the capture costs init's h(x0) alone; each report replays the run,
+    # init's h(x0) and the 30 steps, forms each state's certificates once,
+    # folds the model up to its last sampled k and evaluates phi and the
+    # model once per sample (every sample lies in dom h, so its domain test
+    # is the h inside phi), and the three checks work on those values alone
     problem, counts = _counted(elastic_mu1)
     updates = []
     model_calls = []
@@ -340,21 +350,24 @@ def test_invariant_sweep_budget(elastic_mu1, monkeypatch, certificate_calls):
                             oracle_free(getattr(certificates, name)))
     capture = harness.capture_run(problem, engine.SolverConfig.for_problem(problem),
                                   np.zeros(problem.dimension), 30)
-    # 30 steps and init's h(x0)
-    assert counts == {"f.grad": 30, "h.prox": 30, "h.value": 1}
+    assert counts == {"h.value": 1} and step_calls == []
     assert updates == [] and certificate_calls == {
         "stationarity_residual": [], "residual_pair": []}
 
-    # phi(y) and the gradient u needs at each state after k = 0, unfused
-    # on the counted oracle, and each residual once
+    # the replay's init and 30 steps; phi(y) and the gradient u needs at
+    # each state after k = 0, unfused on the counted oracle, and each
+    # residual once
     counts.clear()
     harness.invariant_report(capture, sample_count=0)
-    assert counts == {"f.value": 30, "h.value": 30, "f.grad": 30}
+    assert step_calls == list(range(30))
+    assert counts == {"f.value": 30, "h.value": 1 + 30, "f.grad": 30 + 30,
+                      "h.prox": 30}
     assert updates == [] and model_calls == []
     assert certificate_calls == {"stationarity_residual": list(range(1, 31)),
                                  "residual_pair": list(range(1, 31))}
 
     counts.clear()
+    step_calls.clear()
     for ks in certificate_calls.values():
         ks.clear()
     report = harness.invariant_report(capture, sample_count=5)
@@ -364,9 +377,12 @@ def test_invariant_sweep_budget(elastic_mu1, monkeypatch, certificate_calls):
     assert certificate_calls == {"stationarity_residual": list(range(1, 31)),
                                  "residual_pair": list(range(1, 31))}
     assert updates == list(range(1, 31))
-    # the states' phi(y), the 30 model folds and the 6 * 5 samples
-    assert counts["f.value"] == 30 + 30 + 6 * 5
-    assert counts["h.value"] == 30 + 30 + 6 * 5
+    # the replay again; the states' phi(y), the 30 model folds and the
+    # 6 * 5 samples
+    assert step_calls == list(range(30))
+    assert counts == {"f.value": 30 + 30 + 6 * 5,
+                      "h.value": 1 + 30 + 30 + 6 * 5, "f.grad": 30 + 30,
+                      "h.prox": 30}
     # 5 calls on each sampled k's model, told apart by its weight A_k
     weights = [capture.states[k].A for k in (1, 2, 5, 10, 20, 30)]
     assert model_calls == [w for w in weights for _ in range(5)]
