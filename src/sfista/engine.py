@@ -15,10 +15,8 @@ import struct
 import time
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
-from functools import lru_cache
+from dataclasses import dataclass
 from itertools import islice, starmap
-from operator import attrgetter
 from typing import Iterator, Optional
 
 import numpy as np
@@ -131,36 +129,10 @@ class TraceRecord:
     elapsed_ns: int
 
 
-# a record's fields in field order, and the positions of its int fields
-_row_values = attrgetter(*(f.name for f in fields(TraceRecord)))
-_INT_FIELDS = tuple(j for j, f in enumerate(fields(TraceRecord))
-                   if f.type in (int, "int"))
-_ROW = len(fields(TraceRecord))
 # the doubles a Trace stores a row: A, phi_y, norm_u, norm_v, eta_residual
 # and elapsed_ns
 _STORED = 6
 _STORED_ROW = struct.Struct(f"{_STORED}d")
-
-
-def _none_mask(values: Sequence) -> int:
-    """The bit mask of the fields, given in field order, that are None."""
-    if None not in values:
-        return 0
-    return sum(1 << j for j, v in enumerate(values) if v is None)
-
-
-@lru_cache(maxsize=None)
-def _line_format(mask: int) -> str:
-    """The %-format of the trace line of a row with this None mask.
-
-    An int field prints with %d, as str prints an int; a real one with
-    %.17g, as format_real does; a None field with %.0s, which prints
-    nothing.
-    """
-    return ",".join(
-        "%.0s" if mask >> j & 1
-        else "%d" if j in _INT_FIELDS else f"%{REAL_FORMAT}"
-        for j in range(_ROW)) + "\n"
 
 
 class Trace(Sequence):
@@ -225,18 +197,25 @@ class Trace(Sequence):
         return starmap(TraceRecord, self._values(range(len(self))))
 
 
-def trace_lines(records) -> Iterator[str]:
-    """Each record's trace line, one at a time, ending in a newline.
+def trace_lines(trace: Trace) -> Iterator[str]:
+    """Each row's trace line, one at a time, ending in a newline.
 
-    The fields comma-delimited in field order: an int as an integer, a real
-    as format_real prints it, a None as nothing.  A Trace gives each row's
-    ten values with no TraceRecord built; any other iterable of records
-    gives each record's own fields, a record at a time.
+    The ten fields comma-delimited in field order, formed with no
+    TraceRecord built: k and elapsed_ns as integers, a real as format_real
+    prints it.  Row 0 leaves its three certificate columns empty, and every
+    row leaves gap empty without a reference optimum: the only None fields
+    a Trace holds, so two %-formats, fixed once, print every row.
     """
-    rows = (records._values(range(len(records))) if isinstance(records, Trace)
-            else map(_row_values, records))
-    for values in rows:
-        yield _line_format(_none_mask(values)) % values
+    real, empty = f"%{REAL_FORMAT}", "%.0s"
+    columns = ["%d", real, real, real, real,
+               empty if trace._phi_star is None else real,
+               real, real, real, "%d"]
+    later = ",".join(columns) + "\n"
+    columns[6:9] = [empty] * 3
+    line = ",".join(columns) + "\n"
+    for values in trace._values(range(len(trace))):
+        yield line % values
+        line = later
 
 
 @dataclass
@@ -268,6 +247,9 @@ def init(problem: CompositeProblem, config: SolverConfig, x0: Array) -> IterateS
             f"mu_h = {config.mu_h:g} outside [0, {problem.h.mu:g}]"
         )
     _bounds._validate_constants(config.lf, config.mu_f, config.mu)
+    # an integer numpy scalar too
+    if not isinstance(config.max_iter, (int, np.integer)):
+        raise ConfigError("max_iter must be an integer")
     if config.max_iter < 0:
         raise ConfigError("max_iter must be nonnegative")
     # an int: a Trace forms each row's k as a multiple of it
@@ -384,8 +366,8 @@ def row_certificates(state: IterateState, problem: CompositeProblem,
     a `bounds.stop_test` test leaves it: the rest are kept, not formed
     again.  fused is `problem.f.fused()`: while it is not None, phi(y) and
     the gradient u needs come from one value_and_grad call when neither is
-    held; else from f.value and f.grad.  The residuals are looked up on the certificates
-    module at each call.
+    held; else from f.value and f.grad.  The residuals are looked up on the
+    certificates module at each call.
     """
     phi_y, u, pair = held or (None, None, None)
     if not state.k:
@@ -451,9 +433,9 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
     every = config.trace_every
     trace = Trace(config, phi_star)
     add_row = trace._add
-    # max(., 0) so that init runs, and rejects, a negative max_iter
-    for state in islice(iterate(problem, config, x0),
-                        max(config.max_iter, 0) + 1):
+    max_iter = config.max_iter
+    # init, at the first state, rejects a max_iter that is not an int >= 0
+    for state in iterate(problem, config, x0):
         k = state.k
         if k % every == 0:
             held = row_certificates(state, problem, fused)
@@ -470,8 +452,11 @@ def run(problem: CompositeProblem, config: SolverConfig, x0: Array) -> RunResult
         except NumericFailure:
             reason = "numeric_failure"
             break
+        if k == max_iter:
+            reason = "max_iter"
+            break
     else:
-        reason = "max_iter" if state.k == config.max_iter else "growth_overflow"
+        reason = "growth_overflow"
     if k % every:
         # the final row, with what the test formed
         held = row_certificates(state, problem, fused, held)

@@ -9,8 +9,8 @@ sweeps a replay of a capture.
 `bounds_suite` measures observed criterion-firing iterations against the
 closed-form predictors on a seeded instance family, with one pass of
 `engine.iterate` per instance tested against every criterion at once.
-`format_trace` and `write_trace` put the provenance lines and the header
-over `engine.trace_lines`.
+`format_trace` and `write_trace` print a run's `engine.Trace`: the
+provenance lines and the header, then `engine.trace_lines`.
 """
 
 from __future__ import annotations
@@ -496,29 +496,22 @@ def bounds_suite(seed_base: int = 0) -> list:
 TRACE_COLUMNS = tuple(f.name for f in fields(_engine.TraceRecord))
 
 
-def _trace_lines(records, meta: Optional[dict]):
+def _trace_lines(trace, meta: Optional[dict]):
     """The `# key = value` lines, the header, then `engine.trace_lines`."""
     for key, value in (meta or {}).items():
         yield f"# {key} = {value}\n"
     yield ",".join(TRACE_COLUMNS) + "\n"
-    yield from _engine.trace_lines(records)
+    yield from _engine.trace_lines(trace)
 
 
-def format_trace(records, meta: Optional[dict] = None) -> str:
-    """Comma-delimited trace with `# key = value` provenance lines on top.
-
-    records is a run's `engine.Trace` or a list of TraceRecords; a Trace
-    prints as the list of its records does.  The same lines, byte for byte,
-    that `write_trace` writes.
-    """
-    return "".join(_trace_lines(records, meta))
+def format_trace(trace, meta: Optional[dict] = None) -> str:
+    """A run's `engine.Trace` as comma-delimited text, with `# key = value`
+    provenance lines on top: the bytes `write_trace` writes."""
+    return "".join(_trace_lines(trace, meta))
 
 
-def write_trace(path, records, meta: Optional[dict] = None) -> None:
-    """Write `format_trace(records, meta)` to path, one row at a time.
-
-    records is a run's `engine.Trace` or any iterable of TraceRecords.
-    Neither the whole text nor a list of its lines is ever built.
-    """
+def write_trace(path, trace, meta: Optional[dict] = None) -> None:
+    """Write `format_trace(trace, meta)` to path, one row at a time, so
+    neither the whole text nor a list of its lines is ever built."""
     with open(path, "w") as out:
-        out.writelines(_trace_lines(records, meta))
+        out.writelines(_trace_lines(trace, meta))

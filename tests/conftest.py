@@ -40,6 +40,26 @@ def run_rows():
     return _run_rows
 
 
+def _reference_line(record):
+    """A row's line as the columns define it, field by field."""
+    return ",".join(
+        "" if value is None
+        else str(value) if isinstance(value, int)
+        else problems.format_real(value)
+        for value in dataclasses.astuple(record)) + "\n"
+
+
+@pytest.fixture(scope="session")
+def trace_printed_by_columns():
+    """The check that every row line of `format_trace(trace)` is the line
+    its record's fields make, each printed as the columns define it."""
+    def check(trace):
+        lines = harness.format_trace(trace).splitlines(True)
+        assert lines[0] == ",".join(harness.TRACE_COLUMNS) + "\n"
+        assert lines[1:] == [_reference_line(r) for r in trace]
+    return check
+
+
 @pytest.fixture(scope="session")
 def lasso42_rows(lasso42_capture):
     return _run_rows(lasso42_capture)

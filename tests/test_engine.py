@@ -123,8 +123,17 @@ def test_init_validation(quad1d):
         engine.init(quad1d, _quad_config(mu_h=0.1), x0)  # h is not strongly convex
     with pytest.raises(ConfigError):
         engine.init(quad1d, _quad_config(mu_f=-0.1), x0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="max_iter must be nonnegative"):
         engine.init(quad1d, _quad_config(max_iter=-1), x0)
+    # a float, whole or not, is refused by name, in init and in run
+    for max_iter in (3.0, 2.5):
+        with pytest.raises(ConfigError, match="max_iter must be an integer"):
+            engine.init(quad1d, _quad_config(max_iter=max_iter), x0)
+        with pytest.raises(ConfigError, match="max_iter must be an integer"):
+            engine.run(quad1d, _quad_config(max_iter=max_iter), x0)
+    # an integer numpy scalar runs
+    result = engine.run(quad1d, _quad_config(max_iter=np.int64(3)), x0)
+    assert (result.state.k, result.reason) == (3, "max_iter")
     for every in (0, 2.5, 2.0):
         with pytest.raises(ConfigError, match="trace_every must be a positive"):
             engine.init(quad1d, _quad_config(trace_every=every), x0)
@@ -924,7 +933,7 @@ def _logistic():
 ], ids=["lasso-1", "lasso-7", "net-1", "net-13", "box-halt", "no-reference",
         "logistic-3", "nan-value"])
 def test_trace_rows_are_formed_from_the_states(request, make, every, rho,
-                                               stop):
+                                               stop, trace_printed_by_columns):
     # a Trace stores A, phi_y, the certificates and elapsed_ns, and forms k,
     # a, tau and gap when a row is read: each equals the state's own bit
     # for bit, and so does the rest of the row
@@ -947,7 +956,7 @@ def test_trace_rows_are_formed_from_the_states(request, make, every, rho,
     assert all((r.gap is None) == (problem.reference_optimum is None)
                for r in trace)
     assert math.isnan(trace[-1].phi_y) == (make == "nan_value_net")
-    assert harness.format_trace(trace) == harness.format_trace(list(trace))
+    trace_printed_by_columns(trace)
 
 
 def test_trace_is_read_by_index_and_slice(lasso_small):

@@ -483,39 +483,46 @@ def test_suite_rows_stops_testing_at_each_prediction(monkeypatch):
 # trace files
 # ---------------------------------------------------------------------------
 
-def _sample_records():
-    return [
-        engine.TraceRecord(k=0, a=0.1, A=0.0, tau=1.0, phi_y=2.0, gap=None,
-                           norm_u=None, norm_v=None, eta_residual=None,
-                           elapsed_ns=100),
-        engine.TraceRecord(k=1, a=0.25, A=0.1, tau=1.0, phi_y=1.5, gap=0.5,
-                           norm_u=0.25, norm_v=0.5, eta_residual=0.125,
-                           elapsed_ns=245),
-    ]
+def _quad_trace(monkeypatch, problem):
+    """One step of lf = 1.25 on problem from x0 = 1, with elapsed_ns 100
+    on row 0 and 245 on row 1."""
+    ticks = iter([0, 100, 245])
+    monkeypatch.setattr(engine.time, "perf_counter_ns", lambda: next(ticks))
+    return engine.run(problem, engine.SolverConfig(lf=1.25, max_iter=1),
+                      np.array([1.0])).trace
 
 
-def test_format_trace_layout():
-    text = harness.format_trace(_sample_records(), meta={"kind": "lasso",
-                                                         "seed": 42})
+def test_format_trace_layout(monkeypatch, quad1d):
+    text = harness.format_trace(_quad_trace(monkeypatch, quad1d),
+                                meta={"kind": "quad", "seed": 42})
     lines = text.splitlines()
-    assert lines[0] == "# kind = lasso"
+    assert lines[0] == "# kind = quad"
     assert lines[1] == "# seed = 42"
     assert lines[2] == ",".join(harness.TRACE_COLUMNS)
-    # shortest round-trippable decimal: 0.1 keeps all 17 digits, 1.0 shrinks
-    assert lines[3] == "0,0.10000000000000001,0,1,2,,,,,100"
-    assert lines[4] == "1,0.25,0.10000000000000001,1,1.5,0.5,0.25,0.5,0.125,245"
+    # shortest round-trippable decimal: a = 0.8 keeps all 17 digits, 1.0
+    # shrinks; row 0's certificates are empty
+    assert lines[3] == "0,0.80000000000000004,0,1,0.5,0.5,,,,100"
+    assert lines[4] == ("1,1.2944271909999161,0.80000000000000004,1,"
+                        "0.01999999999999999,0.01999999999999999,"
+                        "0.19999999999999996,1,0.40000000000000008,245")
+    assert len(lines) == 5
 
 
-def test_format_trace_without_meta():
-    text = harness.format_trace(_sample_records())
+def test_format_trace_without_meta(monkeypatch, quad1d):
+    # no reference optimum: the gap column is empty on both rows
+    problem = dataclasses.replace(quad1d, reference_optimum=None)
+    text = harness.format_trace(_quad_trace(monkeypatch, problem))
     assert text.splitlines()[0] == ",".join(harness.TRACE_COLUMNS)
+    assert text.splitlines()[1:] == [
+        "0,0.80000000000000004,0,1,0.5,,,,,100",
+        "1,1.2944271909999161,0.80000000000000004,1,0.01999999999999999,,"
+        "0.19999999999999996,1,0.40000000000000008,245"]
     assert text.endswith("\n")
 
 
-def test_write_trace_round_trip(tmp_path, quad1d, lasso_small, lasso_norm,
-                                nan_gradient_net):
-    # the streamed file equals format_trace's text byte for byte on runs
-    # whose rows hold every kind of field the writer formats
+@pytest.fixture(scope="module")
+def kinds_of_runs(quad1d, lasso_small, lasso_norm, nan_gradient_net):
+    """Runs whose rows hold every kind of field the printer formats."""
     zeros = lambda problem: np.zeros(problem.dimension)
     stationarity = bounds.Criterion.stationarity(1e-6)
     # certificates empty at k = 0, then complete rows
@@ -535,69 +542,48 @@ def test_write_trace_round_trip(tmp_path, quad1d, lasso_small, lasso_norm,
         nan_gradient_net, max_iter=500, criterion=stationarity),
         zeros(nan_gradient_net))
     assert nan.reason == "numeric_failure"
-    # a hand-made row with negative zeros, an infinity and a NaN
-    odd = engine.TraceRecord(k=3, a=math.inf, A=-0.0, tau=1.0, phi_y=math.nan,
-                             gap=-0.0, norm_u=0.0, norm_v=1e-300,
-                             eta_residual=-1.5e308, elapsed_ns=0)
+    return {"converged": traced.trace, "no_reference": no_reference.trace,
+            "overflow": overflow.trace, "nan": nan.trace}
+
+
+def test_write_trace_round_trip(tmp_path, kinds_of_runs):
+    # the streamed file equals format_trace's text byte for byte
     meta = {"kind": "test", "lf": problems.format_real(0.1)}
-    for i, records in enumerate((_sample_records(), traced.trace,
-                                 no_reference.trace, overflow.trace, nan.trace,
-                                 [odd])):
-        path = tmp_path / f"run{i}.csv"
-        harness.write_trace(path, records, meta)
-        assert path.read_bytes() == harness.format_trace(records, meta).encode()
-    last = lambda records: harness.format_trace(records).splitlines()[-1]
-    assert last(no_reference.trace).split(",")[5] == ""
-    assert last(overflow.trace).split(",")[1] == "inf"
-    assert last(nan.trace).split(",")[6] == "nan"
-    assert last([odd]) == "3,inf,-0,1,nan,-0,0,1e-300,-1.5e+308,0"
+    for name, trace in kinds_of_runs.items():
+        path = tmp_path / f"{name}.csv"
+        harness.write_trace(path, trace, meta)
+        assert path.read_bytes() == harness.format_trace(trace, meta).encode()
+    last = lambda name: harness.format_trace(
+        kinds_of_runs[name]).splitlines()[-1]
+    assert last("no_reference").split(",")[5] == ""
+    assert last("overflow").split(",")[1] == "inf"
+    assert last("nan").split(",")[6] == "nan"
 
 
-# one value of each kind the printer meets: an int, a negative zero, both
-# infinities, a NaN, the smallest subnormal, and the largest elapsed_ns a
-# stored row holds exactly
-_PRINTER_VALUES = dict(k=7, a=-0.0, A=math.inf, tau=1.0, phi_y=math.nan,
-                       gap=5e-324, norm_u=-math.inf, norm_v=0.1,
-                       eta_residual=1e300, elapsed_ns=2**53 - 1)
+def test_trace_printer_prints_each_row_as_the_columns_define_it(
+        kinds_of_runs, trace_printed_by_columns):
+    # row 0 and later rows, with a gap and without, a = inf and NaN
+    # certificates: each line is its record's fields, field by field
+    for trace in kinds_of_runs.values():
+        trace_printed_by_columns(trace)
+    # the printer's real format prints each kind of double as format_real
+    # does: a negative zero, both infinities, a NaN, the smallest subnormal
+    for value in (-0.0, math.inf, -math.inf, math.nan, 5e-324, 0.1, 1e300):
+        assert (f"%{problems.REAL_FORMAT}" % value
+                == problems.format_real(value))
 
 
-def _reference_line(record):
-    """A row's line as the columns define it, field by field."""
-    return ",".join(
-        "" if value is None
-        else str(value) if isinstance(value, int)
-        else problems.format_real(value)
-        for value in dataclasses.astuple(record)) + "\n"
-
-
-def test_trace_printer_covers_every_none_mask():
-    # each of the 2**10 sets of None fields, the empty one included, prints
-    # as the columns define the line
-    names = harness.TRACE_COLUMNS
-    records = [engine.TraceRecord(**{
-        name: None if mask >> j & 1 else _PRINTER_VALUES[name]
-        for j, name in enumerate(names)}) for mask in range(2**len(names))]
-    text = harness.format_trace(records)
-    assert text.splitlines(True)[1:] == [_reference_line(r) for r in records]
-    lines = text.splitlines()
-    assert lines[1] == ("7,-0,inf,1,nan,4.9406564584124654e-324,-inf,"
-                        "0.10000000000000001,1.0000000000000001e+300,"
-                        "9007199254740991")
-    assert lines[-1] == ",,,,,,,,,"
-
-
-def test_write_trace_streams_rows(tmp_path):
-    # the README lasso's 7255 rows take about 1 MB of text; writing them row
+def test_write_trace_streams_rows(tmp_path, lasso42):
+    # the README lasso's 7255 rows take over 1 MB of text; writing them row
     # by row keeps the writer's own peak to a few buffers
-    records = [engine.TraceRecord(k=k, a=0.1 * k, A=1.0 / 3.0 + k, tau=1.0,
-                                  phi_y=2.0 / 3.0, gap=1e-7 / 3.0,
-                                  norm_u=math.pi, norm_v=math.e,
-                                  eta_residual=1.0 / 7.0, elapsed_ns=10**9 + k)
-               for k in range(7255)]
+    config = engine.SolverConfig.for_problem(
+        lasso42, criterion=bounds.Criterion.stationarity(1e-6))
+    trace = engine.run(lasso42, config, np.zeros(lasso42.dimension)).trace
+    assert len(trace) == 7255
     path = tmp_path / "long.csv"
     tracemalloc.start()
     try:
-        harness.write_trace(path, records, meta={"seed": 1})
+        harness.write_trace(path, trace, meta={"seed": 42})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
