@@ -80,7 +80,8 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 
 # solver constant -> help of its auto|REAL flag
 _CONSTANTS = {
-    "lf": "upper curvature estimate; auto = 1.25 * computed bound",
+    "lf": ("upper curvature estimate; auto = "
+           f"{_engine.DEFAULT_CURVATURE_MARGIN:g} * computed bound"),
     "mu_f": "strong-convexity modulus of f exploited by the solver",
     "mu_h": "strong-convexity modulus of h exploited by the solver",
 }
@@ -175,18 +176,19 @@ def cmd_solve(args) -> int:
     criterion = build_criterion(args)
     problem, config, x0 = build_problem(args, max_iter=args.max_iter,
                                         trace_every=args.trace_every)
-    # after every flag check, so a rejected solve creates no file, and
-    # before the reference solve and the run; "a" keeps an old trace
-    created = args.trace is not None and not os.path.lexists(args.trace)
-    if args.trace is not None:
-        open(args.trace, "a").close()
     # without a trace file only the final row is read; the criterion joins
     # after the gate, as init rejects function_gap without a reference
     trace_every = (args.trace_every if args.trace is not None
                    else max(1, args.max_iter))
     config = dataclasses.replace(config, criterion=criterion,
                                  trace_every=trace_every)
+    created = args.trace is not None and not os.path.lexists(args.trace)
     try:
+        # after every flag check, so a rejected solve creates no file, and
+        # before the reference solve and the run; "a" keeps an old trace.
+        # Inside the try, so an interrupt once the file exists removes it
+        if args.trace is not None:
+            open(args.trace, "a").close()
         problem = attach_reference(problem)
         result = _engine.run(problem, config, x0)
         # the summary's head lines, which the trace file repeats as metadata

@@ -15,7 +15,7 @@ import struct
 import time
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice, starmap
 from typing import Iterator, Optional
 
@@ -129,6 +129,9 @@ class TraceRecord:
     elapsed_ns: int
 
 
+# the trace file's header: one column per TraceRecord field, in field order
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+
 # the doubles a Trace stores a row: A, phi_y, norm_u, norm_v, eta_residual
 # and elapsed_ns
 _STORED = 6
@@ -197,15 +200,19 @@ class Trace(Sequence):
         return starmap(TraceRecord, self._values(range(len(self))))
 
 
-def trace_lines(trace: Trace) -> Iterator[str]:
-    """Each row's trace line, one at a time, ending in a newline.
+def trace_lines(trace: Trace, meta: Optional[dict] = None) -> Iterator[str]:
+    """The lines of a trace file, one at a time, each ending in a newline.
 
-    The ten fields comma-delimited in field order, formed with no
+    A `# key = value` line per item of meta, the TRACE_COLUMNS header, then
+    each row's ten fields comma-delimited in field order, formed with no
     TraceRecord built: k and elapsed_ns as integers, a real as format_real
     prints it.  Row 0 leaves its three certificate columns empty, and every
     row leaves gap empty without a reference optimum: the only None fields
     a Trace holds, so two %-formats, fixed once, print every row.
     """
+    for key, value in (meta or {}).items():
+        yield f"# {key} = {value}\n"
+    yield ",".join(TRACE_COLUMNS) + "\n"
     real, empty = f"%{REAL_FORMAT}", "%.0s"
     columns = ["%d", real, real, real, real,
                empty if trace._phi_star is None else real,

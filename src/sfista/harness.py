@@ -9,14 +9,14 @@ sweeps a replay of a capture.
 `bounds_suite` measures observed criterion-firing iterations against the
 closed-form predictors on a seeded instance family, with one pass of
 `engine.iterate` per instance tested against every criterion at once.
-`format_trace` and `write_trace` print a run's `engine.Trace`: the
-provenance lines and the header, then `engine.trace_lines`.
+`format_trace` and `write_trace` print a run's `engine.Trace` as
+`engine.trace_lines` lays it out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import Optional
@@ -27,7 +27,7 @@ from . import bounds as _bounds
 from . import certificates as _cert
 from . import engine as _engine
 from .errors import ConfigError, NumericFailure
-from .problems import _NORMAL_MIN, CompositeProblem, make_instance, vector_norm
+from .problems import CompositeProblem, make_instance, vector_norm
 
 Array = np.ndarray
 
@@ -205,23 +205,24 @@ def invariant_report(capture: RunCapture,
                      sample_count: int = 200) -> VerificationReport:
     """`invariant_sweep` over a replay of the capture; `capture.states` is
     neither read nor built."""
-    return invariant_sweep(capture.problem, capture.config, capture.stream(),
-                           sample_count)
+    return invariant_sweep(capture.problem, capture.stream(), sample_count)
 
 
-def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
-                    states, sample_count: int = 200) -> VerificationReport:
+def invariant_sweep(problem: CompositeProblem, states,
+                    sample_count: int = 200) -> VerificationReport:
     """Evaluate every identity and bound the method guarantees on a run.
 
     states is any iterable of a run's states from init's on, as
     `engine.iterate` yields them; each is read once, as it passes, and only
     the latest is kept; an empty stream, or one that starts after init's
-    state, raises ConfigError.  Each state's certificates [phi(y), u,
-    (v, eta)] are formed once (`engine.row_certificates`), and each check's
-    value at the state, on Python floats, is folded into that check's worst
-    and its k right away, so the sweep's memory does not grow with the
-    states.  While tau is within its gate, and only with samples, the pass
-    folds the lower model and takes the sampled checks at each checkpoint.
+    state, raises ConfigError.  The constants checked are those of the
+    config init's state carries, the one the run was made with.  Each
+    state's certificates [phi(y), u, (v, eta)] are formed once
+    (`engine.row_certificates`), and each check's value at the state, on
+    Python floats, is folded into that check's worst and its k right away,
+    so the sweep's memory does not grow with the states.  While tau is
+    within its gate, and only with samples, the pass folds the lower model
+    and takes the sampled checks at each checkpoint.
     The gap is phi(y) - phi* of the problem given.  A check behind a
     rounding-noise gate reads the iterates before the first one past it,
     its note `checked N of K`.  A check left with no iterate, or a sampled
@@ -236,6 +237,7 @@ def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
         raise ConfigError("no states to sweep: they start at init's, k = 0")
     if st.k != 0:
         raise ConfigError(f"the states start at k = {st.k}, not at init's")
+    config = st.config
     lf, mu_f, mu, lam = config.lf, config.mu_f, config.mu, config.lam
     lf_bar = problem.f.curvature
     ref = problem.reference_optimum
@@ -271,7 +273,7 @@ def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
 
     # per-sweep constants, each with the operands and order of the check's
     # whole expression
-    inv_lam, two_lf, lf_noise = 1.0 / lam, 2.0 * lf, 1e-12 * lf
+    inv_lam, lf_noise = 1.0 / lam, 1e-12 * lf
     rel_slack = 1.0 + INEQ_REL_SLACK
     c, lf_gap = _bounds.growth_factor(lf, mu_f, mu), lf - mu_f
     x0, tau_prev = st.x0, st.tau
@@ -300,10 +302,7 @@ def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
         to_y, from_tilde = st.y - x0, st.y - st.x_tilde_prev
         dist_sq = float(to_y.dot(to_y))
         move_sq = float(from_tilde.dot(from_tilde))
-        # a square below the smallest normal double has lost its digits
-        # (iterates near 1e-300 at a huge modulus): vector_norm rescales
-        dist_y = vector_norm(to_y) if dist_sq < _NORMAL_MIN else math.sqrt(
-            dist_sq)
+        dist_y = vector_norm(to_y)
         # coefficient recursion tau_{k-1} A_k / a_{k-1}^2 = lf - mu_f, as a
         # ratio of ratios: tau, A and a all reach ~1e300 under geometric
         # growth, so tau * A would overflow
@@ -351,9 +350,10 @@ def invariant_sweep(problem: CompositeProblem, config: _engine.SolverConfig,
                     pair_absolute_bounds.add(_pair_excess(
                         norm_v, eta, _bounds.pair_absolute_bounds(A, mu, d0)),
                         k)
-        # ||u_k|| <= 2 lf ||y_k - x_tilde_{k-1}||
-        residual_envelope.add(norm_u - two_lf * math.sqrt(move_sq) * rel_slack
-                              - lf_noise, k)
+        # ||u_k|| <= 2 lf ||y_k - x_tilde_{k-1}||, doubling the norm, not
+        # lf: 2 lf overflows from lf = 2^1023 on, and inf * 0 is NaN
+        residual_envelope.add(norm_u - lf * (2.0 * math.sqrt(move_sq))
+                              * rel_slack - lf_noise, k)
         # eta_k >= 0 up to rounding
         eta_nonnegative.add(-eta, k)
         if cert_open:
@@ -492,26 +492,14 @@ def bounds_suite(seed_base: int = 0) -> list:
 # Trace files
 # ---------------------------------------------------------------------------
 
-# one column per TraceRecord field, in field order
-TRACE_COLUMNS = tuple(f.name for f in fields(_engine.TraceRecord))
-
-
-def _trace_lines(trace, meta: Optional[dict]):
-    """The `# key = value` lines, the header, then `engine.trace_lines`."""
-    for key, value in (meta or {}).items():
-        yield f"# {key} = {value}\n"
-    yield ",".join(TRACE_COLUMNS) + "\n"
-    yield from _engine.trace_lines(trace)
-
-
 def format_trace(trace, meta: Optional[dict] = None) -> str:
     """A run's `engine.Trace` as comma-delimited text, with `# key = value`
     provenance lines on top: the bytes `write_trace` writes."""
-    return "".join(_trace_lines(trace, meta))
+    return "".join(_engine.trace_lines(trace, meta))
 
 
 def write_trace(path, trace, meta: Optional[dict] = None) -> None:
     """Write `format_trace(trace, meta)` to path, one row at a time, so
     neither the whole text nor a list of its lines is ever built."""
     with open(path, "w") as out:
-        out.writelines(_trace_lines(trace, meta))
+        out.writelines(_engine.trace_lines(trace, meta))

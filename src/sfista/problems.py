@@ -384,7 +384,7 @@ def logistic_loss(A: Array, labels: Array, ridge: float = 0.0) -> SmoothOracle:
 
     The Hessian is dominated by A^T A / (4 m) + ridge * I, which supplies the
     curvature bound; the ridge supplies the strong-convexity modulus.
-    `value_and_grad` forms the margins once for both.
+    `value` and `grad` each form the margins labels * (A x).
     """
     A = np.asarray(A, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -396,14 +396,15 @@ def logistic_loss(A: Array, labels: Array, ridge: float = 0.0) -> SmoothOracle:
     curvature = (gram_top(A) / (4.0 * m) + ridge) * CURVATURE_INFLATION
     AT = A.T
 
-    def value_at(margins, x):
-        """f(x) from the margins labels * (A x)."""
+    def value(x):
+        margins = labels * A.dot(x)
         out = float(np.logaddexp(0.0, -margins).mean())
         if ridge:
             out += 0.5 * ridge * float(x.dot(x))
         return out
 
-    def grad_at(margins, x):
+    def grad(x):
+        margins = labels * A.dot(x)
         # sigmoid(-margins), computed without overflow for large |margins|
         w = 0.5 * (1.0 - np.tanh(0.5 * margins))
         g = -(AT.dot(labels * w)) / m
@@ -411,19 +412,8 @@ def logistic_loss(A: Array, labels: Array, ridge: float = 0.0) -> SmoothOracle:
             g += ridge * x
         return g
 
-    def value(x):
-        return value_at(labels * A.dot(x), x)
-
-    def grad(x):
-        return grad_at(labels * A.dot(x), x)
-
-    def value_and_grad(x):
-        margins = labels * A.dot(x)
-        return value_at(margins, x), grad_at(margins, x)
-
     return SmoothOracle(value=value, grad=grad, mu=ridge,
-                        curvature=float(curvature),
-                        value_and_grad=value_and_grad)
+                        curvature=float(curvature))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def trace_printed_by_columns():
     its record's fields make, each printed as the columns define it."""
     def check(trace):
         lines = harness.format_trace(trace).splitlines(True)
-        assert lines[0] == ",".join(harness.TRACE_COLUMNS) + "\n"
+        assert lines[0] == ",".join(engine.TRACE_COLUMNS) + "\n"
         assert lines[1:] == [_reference_line(r) for r in trace]
     return check
 

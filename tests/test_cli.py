@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: flags, outputs, files, exit codes."""
 
 import itertools
+import math
 import os
 import signal
 import subprocess
@@ -41,7 +42,7 @@ def test_solve_end_to_end(tmp_path, capsys):
     assert any(line.startswith("norm_u = ") for line in out)
     text = trace_path.read_text().splitlines()
     assert text[0] == "# kind = lasso"
-    header_at = text.index(",".join(harness.TRACE_COLUMNS))
+    header_at = text.index(",".join(engine.TRACE_COLUMNS))
     rows = text[header_at + 1:]
     assert rows[0].startswith("0,")
     final_norm_u = float(rows[-1].split(",")[6])
@@ -561,7 +562,7 @@ def test_verify_invariants_reports_what_a_capture_reports(capsys, flags):
     args = cli.build_parser().parse_args(["verify", "invariants", *flags])
     problem, config, x0 = cli.build_problem(args)
     problem = problems.attach_reference(problem)
-    report = harness.invariant_sweep(problem, config, itertools.islice(
+    report = harness.invariant_sweep(problem, itertools.islice(
         engine.iterate(problem, config, x0), args.iters + 1), args.samples)
     lines = report.lines()
     assert out[-len(lines):] == lines
@@ -569,6 +570,18 @@ def test_verify_invariants_reports_what_a_capture_reports(capsys, flags):
     assert (("halted = growth_overflow" in out)
             == (report.iterations < args.iters))
     assert code == 0 and lines[-1] == "overall = pass"
+
+
+def test_verify_invariants_residual_envelope_at_a_huge_lf(capsys):
+    # 2 lf overflows to inf at lf = 1e308, and inf * 0 is NaN: the envelope
+    # 2 lf ||y_k - x_tilde_{k-1}|| doubles the norm, not lf, so its worst
+    # stays finite
+    cli.main(["verify", "invariants", "--m", "3", "--n", "4", "--iters", "3",
+              "--samples", "2", "--lf", "1e308"])
+    out, _ = _lines(capsys)
+    line = next(line for line in out if line.startswith("residual_envelope"))
+    assert line.startswith("residual_envelope = pass (worst ")
+    assert math.isfinite(float(line.split()[4].rstrip(",")))
 
 
 def test_verify_invariants_memory_does_not_grow_with_the_steps(capsys):
@@ -900,3 +913,19 @@ def test_an_interrupted_solve_removes_only_the_empty_file_it_made(
         assert not path.exists()
     else:
         assert path.read_text() == before
+
+
+def test_an_interrupt_as_the_trace_file_is_made_removes_it(monkeypatch,
+                                                           tmp_path):
+    # an interrupt that lands once the solve has made its empty trace file,
+    # before the reference solve, still removes it
+    def made_then_interrupted(path, mode):
+        open(path, mode).close()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "open", made_then_interrupted, raising=False)
+    path = tmp_path / "run.csv"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["solve", "--problem", "lasso", *SMALL, "--trace",
+                  str(path)])
+    assert not path.exists()

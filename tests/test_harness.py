@@ -135,9 +135,24 @@ def test_report_sweeps_a_replay_and_keeps_no_state(elastic_mu1):
     cap = harness.capture_run(elastic_mu1, config, x0, 100)
     lines = harness.invariant_report(cap, sample_count=20).lines()
     assert "states" not in vars(cap)
-    streamed = harness.invariant_sweep(elastic_mu1, config, itertools.islice(
+    streamed = harness.invariant_sweep(elastic_mu1, itertools.islice(
         engine.iterate(elastic_mu1, config, x0), 101), 20)
     assert lines == streamed.lines() and lines[-1] == "overall = pass"
+
+
+def test_sweep_checks_the_config_the_states_carry(elastic_mu1):
+    # states made at lf = 2 lf_bar are checked against their own
+    # constants, read from init's state: the report of a capture at that
+    # config, whatever config SolverConfig.for_problem would give
+    config = engine.SolverConfig.for_problem(
+        elastic_mu1, lf=2.0 * elastic_mu1.f.curvature)
+    assert config != engine.SolverConfig.for_problem(elastic_mu1)
+    x0 = np.zeros(elastic_mu1.dimension)
+    lines = harness.invariant_sweep(elastic_mu1, itertools.islice(
+        engine.iterate(elastic_mu1, config, x0), 201), 20).lines()
+    assert lines[-1] == "overall = pass"
+    assert lines == harness.invariant_report(harness.capture_run(
+        elastic_mu1, config, x0, 200), 20).lines()
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +220,9 @@ def test_invariant_report_rejects_negative_sample_count(elastic_capture):
 
 
 def test_invariant_sweep_refuses_an_empty_stream(elastic_mu1):
-    config = engine.SolverConfig.for_problem(elastic_mu1)
     for states in ([], iter(())):
         with pytest.raises(ConfigError, match="no states to sweep"):
-            harness.invariant_sweep(elastic_mu1, config, states, 0)
+            harness.invariant_sweep(elastic_mu1, states, 0)
 
 
 @pytest.mark.parametrize("start", [1, 3, 50])
@@ -221,7 +235,7 @@ def test_invariant_sweep_refuses_a_stream_after_init(elastic_capture, start):
                    problem, config, np.zeros(problem.dimension)), start, 300))
     for states in streams:
         with pytest.raises(ConfigError, match=f"start at k = {start},"):
-            harness.invariant_sweep(problem, config, states, 50)
+            harness.invariant_sweep(problem, states, 50)
 
 
 def test_invariant_report_without_samples_skips(elastic_capture):
@@ -498,7 +512,7 @@ def test_format_trace_layout(monkeypatch, quad1d):
     lines = text.splitlines()
     assert lines[0] == "# kind = quad"
     assert lines[1] == "# seed = 42"
-    assert lines[2] == ",".join(harness.TRACE_COLUMNS)
+    assert lines[2] == ",".join(engine.TRACE_COLUMNS)
     # shortest round-trippable decimal: a = 0.8 keeps all 17 digits, 1.0
     # shrinks; row 0's certificates are empty
     assert lines[3] == "0,0.80000000000000004,0,1,0.5,0.5,,,,100"
@@ -512,7 +526,7 @@ def test_format_trace_without_meta(monkeypatch, quad1d):
     # no reference optimum: the gap column is empty on both rows
     problem = dataclasses.replace(quad1d, reference_optimum=None)
     text = harness.format_trace(_quad_trace(monkeypatch, problem))
-    assert text.splitlines()[0] == ",".join(harness.TRACE_COLUMNS)
+    assert text.splitlines()[0] == ",".join(engine.TRACE_COLUMNS)
     assert text.splitlines()[1:] == [
         "0,0.80000000000000004,0,1,0.5,,,,,100",
         "1,1.2944271909999161,0.80000000000000004,1,0.01999999999999999,,"

@@ -214,6 +214,46 @@ def test_traced_rows_fuse_value_and_grad_unless_wrapped(lasso_small,
     assert _rows_but_elapsed(refused.trace) == rows
 
 
+@pytest.mark.parametrize("trace_every", [1, 4])
+def test_traced_logistic_rows_call_value_and_grad(monkeypatch, trace_every):
+    # a logistic loss has no value_and_grad: each traced row after k = 0
+    # makes one f.value and one f.grad call, for phi(y) and u, and no fused
+    # call; row 0 makes the f.value alone, and the rows are those of the
+    # same run under counting wrappers
+    problem = problems.make_instance("logistic_l2", seed=4, m=30, n=20)
+    assert problem.f.value_and_grad is None and problem.f.fused() is None
+    counted, counts = _counted(problem)
+    per_row = []
+    real_row = engine.row_certificates
+
+    def row(state, problem, fused, held=None):
+        assert fused is None
+        before = counts.copy()
+        out = real_row(state, problem, fused, held)
+        per_row.append((state.k, dict(counts - before)))
+        return out
+
+    def no_fused_call(*args):
+        raise AssertionError("a fused call")
+
+    monkeypatch.setattr(engine, "row_certificates", row)
+    monkeypatch.setattr(engine, "eval_phi_and_grad", no_fused_call)
+    # no criterion, so the final row, off the spacing at k = 10, gets no
+    # certificate from a test
+    config = engine.SolverConfig.for_problem(problem, max_iter=10,
+                                             trace_every=trace_every)
+    x0 = np.zeros(problem.dimension)
+    wrapped = engine.run(counted, config, x0)
+    assert wrapped.reason == "max_iter"
+    ks = [*range(0, 11, trace_every), *([10] if 10 % trace_every else [])]
+    assert per_row == [(k, {"f.value": 1, "h.value": 1} if k == 0 else
+                        {"f.value": 1, "f.grad": 1, "h.value": 1})
+                       for k in ks]
+    assert counts["f.grad"] == 10 + len(ks) - 1
+    assert _rows_but_elapsed(engine.run(problem, config, x0).trace) == (
+        _rows_but_elapsed(wrapped.trace))
+
+
 @pytest.mark.parametrize("trace_every", [1, 10000])
 def test_function_gap_run_budget(elastic_mu1, trace_every):
     # phi(y) once per state: the check and the trace row share it
